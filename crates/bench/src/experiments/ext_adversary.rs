@@ -46,6 +46,7 @@ use powermed_server::ServerSpec;
 use powermed_sim::AdversaryConfig;
 use powermed_telemetry::faults::{AdversaryStats, EstimationStats, TrustStats};
 use powermed_telemetry::journal::{EventRecord, Obs, ObsConfig, ObsEvent};
+use powermed_units::hash::Fnv1a;
 use powermed_units::{Seconds, Watts};
 use powermed_workloads::{catalog, AppProfile};
 
@@ -481,25 +482,21 @@ pub fn smoke_digest(seed: u64) -> u64 {
     for app in grid_apps() {
         med.admit(&mut sim, app).expect("three apps fit");
     }
-    let mut digest: u64 = 0xcbf2_9ce4_8422_2325;
-    let fold = |digest: &mut u64, bits: u64| {
-        *digest ^= bits;
-        *digest = digest.wrapping_mul(0x0000_0100_0000_01b3);
-    };
+    let mut digest = Fnv1a::new();
     let steps = (8.0 / DT.value()).round() as u64;
     for _ in 0..steps {
         med.step(&mut sim, DT);
         if let Some(eb) = med.last_estimate() {
             for share in eb.apps.values() {
-                fold(&mut digest, share.watts.to_bits());
+                digest.write_word(share.watts.to_bits());
             }
-            fold(&mut digest, eb.residual_w.to_bits());
+            digest.write_word(eb.residual_w.to_bits());
         }
     }
     let simulated = steps as f64 * DT.value();
     let out = score(&sim, &med, &scenario, &spec, simulated);
     for (_, perf) in &out.per_app {
-        fold(&mut digest, perf.to_bits());
+        digest.write_word(perf.to_bits());
     }
     for bits in [
         out.violation_seconds.to_bits(),
@@ -514,9 +511,9 @@ pub fn smoke_digest(seed: u64) -> u64 {
         out.estimation.clamp_bound_polls,
         out.debt_charged_w.to_bits(),
     ] {
-        fold(&mut digest, bits);
+        digest.write_word(bits);
     }
-    digest
+    digest.finish()
 }
 
 fn print_row(label: &str, undef: &AdversaryOutcome, def: &AdversaryOutcome) {

@@ -32,6 +32,7 @@ use powermed_cluster::control::{
 use powermed_cluster::manager::ClusterManager;
 use powermed_cluster::trace::ClusterPowerTrace;
 use powermed_telemetry::faults::ClusterControlStats;
+use powermed_units::hash::Fnv1a;
 use powermed_units::{Ratio, Seconds, Watts};
 
 use crate::support::{heading, par_map, pct};
@@ -232,7 +233,7 @@ pub fn smoke_digest(seed: u64) -> u64 {
         faults: ClusterFaultConfig::default_scenario(seed),
     };
     let out = run_one(&scenario, true, 4, Seconds::new(60.0));
-    let mut digest = out.trace_digest;
+    let mut digest = Fnv1a::resume(out.trace_digest);
     for bits in [
         out.aggregate_normalized_perf.to_bits(),
         out.violation_seconds.to_bits(),
@@ -240,10 +241,9 @@ pub fn smoke_digest(seed: u64) -> u64 {
         out.stats.response_events(),
         out.stats.breaker_trips,
     ] {
-        digest ^= bits;
-        digest = digest.wrapping_mul(0x0000_0100_0000_01b3);
+        digest.write_word(bits);
     }
-    digest
+    digest.finish()
 }
 
 fn print_pair(label: &str, naive: &ClusterFaultOutcome, resilient: &ClusterFaultOutcome) {

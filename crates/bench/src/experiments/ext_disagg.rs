@@ -60,6 +60,7 @@ use powermed_server::ServerSpec;
 use powermed_sim::faults::FaultConfig;
 use powermed_telemetry::faults::{EstimationStats, FaultStats, HardeningStats};
 use powermed_telemetry::journal::{EventRecord, Obs, ObsConfig, ObsEvent};
+use powermed_units::hash::Fnv1a;
 use powermed_units::{Seconds, Watts};
 use powermed_workloads::catalog;
 use powermed_workloads::mixes::Mix;
@@ -585,7 +586,7 @@ pub fn smoke_digest(seed: u64) -> u64 {
         true,
         Seconds::new(5.0),
     );
-    let mut digest = out.trace_digest;
+    let mut digest = Fnv1a::resume(out.trace_digest);
     for bits in [
         out.mean_normalized.to_bits(),
         out.violation_seconds.to_bits(),
@@ -596,10 +597,9 @@ pub fn smoke_digest(seed: u64) -> u64 {
         out.estimation.escalations,
         out.hardening.sensor_faults,
     ] {
-        digest ^= bits;
-        digest = digest.wrapping_mul(0x0000_0100_0000_01b3);
+        digest.write_word(bits);
     }
-    digest
+    digest.finish()
 }
 
 fn print_pair(label: &str, oracle: &DisaggOutcome, est: &DisaggOutcome) {

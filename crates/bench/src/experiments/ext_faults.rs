@@ -17,12 +17,15 @@
 //! reference run into a single hash so CI can assert bit-identical
 //! fault traces cheaply (`ext_faults --smoke`).
 
+use std::fmt::Write as _;
+
 use powermed_core::policy::PolicyKind;
 use powermed_core::runtime::PowerMediator;
 use powermed_core::watchdog::HardeningConfig;
 use powermed_server::ServerSpec;
 use powermed_sim::faults::{FaultConfig, FaultRecord};
 use powermed_telemetry::faults::{FaultStats, HardeningStats};
+use powermed_units::hash::Fnv1a;
 use powermed_units::{Seconds, Watts};
 use powermed_workloads::mixes::{self, Mix};
 
@@ -172,14 +175,11 @@ pub fn run_one(scenario: &Scenario, mix: &Mix, hardened: bool, duration: Seconds
 /// FNV-1a over the debug rendering of the fault trace. Cheap, stable,
 /// and sensitive to every field of every record.
 pub fn trace_digest(trace: &[FaultRecord]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut hash = Fnv1a::new();
     for record in trace {
-        for byte in format!("{record:?}").bytes() {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
+        write!(hash, "{record:?}").expect("debug formatting failed");
     }
-    hash
+    hash.finish()
 }
 
 /// Duration of the full scenario runs (matches the runtime's stuck-ESD
@@ -311,17 +311,16 @@ pub fn smoke_digest(seed: u64) -> u64 {
         kind: PolicyKind::AppResEsdAware,
     };
     let out = run_one(&scenario, &reference_mix(), true, Seconds::new(5.0));
-    let mut digest = out.trace_digest;
+    let mut digest = Fnv1a::resume(out.trace_digest);
     for bits in [
         out.mean_normalized.to_bits(),
         out.violation_fraction.to_bits(),
         out.fault_stats.total_events(),
         out.hardening.retries,
     ] {
-        digest ^= bits;
-        digest = digest.wrapping_mul(0x0000_0100_0000_01b3);
+        digest.write_word(bits);
     }
-    digest
+    digest.finish()
 }
 
 fn print_pair(label: &str, plain: &FaultOutcome, hard: &FaultOutcome) {

@@ -47,6 +47,7 @@ use powermed_telemetry::journal::{
     EventRecord, FleetRecord, FleetTimeline, Obs, ObsConfig, ObsEvent, SafeModeTransition,
     MANAGER_SERVER_ID,
 };
+use powermed_units::hash::Fnv1a;
 use powermed_units::{Seconds, Watts};
 use powermed_workloads::mixes::Mix;
 
@@ -245,17 +246,16 @@ pub fn smoke_digest(seed: u64) -> u64 {
         Seconds::new(5.0),
         ObsConfig::default(),
     );
-    let mut digest = out.obs.digest();
+    let mut digest = Fnv1a::resume(out.obs.digest());
     for bits in [
         out.trace_digest,
         out.mean_normalized.to_bits(),
         out.violation_fraction.to_bits(),
         out.obs.journal_counts().2,
     ] {
-        digest ^= bits;
-        digest = digest.wrapping_mul(0x0000_0100_0000_01b3);
+        digest.write_word(bits);
     }
-    digest
+    digest.finish()
 }
 
 /// Inner iterations per timed sample in [`measure_overhead`]. With the
@@ -472,7 +472,7 @@ pub fn fleet_smoke_digest(seed: u64) -> u64 {
         &FleetObsOptions::default(),
     );
     let fleet = report.fleet.as_ref().expect("fleet recording enabled");
-    let mut digest = fleet.timeline.digest();
+    let mut digest = Fnv1a::resume(fleet.timeline.digest());
     for bits in [
         report.trace_digest,
         report.violation_seconds.to_bits(),
@@ -481,10 +481,9 @@ pub fn fleet_smoke_digest(seed: u64) -> u64 {
         fleet.timeline.len() as u64,
         fleet.timeline.dedup_total(),
     ] {
-        digest ^= bits;
-        digest = digest.wrapping_mul(0x0000_0100_0000_01b3);
+        digest.write_word(bits);
     }
-    digest
+    digest.finish()
 }
 
 /// The cross-server causal chain behind the facility breaker's last

@@ -47,6 +47,7 @@ use powermed_server::ServerSpec;
 use powermed_telemetry::journal::{EventRecord, Obs, ObsConfig, ObsEvent};
 use powermed_traffic::samplers::zipf_weights;
 use powermed_traffic::source::TrafficConfig;
+use powermed_units::hash::{Fnv1a, SPLITMIX_GAMMA};
 use powermed_units::{Seconds, Watts};
 use powermed_workloads::mixes::{self, Mix};
 
@@ -181,7 +182,7 @@ pub fn doctor_scenario(seed: u64) -> TrafficScenario {
 /// flavor and tightness (common random numbers).
 pub fn traffic_config(seed: u64, server: usize) -> TrafficConfig {
     TrafficConfig {
-        seed: seed ^ (server as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15),
+        seed: seed ^ (server as u64 + 1).wrapping_mul(SPLITMIX_GAMMA),
         target_utilization: TARGET_UTILIZATION,
         ..TrafficConfig::default()
     }
@@ -266,11 +267,6 @@ pub fn flavor_caps(sku: &SkuMix, host_mixes: &[Mix], total: Watts, mediated: boo
     ClusterManager::apportion_cluster_with_floors(&curves, total, &floors)
 }
 
-fn fold(digest: &mut u64, bits: u64) {
-    *digest ^= bits;
-    *digest = digest.wrapping_mul(0x0000_0100_0000_01b3);
-}
-
 /// Scores a finished fleet: pooled attainment, energy, residue, and
 /// the FNV fold of every counter.
 fn score(fleet: &Fleet, caps: &[Watts]) -> TrafficOutcome {
@@ -281,7 +277,7 @@ fn score(fleet: &Fleet, caps: &[Watts]) -> TrafficOutcome {
     let mut windows_missed = 0u64;
     let mut backlog = 0.0f64;
     let mut energy_j = 0.0f64;
-    let mut digest = 0xcbf2_9ce4_8422_2325u64;
+    let mut digest = Fnv1a::new();
     for sim in &fleet.sims {
         let stats = sim
             .traffic()
@@ -294,16 +290,16 @@ fn score(fleet: &Fleet, caps: &[Watts]) -> TrafficOutcome {
         windows_missed += stats.windows_missed;
         backlog += stats.offered_ops - stats.served_ops;
         energy_j += sim.meter().energy().value();
-        fold(&mut digest, stats.requests);
-        fold(&mut digest, stats.completions);
-        fold(&mut digest, stats.within_slo);
-        fold(&mut digest, stats.windows_missed);
-        fold(&mut digest, stats.offered_ops.to_bits());
-        fold(&mut digest, stats.served_ops.to_bits());
-        fold(&mut digest, sim.meter().energy().value().to_bits());
+        digest.write_word(stats.requests);
+        digest.write_word(stats.completions);
+        digest.write_word(stats.within_slo);
+        digest.write_word(stats.windows_missed);
+        digest.write_word(stats.offered_ops.to_bits());
+        digest.write_word(stats.served_ops.to_bits());
+        digest.write_word(sim.meter().energy().value().to_bits());
     }
     for cap in caps {
-        fold(&mut digest, cap.value().to_bits());
+        digest.write_word(cap.value().to_bits());
     }
     TrafficOutcome {
         attainment: if requests > 0 {
@@ -318,7 +314,7 @@ fn score(fleet: &Fleet, caps: &[Watts]) -> TrafficOutcome {
         energy_kj: energy_j / 1e3,
         backlog_ops: backlog,
         caps_w: caps.iter().map(|c| c.value()).collect(),
-        digest,
+        digest: digest.finish(),
     }
 }
 
@@ -644,12 +640,12 @@ pub fn gate(rows: &[(TrafficScenario, TrafficOutcome, TrafficOutcome)]) -> GateR
 pub fn smoke_digest(seed: u64) -> u64 {
     let scenario = doctor_scenario(seed);
     let smoke_day = Seconds::new(DAY.value() / 10.0);
-    let mut digest = 0xcbf2_9ce4_8422_2325u64;
+    let mut digest = Fnv1a::new();
     for mediated in [false, true] {
         let out = run_one(&scenario, mediated, smoke_day);
-        fold(&mut digest, out.digest);
+        digest.write_word(out.digest);
     }
-    digest
+    digest.finish()
 }
 
 /// Prints the attainment-vs-tightness table and returns the rows for

@@ -32,6 +32,7 @@ use powermed_cluster::control::{
 use powermed_cluster::manager::ClusterManager;
 use powermed_profiles::ProbeSplit;
 use powermed_telemetry::ProfileStoreStats;
+use powermed_units::hash::Fnv1a;
 use powermed_units::Seconds;
 
 use crate::experiments::ext_cluster_faults::cap_schedule;
@@ -223,7 +224,7 @@ pub fn smoke_digest(seed: u64) -> u64 {
     };
     let cold = run_one(&scenario, false, 3, Seconds::new(60.0));
     let warm = run_one(&scenario, true, 3, Seconds::new(60.0));
-    let mut digest = cold.trace_digest;
+    let mut digest = Fnv1a::resume(cold.trace_digest);
     for bits in [
         warm.trace_digest,
         cold.aggregate_normalized_perf.to_bits(),
@@ -238,10 +239,9 @@ pub fn smoke_digest(seed: u64) -> u64 {
         warm.store.evictions,
         warm.store_divergence.map(|d| d as u64 + 1).unwrap_or(0),
     ] {
-        digest ^= bits;
-        digest = digest.wrapping_mul(0x0000_0100_0000_01b3);
+        digest.write_word(bits);
     }
-    digest
+    digest.finish()
 }
 
 fn print_pair(label: &str, cold: &WarmStartOutcome, warm: &WarmStartOutcome) {

@@ -10,6 +10,7 @@
 use powermed_cf::crossval::{CrossValidator, FoldModels, FoldReport};
 use powermed_cf::matrix::UtilityMatrix;
 use powermed_server::ServerSpec;
+use powermed_units::hash::Fnv1a;
 use powermed_units::Watts;
 use powermed_workloads::catalog;
 use powermed_workloads::generator::WorkloadGenerator;
@@ -134,7 +135,7 @@ fn score(fraction: f64, reports: &[FoldReport]) -> SamplePoint {
 /// ALS kernels, the CV protocol or the scoring shows up as a digest
 /// change.
 pub fn digest(points: &[SamplePoint]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut h = Fnv1a::new();
     for p in points {
         for v in [
             p.fraction,
@@ -142,13 +143,10 @@ pub fn digest(points: &[SamplePoint]) -> u64 {
             p.perf_vs_optimal,
             p.power_rmse,
         ] {
-            for b in v.to_bits().to_le_bytes() {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
+            h.write(&v.to_bits().to_le_bytes());
         }
     }
-    h
+    h.finish()
 }
 
 /// Prints the sweep.

@@ -21,8 +21,7 @@
 //! and the message layer in between can inject deterministic, seeded
 //! faults — drops, delays, node churn, partitions, manager failover —
 //! to measure how gracefully the cluster tier degrades. With faults
-//! disabled the control plane reproduces the original monolithic loops
-//! bit-for-bit.
+//! disabled the control plane consumes no randomness at all.
 //!
 //! # Example
 //!

@@ -144,8 +144,7 @@ impl ClusterManager {
 
     /// Runs `policy` through the manager ↔ agent control plane with a
     /// fault-free network — the same loop the fault experiments use,
-    /// which with faults off is bit-identical to the original monolithic
-    /// per-policy loops.
+    /// with every fault channel off.
     fn run_managed(
         &self,
         policy: ManagedPolicy,

@@ -23,36 +23,17 @@
 //! `String` is allocated.
 
 use std::collections::HashMap;
-use std::fmt::{self, Debug, Write};
+use std::fmt::{self, Debug};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use parking_lot::RwLock;
 use powermed_cf::als::Completion;
 use powermed_server::ServerSpec;
+use powermed_units::hash::Fnv1a;
 use powermed_workloads::AppProfile;
 
 use crate::measurement::AppMeasurement;
-
-/// FNV-1a hasher that consumes formatter output directly.
-struct FnvWriter(u64);
-
-impl Write for FnvWriter {
-    fn write_str(&mut self, s: &str) -> fmt::Result {
-        for b in s.bytes() {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        Ok(())
-    }
-}
-
-fn fingerprint<T: Debug>(value: &T) -> u64 {
-    let mut w = FnvWriter(0xcbf2_9ce4_8422_2325);
-    // Debug formatting of plain data types cannot fail.
-    write!(w, "{value:?}").expect("debug formatting failed");
-    w.0
-}
 
 #[derive(Default)]
 struct Inner {
@@ -100,7 +81,7 @@ impl MeasurementCache {
     /// profile's nominal surface — see the module docs for when it may
     /// stand in for probe-based calibration.
     pub fn measure(&self, spec: &ServerSpec, profile: &AppProfile) -> Arc<AppMeasurement> {
-        let key = (fingerprint(spec), fingerprint(profile));
+        let key = (Fnv1a::of_debug(spec), Fnv1a::of_debug(profile));
         if let Some(found) = self.inner.surfaces.read().get(&key) {
             self.inner.hits.fetch_add(1, Ordering::Relaxed);
             return Arc::clone(found);

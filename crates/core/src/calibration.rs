@@ -15,6 +15,7 @@ use powermed_cf::sampler::SparseSampler;
 use powermed_profiles::{AppFingerprint, ProbeSample, StoredProfile};
 use powermed_server::knobs::KnobSetting;
 use powermed_server::ServerSpec;
+use powermed_units::hash::Fnv1a;
 use powermed_units::Watts;
 use powermed_workloads::profile::AppProfile;
 
@@ -102,18 +103,16 @@ impl Calibrator {
     /// with equal keys would fit bit-identical `(power, perf)` model
     /// pairs, so the pair can be shared through the measurement cache.
     fn corpus_model_key(&self) -> u64 {
-        let mut h = self.corpus.content_fingerprint();
-        let mut mix = |v: u64| {
-            for b in v.to_le_bytes() {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        };
-        mix(self.fit.factors as u64);
-        mix(self.fit.lambda.to_bits());
-        mix(self.fit.sweeps as u64);
-        mix(self.fit.seed);
-        h
+        let mut h = Fnv1a::resume(self.corpus.content_fingerprint());
+        for v in [
+            self.fit.factors as u64,
+            self.fit.lambda.to_bits(),
+            self.fit.sweeps as u64,
+            self.fit.seed,
+        ] {
+            h.write(&v.to_le_bytes());
+        }
+        h.finish()
     }
 
     /// Adds a fully measured application to the corpus (dense row).

@@ -11,6 +11,7 @@
 use proptest::prelude::*;
 
 use powermed_disagg::{solve_shares, AppPrior};
+use powermed_units::hash::SPLITMIX_GAMMA;
 
 /// Expands drawn scalars into a prior list. Names are derived from the
 /// index so a permutation carries its apps' identities along.
@@ -31,7 +32,7 @@ fn priors_from(draws: &[(f64, f64)]) -> Vec<AppPrior> {
 /// exercised across many permutations without a shuffle strategy.
 fn permuted<T: Clone>(items: &[T], seed: u64) -> Vec<T> {
     let mut out: Vec<T> = items.to_vec();
-    let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+    let mut state = seed.wrapping_mul(SPLITMIX_GAMMA) | 1;
     for i in (1..out.len()).rev() {
         state ^= state << 13;
         state ^= state >> 7;

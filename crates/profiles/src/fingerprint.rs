@@ -9,21 +9,9 @@
 //! profiles compute the same fingerprint and therefore share one store
 //! entry, while any change to the profile's shape lands elsewhere.
 
-use std::fmt::{self, Debug, Write};
+use std::fmt::{self, Debug};
 
-/// FNV-1a hasher that consumes formatter output directly, so no
-/// intermediate `String` is allocated.
-struct FnvWriter(u64);
-
-impl Write for FnvWriter {
-    fn write_str(&mut self, s: &str) -> fmt::Result {
-        for b in s.bytes() {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        Ok(())
-    }
-}
+use powermed_units::hash::Fnv1a;
 
 /// A content-addressed workload identity: FNV-1a over the workload's
 /// observable signature.
@@ -33,10 +21,7 @@ pub struct AppFingerprint(u64);
 impl AppFingerprint {
     /// Fingerprints `value` by hashing its `Debug` rendering.
     pub fn of<T: Debug>(value: &T) -> Self {
-        let mut w = FnvWriter(0xcbf2_9ce4_8422_2325);
-        // Debug formatting of plain data types cannot fail.
-        write!(w, "{value:?}").expect("debug formatting failed");
-        Self(w.0)
+        Self(Fnv1a::of_debug(value))
     }
 
     /// Rebuilds a fingerprint from its raw hash (snapshot restore).

@@ -19,8 +19,10 @@
 //! checks in CI enforce.
 
 use crate::metrics::{prom_label, Histogram, MetricsRegistry};
+use powermed_units::hash::Fnv1a;
 use powermed_units::Seconds;
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 use std::sync::Arc;
 
 /// What a knob write attempt came to, as seen by the hardened mediator.
@@ -786,18 +788,12 @@ impl FleetTimeline {
     /// byte-identity fingerprint the fleet `ext_obs --smoke` double-run
     /// compares across processes.
     pub fn digest(&self) -> u64 {
-        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut fold = |bytes: &[u8]| {
-            for &b in bytes {
-                hash ^= u64::from(b);
-                hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        };
+        let mut hash = Fnv1a::new();
         for entry in self.entries.values() {
-            fold(&entry.server_id.to_le_bytes());
-            fold(format!("{:?}", entry.record).as_bytes());
+            hash.write(&entry.server_id.to_le_bytes());
+            write!(hash, "{:?}", entry.record).expect("debug formatting failed");
         }
-        hash
+        hash.finish()
     }
 }
 
@@ -1036,42 +1032,36 @@ impl Obs {
     pub fn digest(&self) -> u64 {
         let core = self.inner.lock();
         let merged = core.merged_metrics();
-        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut fold = |bytes: &[u8]| {
-            for &b in bytes {
-                hash ^= u64::from(b);
-                hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        };
+        let mut hash = Fnv1a::new();
         for rec in core.journal.iter() {
-            fold(format!("{rec:?}").as_bytes());
+            write!(hash, "{rec:?}").expect("debug formatting failed");
         }
         for (name, value) in merged.counters() {
             if name.starts_with("span_") {
                 continue;
             }
-            fold(name.as_bytes());
-            fold(&value.to_le_bytes());
+            hash.write(name.as_bytes());
+            hash.write(&value.to_le_bytes());
         }
         for (name, value) in merged.gauges() {
             if name.starts_with("span_") {
                 continue;
             }
-            fold(name.as_bytes());
-            fold(&value.to_bits().to_le_bytes());
+            hash.write(name.as_bytes());
+            hash.write(&value.to_bits().to_le_bytes());
         }
         for (name, hist) in merged.histograms() {
             if name.starts_with("span_") {
                 continue;
             }
-            fold(name.as_bytes());
+            hash.write(name.as_bytes());
             for &b in hist.buckets() {
-                fold(&b.to_le_bytes());
+                hash.write(&b.to_le_bytes());
             }
-            fold(&hist.count().to_le_bytes());
-            fold(&hist.sum().to_bits().to_le_bytes());
+            hash.write(&hist.count().to_le_bytes());
+            hash.write(&hist.sum().to_bits().to_le_bytes());
         }
-        hash
+        hash.finish()
     }
 }
 
@@ -1095,6 +1085,7 @@ impl Drop for ObsSpan {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use powermed_units::hash::splitmix64;
 
     fn at(t: f64) -> Seconds {
         Seconds::new(t)
@@ -1416,29 +1407,20 @@ mod tests {
         assert_eq!(a.digest(), twin.digest());
     }
 
-    /// Deterministic splitmix64 helper for the property tests below.
-    fn mix64(state: &mut u64) -> u64 {
-        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = *state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
     /// A generated fleet: per-server record streams with varied epochs
     /// and polls, derived entirely from `seed`.
     fn generated_fleet(seed: u64) -> Vec<(u64, Vec<EventRecord>)> {
         let mut s = seed;
-        let servers = 1 + (mix64(&mut s) % 4) as usize;
+        let servers = 1 + (splitmix64(&mut s) % 4) as usize;
         (0..servers as u64)
             .map(|sid| {
-                let n = mix64(&mut s) % 24;
+                let n = splitmix64(&mut s) % 24;
                 let mut epoch = 0u64;
                 let mut poll = 0u64;
                 let records = (0..n)
                     .map(|seq| {
-                        epoch += mix64(&mut s) % 2;
-                        poll += mix64(&mut s) % 3;
+                        epoch += splitmix64(&mut s) % 2;
+                        poll += splitmix64(&mut s) % 3;
                         EventRecord {
                             seq,
                             at: at(seq as f64),
@@ -1446,7 +1428,7 @@ mod tests {
                             epoch,
                             event: ObsEvent::UplinkSent {
                                 server: sid as usize,
-                                step: mix64(&mut s) % 100,
+                                step: splitmix64(&mut s) % 100,
                             },
                         }
                     })

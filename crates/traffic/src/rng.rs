@@ -7,6 +7,8 @@
 //! runs with the same seed produce bit-identical arrival traces and
 //! adding one app never perturbs another app's draw sequence.
 
+use powermed_units::hash::{splitmix64, SPLITMIX_GAMMA};
+
 /// A splitmix64-backed stream with the sampling primitives the
 /// generator needs: uniforms, exponentials, normals and Poisson counts.
 #[derive(Debug, Clone)]
@@ -18,17 +20,13 @@ impl TrafficRng {
     /// Derives the stream for channel `tag` of scenario `seed`.
     pub fn new(seed: u64, tag: u64) -> Self {
         Self {
-            state: seed ^ tag.wrapping_mul(0x9E37_79B9_7F4A_7C15),
+            state: seed ^ tag.wrapping_mul(SPLITMIX_GAMMA),
         }
     }
 
     /// Next raw 64-bit output (splitmix64 step).
     pub fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+        splitmix64(&mut self.state)
     }
 
     /// Uniform sample in `[0, 1)` (53 mantissa bits).

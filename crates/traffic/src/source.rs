@@ -437,6 +437,7 @@ impl TrafficSource {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use powermed_units::hash::Fnv1a;
 
     fn two_apps() -> Vec<(String, f64)> {
         vec![("front".to_string(), 4000.0), ("batch".to_string(), 9000.0)]
@@ -444,11 +445,8 @@ mod tests {
 
     fn drive(source: &mut TrafficSource, steps: usize, capacity_frac: f64) -> u64 {
         let dt = Seconds::new(0.1);
-        let mut digest = 0xcbf2_9ce4_8422_2325u64;
-        let mut fold = |x: f64| {
-            digest ^= x.to_bits();
-            digest = digest.wrapping_mul(0x0000_0100_0000_01B3);
-        };
+        let mut digest = Fnv1a::new();
+        let mut fold = |x: f64| digest.write_word(x.to_bits());
         for step in 0..steps {
             let now = Seconds::new((step + 1) as f64 * dt.value());
             source.begin_step(now, dt);
@@ -463,7 +461,7 @@ mod tests {
         let stats = source.stats();
         fold(stats.offered_ops);
         fold(stats.requests as f64);
-        digest
+        digest.finish()
     }
 
     /// Satellite check: one seed, one stream — two sources built from

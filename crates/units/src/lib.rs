@@ -35,6 +35,7 @@ mod macros;
 mod bandwidth;
 mod energy;
 mod frequency;
+pub mod hash;
 mod power;
 mod ratio;
 mod time;
