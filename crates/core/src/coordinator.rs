@@ -104,6 +104,23 @@ impl Schedule {
         }
     }
 
+    /// Every `(app, grid setting, always_on)` entry the schedule
+    /// actuates: the always-on settings in name order, then the
+    /// duty-cycle slots in cycle order.
+    pub(crate) fn entries(&self) -> impl Iterator<Item = (&str, usize, bool)> {
+        let (fixed, slots): (Option<&BTreeMap<String, usize>>, &[TimeSlot]) = match self {
+            Self::Space { settings } | Self::EsdCycle { settings, .. } => (Some(settings), &[]),
+            Self::Alternate { slots } => (None, slots),
+            Self::Hybrid { pinned, slots } => (Some(pinned), slots),
+            Self::Infeasible => (None, &[]),
+        };
+        let fixed = fixed
+            .into_iter()
+            .flatten()
+            .map(|(app, &i)| (app.as_str(), i, true));
+        fixed.chain(slots.iter().map(|s| (s.app.as_str(), s.setting, false)))
+    }
+
     /// The steady-state normalized throughput this schedule is expected
     /// to deliver, averaged over `apps` (each normalized to its own
     /// uncapped performance) — the model-predicted value of the paper's

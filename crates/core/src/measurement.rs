@@ -200,6 +200,16 @@ impl AppMeasurement {
         *self.perf.last().expect("grid is non-empty")
     }
 
+    /// The feasible setting that draws the least power (the first such
+    /// index on ties), or `None` when no setting is feasible.
+    pub(crate) fn cheapest_feasible(&self) -> Option<usize> {
+        self.feasible_indices().into_iter().min_by(|&a, &b| {
+            self.power[a]
+                .partial_cmp(&self.power[b])
+                .expect("finite powers")
+        })
+    }
+
     /// The least power at which the app can run at all (cheapest
     /// feasible setting with non-zero performance).
     pub fn min_feasible_power(&self) -> Option<Watts> {

@@ -299,8 +299,11 @@ pub struct WattDebtLedger {
 
 impl WattDebtLedger {
     /// An empty ledger.
-    pub fn new() -> Self {
-        Self::default()
+    pub const fn new() -> Self {
+        Self {
+            charged: BTreeMap::new(),
+            repaid: BTreeMap::new(),
+        }
     }
 
     /// Charges `w` watt-polls of overdraw against `app`. Negative
