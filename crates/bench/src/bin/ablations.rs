@@ -1,4 +1,4 @@
 //! Runs the ablations experiments. Run with `--release` for speed.
 fn main() {
-    powermed_bench::experiments::ablations::print();
+    powermed_bench::harness::main("ablations");
 }

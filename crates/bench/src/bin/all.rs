@@ -1,74 +1,8 @@
-//! Regenerates every table and figure of the paper in order, timing
-//! each experiment and writing the wall-clock breakdown to
-//! `BENCH_harness.json` (see DESIGN.md for the format).
-//!
-//! `all --gate` additionally enforces the per-PR perf budget: the run
-//! exits nonzero when the total exceeds [`GATE_SECONDS`], so CI fails
-//! loudly instead of letting the harness creep slower release by
-//! release.
-use std::time::Instant;
-
-use powermed_bench::experiments as ex;
-use powermed_bench::support::{json_object, HarnessDoc};
-
-/// Perf-gate budget for the full sweep (release build, CI runner).
-const GATE_SECONDS: f64 = 1.5;
-
+//! Regenerates every table and figure of the paper in order, timing each
+//! and writing the wall-clock breakdown to `BENCH_harness.json`.
+//! `--gate` also enforces the 1.5 s budget; `--smoke` checks every
+//! smoke digest in the registry (the lines of
+//! `crates/bench/golden/smoke_digests.txt`).
 fn main() {
-    let experiments: Vec<(&str, fn())> = vec![
-        ("table1", ex::table1::print as fn()),
-        ("table2", ex::table2::print),
-        ("fig2", ex::fig2::print),
-        ("fig3", ex::fig3::print),
-        ("fig4", ex::fig4::print),
-        ("fig5", ex::fig5::print),
-        ("fig7", ex::fig7::print),
-        ("fig8", ex::fig8::print),
-        ("fig9", ex::fig9::print),
-        ("fig10", ex::fig10::print),
-        ("fig11", ex::fig11::print),
-        ("fig12", ex::fig12::print),
-    ];
-
-    let total_start = Instant::now();
-    let mut timings: Vec<(&str, f64)> = Vec::with_capacity(experiments.len());
-    for (name, run) in experiments {
-        let start = Instant::now();
-        run();
-        timings.push((name, start.elapsed().as_secs_f64()));
-    }
-    let total = total_start.elapsed().as_secs_f64();
-
-    println!("\n=== harness wall-clock ===");
-    for (name, secs) in &timings {
-        println!("{name:<8} {secs:>8.3} s");
-    }
-    println!("{:<8} {total:>8.3} s", "total");
-
-    // Merge into BENCH_harness.json so sections written by other
-    // harness binaries (e.g. `ext_faults`) survive a rerun of `all`.
-    let mut doc = HarnessDoc::load("BENCH_harness.json");
-    doc.set(
-        "experiments",
-        json_object(
-            &timings
-                .iter()
-                .map(|(name, secs)| (name.to_string(), format!("{secs:.6}")))
-                .collect::<Vec<_>>(),
-        ),
-    );
-    doc.set("total_seconds", format!("{total:.6}"));
-    doc.set("unit", "\"seconds\"");
-    match doc.save("BENCH_harness.json") {
-        Ok(()) => println!("wrote BENCH_harness.json"),
-        Err(e) => eprintln!("could not write BENCH_harness.json: {e}"),
-    }
-
-    if std::env::args().any(|a| a == "--gate") {
-        if total > GATE_SECONDS {
-            eprintln!("perf gate FAILED: total {total:.3} s exceeds the {GATE_SECONDS} s budget");
-            std::process::exit(1);
-        }
-        println!("perf gate passed: total {total:.3} s within the {GATE_SECONDS} s budget");
-    }
+    powermed_bench::harness::main("all");
 }

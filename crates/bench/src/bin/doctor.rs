@@ -44,15 +44,13 @@
 use powermed_bench::experiments::{
     ext_adversary, ext_cluster_faults, ext_disagg, ext_faults, ext_obs, ext_traffic,
 };
+use powermed_bench::harness::{usage_exit, Args};
 use powermed_cluster::control::FleetObsOptions;
-use powermed_telemetry::journal::{EventRecord, ObsConfig, ObsEvent};
+use powermed_telemetry::journal::{EventRecord, Obs, ObsConfig, ObsEvent};
 
-fn arg_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
+const TARGETS: &str = "throttle, sensor-fault, quarantine, slo-miss, breaker-trip, fallback-cap";
+const USAGE: &str =
+    "usage: doctor [--explain <target>] [--app <name or 1-based index>] [--seed <N>]";
 
 fn print_record(prefix: &str, r: &EventRecord) {
     println!(
@@ -66,20 +64,21 @@ fn print_record(prefix: &str, r: &EventRecord) {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let what = arg_value(&args, "--explain").unwrap_or_else(|| "throttle".to_string());
-    let seed = arg_value(&args, "--seed").and_then(|v| v.parse::<u64>().ok());
-    match what.as_str() {
-        "throttle" => explain_throttle(&args, seed.unwrap_or(ext_faults::SEED)),
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let args = Args::parse(&args, &[], &["--explain", "--app", "--seed"])
+        .unwrap_or_else(|e| usage_exit(&e, USAGE));
+    let seed = args
+        .parsed::<u64>("--seed")
+        .unwrap_or_else(|e| usage_exit(&e, USAGE));
+    match args.value("--explain").unwrap_or("throttle") {
+        "throttle" => explain_throttle(args.value("--app"), seed.unwrap_or(ext_faults::SEED)),
         "sensor-fault" => explain_sensor_fault(seed.unwrap_or(ext_disagg::SEED)),
         "quarantine" => explain_quarantine(seed.unwrap_or(ext_adversary::SEED)),
         "slo-miss" => explain_slo_miss(seed.unwrap_or(ext_traffic::SEED)),
         "breaker-trip" => explain_breaker_trip(seed.unwrap_or(ext_cluster_faults::SEED)),
         "fallback-cap" => explain_fallback_cap(seed.unwrap_or(ext_cluster_faults::SEED)),
         other => {
-            eprintln!(
-                "doctor: unknown --explain target {other:?} (supported: throttle, sensor-fault, quarantine, slo-miss, breaker-trip, fallback-cap)"
-            );
+            eprintln!("doctor: unknown --explain target {other:?} (supported: {TARGETS})");
             std::process::exit(2);
         }
     }
@@ -89,12 +88,12 @@ fn print_fleet_record(prefix: &str, r: &powermed_telemetry::journal::FleetRecord
     println!("{prefix}{}", ext_obs::fmt_fleet_record(r));
 }
 
-fn explain_throttle(args: &[String], seed: u64) {
+fn explain_throttle(app: Option<&str>, seed: u64) {
     let mix = ext_faults::reference_mix();
     // `--app` takes an app name or a 1-based index into the mix.
-    let app: Option<String> = arg_value(args, "--app").map(|v| match v.parse::<usize>() {
+    let app: Option<String> = app.map(|v| match v.parse::<usize>() {
         Ok(i) if i >= 1 && i <= mix.apps().len() => mix.apps()[i - 1].name().to_string(),
-        _ => v,
+        _ => v.to_string(),
     });
 
     let scenario = ext_obs::reference_scenario(seed);
@@ -103,14 +102,17 @@ fn explain_throttle(args: &[String], seed: u64) {
         scenario.label,
         ext_faults::SCENARIO_DURATION.value()
     );
-    let run = ext_obs::run_observed(
+    let obs = Obs::new(ObsConfig::default());
+    let run = ext_faults::run_one(
         &scenario,
         &mix,
+        true,
         ext_faults::SCENARIO_DURATION,
-        ObsConfig::default(),
+        None,
+        Some(&obs),
     );
-    let journal = run.obs.journal_snapshot();
-    let (retained, evicted, total) = run.obs.journal_counts();
+    let journal = obs.journal_snapshot();
+    let (retained, evicted, total) = obs.journal_counts();
     println!(
         "journal: {retained} records retained ({evicted} evicted of {total}); \
          run ended {} safe mode\n",
@@ -166,20 +168,22 @@ fn explain_sensor_fault(seed: u64) {
         scenario.label,
         ext_faults::SCENARIO_DURATION.value()
     );
-    let run = ext_disagg::run_observed(
+    let obs = Obs::new(ObsConfig::default());
+    let run = ext_disagg::run_one(
         &scenario,
         &ext_faults::reference_mix(),
+        true,
         ext_faults::SCENARIO_DURATION,
-        ObsConfig::default(),
+        Some(&obs),
     );
-    let journal = run.obs.journal_snapshot();
-    let (retained, evicted, total) = run.obs.journal_counts();
+    let journal = obs.journal_snapshot();
+    let (retained, evicted, total) = obs.journal_counts();
     println!(
         "journal: {retained} records retained ({evicted} evicted of {total}); \
          {} residual spike(s), {} fallback engagement(s), {} escalation(s)\n",
-        run.outcome.estimation.residual_spikes,
-        run.outcome.estimation.fallback_engagements,
-        run.outcome.estimation.escalations,
+        run.estimation.residual_spikes,
+        run.estimation.fallback_engagements,
+        run.estimation.escalations,
     );
 
     match ext_disagg::explain_sensor_fault(&journal) {
@@ -218,16 +222,17 @@ fn explain_slo_miss(seed: u64) {
         scenario.label,
         ext_traffic::DAY.value()
     );
-    let run = ext_traffic::run_observed(&scenario, ext_traffic::DAY, ObsConfig::default());
-    let journal = run.obs.journal_snapshot();
-    let (retained, evicted, total) = run.obs.journal_counts();
+    let obs = Obs::new(ObsConfig::default());
+    let run = ext_traffic::run_one(&scenario, true, ext_traffic::DAY, Some(&obs));
+    let journal = obs.journal_snapshot();
+    let (retained, evicted, total) = obs.journal_counts();
     println!(
         "journal: {retained} records retained ({evicted} evicted of {total}); \
          observed server {} of {}: fleet attainment {:.1}%, {} window(s) missed\n",
-        run.observed_server + 1,
+        ext_traffic::observed_server(&scenario) + 1,
         ext_traffic::sku_mixes()[scenario.sku].specs.len(),
-        run.outcome.attainment * 100.0,
-        run.outcome.windows_missed,
+        run.attainment * 100.0,
+        run.windows_missed,
     );
 
     match ext_traffic::explain_slo_miss(&journal) {
@@ -281,22 +286,24 @@ fn explain_quarantine(seed: u64) {
         scenario.label,
         ext_adversary::SCENARIO_DURATION.value()
     );
-    let run = ext_adversary::run_observed(
+    let obs = Obs::new(ObsConfig::default());
+    let run = ext_adversary::run_one(
         &scenario,
+        true,
         ext_adversary::SCENARIO_DURATION,
-        ObsConfig::default(),
+        Some(&obs),
     );
-    let journal = run.obs.journal_snapshot();
-    let (retained, evicted, total) = run.obs.journal_counts();
+    let journal = obs.journal_snapshot();
+    let (retained, evicted, total) = obs.journal_counts();
     println!(
         "journal: {retained} records retained ({evicted} evicted of {total}); \
          {} knob(s) defied, {} implausible poll(s), {} downgrade(s), {} quarantine(s), \
          {:.1} W clawed back\n",
-        run.outcome.adversary.knobs_defied,
-        run.outcome.trust.implausible_polls,
-        run.outcome.trust.downgrades,
-        run.outcome.trust.quarantines,
-        run.outcome.debt_repaid_w,
+        run.adversary.knobs_defied,
+        run.trust.implausible_polls,
+        run.trust.downgrades,
+        run.trust.quarantines,
+        run.debt_repaid_w,
     );
 
     match ext_adversary::explain_quarantine(&journal) {

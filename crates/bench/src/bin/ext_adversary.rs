@@ -1,111 +1,5 @@
-//! Runs the adversarial-mediation extension experiment, merging its
-//! timing and gate metrics into `BENCH_harness.json` without
-//! clobbering the sections written by the `all` binary.
-//!
-//! `ext_adversary --smoke` instead runs a short defended knob-defiance
-//! scenario twice (plus once reseeded) and exits nonzero unless the
-//! two same-seed runs are bit-identical and the reseeded one diverges
-//! — the determinism contract CI relies on.
-//!
-//! `ext_adversary --gate` runs the full grid and exits nonzero unless
-//! the release bounds hold: the defended attacker nets no more than a
-//! fixed margin over honest behavior on any attack row, honest apps
-//! keep their baseline throughput, the all-honest row shows zero
-//! quarantines, and the knob-defiance row actually quarantines the
-//! defector.
-use std::time::Instant;
-
-use powermed_bench::experiments::ext_adversary;
-use powermed_bench::support::{json_object, HarnessDoc};
-
+//! Runs the adversarial-mediation extension; `--smoke` checks its
+//! determinism digest and `--gate` its release bounds.
 fn main() {
-    if std::env::args().any(|a| a == "--smoke") {
-        smoke();
-        return;
-    }
-    if std::env::args().any(|a| a == "--gate") {
-        gate();
-        return;
-    }
-
-    let start = Instant::now();
-    let rows = ext_adversary::print();
-    let secs = start.elapsed().as_secs_f64();
-    println!("\next_adversary wall-clock: {secs:.3} s");
-
-    let (_, _, base_def) = &rows[0];
-    let (_, defi_undef, defi_def) = &rows[3];
-    let mut doc = HarnessDoc::load("BENCH_harness.json");
-    doc.set(
-        "ext_adversary",
-        json_object(&[
-            ("seconds".to_string(), format!("{secs:.6}")),
-            ("scenarios".to_string(), rows.len().to_string()),
-            (
-                "honest_false_quarantines".to_string(),
-                base_def.trust.quarantines.to_string(),
-            ),
-            (
-                "defiance_attacker_undefended".to_string(),
-                format!("{:.6}", defi_undef.attacker_perf),
-            ),
-            (
-                "defiance_attacker_defended".to_string(),
-                format!("{:.6}", defi_def.attacker_perf),
-            ),
-            (
-                "defiance_quarantines".to_string(),
-                defi_def.trust.quarantines.to_string(),
-            ),
-            (
-                "defiance_clawback_w".to_string(),
-                format!("{:.6}", defi_def.debt_repaid_w),
-            ),
-        ]),
-    );
-    match doc.save("BENCH_harness.json") {
-        Ok(()) => println!("merged ext_adversary into BENCH_harness.json"),
-        Err(e) => eprintln!("could not write BENCH_harness.json: {e}"),
-    }
-}
-
-/// The CI determinism check: same seed twice must agree bit-for-bit,
-/// a different seed must not.
-fn smoke() {
-    let first = ext_adversary::smoke_digest(ext_adversary::SEED);
-    let second = ext_adversary::smoke_digest(ext_adversary::SEED);
-    let reseeded = ext_adversary::smoke_digest(ext_adversary::SEED + 1);
-    if first != second {
-        eprintln!(
-            "ext_adversary smoke FAILED: same-seed runs diverged ({first:#018x} vs {second:#018x})"
-        );
-        std::process::exit(1);
-    }
-    if first == reseeded {
-        eprintln!("ext_adversary smoke FAILED: reseeded run did not diverge ({first:#018x})");
-        std::process::exit(1);
-    }
-    println!(
-        "ext_adversary smoke: deterministic ({first:#018x}), reseeded diverges ({reseeded:#018x})"
-    );
-}
-
-/// The CI release gate: run the full grid, print every bound, exit
-/// nonzero if any failed.
-fn gate() {
-    let rows = ext_adversary::run_grid();
-    let report = ext_adversary::gate(&rows);
-    for check in &report.checks {
-        println!(
-            "[{}] {:<48} {}",
-            if check.ok { "pass" } else { "FAIL" },
-            check.name,
-            check.detail
-        );
-    }
-    if !report.passed() {
-        eprintln!("ext_adversary gate FAILED");
-        std::process::exit(1);
-    }
-    println!("ext_adversary gate: all bounds hold");
+    powermed_bench::harness::main("ext_adversary");
 }

@@ -1,4 +1,4 @@
-//! Runs the ext_cluster experiments. Run with `--release` for speed.
+//! Runs the utility-aware cluster apportionment extension.
 fn main() {
-    powermed_bench::experiments::ext_cluster::print();
+    powermed_bench::harness::main("ext_cluster");
 }

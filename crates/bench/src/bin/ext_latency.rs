@@ -1,4 +1,4 @@
-//! Runs the latency-critical co-location extension experiment.
+//! Runs the latency-critical co-location extension.
 fn main() {
-    powermed_bench::experiments::ext_latency::print();
+    powermed_bench::harness::main("ext_latency");
 }

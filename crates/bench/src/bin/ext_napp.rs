@@ -1,4 +1,4 @@
-//! Runs the ext_napp experiments. Run with `--release` for speed.
+//! Runs the three-application consolidation extension.
 fn main() {
-    powermed_bench::experiments::ext_napp::print();
+    powermed_bench::harness::main("ext_napp");
 }

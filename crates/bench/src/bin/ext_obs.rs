@@ -1,264 +1,6 @@
-//! Runs the flight-recorder observability extension, measuring the
-//! enabled-mode overhead and merging the run's metrics exposition into
-//! `BENCH_harness.json` without clobbering other binaries' sections.
-//!
-//! `ext_obs --smoke` instead prints a single determinism digest of a
-//! short observed run (journal + counters, wall-clock spans excluded):
-//! CI invokes it twice and diffs the output, and additionally checks a
-//! reseeded run diverges.
-//!
-//! The full run exits nonzero when the measured enabled-mode overhead —
-//! the wall-clock the flight recorder adds, relative to the `all`
-//! harness's recorded `total_seconds` — exceeds the gate (default 0.05,
-//! i.e. < 5% of `all` wall-clock; override with `--gate <fraction>`),
-//! *after* recording the measurement — a failed gate still leaves the
-//! evidence in `BENCH_harness.json`.
-use std::time::Instant;
-
-use powermed_bench::experiments::{ext_cluster_faults, ext_faults, ext_obs};
-use powermed_bench::support::{json_object, HarnessDoc};
-use powermed_cluster::control::FleetObsOptions;
-use powermed_telemetry::journal::ObsConfig;
-
-/// Overhead gate: the recorder's marginal wall-clock across the
-/// measurement batch may cost at most this fraction of the `all`
-/// harness's wall-clock (the < 5% target).
-const DEFAULT_GATE: f64 = 0.05;
-
+//! Runs the flight-recorder extension; `--smoke` checks its two
+//! determinism digests and `--gate` bounds the enabled-mode overhead and
+//! the fleet's per-wave shipping bytes.
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    if args.iter().any(|a| a == "--smoke") {
-        smoke();
-        return;
-    }
-    let gate = args
-        .iter()
-        .position(|a| a == "--gate")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse::<f64>().ok())
-        .unwrap_or(DEFAULT_GATE);
-
-    let start = Instant::now();
-    ext_obs::print();
-    let (off, on) = ext_obs::measure_overhead(3);
-    let extra = (on - off).max(0.0);
-    let per_run_ratio = if off > 0.0 { on / off } else { 1.0 };
-    let secs = start.elapsed().as_secs_f64();
-
-    // The gate denominator the ISSUE names: the `all` harness's
-    // wall-clock, as recorded in BENCH_harness.json by a prior `all`
-    // run. Falls back to this binary's own wall-clock when `all` has
-    // not run yet (a far smaller, i.e. stricter, denominator).
-    let mut doc = HarnessDoc::load("BENCH_harness.json");
-    let all_seconds = doc
-        .get("total_seconds")
-        .and_then(|v| v.trim().parse::<f64>().ok())
-        .filter(|v| *v > 0.0);
-    let denom = all_seconds.unwrap_or(secs);
-    let ratio = extra / denom;
-    println!(
-        "\nflight-recorder overhead: off {off:.4} s, on {on:.4} s per {}-run batch \
-         (per-run ratio {per_run_ratio:.4})",
-        ext_obs::OVERHEAD_BATCH
-    );
-    println!(
-        "enabled-mode overhead: {extra:.6} s extra vs {} wall-clock {denom:.3} s \
-         -> {:.4}% (gate {:.1}%)",
-        if all_seconds.is_some() {
-            "`all`"
-        } else {
-            "ext_obs (no `all` section)"
-        },
-        ratio * 100.0,
-        gate * 100.0
-    );
-    println!("ext_obs wall-clock: {secs:.3} s");
-
-    // One more observed run for the exposition section (deterministic,
-    // so it matches what `print` just reported).
-    let run = ext_obs::run_observed(
-        &ext_obs::reference_scenario(ext_faults::SEED),
-        &ext_faults::reference_mix(),
-        ext_faults::SCENARIO_DURATION,
-        ObsConfig::default(),
-    );
-    let (retained, evicted, total) = run.obs.journal_counts();
-
-    doc.set(
-        "ext_obs",
-        json_object(&[
-            ("seconds".to_string(), format!("{secs:.6}")),
-            ("overhead_off_seconds".to_string(), format!("{off:.6}")),
-            ("overhead_on_seconds".to_string(), format!("{on:.6}")),
-            (
-                "overhead_batch_runs".to_string(),
-                ext_obs::OVERHEAD_BATCH.to_string(),
-            ),
-            ("overhead_extra_seconds".to_string(), format!("{extra:.6}")),
-            (
-                "overhead_per_run_ratio".to_string(),
-                format!("{per_run_ratio:.6}"),
-            ),
-            ("overhead_all_seconds".to_string(), format!("{denom:.6}")),
-            ("overhead_ratio".to_string(), format!("{ratio:.6}")),
-            ("overhead_gate".to_string(), format!("{gate:.6}")),
-            ("journal_events".to_string(), total.to_string()),
-            ("journal_retained".to_string(), retained.to_string()),
-            ("journal_dropped".to_string(), evicted.to_string()),
-        ]),
-    );
-    doc.set("ext_obs_metrics", run.obs.metrics().to_json());
-
-    // Fleet mode: both doctor reference flavors, flight-recorded over
-    // the control plane — the naive churn+lossy run (breaker-trip's
-    // scenario) and the resilient partition run (fallback-cap's).
-    let fleet_opts = FleetObsOptions::default();
-    let fleet_naive = ext_obs::run_fleet_observed(
-        &ext_obs::fleet_scenario(ext_cluster_faults::SEED),
-        false,
-        ext_cluster_faults::SERVERS,
-        ext_cluster_faults::DURATION,
-        &fleet_opts,
-    );
-    let fleet_resilient = ext_obs::run_fleet_observed(
-        &ext_obs::fleet_doctor_scenario(ext_cluster_faults::SEED),
-        true,
-        ext_cluster_faults::SERVERS,
-        ext_cluster_faults::DURATION,
-        &fleet_opts,
-    );
-    ext_obs::print_fleet(&fleet_naive, &fleet_resilient);
-
-    // The per-wave shipping bound the digests promise by construction:
-    // no step may put more than `servers * max_digest_bytes` on the
-    // wire. Checked on both flavors, enforced after recording.
-    let wave_bound = (ext_cluster_faults::SERVERS * fleet_opts.max_digest_bytes) as u64;
-    let worst_wave = [&fleet_naive, &fleet_resilient]
-        .iter()
-        .filter_map(|r| r.fleet.as_ref())
-        .map(|f| f.max_wave_bytes)
-        .max()
-        .unwrap_or(0);
-    println!(
-        "\nfleet shipping bound: worst wave {worst_wave} B of {wave_bound} B allowed \
-         ({} servers x {} B digest cap)",
-        ext_cluster_faults::SERVERS,
-        fleet_opts.max_digest_bytes
-    );
-
-    let nf = fleet_naive.fleet.as_ref().expect("fleet recording enabled");
-    let rf = fleet_resilient
-        .fleet
-        .as_ref()
-        .expect("fleet recording enabled");
-    doc.set(
-        "ext_obs_fleet",
-        json_object(&[
-            (
-                "naive_timeline_len".to_string(),
-                nf.timeline.len().to_string(),
-            ),
-            (
-                "naive_timeline_digest".to_string(),
-                format!("\"{:#018x}\"", nf.timeline.digest()),
-            ),
-            (
-                "naive_digest_bytes_total".to_string(),
-                nf.digest_bytes_total.to_string(),
-            ),
-            (
-                "naive_breaker_trips".to_string(),
-                fleet_naive.stats.breaker_trips.to_string(),
-            ),
-            (
-                "resilient_timeline_len".to_string(),
-                rf.timeline.len().to_string(),
-            ),
-            (
-                "resilient_timeline_digest".to_string(),
-                format!("\"{:#018x}\"", rf.timeline.digest()),
-            ),
-            (
-                "resilient_digest_bytes_total".to_string(),
-                rf.digest_bytes_total.to_string(),
-            ),
-            (
-                "resilient_fallback_engagements".to_string(),
-                fleet_resilient.stats.fallback_engagements.to_string(),
-            ),
-            ("max_wave_bytes".to_string(), worst_wave.to_string()),
-            ("wave_bound_bytes".to_string(), wave_bound.to_string()),
-            (
-                "digest_gaps".to_string(),
-                (nf.digest_gaps + rf.digest_gaps).to_string(),
-            ),
-        ]),
-    );
-    doc.set("ext_obs_fleet_metrics", rf.metrics.to_json());
-
-    match doc.save("BENCH_harness.json") {
-        Ok(()) => println!("merged ext_obs into BENCH_harness.json"),
-        Err(e) => eprintln!("could not write BENCH_harness.json: {e}"),
-    }
-
-    if worst_wave > wave_bound {
-        eprintln!(
-            "ext_obs FAILED: fleet wave {worst_wave} B exceeds the shipping bound \
-             {wave_bound} B"
-        );
-        std::process::exit(1);
-    }
-    if ratio > gate {
-        eprintln!(
-            "ext_obs FAILED: enabled-mode overhead {:.4}% of `all` wall-clock exceeds \
-             gate {:.1}%",
-            ratio * 100.0,
-            gate * 100.0
-        );
-        std::process::exit(1);
-    }
-}
-
-/// The CI determinism check: same seed twice must agree bit-for-bit
-/// (CI diffs two invocations' stdout), a different seed must not.
-fn smoke() {
-    let first = ext_obs::smoke_digest(ext_faults::SEED);
-    let second = ext_obs::smoke_digest(ext_faults::SEED);
-    let reseeded = ext_obs::smoke_digest(ext_faults::SEED + 1);
-    if first != second {
-        eprintln!(
-            "ext_obs smoke FAILED: same-seed runs diverged ({first:#018x} vs {second:#018x})"
-        );
-        std::process::exit(1);
-    }
-    if first == reseeded {
-        eprintln!("ext_obs smoke FAILED: reseeded run did not diverge ({first:#018x})");
-        std::process::exit(1);
-    }
-    println!("ext_obs smoke: deterministic ({first:#018x}), reseeded diverges ({reseeded:#018x})");
-
-    // The fleet timeline's determinism witness: the merged timeline of
-    // a short flight-recorded cluster run must be byte-identical across
-    // same-seed processes (CI diffs two invocations' stdout), and a
-    // reseeded run must not be.
-    let fleet_first = ext_obs::fleet_smoke_digest(ext_cluster_faults::SEED);
-    let fleet_second = ext_obs::fleet_smoke_digest(ext_cluster_faults::SEED);
-    let fleet_reseeded = ext_obs::fleet_smoke_digest(ext_cluster_faults::SEED + 1);
-    if fleet_first != fleet_second {
-        eprintln!(
-            "ext_obs fleet smoke FAILED: same-seed timelines diverged \
-             ({fleet_first:#018x} vs {fleet_second:#018x})"
-        );
-        std::process::exit(1);
-    }
-    if fleet_first == fleet_reseeded {
-        eprintln!(
-            "ext_obs fleet smoke FAILED: reseeded timeline did not diverge ({fleet_first:#018x})"
-        );
-        std::process::exit(1);
-    }
-    println!(
-        "ext_obs fleet smoke: deterministic ({fleet_first:#018x}), \
-         reseeded diverges ({fleet_reseeded:#018x})"
-    );
+    powermed_bench::harness::main("ext_obs");
 }

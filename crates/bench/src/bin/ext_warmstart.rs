@@ -1,102 +1,5 @@
-//! Runs the warm-start knowledge-plane experiment, merging its timing
-//! and fleet-wide probe counters into `BENCH_harness.json` without
-//! clobbering the sections written by the other harness binaries.
-//!
-//! `ext_warmstart --smoke` instead runs a short cold + warm reference
-//! pair twice (plus once reseeded) and exits nonzero unless the two
-//! same-seed runs are bit-identical and the reseeded one diverges — the
-//! determinism contract CI relies on.
-//!
-//! `ext_warmstart --gate` runs the full experiment and additionally
-//! exits nonzero when the wall clock reaches [`GATE_SECONDS`] — the
-//! per-PR perf budget CI enforces.
-use std::time::Instant;
-
-use powermed_bench::experiments::ext_warmstart;
-use powermed_bench::support::{json_object, HarnessDoc};
-
-/// Perf-gate budget for the full experiment (release build, CI runner).
-const GATE_SECONDS: f64 = 10.0;
-
+//! Runs the warm-start knowledge-plane extension; `--smoke` checks its
+//! determinism digest and `--gate` its 10 s wall-clock budget.
 fn main() {
-    if std::env::args().any(|a| a == "--smoke") {
-        smoke();
-        return;
-    }
-
-    let start = Instant::now();
-    let rows = ext_warmstart::print();
-    let secs = start.elapsed().as_secs_f64();
-    println!("\next_warmstart wall-clock: {secs:.3} s");
-
-    // The reference churn row's probe counters are the experiment's
-    // headline numbers; record them alongside the timing.
-    let (_, cold, warm) = &rows[1];
-    let mut doc = HarnessDoc::load("BENCH_harness.json");
-    doc.set(
-        "ext_warmstart",
-        json_object(&[
-            ("seconds".to_string(), format!("{secs:.6}")),
-            (
-                "scenarios".to_string(),
-                ext_warmstart::scenarios(ext_warmstart::SEED)
-                    .len()
-                    .to_string(),
-            ),
-            ("servers".to_string(), ext_warmstart::SERVERS.to_string()),
-            (
-                "reference_cold_probes".to_string(),
-                cold.probes.measured().to_string(),
-            ),
-            (
-                "reference_warm_probes".to_string(),
-                warm.probes.measured().to_string(),
-            ),
-            (
-                "reference_warm_skipped".to_string(),
-                warm.probes.skipped.to_string(),
-            ),
-            (
-                "reference_store_hits".to_string(),
-                warm.store.hits.to_string(),
-            ),
-            (
-                "reference_probes_saved".to_string(),
-                format!("{:.6}", warm.probes_saved_vs(cold)),
-            ),
-        ]),
-    );
-    match doc.save("BENCH_harness.json") {
-        Ok(()) => println!("merged ext_warmstart into BENCH_harness.json"),
-        Err(e) => eprintln!("could not write BENCH_harness.json: {e}"),
-    }
-
-    if std::env::args().any(|a| a == "--gate") {
-        if secs >= GATE_SECONDS {
-            eprintln!("perf gate FAILED: {secs:.3} s reaches the {GATE_SECONDS} s budget");
-            std::process::exit(1);
-        }
-        println!("perf gate passed: {secs:.3} s within the {GATE_SECONDS} s budget");
-    }
-}
-
-/// The CI determinism check: same seed twice must agree bit-for-bit,
-/// a different seed must not.
-fn smoke() {
-    let first = ext_warmstart::smoke_digest(ext_warmstart::SEED);
-    let second = ext_warmstart::smoke_digest(ext_warmstart::SEED);
-    let reseeded = ext_warmstart::smoke_digest(ext_warmstart::SEED + 1);
-    if first != second {
-        eprintln!(
-            "ext_warmstart smoke FAILED: same-seed runs diverged ({first:#018x} vs {second:#018x})"
-        );
-        std::process::exit(1);
-    }
-    if first == reseeded {
-        eprintln!("ext_warmstart smoke FAILED: reseeded run did not diverge ({first:#018x})");
-        std::process::exit(1);
-    }
-    println!(
-        "ext_warmstart smoke: deterministic ({first:#018x}), reseeded diverges ({reseeded:#018x})"
-    );
+    powermed_bench::harness::main("ext_warmstart");
 }

@@ -1,12 +1,5 @@
-//! Runs every ablation and extension experiment (beyond the paper's
-//! own tables and figures).
-use powermed_bench::experiments as ex;
-
+//! Runs every ablation and extension experiment in the registry (beyond
+//! the paper's own tables and figures).
 fn main() {
-    ex::ablations::print();
-    ex::ext_napp::print();
-    ex::ext_latency::print();
-    ex::ext_cluster::print();
-    ex::ext_faults::print();
-    ex::ext_obs::print();
+    powermed_bench::harness::main("extensions");
 }

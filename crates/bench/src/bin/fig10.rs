@@ -1,4 +1,4 @@
 //! Regenerates fig10 of the paper. Run with `--release` for speed.
 fn main() {
-    powermed_bench::experiments::fig10::print();
+    powermed_bench::harness::main("fig10");
 }

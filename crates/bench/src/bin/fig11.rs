@@ -1,4 +1,4 @@
 //! Regenerates fig11 of the paper. Run with `--release` for speed.
 fn main() {
-    powermed_bench::experiments::fig11::print();
+    powermed_bench::harness::main("fig11");
 }

@@ -1,4 +1,4 @@
 //! Regenerates fig12 of the paper. Run with `--release` for speed.
 fn main() {
-    powermed_bench::experiments::fig12::print();
+    powermed_bench::harness::main("fig12");
 }

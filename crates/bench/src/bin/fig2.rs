@@ -1,4 +1,4 @@
 //! Regenerates fig2 of the paper. Run with `--release` for speed.
 fn main() {
-    powermed_bench::experiments::fig2::print();
+    powermed_bench::harness::main("fig2");
 }

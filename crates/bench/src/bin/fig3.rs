@@ -1,4 +1,4 @@
 //! Regenerates fig3 of the paper. Run with `--release` for speed.
 fn main() {
-    powermed_bench::experiments::fig3::print();
+    powermed_bench::harness::main("fig3");
 }

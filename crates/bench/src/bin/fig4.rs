@@ -1,4 +1,4 @@
 //! Regenerates fig4 of the paper. Run with `--release` for speed.
 fn main() {
-    powermed_bench::experiments::fig4::print();
+    powermed_bench::harness::main("fig4");
 }

@@ -1,4 +1,4 @@
 //! Regenerates fig5 of the paper. Run with `--release` for speed.
 fn main() {
-    powermed_bench::experiments::fig5::print();
+    powermed_bench::harness::main("fig5");
 }

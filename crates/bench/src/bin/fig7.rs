@@ -1,16 +1,6 @@
 //! Regenerates fig7 of the paper. Run with `--release` for speed.
-//!
-//! `fig7 --digest` instead prints a single FNV-1a digest of every sweep
-//! value's exact bit pattern. CI compares it against the committed
-//! golden digest (`crates/bench/golden/fig7_digest.txt`), so any
-//! numeric drift in the ALS kernels, the cross-validation protocol or
-//! the scoring fails the build instead of sliding silently.
-use powermed_bench::experiments::fig7;
-
+//! `--digest` prints the bit-identity digest CI compares against
+//! `crates/bench/golden/fig7_digest.txt`.
 fn main() {
-    if std::env::args().any(|a| a == "--digest") {
-        println!("{:#018x}", fig7::digest(&fig7::run()));
-        return;
-    }
-    fig7::print();
+    powermed_bench::harness::main("fig7");
 }

@@ -1,4 +1,4 @@
 //! Regenerates fig8 of the paper. Run with `--release` for speed.
 fn main() {
-    powermed_bench::experiments::fig8::print();
+    powermed_bench::harness::main("fig8");
 }

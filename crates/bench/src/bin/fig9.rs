@@ -1,4 +1,4 @@
 //! Regenerates fig9 of the paper. Run with `--release` for speed.
 fn main() {
-    powermed_bench::experiments::fig9::print();
+    powermed_bench::harness::main("fig9");
 }

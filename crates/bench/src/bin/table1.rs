@@ -1,4 +1,4 @@
 //! Regenerates table1 of the paper. Run with `--release` for speed.
 fn main() {
-    powermed_bench::experiments::table1::print();
+    powermed_bench::harness::main("table1");
 }

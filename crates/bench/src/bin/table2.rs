@@ -1,4 +1,4 @@
 //! Regenerates table2 of the paper. Run with `--release` for speed.
 fn main() {
-    powermed_bench::experiments::table2::print();
+    powermed_bench::harness::main("table2");
 }

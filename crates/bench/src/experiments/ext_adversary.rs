@@ -45,12 +45,13 @@ use powermed_disagg::EstimatorConfig;
 use powermed_server::ServerSpec;
 use powermed_sim::AdversaryConfig;
 use powermed_telemetry::faults::{AdversaryStats, EstimationStats, TrustStats};
-use powermed_telemetry::journal::{EventRecord, Obs, ObsConfig, ObsEvent};
+use powermed_telemetry::journal::{EventRecord, Obs, ObsEvent};
 use powermed_units::hash::Fnv1a;
 use powermed_units::{Seconds, Watts};
 use powermed_workloads::{catalog, AppProfile};
 
-use crate::support::{heading, make_sim, par_map, pct, DT};
+use crate::harness::{field, GateCheck, Outcome};
+use crate::support::{heading, make_sim, par_map, pct, HarnessDoc, DT};
 
 /// Seed shared by the scenario grid.
 pub const SEED: u64 = 0xBADD;
@@ -235,15 +236,21 @@ fn score(
     }
 }
 
-/// Runs one scenario under one defense flavor for `duration`.
+/// Runs one scenario under one defense flavor for `duration`, with the
+/// flight recorder attached when `obs` is set.
 pub fn run_one(
     scenario: &AdversaryScenario,
     defended: bool,
     duration: Seconds,
+    obs: Option<&Obs>,
 ) -> AdversaryOutcome {
     let spec = ServerSpec::xeon_e5_2620();
     let mut sim = make_sim(&spec, false).with_adversary(scenario.config.clone());
     let mut med = build_mediator(&spec, defended);
+    if let Some(obs) = obs {
+        sim.set_observability(obs.clone());
+        med = med.with_observability(obs.clone());
+    }
     for app in grid_apps() {
         med.admit(&mut sim, app).expect("three apps fit");
     }
@@ -263,46 +270,12 @@ pub fn run_grid() -> Vec<(AdversaryScenario, AdversaryOutcome, AdversaryOutcome)
         }
     }
     let outs = par_map(cells, |(s, defended)| {
-        run_one(&s, defended, SCENARIO_DURATION)
+        run_one(&s, defended, SCENARIO_DURATION, None)
     });
     outs.chunks_exact(2)
         .zip(scenarios(SEED))
         .map(|(pair, s)| (s, pair[0].clone(), pair[1].clone()))
         .collect()
-}
-
-/// A defended adversarial run with the flight recorder attached, for
-/// the `doctor` binary and the causal-chain tests.
-#[derive(Debug)]
-pub struct AdversaryObserved {
-    /// The scored outcome (defended flavor).
-    pub outcome: AdversaryOutcome,
-    /// The attached flight recorder (journal + metrics).
-    pub obs: Obs,
-}
-
-/// Runs `scenario` defended with a flight recorder attached. The loop
-/// is [`run_one`]'s, verbatim — only the observability attachment
-/// differs.
-pub fn run_observed(
-    scenario: &AdversaryScenario,
-    duration: Seconds,
-    config: ObsConfig,
-) -> AdversaryObserved {
-    let spec = ServerSpec::xeon_e5_2620();
-    let obs = Obs::new(config);
-    let mut sim = make_sim(&spec, false).with_adversary(scenario.config.clone());
-    sim.set_observability(obs.clone());
-    let mut med = build_mediator(&spec, true).with_observability(obs.clone());
-    for app in grid_apps() {
-        med.admit(&mut sim, app).expect("three apps fit");
-    }
-    med.run_for(&mut sim, duration, DT);
-    let simulated = (duration.value() / DT.value()).round() * DT.value();
-    AdversaryObserved {
-        outcome: score(&sim, &med, scenario, &spec, simulated),
-        obs,
-    }
 }
 
 /// The causal chain behind one quarantine, reconstructed from the
@@ -370,31 +343,6 @@ pub const GATE_GAIN_MARGIN: f64 = 0.02;
 /// rows, relative to the defended all-honest baseline.
 pub const GATE_HONEST_LOSS_MARGIN: f64 = 0.10;
 
-/// One release-gate check: name, verdict, and the measured detail.
-#[derive(Debug, Clone)]
-pub struct GateCheck {
-    /// What is being bounded.
-    pub name: String,
-    /// Whether the bound held.
-    pub ok: bool,
-    /// The measured values, human-readable.
-    pub detail: String,
-}
-
-/// The release-gate verdict over a full grid run.
-#[derive(Debug, Clone)]
-pub struct GateReport {
-    /// Every individual check.
-    pub checks: Vec<GateCheck>,
-}
-
-impl GateReport {
-    /// True when every check held.
-    pub fn passed(&self) -> bool {
-        self.checks.iter().all(|c| c.ok)
-    }
-}
-
 /// Evaluates the release bounds over grid `rows`:
 ///
 /// * all-honest defended row: zero quarantines and zero apps ending
@@ -405,7 +353,7 @@ impl GateReport {
 ///   baseline's mean throughput within [`GATE_HONEST_LOSS_MARGIN`];
 /// * the knob-defiance row: the defense quarantines the defector
 ///   (detection must work end-to-end, not just do no harm).
-pub fn gate(rows: &[(AdversaryScenario, AdversaryOutcome, AdversaryOutcome)]) -> GateReport {
+pub fn gate(rows: &[(AdversaryScenario, AdversaryOutcome, AdversaryOutcome)]) -> Vec<GateCheck> {
     let (base_s, _, base_def) = &rows[0];
     assert_eq!(base_s.label, "all honest", "grid reordered");
     let mut checks = vec![GateCheck {
@@ -458,7 +406,7 @@ pub fn gate(rows: &[(AdversaryScenario, AdversaryOutcome, AdversaryOutcome)]) ->
             defi_def.trust.quarantines, defi_def.distrusted
         ),
     });
-    GateReport { checks }
+    checks
 }
 
 /// One short defended heartbeat-misreport run condensed to a
@@ -536,9 +484,9 @@ fn print_row(label: &str, undef: &AdversaryOutcome, def: &AdversaryOutcome) {
     );
 }
 
-/// Prints the extension experiment and returns the grid rows so the
-/// harness binary can record the gate metrics.
-pub fn print() -> Vec<(AdversaryScenario, AdversaryOutcome, AdversaryOutcome)> {
+/// Prints the extension experiment and returns what it records: the
+/// gate metrics and the release checks.
+pub fn report(_: &HarnessDoc) -> Outcome {
     heading("Extension: adversarial apps — undefended vs integrity defense");
     println!(
         "{:<34} {:>8} {:>8} | {:>8} {:>8} {:>5} {:>5} {:>5} {:>7} {:>9}",
@@ -560,42 +508,45 @@ pub fn print() -> Vec<(AdversaryScenario, AdversaryOutcome, AdversaryOutcome)> {
     println!(
         "\n(attck/honest = mean normalized throughput of the attacker resp. honest\nset; down/quar/readm = trust downgrades, quarantines, re-admissions;\nclaw W = watts clawed back from quarantine clamps; both flavors share\neach scenario's seed — common random numbers)"
     );
-    let report = gate(&rows);
+    let checks = gate(&rows);
     println!("\nrelease gates:");
-    for check in &report.checks {
-        println!(
-            "  [{}] {:<48} {}",
-            if check.ok { "pass" } else { "FAIL" },
-            check.name,
-            check.detail
-        );
+    for check in &checks {
+        println!("  {}", check.line(48));
     }
-    rows
+    let (_, _, base_def) = &rows[0];
+    let (_, defi_undef, defi_def) = &rows[3];
+    Outcome {
+        fields: vec![
+            field("scenarios", rows.len()),
+            field("honest_false_quarantines", base_def.trust.quarantines),
+            field(
+                "defiance_attacker_undefended",
+                format!("{:.6}", defi_undef.attacker_perf),
+            ),
+            field(
+                "defiance_attacker_defended",
+                format!("{:.6}", defi_def.attacker_perf),
+            ),
+            field("defiance_quarantines", defi_def.trust.quarantines),
+            field(
+                "defiance_clawback_w",
+                format!("{:.6}", defi_def.debt_repaid_w),
+            ),
+        ],
+        sections: Vec::new(),
+        checks,
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use powermed_telemetry::journal::EventJournal;
-
-    #[test]
-    fn same_seed_runs_are_bit_identical() {
-        assert_eq!(
-            smoke_digest(3),
-            smoke_digest(3),
-            "seeded adversarial runs must be reproducible"
-        );
-    }
-
-    #[test]
-    fn different_seeds_diverge() {
-        assert_ne!(smoke_digest(3), smoke_digest(4));
-    }
+    use powermed_telemetry::journal::{EventJournal, ObsConfig};
 
     #[test]
     fn honest_baseline_stays_fully_trusted() {
         let s = &scenarios(SEED)[0];
-        let out = run_one(s, true, Seconds::new(8.0));
+        let out = run_one(s, true, Seconds::new(8.0), None);
         assert_eq!(
             out.adversary.total_events(),
             0,
@@ -608,7 +559,7 @@ mod tests {
     #[test]
     fn undefended_flavor_runs_no_defense() {
         let s = doctor_scenario(SEED);
-        let out = run_one(&s, false, Seconds::new(8.0));
+        let out = run_one(&s, false, Seconds::new(8.0), None);
         assert!(out.adversary.knobs_defied > 0, "the attack was live");
         assert_eq!(out.trust.quarantines, 0);
         assert_eq!(out.trust.downgrades, 0);
@@ -618,7 +569,7 @@ mod tests {
     #[test]
     fn defended_defiance_reaches_quarantine_and_claws_back() {
         let s = doctor_scenario(SEED);
-        let out = run_one(&s, true, Seconds::new(15.0));
+        let out = run_one(&s, true, Seconds::new(15.0), None);
         assert!(out.adversary.knobs_defied > 0);
         assert!(out.trust.quarantines >= 1, "defiance quarantined: {out:?}");
         assert!(
@@ -704,26 +655,21 @@ mod tests {
     #[test]
     fn defiance_run_yields_an_explainable_quarantine() {
         // The acceptance contract behind `doctor --explain quarantine`.
-        let out = run_observed(
-            &doctor_scenario(SEED),
-            Seconds::new(15.0),
-            ObsConfig::default(),
-        );
-        let journal = out.obs.journal_snapshot();
+        let obs = Obs::new(ObsConfig::default());
+        let out = run_one(&doctor_scenario(SEED), true, Seconds::new(15.0), Some(&obs));
+        let journal = obs.journal_snapshot();
         let ex = explain_quarantine(&journal).expect("chain exists");
         assert!(!ex.downgrades.is_empty());
         // Physics must match the unobserved defended run bit-for-bit.
-        let plain = run_one(&doctor_scenario(SEED), true, Seconds::new(15.0));
-        assert_eq!(plain.per_app, out.outcome.per_app);
-        assert_eq!(plain.trust, out.outcome.trust);
+        let plain = run_one(&doctor_scenario(SEED), true, Seconds::new(15.0), None);
+        assert_eq!(plain, out);
     }
 
     #[test]
     #[ignore = "slow in debug builds; run with --release or --ignored"]
     fn release_gates_hold_on_the_full_grid() {
         let rows = run_grid();
-        let report = gate(&rows);
-        for check in &report.checks {
+        for check in gate(&rows) {
             assert!(check.ok, "{}: {}", check.name, check.detail);
         }
         // The undefended defiance row must show a real threat: the

@@ -35,7 +35,8 @@ use powermed_telemetry::faults::ClusterControlStats;
 use powermed_units::hash::Fnv1a;
 use powermed_units::{Ratio, Seconds, Watts};
 
-use crate::support::{heading, par_map, pct};
+use crate::harness::{field, Outcome};
+use crate::support::{heading, par_map, pct, HarnessDoc};
 
 /// Seed shared by the scenario grid.
 pub const SEED: u64 = 0xC1_05;
@@ -263,8 +264,8 @@ fn print_pair(label: &str, naive: &ClusterFaultOutcome, resilient: &ClusterFault
     );
 }
 
-/// Prints the extension experiment.
-pub fn print() {
+/// Prints the extension experiment and returns what it records.
+pub fn report(_: &HarnessDoc) -> Outcome {
     heading("Extension: cluster control-plane faults — naive vs resilient manager");
     println!(
         "{:<46} {:>8} {:>8} {:>5} | {:>8} {:>8} {:>5} {:>7} {:>5} {:>5} {:>5}",
@@ -287,25 +288,18 @@ pub fn print() {
         "\n(Equal(Ours) at {:.0}% shave — a moving diurnal budget; viol s = seconds\nthe fleet's true net draw exceeded the cluster budget; trips = times\nsustained overdraw tripped the facility breaker's emergency clamp;\nboth flavors share each scenario's fault seed — common random numbers)",
         SHAVE * 100.0
     );
+    Outcome {
+        fields: vec![
+            field("scenarios", scenarios(SEED).len()),
+            field("servers", SERVERS),
+        ],
+        ..Outcome::default()
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn same_seed_runs_are_bit_identical() {
-        assert_eq!(
-            smoke_digest(3),
-            smoke_digest(3),
-            "seeded cluster fault runs must be reproducible"
-        );
-    }
-
-    #[test]
-    fn different_seeds_diverge() {
-        assert_ne!(smoke_digest(3), smoke_digest(4));
-    }
 
     #[test]
     fn no_fault_scenario_injects_nothing_and_flavors_agree() {

@@ -59,7 +59,7 @@ use powermed_profiles::{AppFingerprint, ProbeSample, ProfileStore, Provenance, S
 use powermed_server::ServerSpec;
 use powermed_sim::faults::FaultConfig;
 use powermed_telemetry::faults::{EstimationStats, FaultStats, HardeningStats};
-use powermed_telemetry::journal::{EventRecord, Obs, ObsConfig, ObsEvent};
+use powermed_telemetry::journal::{EventRecord, Obs, ObsEvent};
 use powermed_units::hash::Fnv1a;
 use powermed_units::{Seconds, Watts};
 use powermed_workloads::catalog;
@@ -70,7 +70,8 @@ use powermed_workloads::AppProfile;
 use powermed_cf::FoldedRow;
 
 use crate::experiments::ext_faults::{self, trace_digest, SCENARIO_DURATION};
-use crate::support::{heading, make_sim, par_map, pct, DT};
+use crate::harness::{field, GateCheck, Outcome};
+use crate::support::{heading, make_sim, par_map, pct, HarnessDoc, DT};
 
 /// Seed shared by the scenario grid.
 pub const SEED: u64 = 0xD15A;
@@ -290,7 +291,8 @@ fn build_mediator(
     med
 }
 
-/// Runs one scenario under one power source for `duration`. The loop is
+/// Runs one scenario under one power source for `duration`, with the
+/// flight recorder attached when `obs` is set. The loop is
 /// [`ext_faults::run_one`]'s plus the per-step attribution-error
 /// accumulation against the simulator's ground-truth breakdown (the
 /// oracle is consulted only for *scoring*, never by the mediator).
@@ -299,12 +301,17 @@ pub fn run_one(
     mix: &Mix,
     estimated: bool,
     duration: Seconds,
+    obs: Option<&Obs>,
 ) -> DisaggOutcome {
     let spec = ServerSpec::xeon_e5_2620();
     let mut sim =
         make_sim(&spec, scenario.with_battery).with_fault_injection(scenario.config.clone());
     let apps = scenario_apps(scenario, mix);
     let mut med = build_mediator(scenario, &spec, &apps, estimated);
+    if let Some(obs) = obs {
+        sim.set_observability(obs.clone());
+        med = med.with_observability(obs.clone());
+    }
     for app in &apps {
         med.admit(&mut sim, app.clone()).expect("mix fits");
     }
@@ -353,78 +360,12 @@ pub fn run_grid() -> Vec<(DisaggScenario, DisaggOutcome, DisaggOutcome)> {
         }
     }
     let outs = par_map(cells, |(s, estimated)| {
-        run_one(&s, &mix, estimated, SCENARIO_DURATION)
+        run_one(&s, &mix, estimated, SCENARIO_DURATION, None)
     });
     outs.chunks_exact(2)
         .zip(scenarios(SEED))
         .map(|(pair, s)| (s, pair[0].clone(), pair[1].clone()))
         .collect()
-}
-
-/// An estimated run with the flight recorder attached: the physics
-/// alongside the journal, for the `doctor` binary and the causal-chain
-/// tests.
-#[derive(Debug)]
-pub struct DisaggObserved {
-    /// The scored outcome (estimated flavor).
-    pub outcome: DisaggOutcome,
-    /// The attached flight recorder (journal + metrics).
-    pub obs: Obs,
-}
-
-/// Runs `scenario` estimated with a flight recorder attached. The loop
-/// is [`run_one`]'s, verbatim — only the observability attachment
-/// differs.
-pub fn run_observed(
-    scenario: &DisaggScenario,
-    mix: &Mix,
-    duration: Seconds,
-    config: ObsConfig,
-) -> DisaggObserved {
-    let spec = ServerSpec::xeon_e5_2620();
-    let obs = Obs::new(config);
-    let mut sim =
-        make_sim(&spec, scenario.with_battery).with_fault_injection(scenario.config.clone());
-    sim.set_observability(obs.clone());
-    let apps = scenario_apps(scenario, mix);
-    let mut med = build_mediator(scenario, &spec, &apps, true).with_observability(obs.clone());
-    for app in &apps {
-        med.admit(&mut sim, app.clone()).expect("mix fits");
-    }
-    let steps = (duration.value() / DT.value()).round() as u64;
-    let mut err_sum = 0.0;
-    let mut err_n = 0u64;
-    for _ in 0..steps {
-        let report = med.step(&mut sim, DT);
-        if let Some(estimate) = med.last_estimate() {
-            for (name, true_w) in &report.breakdown.apps {
-                let est = estimate.apps.get(name).map(|s| s.watts).unwrap_or(0.0);
-                err_sum += (est - true_w.value()).abs();
-                err_n += 1;
-            }
-        }
-    }
-    let simulated = DT.value() * steps as f64;
-    let mean = mix
-        .apps()
-        .iter()
-        .map(|a| sim.ops_done(a.name()) / (a.uncapped(&spec).throughput * simulated))
-        .sum::<f64>()
-        / mix.apps().len() as f64;
-    DisaggObserved {
-        outcome: DisaggOutcome {
-            mean_normalized: mean,
-            violation_seconds: sim.meter().compliance().violation_fraction() * simulated,
-            mean_abs_err_w: err_sum / err_n.max(1) as f64,
-            fault_stats: sim.fault_stats(),
-            hardening: med.hardening_stats(),
-            estimation: med.estimation_stats(),
-            store_invalidations: med.store_stats().invalidations,
-            safe_mode: med.safe_mode(),
-            trace_digest: trace_digest(sim.fault_trace()),
-        },
-        obs,
-    }
 }
 
 /// The causal chain behind one estimation-ladder sensor fault,
@@ -493,31 +434,6 @@ pub const GATE_MEAN_MARGIN: f64 = 0.10;
 /// (estimated minus oracle).
 pub const GATE_VIOLATION_MARGIN_S: f64 = 2.0;
 
-/// One release-gate check: name, verdict, and the measured detail.
-#[derive(Debug, Clone)]
-pub struct GateCheck {
-    /// What is being bounded.
-    pub name: &'static str,
-    /// Whether the bound held.
-    pub ok: bool,
-    /// The measured values, human-readable.
-    pub detail: String,
-}
-
-/// The release-gate verdict over a full grid run.
-#[derive(Debug, Clone)]
-pub struct GateReport {
-    /// Every individual check.
-    pub checks: Vec<GateCheck>,
-}
-
-impl GateReport {
-    /// True when every check held.
-    pub fn passed(&self) -> bool {
-        self.checks.iter().all(|c| c.ok)
-    }
-}
-
 /// Evaluates the release bounds over grid `rows`:
 ///
 /// * reference scenario: estimated throughput within
@@ -529,16 +445,16 @@ impl GateReport {
 /// * clean scenario: zero confidence-fallback engagements and zero E6
 ///   sensor faults (bounded false-positive rate: on a healthy
 ///   substrate the ladder must stay silent).
-pub fn gate(rows: &[(DisaggScenario, DisaggOutcome, DisaggOutcome)]) -> GateReport {
+pub fn gate(rows: &[(DisaggScenario, DisaggOutcome, DisaggOutcome)]) -> Vec<GateCheck> {
     let (ref_s, ref_oracle, ref_est) = &rows[1];
     assert!(ref_s.label.starts_with("reference"), "grid reordered");
     let (clean_s, _, clean_est) = &rows[0];
     assert_eq!(clean_s.label, "no faults", "grid reordered");
     let mean_gap = (ref_est.mean_normalized - ref_oracle.mean_normalized).abs();
     let viol_gap = ref_est.violation_seconds - ref_oracle.violation_seconds;
-    let checks = vec![
+    vec![
         GateCheck {
-            name: "reference throughput gap",
+            name: "reference throughput gap".to_string(),
             ok: mean_gap <= GATE_MEAN_MARGIN,
             detail: format!(
                 "|{:.4} - {:.4}| = {:.4} (margin {GATE_MEAN_MARGIN})",
@@ -546,7 +462,7 @@ pub fn gate(rows: &[(DisaggScenario, DisaggOutcome, DisaggOutcome)]) -> GateRepo
             ),
         },
         GateCheck {
-            name: "reference violation seconds gap",
+            name: "reference violation seconds gap".to_string(),
             ok: viol_gap <= GATE_VIOLATION_MARGIN_S,
             detail: format!(
                 "{:.2}s - {:.2}s = {:+.2}s (margin {GATE_VIOLATION_MARGIN_S}s)",
@@ -554,12 +470,12 @@ pub fn gate(rows: &[(DisaggScenario, DisaggOutcome, DisaggOutcome)]) -> GateRepo
             ),
         },
         GateCheck {
-            name: "reference escalations (breaker-trip analogue)",
+            name: "reference escalations (breaker-trip analogue)".to_string(),
             ok: ref_est.estimation.escalations == 0,
             detail: format!("{} escalations", ref_est.estimation.escalations),
         },
         GateCheck {
-            name: "clean-run false positives",
+            name: "clean-run false positives".to_string(),
             ok: clean_est.estimation.fallback_engagements == 0
                 && clean_est.hardening.sensor_faults == 0,
             detail: format!(
@@ -567,8 +483,7 @@ pub fn gate(rows: &[(DisaggScenario, DisaggOutcome, DisaggOutcome)]) -> GateRepo
                 clean_est.estimation.fallback_engagements, clean_est.hardening.sensor_faults
             ),
         },
-    ];
-    GateReport { checks }
+    ]
 }
 
 /// One short estimated reference run condensed to a determinism
@@ -585,6 +500,7 @@ pub fn smoke_digest(seed: u64) -> u64 {
         &ext_faults::reference_mix(),
         true,
         Seconds::new(5.0),
+        None,
     );
     let mut digest = Fnv1a::resume(out.trace_digest);
     for bits in [
@@ -620,9 +536,9 @@ fn print_pair(label: &str, oracle: &DisaggOutcome, est: &DisaggOutcome) {
     );
 }
 
-/// Prints the extension experiment and returns the grid rows so the
-/// harness binary can record the gate metrics.
-pub fn print() -> Vec<(DisaggScenario, DisaggOutcome, DisaggOutcome)> {
+/// Prints the extension experiment and returns what it records: the
+/// gate metrics and the release checks.
+pub fn report(_: &HarnessDoc) -> Outcome {
     heading("Extension: estimated per-app power — oracle vs disaggregated stack");
     println!(
         "{:<42} {:>8} {:>7} {:>5} | {:>8} {:>7} {:>7} {:>5} {:>4} {:>4} {:>4} {:>6}",
@@ -646,43 +562,52 @@ pub fn print() -> Vec<(DisaggScenario, DisaggOutcome, DisaggOutcome)> {
     println!(
         "\n(err W = mean absolute per-app attribution error vs the simulator's\nground truth, consulted only for scoring; spike/fall/esc = the estimation\ndegradation ladder's counters; both flavors share each scenario's fault\nseed — common random numbers)"
     );
-    let report = gate(&rows);
+    let checks = gate(&rows);
     println!("\nrelease gates:");
-    for check in &report.checks {
-        println!(
-            "  [{}] {:<44} {}",
-            if check.ok { "pass" } else { "FAIL" },
-            check.name,
-            check.detail
-        );
+    for check in &checks {
+        println!("  {}", check.line(44));
     }
-    rows
+    let (_, ref_oracle, ref_est) = &rows[1];
+    let (_, _, clean_est) = &rows[0];
+    let mean_gap = (ref_est.mean_normalized - ref_oracle.mean_normalized).abs();
+    let violation_gap = ref_est.violation_seconds - ref_oracle.violation_seconds;
+    Outcome {
+        fields: vec![
+            field("scenarios", rows.len()),
+            field("ref_mean_gap", format!("{mean_gap:.6}")),
+            field("ref_violation_gap_s", format!("{violation_gap:.6}")),
+            field(
+                "ref_mean_abs_err_w",
+                format!("{:.6}", ref_est.mean_abs_err_w),
+            ),
+            field("ref_escalations", ref_est.estimation.escalations),
+            field(
+                "clean_false_engagements",
+                clean_est.estimation.fallback_engagements,
+            ),
+            field("clean_sensor_faults", clean_est.hardening.sensor_faults),
+        ],
+        sections: Vec::new(),
+        checks,
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use powermed_telemetry::journal::EventJournal;
-
-    #[test]
-    fn same_seed_runs_are_bit_identical() {
-        assert_eq!(
-            smoke_digest(3),
-            smoke_digest(3),
-            "seeded estimated runs must be reproducible"
-        );
-    }
-
-    #[test]
-    fn different_seeds_diverge() {
-        assert_ne!(smoke_digest(3), smoke_digest(4));
-    }
+    use powermed_telemetry::journal::{EventJournal, ObsConfig};
 
     #[test]
     fn clean_run_estimates_every_poll_without_false_positives() {
         let s = &scenarios(SEED)[0];
         assert_eq!(s.label, "no faults");
-        let out = run_one(s, &ext_faults::reference_mix(), true, Seconds::new(5.0));
+        let out = run_one(
+            s,
+            &ext_faults::reference_mix(),
+            true,
+            Seconds::new(5.0),
+            None,
+        );
         assert_eq!(out.estimation.estimates, 50, "one estimate per poll");
         assert_eq!(out.estimation.fallback_engagements, 0);
         assert_eq!(out.hardening.sensor_faults, 0);
@@ -696,7 +621,13 @@ mod tests {
     #[test]
     fn oracle_flavor_attributes_nothing_and_runs_no_ladder() {
         let s = &scenarios(SEED)[0];
-        let out = run_one(s, &ext_faults::reference_mix(), false, Seconds::new(5.0));
+        let out = run_one(
+            s,
+            &ext_faults::reference_mix(),
+            false,
+            Seconds::new(5.0),
+            None,
+        );
         assert_eq!(out.estimation.estimates, 0);
         assert_eq!(out.mean_abs_err_w, 0.0);
     }
@@ -704,7 +635,13 @@ mod tests {
     #[test]
     fn shared_bias_walks_the_full_ladder() {
         let s = doctor_scenario(SEED);
-        let out = run_one(&s, &ext_faults::reference_mix(), true, Seconds::new(5.0));
+        let out = run_one(
+            &s,
+            &ext_faults::reference_mix(),
+            true,
+            Seconds::new(5.0),
+            None,
+        );
         assert!(
             out.estimation.residual_spikes > 0,
             "a 10% shared bias must spike the residual"
@@ -719,7 +656,13 @@ mod tests {
         );
         // The oracle flavor sees nothing: bias only skews the observed
         // channel, and the oracle stack never consults it for shares.
-        let oracle = run_one(&s, &ext_faults::reference_mix(), false, Seconds::new(5.0));
+        let oracle = run_one(
+            &s,
+            &ext_faults::reference_mix(),
+            false,
+            Seconds::new(5.0),
+            None,
+        );
         assert_eq!(oracle.estimation.fallback_engagements, 0);
     }
 
@@ -730,7 +673,13 @@ mod tests {
             .nth(8)
             .expect("poisoning row exists");
         assert!(s.label.starts_with("profile poisoning"));
-        let est = run_one(&s, &ext_faults::reference_mix(), true, Seconds::new(5.0));
+        let est = run_one(
+            &s,
+            &ext_faults::reference_mix(),
+            true,
+            Seconds::new(5.0),
+            None,
+        );
         assert!(
             est.estimation.residual_spikes > 0,
             "poisoned priors must disagree with the meter"
@@ -739,7 +688,13 @@ mod tests {
             est.store_invalidations >= 1,
             "estimated shares must keep E4 alive: the poisoned entry is tombstoned"
         );
-        let oracle = run_one(&s, &ext_faults::reference_mix(), false, Seconds::new(5.0));
+        let oracle = run_one(
+            &s,
+            &ext_faults::reference_mix(),
+            false,
+            Seconds::new(5.0),
+            None,
+        );
         assert!(
             oracle.store_invalidations >= 1,
             "the oracle stack heals the same way (the comparison is fair)"
@@ -825,13 +780,15 @@ mod tests {
         // The acceptance contract behind `doctor --explain
         // sensor-fault`: the doctor scenario's observed run must
         // contain a reconstructable chain.
-        let out = run_observed(
+        let obs = Obs::new(ObsConfig::default());
+        let out = run_one(
             &doctor_scenario(SEED),
             &ext_faults::reference_mix(),
+            true,
             Seconds::new(5.0),
-            ObsConfig::default(),
+            Some(&obs),
         );
-        let journal = out.obs.journal_snapshot();
+        let journal = obs.journal_snapshot();
         let ex = explain_sensor_fault(&journal).expect("chain exists");
         assert!(!ex.causes.is_empty());
         assert!(ex
@@ -844,18 +801,16 @@ mod tests {
             &ext_faults::reference_mix(),
             true,
             Seconds::new(5.0),
+            None,
         );
-        assert_eq!(plain.mean_normalized, out.outcome.mean_normalized);
-        assert_eq!(plain.trace_digest, out.outcome.trace_digest);
-        assert_eq!(plain.estimation, out.outcome.estimation);
+        assert_eq!(plain, out);
     }
 
     #[test]
     #[ignore = "slow in debug builds; run with --release or --ignored"]
     fn release_gates_hold_on_the_full_grid() {
         let rows = run_grid();
-        let report = gate(&rows);
-        for check in &report.checks {
+        for check in gate(&rows) {
             assert!(check.ok, "{}: {}", check.name, check.detail);
         }
         // The bias row must end defensively: a meter no model agrees

@@ -15,7 +15,8 @@
 //!
 //! Every run is seed-deterministic; [`smoke_digest`] condenses one short
 //! reference run into a single hash so CI can assert bit-identical
-//! fault traces cheaply (`ext_faults --smoke`).
+//! fault traces cheaply (`ext_faults --smoke`). [`run_one`] is the one
+//! simulation loop the fault, flight-recorder and doctor paths share.
 
 use std::fmt::Write as _;
 
@@ -25,11 +26,13 @@ use powermed_core::watchdog::HardeningConfig;
 use powermed_server::ServerSpec;
 use powermed_sim::faults::{FaultConfig, FaultRecord};
 use powermed_telemetry::faults::{FaultStats, HardeningStats};
+use powermed_telemetry::journal::Obs;
 use powermed_units::hash::Fnv1a;
 use powermed_units::{Seconds, Watts};
 use powermed_workloads::mixes::{self, Mix};
 
-use crate::support::{heading, make_sim, par_map, pct, DT};
+use crate::harness::{field, Outcome};
+use crate::support::{heading, make_sim, par_map, pct, HarnessDoc, DT};
 
 /// Seed shared by the scenario grid (the sweep offsets it per point).
 pub const SEED: u64 = 0xFA_07;
@@ -139,8 +142,31 @@ pub fn reference_mix() -> Mix {
         .unwrap_or_else(|| mixes::mix(1).expect("mix 1 exists"))
 }
 
-/// Runs one scenario under one runtime flavor for `duration`.
-pub fn run_one(scenario: &Scenario, mix: &Mix, hardened: bool, duration: Seconds) -> FaultOutcome {
+/// A cap that alternates between the scenario's cap and `lo` every
+/// `period`, modelling datacenter-level cap adjustments (event E1).
+/// Every change re-installs the schedule and re-actuates every knob, so
+/// knob writes — the surface actuation faults attack — keep happening
+/// throughout the run instead of only at admission time.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Wobble {
+    /// The low cap phase.
+    pub lo: Watts,
+    /// How long each phase lasts.
+    pub period: Seconds,
+}
+
+/// Runs one scenario under one runtime flavor for `duration`, with the
+/// cap wobbling when `wobble` is set and the flight recorder attached to
+/// the simulator and the mediator when `obs` is set. The recorder is
+/// bookkeeping only: the outcome is bit-identical with and without it.
+pub fn run_one(
+    scenario: &Scenario,
+    mix: &Mix,
+    hardened: bool,
+    duration: Seconds,
+    wobble: Option<Wobble>,
+    obs: Option<&Obs>,
+) -> FaultOutcome {
     let spec = ServerSpec::xeon_e5_2620();
     let mut sim =
         make_sim(&spec, scenario.with_battery).with_fault_injection(scenario.config.clone());
@@ -148,11 +174,22 @@ pub fn run_one(scenario: &Scenario, mix: &Mix, hardened: bool, duration: Seconds
     if hardened {
         med = med.with_hardening(HardeningConfig::default());
     }
+    if let Some(obs) = obs {
+        sim.set_observability(obs.clone());
+        med = med.with_observability(obs.clone());
+    }
     for app in mix.apps() {
         med.admit(&mut sim, app.clone()).expect("mix fits");
     }
     let steps = (duration.value() / DT.value()).round() as u64;
-    for _ in 0..steps {
+    for step in 0..steps {
+        if let Some(Wobble { lo, period }) = wobble {
+            let period_steps = ((period.value() / DT.value()).round() as u64).max(1);
+            if step > 0 && step % period_steps == 0 {
+                let low_phase = (step / period_steps) % 2 == 1;
+                med.set_cap(&mut sim, if low_phase { lo } else { scenario.cap });
+            }
+        }
         med.step(&mut sim, DT);
     }
     let simulated = DT.value() * steps as f64;
@@ -196,61 +233,12 @@ pub fn run_grid() -> Vec<(Scenario, FaultOutcome, FaultOutcome)> {
         }
     }
     let outs = par_map(cells, |(s, hardened)| {
-        run_one(&s, &mix, hardened, SCENARIO_DURATION)
+        run_one(&s, &mix, hardened, SCENARIO_DURATION, None, None)
     });
     outs.chunks_exact(2)
         .zip(scenarios(SEED))
         .map(|(pair, s)| (s, pair[0].clone(), pair[1].clone()))
         .collect()
-}
-
-/// Like [`run_one`] but wobbles the cap between `hi` and `lo` every
-/// `period`, modelling datacenter-level cap adjustments (event E1).
-/// Every change re-installs the schedule and re-actuates every knob, so
-/// knob writes — the surface actuation faults attack — keep happening
-/// throughout the run instead of only at admission time.
-pub fn run_wobble(
-    scenario: &Scenario,
-    mix: &Mix,
-    hardened: bool,
-    duration: Seconds,
-    lo: Watts,
-    period: Seconds,
-) -> FaultOutcome {
-    let spec = ServerSpec::xeon_e5_2620();
-    let mut sim =
-        make_sim(&spec, scenario.with_battery).with_fault_injection(scenario.config.clone());
-    let mut med = PowerMediator::new(scenario.kind, spec.clone(), scenario.cap);
-    if hardened {
-        med = med.with_hardening(HardeningConfig::default());
-    }
-    for app in mix.apps() {
-        med.admit(&mut sim, app.clone()).expect("mix fits");
-    }
-    let steps = (duration.value() / DT.value()).round() as u64;
-    let period_steps = ((period.value() / DT.value()).round() as u64).max(1);
-    for step in 0..steps {
-        if step > 0 && step % period_steps == 0 {
-            let low_phase = (step / period_steps) % 2 == 1;
-            med.set_cap(&mut sim, if low_phase { lo } else { scenario.cap });
-        }
-        med.step(&mut sim, DT);
-    }
-    let simulated = DT.value() * steps as f64;
-    let mean = mix
-        .apps()
-        .iter()
-        .map(|a| sim.ops_done(a.name()) / (a.uncapped(&spec).throughput * simulated))
-        .sum::<f64>()
-        / mix.apps().len() as f64;
-    FaultOutcome {
-        mean_normalized: mean,
-        violation_fraction: sim.meter().compliance().violation_fraction(),
-        fault_stats: sim.fault_stats(),
-        hardening: med.hardening_stats(),
-        safe_mode: med.safe_mode(),
-        trace_digest: trace_digest(sim.fault_trace()),
-    }
 }
 
 /// Knob-failure rates scanned by the actuation sweep.
@@ -282,15 +270,12 @@ pub fn run_sweep() -> Vec<(f64, FaultOutcome, FaultOutcome)> {
             cells.push((scenario.clone(), hardened));
         }
     }
+    let wobble = Wobble {
+        lo: Watts::new(90.0),
+        period: Seconds::new(1.0),
+    };
     let outs = par_map(cells, |(s, hardened)| {
-        run_wobble(
-            &s,
-            &mix,
-            hardened,
-            Seconds::new(20.0),
-            Watts::new(90.0),
-            Seconds::new(1.0),
-        )
+        run_one(&s, &mix, hardened, Seconds::new(20.0), Some(wobble), None)
     });
     outs.chunks_exact(2)
         .zip(SWEEP_RATES)
@@ -310,7 +295,14 @@ pub fn smoke_digest(seed: u64) -> u64 {
         with_battery: true,
         kind: PolicyKind::AppResEsdAware,
     };
-    let out = run_one(&scenario, &reference_mix(), true, Seconds::new(5.0));
+    let out = run_one(
+        &scenario,
+        &reference_mix(),
+        true,
+        Seconds::new(5.0),
+        None,
+        None,
+    );
     let mut digest = Fnv1a::resume(out.trace_digest);
     for bits in [
         out.mean_normalized.to_bits(),
@@ -339,8 +331,8 @@ fn print_pair(label: &str, plain: &FaultOutcome, hard: &FaultOutcome) {
     );
 }
 
-/// Prints the extension experiment.
-pub fn print() {
+/// Prints the extension experiment and returns what it records.
+pub fn report(_: &HarnessDoc) -> Outcome {
     heading("Extension: fault injection — trusting vs hardened mediator");
     println!(
         "{:<46} {:>8} {:>10} {:>7} {:>6} | {:>8} {:>10} {:>5} {:>4} {:>4}",
@@ -376,6 +368,13 @@ pub fn print() {
     for (rate, plain, hard) in run_sweep() {
         print_pair(&format!("{:.0}%", rate * 100.0), &plain, &hard);
     }
+    Outcome {
+        fields: vec![
+            field("scenarios", scenarios(SEED).len()),
+            field("sweep_points", SWEEP_RATES.len()),
+        ],
+        ..Outcome::default()
+    }
 }
 
 #[cfg(test)]
@@ -383,22 +382,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn same_seed_runs_are_bit_identical() {
-        let a = smoke_digest(3);
-        let b = smoke_digest(3);
-        assert_eq!(a, b, "seeded fault runs must be reproducible");
-    }
-
-    #[test]
-    fn different_seeds_diverge() {
-        assert_ne!(smoke_digest(3), smoke_digest(4));
-    }
-
-    #[test]
     fn no_fault_scenario_injects_nothing() {
         let s = &scenarios(SEED)[0];
         assert_eq!(s.label, "no faults");
-        let out = run_one(s, &reference_mix(), false, Seconds::new(5.0));
+        let out = run_one(s, &reference_mix(), false, Seconds::new(5.0), None, None);
         assert_eq!(out.fault_stats.total_events(), 0);
         assert_eq!(out.trace_digest, trace_digest(&[]), "empty trace");
     }

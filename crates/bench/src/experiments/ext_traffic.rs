@@ -44,14 +44,15 @@ use powermed_cluster::manager::ClusterManager;
 use powermed_core::policy::PolicyKind;
 use powermed_core::MeasurementCache;
 use powermed_server::ServerSpec;
-use powermed_telemetry::journal::{EventRecord, Obs, ObsConfig, ObsEvent};
+use powermed_telemetry::journal::{EventRecord, Obs, ObsEvent};
 use powermed_traffic::samplers::zipf_weights;
 use powermed_traffic::source::TrafficConfig;
 use powermed_units::hash::{Fnv1a, SPLITMIX_GAMMA};
 use powermed_units::{Seconds, Watts};
 use powermed_workloads::mixes::{self, Mix};
 
-use crate::support::{heading, par_map, pct, DT};
+use crate::harness::{field, GateCheck, Outcome};
+use crate::support::{heading, par_map, pct, HarnessDoc, DT};
 
 /// Seed shared by the scenario grid.
 pub const SEED: u64 = 0x70AF_F1C5;
@@ -318,10 +319,25 @@ fn score(fleet: &Fleet, caps: &[Watts]) -> TrafficOutcome {
     }
 }
 
+/// The server the flight recorder watches in an observed run: the
+/// fleet's middle one. On the heterogeneous doctor cell that is the
+/// Xeon, which is actively mediated (the parked throughput box logs only
+/// an infeasible plan), so its journal carries the full spike -> plan ->
+/// verdict chain.
+pub fn observed_server(scenario: &TrafficScenario) -> usize {
+    sku_mixes()[scenario.sku].specs.len() / 2
+}
+
 /// Runs one scenario under one flavor for `duration`: boot the fleet
 /// at the admission cap, tighten to the flavor's split, attach the
-/// day's traffic, and step every mediator in lockstep.
-pub fn run_one(scenario: &TrafficScenario, mediated: bool, duration: Seconds) -> TrafficOutcome {
+/// day's traffic, and step every mediator in lockstep. When `obs` is
+/// set, the flight recorder watches [`observed_server`].
+pub fn run_one(
+    scenario: &TrafficScenario,
+    mediated: bool,
+    duration: Seconds,
+    obs: Option<&Obs>,
+) -> TrafficOutcome {
     let sku = &sku_mixes()[scenario.sku];
     let host_mixes: Vec<Mix> = (1..=sku.specs.len())
         .map(|i| mixes::mix(i).expect("Table II mix"))
@@ -335,6 +351,11 @@ pub fn run_one(scenario: &TrafficScenario, mediated: bool, duration: Seconds) ->
     let total = Watts::new(rated * scenario.tightness);
     let caps = flavor_caps(sku, &host_mixes, total, mediated);
     let mut fleet = build_fleet_skus(&sku.specs, &host_mixes, kind, false, ADMISSION_CAP);
+    if let Some(obs) = obs {
+        let watched = observed_server(scenario);
+        fleet.sims[watched].set_observability(obs.clone());
+        fleet.mediators[watched].set_observability(obs.clone());
+    }
     for (i, cap) in caps.iter().enumerate() {
         fleet.mediators[i].set_cap(&mut fleet.sims[i], *cap);
         fleet.sims[i].attach_traffic(traffic_config(scenario.seed, i));
@@ -358,69 +379,11 @@ pub fn run_grid() -> Vec<(TrafficScenario, TrafficOutcome, TrafficOutcome)> {
             cells.push((s.clone(), mediated));
         }
     }
-    let outs = par_map(cells, |(s, mediated)| run_one(&s, mediated, DAY));
+    let outs = par_map(cells, |(s, mediated)| run_one(&s, mediated, DAY, None));
     outs.chunks_exact(2)
         .zip(scenarios(SEED))
         .map(|(pair, s)| (s, pair[0].clone(), pair[1].clone()))
         .collect()
-}
-
-/// A mediated run with the flight recorder attached to one server,
-/// for the `doctor` binary and the causal-chain tests.
-#[derive(Debug)]
-pub struct TrafficObserved {
-    /// The scored outcome (mediated flavor).
-    pub outcome: TrafficOutcome,
-    /// The flight recorder attached to the observed server.
-    pub obs: Obs,
-    /// Which server the recorder watched.
-    pub observed_server: usize,
-}
-
-/// Runs `scenario` mediated with observability on the fleet's middle
-/// server — on the heterogeneous doctor cell, the Xeon: actively
-/// mediated (the parked throughput box logs only an infeasible plan),
-/// so its journal carries the full spike -> plan -> verdict chain. The
-/// loop is [`run_one`]'s, verbatim — only the observability attachment
-/// differs.
-pub fn run_observed(
-    scenario: &TrafficScenario,
-    duration: Seconds,
-    config: ObsConfig,
-) -> TrafficObserved {
-    let sku = &sku_mixes()[scenario.sku];
-    let host_mixes: Vec<Mix> = (1..=sku.specs.len())
-        .map(|i| mixes::mix(i).expect("Table II mix"))
-        .collect();
-    let rated: f64 = sku.specs.iter().map(|s| s.rated_power().value()).sum();
-    let total = Watts::new(rated * scenario.tightness);
-    let caps = flavor_caps(sku, &host_mixes, total, true);
-    let mut fleet = build_fleet_skus(
-        &sku.specs,
-        &host_mixes,
-        PolicyKind::AppResAware,
-        false,
-        ADMISSION_CAP,
-    );
-    let observed_server = sku.specs.len() / 2;
-    let obs = Obs::new(config);
-    fleet.sims[observed_server].set_observability(obs.clone());
-    fleet.mediators[observed_server].set_observability(obs.clone());
-    for (i, cap) in caps.iter().enumerate() {
-        fleet.mediators[i].set_cap(&mut fleet.sims[i], *cap);
-        fleet.sims[i].attach_traffic(traffic_config(scenario.seed, i));
-    }
-    let steps = (duration.value() / DT.value()).round() as u64;
-    for _ in 0..steps {
-        for (sim, med) in fleet.sims.iter_mut().zip(fleet.mediators.iter_mut()) {
-            med.step(sim, DT);
-        }
-    }
-    TrafficObserved {
-        outcome: score(&fleet, &caps),
-        obs,
-        observed_server,
-    }
 }
 
 /// The causal chain behind one missed SLO window, reconstructed from
@@ -523,33 +486,8 @@ pub const GATE_REGRESSION_MARGIN: f64 = 0.02;
 /// Slack on the fleet energy bound (meter quantization over the day).
 pub const GATE_ENERGY_MARGIN: f64 = 0.01;
 
-/// One released bound.
-#[derive(Debug)]
-pub struct GateCheck {
-    /// What the bound covers.
-    pub name: String,
-    /// Whether it held.
-    pub ok: bool,
-    /// The measured numbers behind the verdict.
-    pub detail: String,
-}
-
-/// The `--gate` verdict: every bound with its measured margin.
-#[derive(Debug)]
-pub struct GateReport {
-    /// All checks, in evaluation order.
-    pub checks: Vec<GateCheck>,
-}
-
-impl GateReport {
-    /// True when every bound held.
-    pub fn passed(&self) -> bool {
-        self.checks.iter().all(|c| c.ok)
-    }
-}
-
 /// Evaluates the release bounds on a finished grid.
-pub fn gate(rows: &[(TrafficScenario, TrafficOutcome, TrafficOutcome)]) -> GateReport {
+pub fn gate(rows: &[(TrafficScenario, TrafficOutcome, TrafficOutcome)]) -> Vec<GateCheck> {
     let mut checks = Vec::new();
     let (ref_s, ref_static, ref_med) = rows
         .iter()
@@ -631,7 +569,7 @@ pub fn gate(rows: &[(TrafficScenario, TrafficOutcome, TrafficOutcome)]) -> GateR
             },
         ),
     });
-    GateReport { checks }
+    checks
 }
 
 /// A deciday of the doctor cell under both flavors, folded into one
@@ -642,15 +580,17 @@ pub fn smoke_digest(seed: u64) -> u64 {
     let smoke_day = Seconds::new(DAY.value() / 10.0);
     let mut digest = Fnv1a::new();
     for mediated in [false, true] {
-        let out = run_one(&scenario, mediated, smoke_day);
+        let out = run_one(&scenario, mediated, smoke_day, None);
         digest.write_word(out.digest);
     }
     digest.finish()
 }
 
-/// Prints the attainment-vs-tightness table and returns the rows for
-/// the harness document.
-pub fn print() -> Vec<(TrafficScenario, TrafficOutcome, TrafficOutcome)> {
+/// Prints the attainment-vs-tightness table and returns what it
+/// records: one attainment and one energy curve per fleet composition
+/// and flavor (tightness loosest-first, matching [`TIGHTNESS`]), and the
+/// release checks.
+pub fn report(_: &HarnessDoc) -> Outcome {
     heading("ext_traffic: SLO attainment vs cap tightness (request-driven fleet)");
     let rows = run_grid();
     println!(
@@ -670,21 +610,55 @@ pub fn print() -> Vec<(TrafficScenario, TrafficOutcome, TrafficOutcome)> {
         );
     }
     println!("\nrelease gates:");
-    let report = gate(&rows);
-    for check in &report.checks {
-        println!(
-            "[{}] {:<44} {}",
-            if check.ok { "pass" } else { "FAIL" },
-            check.name,
-            check.detail
-        );
+    let checks = gate(&rows);
+    for check in &checks {
+        println!("{}", check.line(44));
     }
-    rows
+    let series = |points: Vec<String>| format!("[{}]", points.join(","));
+    let mut fields = vec![
+        field("scenarios", rows.len()),
+        field(
+            "tightness",
+            series(TIGHTNESS.iter().map(|t| format!("{t:.2}")).collect()),
+        ),
+    ];
+    for (sku, mix) in sku_mixes().iter().enumerate() {
+        let cells: Vec<_> = rows.iter().filter(|(s, _, _)| s.sku == sku).collect();
+        let curve = |value: fn(&TrafficOutcome) -> String, mediated: bool| {
+            series(
+                cells
+                    .iter()
+                    .map(|(_, st, md)| value(if mediated { md } else { st }))
+                    .collect(),
+            )
+        };
+        let tag = mix.label.replace(['+', '-'], "_");
+        type Column = fn(&TrafficOutcome) -> String;
+        let values: [(&str, Column); 2] = [
+            ("attainment", |o| format!("{:.6}", o.attainment)),
+            ("energy_kj", |o| format!("{:.3}", o.energy_kj)),
+        ];
+        for (name, value) in values {
+            for (flavor, mediated) in [("static", false), ("mediated", true)] {
+                fields.push(field(
+                    &format!("{name}_{flavor}_{tag}"),
+                    curve(value, mediated),
+                ));
+            }
+        }
+    }
+    fields.push(field("gate_passed", checks.iter().all(|c| c.ok)));
+    Outcome {
+        fields,
+        sections: Vec::new(),
+        checks,
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use powermed_telemetry::journal::ObsConfig;
 
     #[test]
     fn grid_covers_both_fleets_at_every_tightness() {
@@ -732,16 +706,10 @@ mod tests {
     }
 
     #[test]
-    fn smoke_digest_is_deterministic_and_seed_sensitive() {
-        assert_eq!(smoke_digest(SEED), smoke_digest(SEED));
-        assert_ne!(smoke_digest(SEED), smoke_digest(SEED + 1));
-    }
-
-    #[test]
     fn mediation_beats_the_static_split_on_the_tight_hetero_cell() {
         let scenario = doctor_scenario(SEED);
-        let st = run_one(&scenario, false, DAY);
-        let md = run_one(&scenario, true, DAY);
+        let st = run_one(&scenario, false, DAY, None);
+        let md = run_one(&scenario, true, DAY, None);
         assert!(
             md.attainment >= st.attainment + GATE_ATTAINMENT_MARGIN,
             "mediated {} vs static {}",
@@ -760,8 +728,9 @@ mod tests {
 
     #[test]
     fn slo_miss_walker_finds_the_causal_chain() {
-        let observed = run_observed(&doctor_scenario(SEED), DAY, ObsConfig::default());
-        let journal = observed.obs.journal_snapshot();
+        let obs = Obs::new(ObsConfig::default());
+        run_one(&doctor_scenario(SEED), true, DAY, Some(&obs));
+        let journal = obs.journal_snapshot();
         assert!(
             journal
                 .iter()

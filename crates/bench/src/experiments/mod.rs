@@ -1,4 +1,5 @@
-//! One module per table and figure of the paper's evaluation.
+//! One module per table and figure of the paper's evaluation, one per
+//! extension experiment, and the registry listing each of them once.
 
 pub mod ablations;
 pub mod ext_adversary;
@@ -23,3 +24,109 @@ pub mod fig8;
 pub mod fig9;
 pub mod table1;
 pub mod table2;
+
+use crate::harness::{plain, Experiment, Gate, Outcome};
+use crate::support::HarnessDoc;
+
+/// A paper table or figure that only prints.
+const fn paper(name: &'static str, run: fn(&HarnessDoc) -> Outcome) -> Experiment {
+    Experiment {
+        name,
+        paper: true,
+        run,
+        smoke: &[],
+        gate: Gate::None,
+        digest: None,
+    }
+}
+
+/// An extension experiment with neither smoke digests nor a gate.
+const fn extension(name: &'static str, run: fn(&HarnessDoc) -> Outcome) -> Experiment {
+    Experiment {
+        paper: false,
+        ..paper(name, run)
+    }
+}
+
+/// Every experiment, once: the paper's tables and figures in `all`'s
+/// order, then the extensions, whose smoke digests come in the order of
+/// `crates/bench/golden/smoke_digests.txt`.
+pub static EXPERIMENTS: &[Experiment] = &[
+    paper("table1", |_| plain(table1::print)),
+    paper("table2", |_| plain(table2::print)),
+    paper("fig2", |_| plain(fig2::print)),
+    paper("fig3", |_| plain(fig3::print)),
+    paper("fig4", |_| plain(fig4::print)),
+    paper("fig5", |_| plain(fig5::print)),
+    Experiment {
+        digest: Some(|| fig7::digest(&fig7::run())),
+        ..paper("fig7", |_| plain(fig7::print))
+    },
+    paper("fig8", |_| plain(fig8::print)),
+    paper("fig9", |_| plain(fig9::print)),
+    paper("fig10", |_| plain(fig10::print)),
+    paper("fig11", |_| plain(fig11::print)),
+    paper("fig12", |_| plain(fig12::print)),
+    extension("ablations", |_| plain(ablations::print)),
+    extension("ext_napp", |_| plain(ext_napp::print)),
+    extension("ext_latency", |_| plain(ext_latency::print)),
+    extension("ext_cluster", |_| plain(ext_cluster::print)),
+    Experiment {
+        smoke: &[("ext_faults", ext_faults::smoke_digest, ext_faults::SEED)],
+        ..extension("ext_faults", ext_faults::report)
+    },
+    Experiment {
+        smoke: &[(
+            "ext_cluster_faults",
+            ext_cluster_faults::smoke_digest,
+            ext_cluster_faults::SEED,
+        )],
+        ..extension("ext_cluster_faults", ext_cluster_faults::report)
+    },
+    Experiment {
+        smoke: &[(
+            "ext_warmstart",
+            ext_warmstart::smoke_digest,
+            ext_warmstart::SEED,
+        )],
+        gate: Gate::Budget(ext_warmstart::BUDGET_S),
+        ..extension("ext_warmstart", ext_warmstart::report)
+    },
+    Experiment {
+        // The cast fixes the element type of a two-entry array, whose
+        // second fn item would not coerce to the first one's type.
+        smoke: &[
+            (
+                "ext_obs",
+                ext_obs::smoke_digest as fn(u64) -> u64,
+                ext_faults::SEED,
+            ),
+            (
+                "ext_obs fleet",
+                ext_obs::fleet_smoke_digest,
+                ext_cluster_faults::SEED,
+            ),
+        ],
+        gate: Gate::Checks,
+        ..extension("ext_obs", ext_obs::report)
+    },
+    Experiment {
+        smoke: &[("ext_disagg", ext_disagg::smoke_digest, ext_disagg::SEED)],
+        gate: Gate::Checks,
+        ..extension("ext_disagg", ext_disagg::report)
+    },
+    Experiment {
+        smoke: &[(
+            "ext_adversary",
+            ext_adversary::smoke_digest,
+            ext_adversary::SEED,
+        )],
+        gate: Gate::Checks,
+        ..extension("ext_adversary", ext_adversary::report)
+    },
+    Experiment {
+        smoke: &[("ext_traffic", ext_traffic::smoke_digest, ext_traffic::SEED)],
+        gate: Gate::Checks,
+        ..extension("ext_traffic", ext_traffic::report)
+    },
+];
