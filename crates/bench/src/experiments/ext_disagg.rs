@@ -47,8 +47,8 @@
 //!
 //! Every run is seed-deterministic; [`smoke_digest`] condenses a short
 //! estimated reference run into one hash so CI can diff two
-//! invocations (`ext_disagg --smoke`). [`explain_sensor_fault`] is the
-//! journal walk behind `doctor --explain sensor-fault`.
+//! invocations (`ext_disagg --smoke`). [`doctor_scenario`] is the
+//! replay behind `doctor --explain sensor-fault`.
 
 use powermed_core::policy::PolicyKind;
 use powermed_core::runtime::PowerMediator;
@@ -59,7 +59,7 @@ use powermed_profiles::{AppFingerprint, ProbeSample, ProfileStore, Provenance, S
 use powermed_server::ServerSpec;
 use powermed_sim::faults::FaultConfig;
 use powermed_telemetry::faults::{EstimationStats, FaultStats, HardeningStats};
-use powermed_telemetry::journal::{EventRecord, Obs, ObsEvent};
+use powermed_telemetry::journal::Obs;
 use powermed_units::hash::Fnv1a;
 use powermed_units::{Seconds, Watts};
 use powermed_workloads::catalog;
@@ -368,64 +368,6 @@ pub fn run_grid() -> Vec<(DisaggScenario, DisaggOutcome, DisaggOutcome)> {
         .collect()
 }
 
-/// The causal chain behind one estimation-ladder sensor fault,
-/// reconstructed from the journal.
-#[derive(Debug)]
-pub struct SensorFaultExplanation {
-    /// The E6 latch being explained (the effect).
-    pub fault: EventRecord,
-    /// The confidence-fallback engagement that raised it.
-    pub fallback: EventRecord,
-    /// The evidence that armed the ladder, chronological: residual
-    /// spikes (and any sensor-suspect verdicts) since the previous
-    /// fallback release, up to the engagement.
-    pub causes: Vec<EventRecord>,
-}
-
-/// Walks `journal` backward from the last confidence-fallback
-/// engagement to the E6 it raised and the residual spikes that armed
-/// it. Returns `None` when no engagement is recorded, when the
-/// engagement latched no E6, or when the evidence window holds no
-/// residual spike (a fallback without evidence would be a bug, not an
-/// explanation).
-pub fn explain_sensor_fault(journal: &[EventRecord]) -> Option<SensorFaultExplanation> {
-    let fallback_idx = journal
-        .iter()
-        .rposition(|r| matches!(r.event, ObsEvent::FallbackCap { engaged: true, .. }))?;
-    let fault_idx = fallback_idx
-        + journal[fallback_idx..]
-            .iter()
-            .position(|r| matches!(r.event, ObsEvent::SensorFault { .. }))?;
-    // Evidence window: everything after the previous release (the
-    // ladder's spike streak resets there) up to the engagement.
-    let window_start = journal[..fallback_idx]
-        .iter()
-        .rposition(|r| matches!(r.event, ObsEvent::FallbackCap { engaged: false, .. }))
-        .map(|i| i + 1)
-        .unwrap_or(0);
-    let causes: Vec<EventRecord> = journal[window_start..fallback_idx]
-        .iter()
-        .filter(|r| {
-            matches!(
-                r.event,
-                ObsEvent::ResidualSpike { .. } | ObsEvent::SensorSuspect { .. }
-            )
-        })
-        .cloned()
-        .collect();
-    if !causes
-        .iter()
-        .any(|r| matches!(r.event, ObsEvent::ResidualSpike { .. }))
-    {
-        return None;
-    }
-    Some(SensorFaultExplanation {
-        fault: journal[fault_idx].clone(),
-        fallback: journal[fallback_idx].clone(),
-        causes,
-    })
-}
-
 /// Margin on the reference row's mean normalized throughput gap
 /// (estimated vs oracle, absolute).
 pub const GATE_MEAN_MARGIN: f64 = 0.10;
@@ -595,7 +537,16 @@ pub fn report(_: &HarnessDoc) -> Outcome {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use powermed_telemetry::journal::{EventJournal, ObsConfig};
+    use crate::explain::{find, journal_timeline, walk, Chain};
+    use powermed_telemetry::journal::{EventJournal, EventRecord, ObsConfig, ObsEvent};
+
+    fn sensor_fault_chain(journal: &[EventRecord]) -> Option<Chain> {
+        walk(
+            find("sensor-fault").unwrap(),
+            &journal_timeline(journal),
+            None,
+        )
+    }
 
     #[test]
     fn clean_run_estimates_every_poll_without_false_positives() {
@@ -761,18 +712,22 @@ mod tests {
         );
         let journal: Vec<EventRecord> = j.iter().cloned().collect();
 
-        let ex = explain_sensor_fault(&journal).expect("chain exists");
+        let ex = sensor_fault_chain(&journal).expect("chain exists");
         // The walk explains the LAST engagement; its window starts
         // after the release, so only the second round's spike counts.
         // (The journal assigns sequence numbers itself: records 0..8.)
-        assert_eq!(ex.causes.len(), 1);
-        assert_eq!(ex.causes[0].seq, 5);
-        assert_eq!(ex.fallback.seq, 6);
-        assert!(matches!(ex.fault.event, ObsEvent::SensorFault { .. }));
-        assert!(ex.causes.iter().all(|c| c.seq < ex.fallback.seq));
+        let (causes, fallback) = (ex.records("causes"), &ex.anchor.record);
+        assert_eq!(causes.len(), 1);
+        assert_eq!(causes[0].record.seq, 5);
+        assert_eq!(fallback.seq, 6);
+        assert!(matches!(
+            ex.records("fault")[0].record.event,
+            ObsEvent::SensorFault { .. }
+        ));
+        assert!(causes.iter().all(|c| c.record.seq < fallback.seq));
 
         // No engagement, no chain.
-        assert!(explain_sensor_fault(&journal[..2]).is_none());
+        assert!(sensor_fault_chain(&journal[..2]).is_none());
     }
 
     #[test]
@@ -788,13 +743,12 @@ mod tests {
             Seconds::new(5.0),
             Some(&obs),
         );
-        let journal = obs.journal_snapshot();
-        let ex = explain_sensor_fault(&journal).expect("chain exists");
-        assert!(!ex.causes.is_empty());
-        assert!(ex
-            .causes
+        let ex = sensor_fault_chain(&obs.journal_snapshot()).expect("chain exists");
+        let causes = ex.records("causes");
+        assert!(!causes.is_empty());
+        assert!(causes
             .iter()
-            .any(|c| matches!(c.event, ObsEvent::ResidualSpike { .. })));
+            .any(|c| matches!(c.record.event, ObsEvent::ResidualSpike { .. })));
         // Physics must match the unobserved estimated run bit-for-bit.
         let plain = run_one(
             &doctor_scenario(SEED),

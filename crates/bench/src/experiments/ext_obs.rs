@@ -10,9 +10,10 @@
 //! 1. **Bit-identical off**: the observed run must report exactly the
 //!    same physics as the unobserved one — observability is bookkeeping,
 //!    never behavior.
-//! 2. **Causal chains**: [`explain_throttle`] walks the journal backward
-//!    from a safe-mode force-throttle to the over-cap polls and sensor
-//!    verdicts that armed the watchdog — the `doctor` binary's core.
+//! 2. **Causal chains**: the `throttle` explain of [`explain`] walks the
+//!    journal backward from a safe-mode force-throttle to the over-cap
+//!    polls and sensor verdicts that armed the watchdog — the chain
+//!    `doctor --explain throttle` prints.
 //! 3. **Overhead**: [`measure_overhead`] interleaves off/on repeats of
 //!    the full scenario and reports the enabled-mode wall-clock ratio
 //!    (target < 5%, enforced by `ext_obs --gate`), merged into
@@ -26,11 +27,11 @@
 //! server agent ships its journal as bounded digests riding the
 //! existing telemetry uplinks, the manager folds them (plus its own
 //! journal and the control plane's mirrored fault events) into one
-//! merged [`FleetTimeline`], and [`explain_breaker_trip`] /
-//! [`explain_fallback_cap`] walk that timeline *across servers* — from
-//! a facility breaker trip back to the per-server overdraws that armed
-//! it, and from a partitioned node's fallback cap back to the missed
-//! downlinks that engaged it. [`fleet_smoke_digest`] is the CI
+//! merged [`FleetTimeline`], and the `breaker-trip` and `fallback-cap`
+//! explains walk that timeline *across servers* — from a facility
+//! breaker trip back to the per-server overdraws that armed it, and
+//! from a partitioned node's fallback cap back to the missed downlinks
+//! that engaged it. [`fleet_smoke_digest`] is the CI
 //! double-run witness that the merged timeline is byte-identical
 //! across same-seed processes.
 
@@ -41,15 +42,13 @@ use powermed_cluster::control::{
     PartitionWindow, ResilienceReport,
 };
 use powermed_cluster::manager::ClusterManager;
-use powermed_telemetry::journal::{
-    EventRecord, FleetRecord, FleetTimeline, Obs, ObsConfig, ObsEvent, SafeModeTransition,
-    MANAGER_SERVER_ID,
-};
+use powermed_telemetry::journal::{FleetTimeline, Obs, ObsConfig};
 use powermed_units::hash::Fnv1a;
 use powermed_units::{Seconds, Watts};
 
 use crate::experiments::ext_cluster_faults;
 use crate::experiments::ext_faults::{self, Scenario, Wobble, SCENARIO_DURATION, SEED};
+use crate::explain;
 use crate::harness::{field, GateCheck, Outcome};
 use crate::support::{heading, json_object, HarnessDoc};
 
@@ -61,72 +60,6 @@ pub fn reference_scenario(seed: u64) -> Scenario {
         .into_iter()
         .nth(1)
         .expect("the grid's second row is the reference scenario")
-}
-
-/// The causal chain behind one safe-mode force-throttle, reconstructed
-/// from the journal.
-#[derive(Debug)]
-pub struct Explanation {
-    /// The force-throttle being explained (the effect).
-    pub throttle: EventRecord,
-    /// The safe-mode engagement (or escalation) that issued it.
-    pub engage: EventRecord,
-    /// The evidence that armed the watchdog, chronological: over-cap
-    /// polls and sensor-suspect/sensor-fault verdicts strictly before
-    /// the engagement, back to the previous safe-mode release (or the
-    /// start of retained history).
-    pub causes: Vec<EventRecord>,
-}
-
-/// Walks `journal` backward from the last force-throttle of `app` (any
-/// app when `None`) to the safe-mode transition that issued it and the
-/// over-cap polls and sensor verdicts that caused *that*. Returns
-/// `None` when no matching force-throttle is recorded.
-pub fn explain_throttle(journal: &[EventRecord], app: Option<&str>) -> Option<Explanation> {
-    let throttle_idx = journal.iter().rposition(|r| match &r.event {
-        ObsEvent::ForceThrottle { app: a } => app.is_none_or(|want| want == a),
-        _ => false,
-    })?;
-    let throttle = journal[throttle_idx].clone();
-    // The engagement that issued it: the nearest safe-mode Engaged (or
-    // Escalated) at or before the throttle.
-    let engage_idx = journal[..=throttle_idx].iter().rposition(|r| {
-        matches!(
-            r.event,
-            ObsEvent::SafeMode {
-                transition: SafeModeTransition::Engaged | SafeModeTransition::Escalated,
-            }
-        )
-    })?;
-    let engage = journal[engage_idx].clone();
-    // Evidence window: everything after the previous release (the
-    // watchdog's breach counters reset there) up to the engagement.
-    let window_start = journal[..engage_idx]
-        .iter()
-        .rposition(|r| {
-            matches!(
-                r.event,
-                ObsEvent::SafeMode {
-                    transition: SafeModeTransition::Released,
-                }
-            )
-        })
-        .map(|i| i + 1)
-        .unwrap_or(0);
-    let causes: Vec<EventRecord> = journal[window_start..engage_idx]
-        .iter()
-        .filter(|r| match &r.event {
-            ObsEvent::Poll { over_cap, .. } => *over_cap,
-            ObsEvent::SensorSuspect { .. } | ObsEvent::SensorFault { .. } => true,
-            _ => false,
-        })
-        .cloned()
-        .collect();
-    Some(Explanation {
-        throttle,
-        engage,
-        causes,
-    })
 }
 
 /// One short observed reference run condensed to a determinism witness:
@@ -220,16 +153,6 @@ pub fn measure_overhead(repeats: usize) -> (f64, f64) {
     (best_off, best_on)
 }
 
-fn fmt_record(r: &EventRecord) -> String {
-    format!(
-        "seq {:>5}  poll {:>4}  t {:>6.1}s  {:?}",
-        r.seq,
-        r.poll,
-        r.at.value(),
-        r.event
-    )
-}
-
 /// Prints the extension experiment and returns what it records.
 ///
 /// The single-server part prints the event census, headline metrics and
@@ -275,24 +198,10 @@ pub fn report(doc: &HarnessDoc) -> Outcome {
         }
     }
 
-    let journal = obs.journal_snapshot();
-    match explain_throttle(&journal, None) {
-        Some(ex) => {
-            println!(
-                "\ncausal chain for the last force-throttle ({} evidence records):",
-                ex.causes.len()
-            );
-            for r in ex.causes.iter().take(6) {
-                println!("  {}", fmt_record(r));
-            }
-            if ex.causes.len() > 6 {
-                println!("  … {} more", ex.causes.len() - 6);
-            }
-            println!("  {}", fmt_record(&ex.engage));
-            println!("  {}", fmt_record(&ex.throttle));
-        }
-        None => println!("\nno force-throttle recorded in this run"),
-    }
+    print_chain(
+        "throttle",
+        &explain::journal_timeline(&obs.journal_snapshot()),
+    );
 
     let (off, on) = measure_overhead(3);
     let extra = (on - off).max(0.0);
@@ -492,297 +401,6 @@ pub fn fleet_smoke_digest(seed: u64) -> u64 {
     digest.finish()
 }
 
-/// The cross-server causal chain behind the facility breaker's last
-/// trip, reconstructed from a merged fleet timeline.
-#[derive(Debug)]
-pub struct BreakerTripExplanation {
-    /// The trip being explained (manager journal).
-    pub trip: FleetRecord,
-    /// The arming streak: consecutive over-budget steps counting up to
-    /// the trip, chronological.
-    pub armed: Vec<FleetRecord>,
-    /// Per-server overdraw attributions inside the arming window: each
-    /// names a server whose reported draw exceeded the share the
-    /// manager *intended* for it (a naive server obeying a stale cap).
-    pub overdraws: Vec<FleetRecord>,
-    /// Uplink sends from the implicated servers inside the arming
-    /// window — the telemetry that carried the overdraw to the manager.
-    pub uplinks: Vec<FleetRecord>,
-    /// The implicated servers' own shipped poll records inside the
-    /// arming window: what each server believed its cap and draw were.
-    pub polls: Vec<FleetRecord>,
-    /// The fleet clamp landing on each up server right after the trip.
-    pub clamps: Vec<FleetRecord>,
-    /// The breaker release after the hold, when the run reached it.
-    pub release: Option<FleetRecord>,
-    /// Implicated servers, ascending.
-    pub servers: Vec<usize>,
-}
-
-/// Walks `timeline` backward from the last [`ObsEvent::BreakerTrip`] to
-/// the over-budget streak that armed it, the per-server overdraw
-/// attributions and uplinked telemetry inside that window, and forward
-/// to the emergency clamps the trip landed. Returns `None` unless the
-/// full chain — arm streak, overdraw attribution, uplinked evidence,
-/// and at least one clamp — is present.
-pub fn explain_breaker_trip(timeline: &FleetTimeline) -> Option<BreakerTripExplanation> {
-    // Manager-journal records in seq order: one journal's seq order is
-    // chronological, while timeline key order is epoch-first.
-    let mut mgr: Vec<&FleetRecord> = timeline
-        .iter()
-        .filter(|e| e.server_id == MANAGER_SERVER_ID)
-        .collect();
-    mgr.sort_by_key(|e| e.record.seq);
-    let trip_idx = mgr
-        .iter()
-        .rposition(|e| matches!(e.record.event, ObsEvent::BreakerTrip { .. }))?;
-    let trip = mgr[trip_idx].clone();
-
-    // The arming streak, walked backward: over-budget steps counting
-    // down k, k-1, …, 1, skipping the interleaved attributions. An
-    // older streak that never tripped (reset to a fresh count) breaks
-    // the countdown and is excluded.
-    let mut armed: Vec<FleetRecord> = Vec::new();
-    let mut expect: Option<u64> = None;
-    for e in mgr[..trip_idx].iter().rev() {
-        if let ObsEvent::FleetOverBudget { streak, .. } = e.record.event {
-            if expect.is_some_and(|want| streak != want) {
-                break;
-            }
-            armed.push((*e).clone());
-            if streak == 1 {
-                break;
-            }
-            expect = Some(streak - 1);
-        }
-    }
-    armed.reverse();
-    let window_start = armed.first()?.record.seq;
-
-    let overdraws: Vec<FleetRecord> = mgr[..trip_idx]
-        .iter()
-        .filter(|e| e.record.seq >= window_start)
-        .filter(|e| matches!(e.record.event, ObsEvent::ServerOverdraw { .. }))
-        .map(|e| (*e).clone())
-        .collect();
-    if overdraws.is_empty() {
-        return None;
-    }
-    let mut servers: Vec<usize> = overdraws
-        .iter()
-        .filter_map(|e| match e.record.event {
-            ObsEvent::ServerOverdraw { server, .. } => Some(server),
-            _ => None,
-        })
-        .collect();
-    servers.sort_unstable();
-    servers.dedup();
-
-    // The arming window in fleet time. Uplinks are matched by time,
-    // not seq: a step's uplinks are journalled before that step's
-    // over-budget verdict, so the first arming step's telemetry has a
-    // smaller seq than the streak's first record.
-    let (from_at, to_at) = (armed.first()?.record.at.value(), trip.record.at.value());
-    let uplinks: Vec<FleetRecord> = mgr[..trip_idx]
-        .iter()
-        .filter(|e| (from_at..=to_at).contains(&e.record.at.value()))
-        .filter(|e| {
-            matches!(e.record.event, ObsEvent::UplinkSent { server, .. }
-                if servers.contains(&server))
-        })
-        .map(|e| (*e).clone())
-        .collect();
-    if uplinks.is_empty() {
-        return None;
-    }
-
-    // The implicated servers' own polls inside the arming window, by
-    // shipped fleet time. Chronological sort by (poll, server, seq):
-    // every journal stamps the shared control-plane poll counter.
-    let mut polls: Vec<FleetRecord> = timeline
-        .iter()
-        .filter(|e| servers.iter().any(|&s| s as u64 == e.server_id))
-        .filter(|e| (from_at..=to_at).contains(&e.record.at.value()))
-        .filter(|e| matches!(e.record.event, ObsEvent::Poll { .. }))
-        .cloned()
-        .collect();
-    polls.sort_by_key(|e| (e.record.poll, e.server_id, e.record.seq));
-
-    let mut clamps = Vec::new();
-    let mut release = None;
-    for e in &mgr[trip_idx + 1..] {
-        match e.record.event {
-            ObsEvent::EmergencyClamp { .. } => clamps.push((*e).clone()),
-            ObsEvent::BreakerRelease => {
-                release = Some((*e).clone());
-                break;
-            }
-            _ => {}
-        }
-    }
-    if clamps.is_empty() {
-        return None;
-    }
-    Some(BreakerTripExplanation {
-        trip,
-        armed,
-        overdraws,
-        uplinks,
-        polls,
-        clamps,
-        release,
-        servers,
-    })
-}
-
-/// The cross-server causal chain behind a partitioned node's local
-/// fallback cap, reconstructed from a merged fleet timeline.
-#[derive(Debug)]
-pub struct FallbackCapExplanation {
-    /// The server that engaged its fallback.
-    pub server: usize,
-    /// The heartbeat-miss countdown that armed it, chronological.
-    pub missed: Vec<FleetRecord>,
-    /// Manager-side endpoint losses on the same server during the
-    /// episode — the downlinks that never arrived.
-    pub losses: Vec<FleetRecord>,
-    /// The fallback engaging on the last acked share.
-    pub engage: FleetRecord,
-    /// The decay steps walking the local cap toward the idle floor.
-    pub decays: Vec<FleetRecord>,
-    /// The rejoin: a fresh downlink releasing the fallback.
-    pub release: FleetRecord,
-}
-
-/// Walks `timeline` backward from the fleet's most recent *complete*
-/// fallback episode: from the [`ObsEvent::FallbackEngage`] to the
-/// heartbeat-miss countdown that armed it, and forward through the
-/// decay steps to the rejoin release. An engage whose episode never
-/// completed (e.g. the node crashed mid-fallback, so no release was
-/// journalled) is skipped in favor of the next-newest one; episodes
-/// with decay steps win over ones that engaged already at the floor
-/// (where nothing was left to decay). Returns `None` when no engage
-/// has the chain — missed heartbeats, engage, and the release.
-pub fn explain_fallback_cap(timeline: &FleetTimeline) -> Option<FallbackCapExplanation> {
-    // Candidate engages, newest first by shipped time (ties broken by
-    // server then seq — deterministic).
-    let mut engages: Vec<FleetRecord> = timeline
-        .iter()
-        .filter(|e| e.server_id != MANAGER_SERVER_ID)
-        .filter(|e| matches!(e.record.event, ObsEvent::FallbackEngage { .. }))
-        .cloned()
-        .collect();
-    engages.sort_by(|a, b| {
-        (b.record.at.value(), b.server_id, b.record.seq)
-            .partial_cmp(&(a.record.at.value(), a.server_id, a.record.seq))
-            .expect("journal timestamps are finite")
-    });
-    engages
-        .iter()
-        .find_map(|engage| explain_fallback_episode(timeline, engage.clone(), true))
-        .or_else(|| {
-            engages
-                .into_iter()
-                .find_map(|engage| explain_fallback_episode(timeline, engage, false))
-        })
-}
-
-/// Reconstructs one fallback episode's chain around `engage`, or
-/// `None` when a link is missing. `require_decays` gates whether a
-/// decay-free episode (engaged already at the floor) counts.
-fn explain_fallback_episode(
-    timeline: &FleetTimeline,
-    engage: FleetRecord,
-    require_decays: bool,
-) -> Option<FallbackCapExplanation> {
-    let server = engage.server_id;
-    let mut own: Vec<&FleetRecord> = timeline.iter().filter(|e| e.server_id == server).collect();
-    own.sort_by_key(|e| e.record.seq);
-    let engage_idx = own.iter().position(|e| e.record.seq == engage.record.seq)?;
-
-    // The miss countdown, walked backward: misses counting down k,
-    // k-1, …, 1, skipping the interleaved polls. A break in the
-    // countdown means an older, released episode — excluded.
-    let mut missed: Vec<FleetRecord> = Vec::new();
-    let mut expect: Option<u64> = None;
-    for e in own[..engage_idx].iter().rev() {
-        if let ObsEvent::HeartbeatMissed { misses } = e.record.event {
-            if expect.is_some_and(|want| misses != want) {
-                break;
-            }
-            missed.push((*e).clone());
-            if misses == 1 {
-                break;
-            }
-            expect = Some(misses - 1);
-        }
-    }
-    missed.reverse();
-    if missed.is_empty() {
-        return None;
-    }
-
-    let mut decays = Vec::new();
-    let mut release = None;
-    for e in &own[engage_idx + 1..] {
-        match e.record.event {
-            ObsEvent::FallbackDecay { .. } => decays.push((*e).clone()),
-            ObsEvent::FallbackRelease { .. } => {
-                release = Some((*e).clone());
-                break;
-            }
-            ObsEvent::FallbackEngage { .. } => break,
-            _ => {}
-        }
-    }
-    let release = release?;
-    if require_decays && decays.is_empty() {
-        return None;
-    }
-
-    // Manager-side evidence the silence was the network, not the node:
-    // endpoint losses on this server inside the episode window.
-    let (from_at, to_at) = (missed.first()?.record.at.value(), release.record.at.value());
-    let losses: Vec<FleetRecord> = timeline
-        .iter()
-        .filter(|e| e.server_id == MANAGER_SERVER_ID)
-        .filter(|e| {
-            matches!(e.record.event, ObsEvent::EndpointLoss { server: s }
-                if s as u64 == server)
-        })
-        .filter(|e| (from_at..=to_at).contains(&e.record.at.value()))
-        .cloned()
-        .collect();
-
-    Some(FallbackCapExplanation {
-        server: server as usize,
-        missed,
-        losses,
-        engage,
-        decays,
-        release,
-    })
-}
-
-/// Formats one fleet-timeline record with its source column
-/// (`mgr` for the manager's own journal, `s<i>` for server `i`).
-pub fn fmt_fleet_record(e: &FleetRecord) -> String {
-    let src = if e.server_id == MANAGER_SERVER_ID {
-        "mgr".to_string()
-    } else {
-        format!("s{}", e.server_id)
-    };
-    format!(
-        "{:>4}  seq {:>5}  poll {:>4}  t {:>6.1}s  epoch {:>2}  {:?}",
-        src,
-        e.record.seq,
-        e.record.poll,
-        e.record.at.value(),
-        e.record.epoch,
-        e.record.event
-    )
-}
-
 /// Prints the fleet flight-recorder experiment: merged-timeline and
 /// shipping census for both reference flavors, plus one cross-server
 /// chain of each kind.
@@ -806,57 +424,32 @@ pub fn print_fleet(naive: &ResilienceReport, resilient: &ResilienceReport) {
         );
     }
 
-    let naive_fleet = naive.fleet.as_ref().expect("fleet recording enabled");
-    match explain_breaker_trip(&naive_fleet.timeline) {
-        Some(ex) => {
-            println!(
-                "\nbreaker-trip chain (servers {:?}, {} overdraws, {} uplinks, {} polls):",
-                ex.servers,
-                ex.overdraws.len(),
-                ex.uplinks.len(),
-                ex.polls.len()
-            );
-            for r in ex.armed.iter().take(3) {
-                println!("  {}", fmt_fleet_record(r));
-            }
-            for r in ex.overdraws.iter().take(3) {
-                println!("  {}", fmt_fleet_record(r));
-            }
-            println!("  {}", fmt_fleet_record(&ex.trip));
-            for r in ex.clamps.iter().take(2) {
-                println!("  {}", fmt_fleet_record(r));
-            }
-        }
-        None => println!("\nno breaker-trip chain in the naive reference run"),
+    for (name, report) in [("breaker-trip", naive), ("fallback-cap", resilient)] {
+        let fleet = report.fleet.as_ref().expect("fleet recording enabled");
+        print_chain(name, &fleet.timeline);
     }
+}
 
-    let resilient_fleet = resilient.fleet.as_ref().expect("fleet recording enabled");
-    match explain_fallback_cap(&resilient_fleet.timeline) {
-        Some(ex) => {
-            println!(
-                "\nfallback-cap chain (server {}, {} missed heartbeats, {} endpoint \
-                 losses, {} decay steps):",
-                ex.server,
-                ex.missed.len(),
-                ex.losses.len(),
-                ex.decays.len()
-            );
-            for r in ex.missed.iter().take(3) {
-                println!("  {}", fmt_fleet_record(r));
-            }
-            println!("  {}", fmt_fleet_record(&ex.engage));
-            for r in ex.decays.iter().take(2) {
-                println!("  {}", fmt_fleet_record(r));
-            }
-            println!("  {}", fmt_fleet_record(&ex.release));
-        }
-        None => println!("\nno fallback-cap chain in the resilient partition run"),
+/// Walks and prints the chain of explain `name`, or says there is none.
+fn print_chain(name: &str, timeline: &FleetTimeline) {
+    let explain = explain::find(name).expect("a registered explain");
+    match explain::walk(explain, timeline, None) {
+        Some(chain) => print!("\n{}", explain::render(&chain)),
+        None => println!("\nno {name} chain in this run"),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::explain::{find, journal_timeline, walk, Chain};
+    use powermed_telemetry::journal::{
+        EventRecord, ObsEvent, SafeModeTransition, MANAGER_SERVER_ID,
+    };
+
+    fn throttle_chain(journal: &[EventRecord], app: Option<&str>) -> Option<Chain> {
+        walk(find("throttle").unwrap(), &journal_timeline(journal), app)
+    }
 
     #[test]
     fn observed_run_matches_unobserved_physics() {
@@ -921,25 +514,27 @@ mod tests {
         );
         let journal: Vec<EventRecord> = j.iter().cloned().collect();
 
-        let ex = explain_throttle(&journal, Some("stream")).expect("chain exists");
+        let ex = throttle_chain(&journal, Some("stream")).expect("chain exists");
+        let (throttle, engage) = (&ex.anchor.record, &ex.records("engage")[0].record);
         assert!(matches!(
-            ex.throttle.event,
+            throttle.event,
             ObsEvent::ForceThrottle { ref app } if app == "stream"
         ));
-        assert_eq!(ex.causes.len(), 3, "two over-cap polls + one verdict");
-        assert!(ex.causes.windows(2).all(|w| w[0].seq < w[1].seq));
-        assert!(ex.causes.iter().all(|c| c.seq < ex.engage.seq));
-        assert!(ex.engage.seq < ex.throttle.seq);
+        let causes = ex.records("causes");
+        assert_eq!(causes.len(), 3, "two over-cap polls + one verdict");
+        assert!(causes.windows(2).all(|w| w[0].record.seq < w[1].record.seq));
+        assert!(causes.iter().all(|c| c.record.seq < engage.seq));
+        assert!(engage.seq < throttle.seq);
         // The clean poll before the breach is not evidence.
-        assert!(ex.causes.iter().all(|c| c.seq != 0));
+        assert!(causes.iter().all(|c| c.record.seq != 0));
 
         assert!(
-            explain_throttle(&journal, Some("absent")).is_none(),
+            throttle_chain(&journal, Some("absent")).is_none(),
             "unknown app has no chain"
         );
-        let any = explain_throttle(&journal, None).expect("any-app chain");
+        let any = throttle_chain(&journal, None).expect("any-app chain");
         assert!(matches!(
-            any.throttle.event,
+            any.anchor.record.event,
             ObsEvent::ForceThrottle { ref app } if app == "kmeans"
         ));
     }
@@ -955,17 +550,17 @@ mod tests {
         ext_faults::run_one(&scenario, &mix, true, SCENARIO_DURATION, None, Some(&obs));
         let journal = obs.journal_snapshot();
         for app in mix.apps() {
-            let ex = explain_throttle(&journal, Some(app.name()))
+            let ex = throttle_chain(&journal, Some(app.name()))
                 .unwrap_or_else(|| panic!("no chain for {}", app.name()));
+            let causes = ex.records("causes");
             assert!(
-                !ex.causes.is_empty(),
+                !causes.is_empty(),
                 "{}: engagement must have evidence",
                 app.name()
             );
-            assert!(ex
-                .causes
+            assert!(causes
                 .iter()
-                .any(|c| matches!(c.event, ObsEvent::Poll { over_cap: true, .. })));
+                .any(|c| matches!(c.record.event, ObsEvent::Poll { over_cap: true, .. })));
         }
     }
 
@@ -1104,23 +699,26 @@ mod tests {
         let s3_records: Vec<EventRecord> = s3.iter().cloned().collect();
         timeline.merge_records(3, &s3_records);
 
-        let ex = explain_breaker_trip(&timeline).expect("chain exists");
-        assert!(matches!(ex.trip.record.event, ObsEvent::BreakerTrip { .. }));
-        assert_eq!(ex.servers, vec![3]);
+        let breaker = find("breaker-trip").unwrap();
+        let ex = walk(breaker, &timeline, None).expect("chain exists");
+        assert!(matches!(
+            ex.anchor.record.event,
+            ObsEvent::BreakerTrip { .. }
+        ));
+        assert_eq!(ex.servers("overdraws"), vec![3]);
         // The streak is the three counting steps — the reset streak at
         // t=1.0 s is excluded.
-        assert_eq!(ex.armed.len(), 3);
-        assert!(ex
-            .armed
-            .windows(2)
-            .all(|w| w[0].record.seq < w[1].record.seq));
-        assert_eq!(ex.overdraws.len(), 2);
-        assert_eq!(ex.uplinks.len(), 1);
-        assert_eq!(ex.clamps.len(), 2);
-        assert!(ex.release.is_some());
+        let armed = ex.records("armed");
+        assert_eq!(armed.len(), 3);
+        assert!(armed.windows(2).all(|w| w[0].record.seq < w[1].record.seq));
+        assert_eq!(ex.records("overdraws").len(), 2);
+        assert_eq!(ex.records("uplinks").len(), 1);
+        assert_eq!(ex.records("clamps").len(), 2);
+        assert_eq!(ex.records("release").len(), 1);
         // Only the in-window polls are evidence.
-        assert_eq!(ex.polls.len(), 2);
-        assert!(ex.polls.iter().all(|p| p.record.at.value() >= 5.0));
+        let polls = ex.records("polls");
+        assert_eq!(polls.len(), 2);
+        assert!(polls.iter().all(|p| p.record.at.value() >= 5.0));
 
         // No overdraw attribution -> no chain.
         let mut bare = FleetTimeline::new();
@@ -1129,9 +727,9 @@ mod tests {
             .filter(|r| !matches!(r.event, ObsEvent::ServerOverdraw { .. }))
             .collect();
         bare.merge_records(MANAGER_SERVER_ID, &keep);
-        assert!(explain_breaker_trip(&bare).is_none());
+        assert!(walk(breaker, &bare, None).is_none());
         // Empty timeline -> no chain.
-        assert!(explain_breaker_trip(&FleetTimeline::new()).is_none());
+        assert!(walk(breaker, &FleetTimeline::new(), None).is_none());
     }
 
     #[test]
@@ -1156,20 +754,19 @@ mod tests {
         timeline.merge_records(2, &s2_records);
         timeline.merge_records(MANAGER_SERVER_ID, &mgr_records);
 
-        let ex = explain_fallback_cap(&timeline).expect("chain exists");
-        assert_eq!(ex.server, 2);
-        assert_eq!(ex.missed.len(), 3);
-        assert!(ex
-            .missed
-            .windows(2)
-            .all(|w| w[0].record.seq < w[1].record.seq));
-        assert_eq!(ex.decays.len(), 2);
+        let fallback = find("fallback-cap").unwrap();
+        let ex = walk(fallback, &timeline, None).expect("chain exists");
+        assert_eq!(ex.anchor.server_id, 2);
+        let missed = ex.records("missed");
+        assert_eq!(missed.len(), 3);
+        assert!(missed.windows(2).all(|w| w[0].record.seq < w[1].record.seq));
+        assert_eq!(ex.records("decays").len(), 2);
         assert!(matches!(
-            ex.release.record.event,
+            ex.records("release")[0].record.event,
             ObsEvent::FallbackRelease { cap_w } if cap_w == 95.0
         ));
         // Only server 2's endpoint loss is evidence.
-        assert_eq!(ex.losses.len(), 1);
+        assert_eq!(ex.records("losses").len(), 1);
 
         // A newer decay-free episode (engaged already at the floor)
         // loses to the richer one with decay steps…
@@ -1180,20 +777,20 @@ mod tests {
         floor.record(at(210.0), 420, 4, ObsEvent::FallbackRelease { cap_w: 95.0 });
         let floor_records: Vec<EventRecord> = floor.iter().cloned().collect();
         timeline.merge_records(4, &floor_records);
-        let ex = explain_fallback_cap(&timeline).expect("chain exists");
-        assert_eq!(ex.server, 2, "decay-rich episode preferred");
+        let ex = walk(fallback, &timeline, None).expect("chain exists");
+        assert_eq!(ex.anchor.server_id, 2, "decay-rich episode preferred");
 
         // …but still chains when it is the only complete episode.
         let mut t2 = FleetTimeline::new();
         t2.merge_records(4, &floor_records);
-        let ex2 = explain_fallback_cap(&t2).expect("floor episode chains");
-        assert_eq!(ex2.server, 4);
-        assert!(ex2.decays.is_empty());
+        let ex2 = walk(fallback, &t2, None).expect("floor episode chains");
+        assert_eq!(ex2.anchor.server_id, 4);
+        assert!(ex2.records("decays").is_empty());
 
         // A still-partitioned run (no release retained) has no chain.
         let mut open = FleetTimeline::new();
         open.merge_records(2, &s2_records[..s2_records.len() - 1]);
-        assert!(explain_fallback_cap(&open).is_none());
+        assert!(walk(fallback, &open, None).is_none());
     }
 
     #[test]
@@ -1227,44 +824,5 @@ mod tests {
         assert!(back.counter("digest_bytes_total") > 0);
         assert!(back.gauge("timeline_len").is_some());
         assert!(back.gauge("last_acked_seq{server=\"0\"}").is_some());
-    }
-
-    #[test]
-    #[ignore = "slow in debug builds; run with --release or --ignored"]
-    fn breaker_trip_chain_exists_on_the_naive_reference() {
-        // The acceptance contract behind `doctor --explain breaker-trip`.
-        let report = run_fleet_observed(
-            &fleet_scenario(ext_cluster_faults::SEED),
-            false,
-            ext_cluster_faults::SERVERS,
-            ext_cluster_faults::DURATION,
-            &FleetObsOptions::default(),
-        );
-        assert!(report.stats.breaker_trips > 0);
-        let fleet = report.fleet.as_ref().expect("fleet recording enabled");
-        let ex = explain_breaker_trip(&fleet.timeline).expect("breaker-trip chain");
-        assert!(!ex.servers.is_empty());
-        assert!(
-            !ex.polls.is_empty(),
-            "implicated servers shipped their polls"
-        );
-    }
-
-    #[test]
-    #[ignore = "slow in debug builds; run with --release or --ignored"]
-    fn fallback_cap_chain_exists_on_the_partitioned_reference() {
-        // The acceptance contract behind `doctor --explain fallback-cap`.
-        let report = run_fleet_observed(
-            &fleet_doctor_scenario(ext_cluster_faults::SEED),
-            true,
-            ext_cluster_faults::SERVERS,
-            ext_cluster_faults::DURATION,
-            &FleetObsOptions::default(),
-        );
-        assert!(report.stats.fallback_engagements > 0);
-        let fleet = report.fleet.as_ref().expect("fleet recording enabled");
-        let ex = explain_fallback_cap(&fleet.timeline).expect("fallback-cap chain");
-        assert_eq!(ex.server, 2, "the partitioned server engaged the fallback");
-        assert!(!ex.losses.is_empty(), "manager saw the endpoint outage");
     }
 }

@@ -36,15 +36,15 @@
 //! split on attainment at equal energy, and mediation must never lose
 //! attainment anywhere on the grid. [`smoke_digest`] condenses a short
 //! cell into one hash for the CI determinism diff (`ext_traffic
-//! --smoke`), and [`explain_slo_miss`] is the journal walk behind
-//! `doctor --explain slo-miss`.
+//! --smoke`), and [`doctor_scenario`] is the replay behind `doctor
+//! --explain slo-miss`.
 
 use powermed_cluster::fleet::{build_fleet_skus, Fleet};
 use powermed_cluster::manager::ClusterManager;
 use powermed_core::policy::PolicyKind;
 use powermed_core::MeasurementCache;
 use powermed_server::ServerSpec;
-use powermed_telemetry::journal::{EventRecord, Obs, ObsEvent};
+use powermed_telemetry::journal::Obs;
 use powermed_traffic::samplers::zipf_weights;
 use powermed_traffic::source::TrafficConfig;
 use powermed_units::hash::{Fnv1a, SPLITMIX_GAMMA};
@@ -386,96 +386,6 @@ pub fn run_grid() -> Vec<(TrafficScenario, TrafficOutcome, TrafficOutcome)> {
         .collect()
 }
 
-/// The causal chain behind one missed SLO window, reconstructed from
-/// the journal.
-#[derive(Debug)]
-pub struct SloMissExplanation {
-    /// The failed window verdict being explained (the effect).
-    pub verdict: EventRecord,
-    /// The control decisions in force when it failed: the last cap
-    /// change and plan before the verdict, the missed app's power
-    /// share under that plan, and any forced throttle of it since.
-    pub decisions: Vec<EventRecord>,
-    /// Demand spikes that landed inside the failed window.
-    pub spikes: Vec<EventRecord>,
-}
-
-/// The start of the SLO window that closed with the verdict at
-/// `miss_idx`: just after `app`'s previous verdict, or the journal's
-/// start on its first window.
-fn window_start(journal: &[EventRecord], miss_idx: usize, app: &str) -> usize {
-    journal[..miss_idx]
-        .iter()
-        .rposition(|r| matches!(r.event, ObsEvent::SloWindow { .. }) && r.event.app() == Some(app))
-        .map(|i| i + 1)
-        .unwrap_or(0)
-}
-
-/// Walks `journal` backward from the last failed SLO window (favoring
-/// one with a demand spike inside it) to the plan that was in force
-/// when it failed and the spikes that landed inside the window.
-/// Returns `None` when no window failed or when no plan precedes the
-/// failure (a miss with no plan on record would be a journal bug, not
-/// an explanation).
-pub fn explain_slo_miss(journal: &[EventRecord]) -> Option<SloMissExplanation> {
-    // Prefer the latest miss with a demand spike inside its window (the
-    // richest causal story); fall back to the latest miss outright.
-    let misses: Vec<usize> = journal
-        .iter()
-        .enumerate()
-        .filter(|(_, r)| matches!(r.event, ObsEvent::SloWindow { ok: false, .. }))
-        .map(|(i, _)| i)
-        .collect();
-    let miss_idx = misses
-        .iter()
-        .rev()
-        .find(|&&i| {
-            let Some(app) = journal[i].event.app() else {
-                return false;
-            };
-            let start = window_start(journal, i, app);
-            journal[start..i].iter().any(|r| {
-                matches!(r.event, ObsEvent::DemandSpike { .. }) && r.event.app() == Some(app)
-            })
-        })
-        .or(misses.last())
-        .copied()?;
-    let app = journal[miss_idx].event.app()?.to_string();
-    let plan_idx = journal[..miss_idx]
-        .iter()
-        .rposition(|r| matches!(r.event, ObsEvent::Planned { .. }))?;
-    let cap_idx = journal[..miss_idx]
-        .iter()
-        .rposition(|r| matches!(r.event, ObsEvent::CapChanged { .. }));
-    let mut decisions: Vec<EventRecord> = Vec::new();
-    if let Some(ci) = cap_idx {
-        decisions.push(journal[ci].clone());
-    }
-    decisions.push(journal[plan_idx].clone());
-    decisions.extend(
-        journal[plan_idx..miss_idx]
-            .iter()
-            .filter(|r| {
-                matches!(&r.event, ObsEvent::Allocation { app: a, .. } if *a == app)
-                    || matches!(&r.event, ObsEvent::ForceThrottle { app: a } if *a == app)
-            })
-            .cloned(),
-    );
-    let start = window_start(journal, miss_idx, &app);
-    let spikes: Vec<EventRecord> = journal[start..miss_idx]
-        .iter()
-        .filter(|r| {
-            matches!(r.event, ObsEvent::DemandSpike { .. }) && r.event.app() == Some(app.as_str())
-        })
-        .cloned()
-        .collect();
-    Some(SloMissExplanation {
-        verdict: journal[miss_idx].clone(),
-        decisions,
-        spikes,
-    })
-}
-
 /// Attainment the mediated flavor must add over the static split on
 /// the tight heterogeneous cell.
 pub const GATE_ATTAINMENT_MARGIN: f64 = 0.05;
@@ -658,7 +568,12 @@ pub fn report(_: &HarnessDoc) -> Outcome {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use powermed_telemetry::journal::ObsConfig;
+    use crate::explain::{find, journal_timeline, walk, Chain, Role};
+    use powermed_telemetry::journal::{EventRecord, ObsConfig, ObsEvent};
+
+    fn slo_miss_chain(journal: &[EventRecord]) -> Option<Chain> {
+        walk(find("slo-miss").unwrap(), &journal_timeline(journal), None)
+    }
 
     #[test]
     fn grid_covers_both_fleets_at_every_tightness() {
@@ -737,32 +652,32 @@ mod tests {
                 .any(|r| matches!(r.event, ObsEvent::SloWindow { ok: false, .. })),
             "the tightly capped Xeon misses windows"
         );
-        let ex = explain_slo_miss(&journal).expect("a miss with a plan on record");
+        let ex = slo_miss_chain(&journal).expect("a miss with a plan on record");
+        let verdict = &ex.anchor.record;
         assert!(matches!(
-            ex.verdict.event,
+            verdict.event,
             ObsEvent::SloWindow { ok: false, .. }
         ));
-        let app = ex.verdict.event.app().unwrap();
+        let app = verdict.event.app().unwrap();
         assert!(
-            ex.decisions
-                .iter()
-                .any(|r| matches!(r.event, ObsEvent::Planned { .. })),
+            ex.role(Role::Decide)
+                .any(|r| matches!(r.record.event, ObsEvent::Planned { .. })),
             "a plan was in force"
         );
-        for r in &ex.decisions {
-            if let ObsEvent::Allocation { app: a, .. } = &r.event {
+        for r in ex.role(Role::Decide) {
+            if let ObsEvent::Allocation { app: a, .. } = &r.record.event {
                 assert_eq!(a, app, "only the missed app's share is cited");
             }
-            assert!(r.at <= ex.verdict.at);
+            assert!(r.record.at <= verdict.at);
         }
-        for s in &ex.spikes {
-            assert!(matches!(s.event, ObsEvent::DemandSpike { .. }));
-            assert!(s.at <= ex.verdict.at);
+        for s in ex.records("spikes") {
+            assert!(matches!(s.record.event, ObsEvent::DemandSpike { .. }));
+            assert!(s.record.at <= verdict.at);
         }
     }
 
     #[test]
     fn walker_returns_none_on_an_empty_or_missless_journal() {
-        assert!(explain_slo_miss(&[]).is_none());
+        assert!(slo_miss_chain(&[]).is_none());
     }
 }

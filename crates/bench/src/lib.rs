@@ -14,5 +14,6 @@
 #![warn(missing_docs)]
 
 pub mod experiments;
+pub mod explain;
 pub mod harness;
 pub mod support;
