@@ -396,6 +396,7 @@ pub fn main(name: &str) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::explain::{self, EXPLAINS};
     use crate::support::par_map;
 
     fn args(list: &[&str]) -> Vec<String> {
@@ -468,6 +469,32 @@ mod tests {
         assert_eq!(parsed.parsed::<u64>("--seed"), Ok(Some(7)));
         assert_eq!(parsed.parsed::<u64>("--app"), Ok(None));
         assert!(Args::parse(&args(&["--seed"]), &[], doctor).is_err());
+    }
+
+    #[test]
+    fn doctor_rejects_app_for_targets_that_ignore_it() {
+        for explain in EXPLAINS.iter().filter(|e| e.name != "throttle") {
+            let err = explain::parse(&args(&["--explain", explain.name, "--app", "nothing"]))
+                .expect_err("only throttle takes --app");
+            assert_eq!(err, format!("--explain {} takes no --app", explain.name));
+        }
+        let (explain, app, seed) = explain::parse(&args(&["--app", "1", "--seed", "7"])).unwrap();
+        assert_eq!(
+            (explain.name, app.as_deref(), seed),
+            ("throttle", Some("stream"), 7)
+        );
+        let (_, app, _) = explain::parse(&args(&["--explain", "throttle", "--app", "9"])).unwrap();
+        assert_eq!(app.as_deref(), Some("9"), "an index past the mix is a name");
+    }
+
+    #[test]
+    fn doctor_rejects_an_unknown_target() {
+        let err = explain::parse(&args(&["--explain", "bogus"])).expect_err("no such target");
+        assert!(
+            err.starts_with("unknown --explain target \"bogus\""),
+            "{err}"
+        );
+        assert!(EXPLAINS.iter().all(|e| err.contains(e.name)), "{err}");
     }
 
     #[test]
