@@ -25,6 +25,8 @@ pub mod fig9;
 pub mod table1;
 pub mod table2;
 
+use powermed_units::hash::Fnv1a;
+
 use crate::harness::{plain, Experiment, Gate, Outcome};
 use crate::support::HarnessDoc;
 
@@ -66,11 +68,17 @@ pub static EXPERIMENTS: &[Experiment] = &[
     paper("fig9", |_| plain(fig9::print)),
     paper("fig10", |_| plain(fig10::print)),
     paper("fig11", |_| plain(fig11::print)),
-    paper("fig12", |_| plain(fig12::print)),
+    Experiment {
+        digest: Some(|| Fnv1a::of_debug(&fig12::run())),
+        ..paper("fig12", |_| plain(fig12::print))
+    },
     extension("ablations", |_| plain(ablations::print)),
     extension("ext_napp", |_| plain(ext_napp::print)),
     extension("ext_latency", |_| plain(ext_latency::print)),
-    extension("ext_cluster", |_| plain(ext_cluster::print)),
+    Experiment {
+        digest: Some(|| Fnv1a::of_debug(&ext_cluster::run())),
+        ..extension("ext_cluster", |_| plain(ext_cluster::print))
+    },
     Experiment {
         smoke: &[("ext_faults", ext_faults::smoke_digest, ext_faults::SEED)],
         ..extension("ext_faults", ext_faults::report)
@@ -81,6 +89,7 @@ pub static EXPERIMENTS: &[Experiment] = &[
             ext_cluster_faults::smoke_digest,
             ext_cluster_faults::SEED,
         )],
+        digest: Some(|| Fnv1a::of_debug(&ext_cluster_faults::run_grid())),
         ..extension("ext_cluster_faults", ext_cluster_faults::report)
     },
     Experiment {
