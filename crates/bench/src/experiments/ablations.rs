@@ -229,7 +229,10 @@ mod tests {
     use super::*;
 
     #[test]
-    #[ignore = "slow in debug builds; run with --release or --ignored"]
+    #[cfg_attr(
+        debug_assertions,
+        ignore = "slow in debug builds; run with --release or --ignored"
+    )]
     fn storage_hierarchy_none_lead_ideal() {
         let points = esd_device_sweep();
         for cap in [80.0, 70.0] {
@@ -259,7 +262,10 @@ mod tests {
     }
 
     #[test]
-    #[ignore = "slow in debug builds; run with --release or --ignored"]
+    #[cfg_attr(
+        debug_assertions,
+        ignore = "slow in debug builds; run with --release or --ignored"
+    )]
     fn off_fraction_is_period_independent() {
         let points = cycle_period_sweep();
         let f0 = points[0].off_fraction;

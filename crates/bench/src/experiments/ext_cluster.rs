@@ -75,7 +75,10 @@ mod tests {
     use super::*;
 
     #[test]
-    #[ignore = "slow in debug builds; run with --release or --ignored"]
+    #[cfg_attr(
+        debug_assertions,
+        ignore = "slow in debug builds; run with --release or --ignored"
+    )]
     fn unequal_never_loses_to_equal() {
         for row in run() {
             let equal = row.reports[0].aggregate_normalized_perf;

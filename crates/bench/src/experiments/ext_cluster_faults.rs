@@ -318,7 +318,10 @@ mod tests {
     }
 
     #[test]
-    #[ignore = "slow in debug builds; run with --release or --ignored"]
+    #[cfg_attr(
+        debug_assertions,
+        ignore = "slow in debug builds; run with --release or --ignored"
+    )]
     fn resilient_beats_naive_in_the_reference_scenario() {
         let rows = run_grid();
         let (s, naive, resilient) = rows.last().expect("reference row");
@@ -351,7 +354,10 @@ mod tests {
     }
 
     #[test]
-    #[ignore = "slow in debug builds; run with --release or --ignored"]
+    #[cfg_attr(
+        debug_assertions,
+        ignore = "slow in debug builds; run with --release or --ignored"
+    )]
     fn resilient_never_loses_on_violations_across_the_grid() {
         for (s, naive, resilient) in run_grid() {
             assert!(
@@ -365,7 +371,10 @@ mod tests {
     }
 
     #[test]
-    #[ignore = "slow in debug builds; run with --release or --ignored"]
+    #[cfg_attr(
+        debug_assertions,
+        ignore = "slow in debug builds; run with --release or --ignored"
+    )]
     fn partition_scenario_engages_fallback_and_failover_scenario_fails_over() {
         let rows = run_grid();
         let partition = &rows[3];

@@ -761,7 +761,10 @@ mod tests {
     }
 
     #[test]
-    #[ignore = "slow in debug builds; run with --release or --ignored"]
+    #[cfg_attr(
+        debug_assertions,
+        ignore = "slow in debug builds; run with --release or --ignored"
+    )]
     fn release_gates_hold_on_the_full_grid() {
         let rows = run_grid();
         for check in gate(&rows) {

@@ -391,7 +391,10 @@ mod tests {
     }
 
     #[test]
-    #[ignore = "slow in debug builds; run with --release or --ignored"]
+    #[cfg_attr(
+        debug_assertions,
+        ignore = "slow in debug builds; run with --release or --ignored"
+    )]
     fn hardening_strictly_reduces_violations_on_the_degraded_esd_rows() {
         for (s, plain, hard) in run_grid() {
             if !s.with_battery {
@@ -409,7 +412,10 @@ mod tests {
     }
 
     #[test]
-    #[ignore = "slow in debug builds; run with --release or --ignored"]
+    #[cfg_attr(
+        debug_assertions,
+        ignore = "slow in debug builds; run with --release or --ignored"
+    )]
     fn retries_keep_flaky_knob_throughput_close_to_clean() {
         let rows = run_sweep();
         let (_, clean, _) = &rows[0];

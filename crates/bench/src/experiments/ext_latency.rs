@@ -110,7 +110,10 @@ mod tests {
     use super::*;
 
     #[test]
-    #[ignore = "slow in debug builds; run with --release or --ignored"]
+    #[cfg_attr(
+        debug_assertions,
+        ignore = "slow in debug builds; run with --release or --ignored"
+    )]
     fn slo_aware_holds_the_line_where_blind_does_not() {
         let points = run();
         // The SLO-aware planner meets the SLO at every cap in the sweep.

@@ -149,7 +149,10 @@ mod tests {
     use super::*;
 
     #[test]
-    #[ignore = "slow in debug builds; run with --release or --ignored"]
+    #[cfg_attr(
+        debug_assertions,
+        ignore = "slow in debug builds; run with --release or --ignored"
+    )]
     fn three_apps_fit_cores_and_cap() {
         for (label, apps) in groups() {
             let out = run_trio(label, &apps, PolicyKind::AppResAware, Watts::new(120.0));
@@ -165,7 +168,10 @@ mod tests {
     }
 
     #[test]
-    #[ignore = "slow in debug builds; run with --release or --ignored"]
+    #[cfg_attr(
+        debug_assertions,
+        ignore = "slow in debug builds; run with --release or --ignored"
+    )]
     fn utility_awareness_helps_trios_too() {
         let (label, apps) = &groups()[0];
         let baseline = run_trio(label, apps, PolicyKind::UtilUnaware, Watts::new(100.0));

@@ -340,7 +340,10 @@ mod tests {
     }
 
     #[test]
-    #[ignore = "slow in debug builds; run with --release or --ignored"]
+    #[cfg_attr(
+        debug_assertions,
+        ignore = "slow in debug builds; run with --release or --ignored"
+    )]
     fn reference_churn_meets_the_probe_reduction_target() {
         let rows = run_grid();
         let (s, cold, warm) = &rows[1];
@@ -370,7 +373,10 @@ mod tests {
     }
 
     #[test]
-    #[ignore = "slow in debug builds; run with --release or --ignored"]
+    #[cfg_attr(
+        debug_assertions,
+        ignore = "slow in debug builds; run with --release or --ignored"
+    )]
     fn heavy_churn_saves_even_more() {
         let rows = run_grid();
         let (s, cold, warm) = &rows[2];
@@ -384,7 +390,10 @@ mod tests {
     }
 
     #[test]
-    #[ignore = "slow in debug builds; run with --release or --ignored"]
+    #[cfg_attr(
+        debug_assertions,
+        ignore = "slow in debug builds; run with --release or --ignored"
+    )]
     fn partition_drift_scenario_converges_with_no_stale_profile() {
         let rows = run_grid();
         let (s, _, warm) = &rows[3];

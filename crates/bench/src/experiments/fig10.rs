@@ -103,7 +103,10 @@ mod tests {
     use super::*;
 
     #[test]
-    #[ignore = "slow in debug builds; run with --release or --ignored"]
+    #[cfg_attr(
+        debug_assertions,
+        ignore = "slow in debug builds; run with --release or --ignored"
+    )]
     fn stringent_cap_amplifies_gains_and_esd_dominates() {
         let rows = run();
         let means = policy_means(&rows);

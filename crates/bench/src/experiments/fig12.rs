@@ -109,7 +109,10 @@ mod tests {
     use super::*;
 
     #[test]
-    #[ignore = "slow in debug builds; run with --release or --ignored"]
+    #[cfg_attr(
+        debug_assertions,
+        ignore = "slow in debug builds; run with --release or --ignored"
+    )]
     fn ours_beats_rapl_at_every_shave_level() {
         let rows = run();
         for row in &rows {

@@ -226,7 +226,10 @@ mod tests {
     }
 
     #[test]
-    #[ignore = "slow in debug builds; run with --release or --ignored"]
+    #[cfg_attr(
+        debug_assertions,
+        ignore = "slow in debug builds; run with --release or --ignored"
+    )]
     fn denser_sampling_tightens_power_and_perf() {
         let points = run();
         let first = &points[0];

@@ -169,7 +169,10 @@ mod tests {
     }
 
     #[test]
-    #[ignore = "slow in debug builds; run with --release or --ignored"]
+    #[cfg_attr(
+        debug_assertions,
+        ignore = "slow in debug builds; run with --release or --ignored"
+    )]
     fn parallel_run_matches_serial_run() {
         let parallel = run();
         let serial = run_serial();
@@ -181,7 +184,10 @@ mod tests {
     }
 
     #[test]
-    #[ignore = "slow in debug builds; run with --release or --ignored"]
+    #[cfg_attr(
+        debug_assertions,
+        ignore = "slow in debug builds; run with --release or --ignored"
+    )]
     fn hierarchy_matches_paper() {
         let rows = run();
         let means = policy_means(&rows);
