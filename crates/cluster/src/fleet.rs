@@ -1,13 +1,12 @@
 //! Shared fleet construction for the cluster tier.
 //!
-//! `run_equal`, `run_unequal` and the manager ↔ agent control plane all
-//! stand up the same per-server stack: a [`ServerSim`] (with or without
-//! the Lead-Acid UPS), a [`PowerMediator`] running the policy under
-//! test, the Table II mix admitted, and the uncapped solo rates every
-//! normalized-throughput report divides by. This module is the single
-//! construction path, so node restarts (which rebuild one server from
-//! scratch: apps restart, ESD state resets) reuse the exact admission
-//! sequence the initial boot used.
+//! Every cluster server is the same per-server stack: a [`ServerSim`]
+//! (with or without the Lead-Acid UPS), a [`PowerMediator`] running the
+//! policy under test, the Table II mix admitted, and the uncapped solo
+//! rates every normalized-throughput report divides by. This module is
+//! the single construction path, so node restarts (which rebuild one
+//! server from scratch: apps restart, ESD state resets) reuse the exact
+//! admission sequence the initial boot used.
 
 use powermed_core::policy::PolicyKind;
 use powermed_core::runtime::PowerMediator;
@@ -105,19 +104,6 @@ pub struct Fleet {
     pub nocap_rates: Vec<Vec<(String, f64)>>,
 }
 
-/// Builds the whole fleet: server `i` hosts `mixes[i]`, every mediator
-/// starts at `initial_cap`.
-pub fn build_fleet(
-    spec: &ServerSpec,
-    mixes: &[Mix],
-    kind: PolicyKind,
-    with_battery: bool,
-    initial_cap: Watts,
-) -> Fleet {
-    let specs = vec![spec.clone(); mixes.len()];
-    build_fleet_skus(&specs, mixes, kind, with_battery, initial_cap)
-}
-
 /// SKU-aware fleet construction: server `i` is a `specs[i]` hosting
 /// `mixes[i]`. Uncapped solo rates are per-SKU — the same app has a
 /// different roofline on an edge box than on a throughput box, and
@@ -179,8 +165,8 @@ mod tests {
     fn fleet_indexes_line_up() {
         let spec = ServerSpec::xeon_e5_2620();
         let mixes: Vec<Mix> = (1..=3).map(|i| mixes::mix(i).unwrap()).collect();
-        let fleet = build_fleet(
-            &spec,
+        let fleet = build_fleet_skus(
+            &[spec.clone(), spec.clone(), spec],
             &mixes,
             PolicyKind::AppResEsdAware,
             true,

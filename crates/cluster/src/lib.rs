@@ -46,10 +46,10 @@ pub mod fleet;
 pub mod manager;
 pub mod trace;
 
-pub use agent::{AgentConfig, ServerAgent};
+pub use agent::ServerAgent;
 pub use control::{
     ClusterFaultConfig, ControlOptions, ControlPlane, FleetObsOptions, FleetObsReport,
-    ManagedPolicy, ManagerConfig, PartitionWindow, ResilienceReport,
+    ManagedPolicy, PartitionWindow, ResilienceReport,
 };
 pub use manager::{ClusterManager, ClusterPolicy, ClusterReport};
 pub use trace::ClusterPowerTrace;
