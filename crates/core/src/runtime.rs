@@ -545,6 +545,12 @@ impl PowerMediator {
     /// Merges digests received from the fleet into the local store and
     /// seeds the completion corpus with their sparse rows. Returns how
     /// many store entries changed (0 when no store is attached).
+    ///
+    /// Every delivered digest is still merged and counted, duplicates
+    /// included: each one advances the store's clock, refreshes its
+    /// entry's recency and bumps `merges`, which the fleet's store
+    /// stats and LRU eviction read. What a redelivered replica skips is
+    /// the copying and serializing (see `ProfileStore::merge_digests`).
     pub fn absorb_digests(&mut self, digests: &[ProfileDigest]) -> usize {
         let Some(s) = self.store.as_mut() else {
             return 0;

@@ -37,7 +37,8 @@ pub use faults::{EstimationStats, FaultStats, HardeningStats};
 pub use heartbeat::{Heartbeat, HeartbeatMonitor};
 pub use journal::{
     EventJournal, EventRecord, FleetKey, FleetRecord, FleetTimeline, JournalDigest,
-    KnobWriteVerdict, Obs, ObsConfig, ObsEvent, SafeModeTransition, MANAGER_SERVER_ID,
+    KnobWriteVerdict, Obs, ObsConfig, ObsEvent, SafeModeTransition, TimelineMark,
+    MANAGER_SERVER_ID,
 };
 pub use meter::{CapCompliance, PowerMeter};
 pub use metrics::{prom_label, Histogram, MetricsRegistry};
