@@ -2,7 +2,7 @@
 //! per-app power.
 //!
 //! Every prior experiment hands the mediator the simulator's oracle
-//! [`PowerBreakdown`](powermed_server::PowerBreakdown) — per-app power
+//! [`PowerBreakdown`](powermed_server::server::PowerBreakdown) — per-app power
 //! meters that real shared servers do not have. This experiment removes
 //! the oracle: the mediator runs with `with_estimation`, reconstructing
 //! per-app shares from only the aggregate net meter, the current knob

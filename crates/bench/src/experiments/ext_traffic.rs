@@ -10,7 +10,7 @@
 //! the latency budget, as the cap tightens.
 //!
 //! This experiment replays one seeded compressed day of traffic
-//! (`powermed_traffic`, attached via [`ServerSim::attach_traffic`])
+//! (`powermed_traffic`, attached via [`ServerSim::attach_traffic`](powermed_sim::engine::ServerSim::attach_traffic))
 //! over a three-server fleet and sweeps two axes:
 //!
 //! * **cap tightness** — the fleet budget as a fraction of aggregate

@@ -792,7 +792,9 @@ mod tests {
     fn journal_tallies_match_the_stats_on_the_single_server_replays() {
         // The quarantine and sensor-fault reference replays: every
         // counter the journal can recount, recounted, on a journal that
-        // lost nothing.
+        // lost nothing. Left out: safe-mode escalations and actuation
+        // faults (neither replay fires one) and retries (a retry that
+        // is rescheduled again is not journaled).
         let obs = Obs::new(ObsConfig::default());
         let run = ext_adversary::run_one(
             &ext_adversary::doctor_scenario(ext_adversary::SEED),
@@ -831,15 +833,46 @@ mod tests {
             Some(&obs),
         );
         assert_eq!(obs.journal_counts().1, 0, "the journal evicted nothing");
-        let engagements = tally(&obs.journal_snapshot(), |e| {
-            matches!(e, ObsEvent::FallbackCap { engaged: true, .. })
-        });
-        let fallback = [(
-            "fallback engagements",
-            run.estimation.fallback_engagements,
-            engagements,
-        )];
-        for (counter, stats, journal) in pairs.into_iter().chain(fallback) {
+        let journal = obs.journal_snapshot();
+        let (hardening, estimation) = (run.hardening, run.estimation);
+        let faults = [
+            (
+                "fallback engagements",
+                estimation.fallback_engagements,
+                tally(&journal, on!(FallbackCap { engaged: true, .. })),
+            ),
+            (
+                "residual spikes",
+                estimation.residual_spikes,
+                tally(&journal, on!(ResidualSpike { .. })),
+            ),
+            (
+                "safe-mode entries",
+                hardening.safe_mode_entries,
+                tally(
+                    &journal,
+                    on!(SafeMode {
+                        transition: Engaged
+                    }),
+                ),
+            ),
+            (
+                "safe-mode exits",
+                hardening.safe_mode_exits,
+                tally(
+                    &journal,
+                    on!(SafeMode {
+                        transition: Released
+                    }),
+                ),
+            ),
+            (
+                "sensor faults",
+                hardening.sensor_faults,
+                tally(&journal, on!(SensorFault { .. })),
+            ),
+        ];
+        for (counter, stats, journal) in pairs.into_iter().chain(faults) {
             assert_eq!(stats, journal, "{counter}: stats vs journal");
             assert!(stats > 0, "{counter}: the replay exercises the counter");
         }

@@ -1,7 +1,7 @@
 //! The experiment contract and its one driver.
 //!
 //! Every paper table, figure and extension experiment is one
-//! [`Experiment`] entry in [`EXPERIMENTS`](crate::experiments::EXPERIMENTS).
+//! [`Experiment`] entry in [`EXPERIMENTS`].
 //! Every harness binary is a one-line call to [`main`] with its own
 //! name, and the driver does the shared work:
 //!

@@ -40,7 +40,7 @@ use powermed_profiles::{ProbeSplit, ProfileDigest, ProfileStore, StoreConfig};
 use powermed_server::ServerSpec;
 use powermed_telemetry::faults::ClusterControlStats;
 use powermed_telemetry::journal::{
-    FleetTimeline, JournalDigest, Obs, ObsConfig, ObsEvent, TimelineMark, MANAGER_SERVER_ID,
+    FleetTimeline, JournalDigest, Obs, ObsEvent, TimelineMark, MANAGER_SERVER_ID,
 };
 use powermed_telemetry::metrics::{prom_label, MetricsRegistry};
 use powermed_telemetry::recorder::TraceRecorder;
@@ -1272,9 +1272,6 @@ impl Breaker {
 /// (plus its own journal) into a merged [`FleetTimeline`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct FleetObsOptions {
-    /// Per-journal configuration (ring capacity, heartbeat thresholds),
-    /// shared by every server journal and the manager's.
-    pub config: ObsConfig,
     /// Byte budget for one uplinked digest. A digest always carries at
     /// least one record so a backlog drains even under a tiny budget;
     /// the cap bounds bytes-on-the-wire per wave at
@@ -1285,7 +1282,6 @@ pub struct FleetObsOptions {
 impl Default for FleetObsOptions {
     fn default() -> Self {
         Self {
-            config: ObsConfig::default(),
             // Steady-state deltas are a handful of records (~120 bytes
             // each); 8 KiB lets a healed partition catch up within a
             // few waves without flooding the link.
@@ -1904,10 +1900,8 @@ pub fn run_cluster_flight_recorded(
 ) -> ResilienceReport {
     let recording = Recording::Fleet {
         digest_cap: fleet.max_digest_bytes,
-        manager: Obs::new(fleet.config.clone()),
-        servers: (0..mixes.len())
-            .map(|_| Obs::new(fleet.config.clone()))
-            .collect(),
+        manager: Obs::default(),
+        servers: (0..mixes.len()).map(|_| Obs::default()).collect(),
     };
     FleetRun::new(mixes, policy, trace, dt, options, recording).run()
 }

@@ -214,7 +214,7 @@ impl ClusterManager {
     /// cover the fleet. Pair it with per-SKU value curves from
     /// [`Self::candidate_caps_for`].
     ///
-    /// A one-shot [`ApportionTable`]: built up to `total`'s level (or
+    /// A one-shot `ApportionTable`: built up to `total`'s level (or
     /// the saturation level, if lower), then split once.
     ///
     /// # Panics

@@ -26,8 +26,13 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
+use powermed_disagg::estimator::{
+    HB_RATIO_MAX, HB_RATIO_MIN, PRIOR_REL_SIGMA, RESIDUAL_FLOOR_W, SIGMA_FLOOR_W,
+    STALE_KNOB_INFLATION,
+};
 use powermed_disagg::{
-    AppPrior, DegradeAction, EstimatedBreakdown, EstimatorConfig, PowerEstimator,
+    AppPrior, DegradeAction, EstimatedBreakdown, EstimatorConfig, PowerEstimator, ResidualVerdict,
+    SampleSource,
 };
 use powermed_profiles::{
     AppFingerprint, ProbeSplit, ProfileDigest, ProfileStore, Provenance, StoredProfile,
@@ -51,9 +56,13 @@ use crate::measurement::AppMeasurement;
 use crate::policy::{PolicyKind, PowerPolicy};
 use crate::slo::SloPlanner;
 use crate::trust::{
-    clamp_budget, Evidence, TrustConfig, TrustScore, TrustTransition, WattDebtLedger,
+    clamp_budget, Evidence, TrustConfig, TrustScore, TrustTransition, WattDebtLedger, AUDIT_SECS,
+    CLAWBACK_RATE, OVERDRAW_MARGIN_W,
 };
-use crate::watchdog::{HardeningConfig, SafeModeWatchdog, WatchdogTransition};
+use crate::watchdog::{
+    HardeningConfig, SafeModeWatchdog, WatchdogTransition, DROPOUT_HOLD_POLLS, DROPOUT_PATIENCE,
+    MAX_RETRIES, RETRY_BACKOFF, STUCK_PATIENCE, WATCHDOG_PATIENCE, WATCHDOG_RELEASE,
+};
 
 /// Which phase of a schedule is currently actuated.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -118,7 +127,6 @@ struct RetryState {
 /// health checks, and the safe-mode escalation counters.
 #[derive(Debug, Default)]
 struct Hardening {
-    cfg: HardeningConfig,
     /// Knob writes that did not land, keyed by app, awaiting retry.
     /// The estimate stage reads it: a pending retry widens that app's
     /// prior.
@@ -145,7 +153,7 @@ impl Hardening {
 
 /// Estimation layer: per-app power reconstructed from the aggregate
 /// meter instead of read from the simulator's oracle breakdown.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct Estimation {
     estimator: PowerEstimator,
     stats: EstimationStats,
@@ -163,16 +171,6 @@ struct Estimation {
 }
 
 impl Estimation {
-    fn new(config: EstimatorConfig) -> Self {
-        Self {
-            estimator: PowerEstimator::new(config),
-            stats: EstimationStats::default(),
-            fallback_shave: Watts::ZERO,
-            last: None,
-            prior_confidence: BTreeMap::new(),
-        }
-    }
-
     fn forget(&mut self, name: &str) {
         self.prior_confidence.remove(name);
     }
@@ -182,7 +180,6 @@ impl Estimation {
 /// watt-debt clawback.
 #[derive(Debug, Default)]
 struct Defense {
-    cfg: TrustConfig,
     trust: BTreeMap<String, TrustScore>,
     /// Overdrawn watts awaiting clawback.
     debts: WattDebtLedger,
@@ -228,7 +225,7 @@ impl Defense {
     /// undetected collusion, or a watchdog-blinded defector, looks like.
     fn audit_if_unexplained(&mut self, now: Seconds) {
         if self.audit_until.is_none() && self.trust.values().all(|t| !t.distrusted()) {
-            self.audit_until = Some(now + Seconds::new(self.cfg.audit_secs));
+            self.audit_until = Some(now + Seconds::new(AUDIT_SECS));
         }
     }
 
@@ -347,7 +344,7 @@ impl PowerMediator {
             },
             slo_planner: None,
             replans: 0,
-            watchdog: SafeModeWatchdog::new(5, 10),
+            watchdog: SafeModeWatchdog::new(WATCHDOG_PATIENCE, WATCHDOG_RELEASE),
             hardening_stats: HardeningStats::default(),
             last_fault_error: None,
             esd_quarantined: false,
@@ -363,12 +360,9 @@ impl PowerMediator {
     /// knob writes that fail or do not land, a safe-mode watchdog that
     /// force-throttles when the *observed* net draw stays over the cap,
     /// and sensor-fault detection (E6) over the observed power channel.
-    pub fn with_hardening(mut self, config: HardeningConfig) -> Self {
-        self.watchdog = SafeModeWatchdog::new(config.watchdog_patience, config.watchdog_release);
-        self.hardening = Some(Hardening {
-            cfg: config,
-            ..Hardening::default()
-        });
+    /// The tunables are the constants of [`crate::watchdog`].
+    pub fn with_hardening(mut self, _: HardeningConfig) -> Self {
+        self.hardening = Some(Hardening::default());
         self
     }
 
@@ -379,7 +373,8 @@ impl PowerMediator {
     /// A sustained residual between the meter and the model engages a
     /// confidence-aware fallback — the planner targets the cap minus
     /// the band — and escalates to safe mode if shaving does not stop
-    /// the spikes.
+    /// the spikes. The tunables are the constants of
+    /// [`powermed_disagg::estimator`].
     pub fn with_estimation(mut self, config: EstimatorConfig) -> Self {
         self.set_estimation(config);
         self
@@ -389,8 +384,8 @@ impl PowerMediator {
     /// attach estimation to an already-built (and already-admitted)
     /// mediator — e.g. a cluster agent re-attaching it after a node
     /// restart rebuilt the stack.
-    pub fn set_estimation(&mut self, config: EstimatorConfig) {
-        self.estimation = Some(Estimation::new(config));
+    pub fn set_estimation(&mut self, _: EstimatorConfig) {
+        self.estimation = Some(Estimation::default());
     }
 
     /// Enables the integrity defense: per-app trust scores driven by
@@ -398,20 +393,18 @@ impl PowerMediator {
     /// → E7 + fair-share clamp → probation → re-admission), and a
     /// watt-debt ledger that claws back overdrawn watts so honest apps
     /// are made whole. Rides on the estimation layer's view of the
-    /// world, so it requires [`Self::with_estimation`] first.
+    /// world, so it requires [`Self::with_estimation`] first. The
+    /// tunables are the constants of [`crate::trust`].
     ///
     /// # Panics
     ///
     /// Panics if estimation is not enabled.
-    pub fn with_integrity_defense(mut self, config: TrustConfig) -> Self {
+    pub fn with_integrity_defense(mut self, _: TrustConfig) -> Self {
         assert!(
             self.estimation.is_some(),
             "integrity defense requires with_estimation"
         );
-        self.defense = Some(Defense {
-            cfg: config,
-            ..Defense::default()
-        });
+        self.defense = Some(Defense::default());
         self
     }
 
@@ -870,7 +863,7 @@ impl PowerMediator {
                     // can force legitimate E4s onto an honest victim.
                     if let Some(d) = self.defense.as_mut() {
                         let trust = d.trust.entry(name.clone()).or_default();
-                        if trust.note_drift(&d.cfg) && trust.distrusted() {
+                        if trust.note_drift() && trust.distrusted() {
                             d.drift_strikes.push(name.clone());
                         }
                     }
@@ -1071,8 +1064,7 @@ impl PowerMediator {
                 let Some(m) = self.measurements.get(name) else {
                     continue;
                 };
-                let (budget, clawback) =
-                    clamp_budget(fair, d.debts.outstanding(name), d.cfg.clawback_rate);
+                let (budget, clawback) = clamp_budget(fair, d.debts.outstanding(name));
                 // Clamp to the best setting under the docked budget;
                 // below the app's floor, park it at the cheapest
                 // feasible setting (the clamp never evicts).
@@ -1191,8 +1183,7 @@ impl PowerMediator {
         let Some(eb) = self.estimation.as_ref().and_then(|e| e.last.as_ref()) else {
             return;
         };
-        let cfg = d.cfg;
-        let fresh = eb.held_polls == 0;
+        let fresh = eb.sample == SampleSource::Fresh;
         let (residual, band) = (eb.residual_w, eb.band_w);
         let now = sim.now();
         let drift_strikes = std::mem::take(&mut d.drift_strikes);
@@ -1236,8 +1227,8 @@ impl PowerMediator {
                 // suspended app cannot re-offend, so its clean streak
                 // below is what earns probation (and with it fresh
                 // probes, a resume, and the clamp).
-                let due = (d.debts.outstanding(name) * cfg.clawback_rate)
-                    .max(cfg.overdraw_margin_w * cfg.clawback_rate);
+                let due = (d.debts.outstanding(name) * CLAWBACK_RATE)
+                    .max(OVERDRAW_MARGIN_W * CLAWBACK_RATE);
                 d.claw_back(&self.obs, now, name, due);
             }
             let trust = d.trust.entry(name.clone()).or_default();
@@ -1253,14 +1244,14 @@ impl PowerMediator {
                 .get(name)
                 .zip(self.accountant.allocation(name))
                 .map(|(share, alloc)| share.watts - alloc.value())
-                .filter(|w| *w > cfg.overdraw_margin_w);
+                .filter(|w| *w > OVERDRAW_MARGIN_W);
             if let (true, Some(overdraw)) = (trust.distrusted(), overdraw) {
                 // An overdrawing poll is not a clean poll even when no
                 // other stream fires — note_clean would reset the
                 // patience streak and the app could overdraw forever in
                 // 1-poll bursts.
                 mild = true;
-                if trust.note_overdraw(&cfg) {
+                if trust.note_overdraw() {
                     // The strike charges the ledger even when a stronger
                     // stream already fired this poll: the watts were
                     // overdrawn either way, and the clawback must
@@ -1284,9 +1275,9 @@ impl PowerMediator {
             let transition = match evidence {
                 Some((evidence, cause)) => {
                     d.stats.implausible_polls += 1;
-                    trust.note_evidence(evidence, &cfg).map(|t| (t, cause))
+                    trust.note_evidence(evidence).map(|t| (t, cause))
                 }
-                None => trust.note_clean(&cfg).map(|t| (t, "")),
+                None => trust.note_clean().map(|t| (t, "")),
             };
             if let Some((TrustTransition::Downgraded | TrustTransition::Quarantined, _)) =
                 transition
@@ -1589,7 +1580,7 @@ impl PowerMediator {
             let retry = RetryState {
                 idx,
                 attempts: 0,
-                next_at: now + h.cfg.retry_backoff,
+                next_at: now + RETRY_BACKOFF,
                 since: now,
             };
             h.retries.insert(name.to_string(), retry);
@@ -1609,7 +1600,6 @@ impl PowerMediator {
             return;
         };
         let now = sim.now();
-        let cfg = h.cfg;
         let due: Vec<(String, RetryState)> = h
             .retries
             .iter()
@@ -1628,11 +1618,11 @@ impl PowerMediator {
                 && sim.server().assignment(&name).map(|a| a.knob()) == Some(knob);
             let verdict = if landed {
                 KnobWriteVerdict::RetryLanded
-            } else if st.attempts + 1 >= cfg.max_retries {
+            } else if st.attempts + 1 >= MAX_RETRIES {
                 KnobWriteVerdict::RetryExhausted
             } else {
                 let attempts = st.attempts + 1;
-                let next_at = now + cfg.retry_backoff * f64::from(attempts + 1);
+                let next_at = now + RETRY_BACKOFF * f64::from(attempts + 1);
                 let retry = RetryState {
                     attempts,
                     next_at,
@@ -1658,7 +1648,7 @@ impl PowerMediator {
                 events.push(self.accountant.actuation_fault(&name));
                 self.last_fault_error = Some(CoreError::ActuationFailed {
                     app: name,
-                    attempts: cfg.max_retries,
+                    attempts: MAX_RETRIES,
                 });
             }
         }
@@ -1678,7 +1668,6 @@ impl PowerMediator {
         sensed: &BTreeMap<String, Observation>,
     ) -> Option<EstimatedBreakdown> {
         let est = self.estimation.as_mut()?;
-        let cfg = *est.estimator.config();
         let mut priors = Vec::with_capacity(sensed.len());
         let mut claims: BTreeMap<String, ClaimRecord> = BTreeMap::new();
         for (name, o) in sensed {
@@ -1690,7 +1679,7 @@ impl PowerMediator {
                 // A suspended or finished app draws no dynamic power,
                 // and the runtime knows it (the suspension was its own
                 // command): a tight prior at zero.
-                _ if o.completed || o.suspended => (0.0, cfg.sigma_floor_w),
+                _ if o.completed || o.suspended => (0.0, SIGMA_FLOOR_W),
                 (Some(m), Some(idx)) => {
                     let trust = self.defense.as_ref().and_then(|d| d.trust.get(name));
                     let unscaled_w = m.power(idx).value();
@@ -1702,7 +1691,7 @@ impl PowerMediator {
                         // phase); scale the prior with it, bounded so
                         // one noisy window cannot swing the model.
                         let ratio = hb / expected;
-                        let bounded = ratio.clamp(cfg.hb_ratio_min, cfg.hb_ratio_max);
+                        let bounded = ratio.clamp(HB_RATIO_MIN, HB_RATIO_MAX);
                         let clamped = bounded != ratio;
                         if clamped {
                             // A claim pinned at the bound is a claim
@@ -1733,7 +1722,7 @@ impl PowerMediator {
                     let confidence = (est.prior_confidence.get(name).copied().unwrap_or(1.0)
                         * trust_weight)
                         .clamp(0.05, 1.0);
-                    let mut sigma = predicted.abs() * cfg.prior_rel_sigma / confidence;
+                    let mut sigma = predicted.abs() * PRIOR_REL_SIGMA / confidence;
                     if self
                         .hardening
                         .as_ref()
@@ -1741,13 +1730,13 @@ impl PowerMediator {
                     {
                         // The planned knob write has not verified: the
                         // app may still run at the stale setting.
-                        sigma *= cfg.stale_knob_inflation;
+                        sigma *= STALE_KNOB_INFLATION;
                     }
-                    (predicted, sigma.max(cfg.sigma_floor_w))
+                    (predicted, sigma.max(SIGMA_FLOOR_W))
                 }
                 // No calibrated surface yet (mid-admission churn): a
                 // wide prior lets the meter place it.
-                _ => (0.0, 20.0 * cfg.sigma_floor_w),
+                _ => (0.0, 20.0 * SIGMA_FLOOR_W),
             };
             priors.push(AppPrior {
                 name: name.clone(),
@@ -1771,12 +1760,10 @@ impl PowerMediator {
             &priors,
         );
         est.stats.estimates += 1;
-        if eb.held_polls > 0 {
-            if eb.held_polls <= cfg.hold_max_polls {
-                est.stats.held_samples += 1;
-            } else {
-                est.stats.blind_samples += 1;
-            }
+        match eb.sample {
+            SampleSource::Fresh => {}
+            SampleSource::Held(_) => est.stats.held_samples += 1,
+            SampleSource::Blind(_) => est.stats.blind_samples += 1,
         }
         Some(eb)
     }
@@ -1790,14 +1777,10 @@ impl PowerMediator {
             .estimation
             .as_mut()
             .expect("only called in estimation mode");
-        let cfg = *est.estimator.config();
         let (residual_w, band_w) = (eb.residual_w, eb.band_w);
-        let threshold = (cfg.residual_band_k * band_w).max(cfg.residual_floor_w);
-        let spike = eb.held_polls == 0 && residual_w.abs() > threshold;
-        let streak = est.estimator.spike_polls() + 1;
-        let action = est.estimator.note_residual(&eb);
+        let ResidualVerdict { spike, action } = est.estimator.note_residual(&eb);
         est.last = Some(eb);
-        if spike {
+        if let Some(streak) = spike {
             est.stats.residual_spikes += 1;
             self.obs.emit(now, || ObsEvent::ResidualSpike {
                 residual_w,
@@ -1813,7 +1796,7 @@ impl PowerMediator {
                 // meter, a fleet-wide phase shift, a poisoned profile):
                 // fire E6 and plan against the cap minus the band.
                 est.stats.fallback_engagements += 1;
-                est.fallback_shave = Watts::new(band_w.max(cfg.residual_floor_w));
+                est.fallback_shave = Watts::new(band_w.max(RESIDUAL_FLOOR_W));
                 let shave_w = est.fallback_shave.value();
                 // An unexplained residual with every app still trusted
                 // is also what undetected collusion looks like: open an
@@ -1866,7 +1849,6 @@ impl PowerMediator {
     fn observe_hardened(&mut self, sim: &mut ServerSim, report: &StepReport) {
         let now = sim.now();
         let h = self.hardening.as_mut().expect("only called when hardened");
-        let cfg = h.cfg;
 
         // Sensor health. The external (PDU-side) observed channel is
         // cross-checked against the internal RAPL-side reading: a meter
@@ -1904,11 +1886,11 @@ impl PowerMediator {
         // the E6 dropout deadline takes over.
         let watchdog_sample = match report.observed_net_power {
             Some(o) => Some(o),
-            None if dropouts <= cfg.dropout_hold_polls => h.last_observed,
+            None if dropouts <= DROPOUT_HOLD_POLLS => h.last_observed,
             None => None,
         };
-        let dropped_out = dropouts >= cfg.dropout_patience;
-        if (dropped_out || stuck >= cfg.stuck_patience) && !h.sensor_latched {
+        let dropped_out = dropouts >= DROPOUT_PATIENCE;
+        if (dropped_out || stuck >= STUCK_PATIENCE) && !h.sensor_latched {
             h.sensor_latched = true;
             let what = if dropped_out {
                 format!("{dropouts} consecutive dropouts")
@@ -1932,7 +1914,7 @@ impl PowerMediator {
                 h.breach_polls = 0;
             } else if over {
                 h.breach_polls += 1;
-                if !h.escalated && h.breach_polls >= cfg.watchdog_patience {
+                if !h.escalated && h.breach_polls >= WATCHDOG_PATIENCE {
                     h.escalated = true;
                     self.escalate(sim);
                 }
@@ -2553,7 +2535,7 @@ mod tests {
         );
         assert_eq!(med.hardening_stats().sensor_faults, 0, "not yet stale");
         // Past the hold window the channel counts as absent, and the
-        // E6 dropout deadline fires at dropout_patience (5).
+        // E6 dropout deadline fires at DROPOUT_PATIENCE (5).
         med.observe_hardened(&mut sim, &over_cap_report(None));
         med.observe_hardened(&mut sim, &over_cap_report(None));
         assert_eq!(
@@ -2603,6 +2585,27 @@ mod tests {
         assert_eq!(med.estimation_stats(), EstimationStats::default());
         assert!(med.last_estimate().is_none());
         assert!(!med.estimation_fallback_engaged());
+    }
+
+    #[test]
+    fn a_meter_dark_from_the_first_poll_is_blind_not_held() {
+        use powermed_sim::faults::FaultConfig;
+        let mut sim = sim_no_esd().with_fault_injection(FaultConfig {
+            seed: 3,
+            meter_dropout_prob: 1.0,
+            ..FaultConfig::default()
+        });
+        let mut med =
+            mediator(PolicyKind::AppResAware, 100.0).with_estimation(EstimatorConfig::default());
+        med.admit(&mut sim, catalog::stream()).unwrap();
+        med.run_for(&mut sim, Seconds::new(1.0), DT);
+        let stats = med.estimation_stats();
+        assert_eq!(stats.estimates, 10);
+        assert_eq!(
+            (stats.held_samples, stats.blind_samples),
+            (0, 10),
+            "with no good sample to hold, every poll runs on the prior sum"
+        );
     }
 
     #[test]
@@ -2769,13 +2772,33 @@ mod tests {
         assert_eq!(t.score(), 1.0, "no inherited distrust: {t:?}");
     }
 
-    /// Probation pinned out of reach so the quarantine tier is stable
-    /// across the whole run — the watchdog-interplay tests below need
-    /// the integrity state to change only for integrity reasons.
-    fn sticky_trust() -> TrustConfig {
-        TrustConfig {
-            probation_clean_polls: 100_000,
-            ..TrustConfig::default()
+    /// Steps `polls` polls and asserts, on every one, that `app` only
+    /// leaves quarantine or containment through the integrity ladder's
+    /// own clean-window transition (a probation) — never through a
+    /// safe-mode engagement, escalation or release — and is never
+    /// re-admitted to full trust.
+    fn step_holding_the_ladder(
+        med: &mut PowerMediator,
+        sim: &mut ServerSim,
+        polls: usize,
+        app: &str,
+    ) {
+        for _ in 0..polls {
+            let quarantined = med.trust_score(app).expect("scored").quarantined();
+            let contained = med.is_contained(app);
+            let probations = med.trust_stats().probations;
+            med.step(sim, DT);
+            let t = med.trust_score(app).expect("scored");
+            let probation = med.trust_stats().probations > probations;
+            assert!(t.distrusted(), "safe mode does not launder trust: {t:?}");
+            assert!(
+                !quarantined || t.quarantined() || probation,
+                "only a served clean window lifts the quarantine"
+            );
+            assert!(
+                !contained || med.is_contained(app) || probation,
+                "only a served clean window ends containment"
+            );
         }
     }
 
@@ -2785,7 +2808,7 @@ mod tests {
         let mut sim = sim_no_esd().with_adversary(AdversaryConfig::noncompliance(7, &["kmeans"]));
         let mut med = mediator(PolicyKind::AppResAware, 100.0)
             .with_estimation(EstimatorConfig::default())
-            .with_integrity_defense(sticky_trust())
+            .with_integrity_defense(TrustConfig::default())
             .with_hardening(HardeningConfig::default());
         med.admit(&mut sim, catalog::stream()).unwrap();
         med.admit(&mut sim, catalog::kmeans()).unwrap();
@@ -2806,26 +2829,25 @@ mod tests {
         );
         let entries_before = med.hardening_stats().safe_mode_entries;
         let exits_before = med.hardening_stats().safe_mode_exits;
-        let quarantines_before = med.trust_stats().quarantines;
+        let before = med.trust_stats();
 
         // An external cap cut no plan can satisfy: the watchdog must
         // still engage even though the integrity ladder already holds
         // an app — the two mechanisms protect different invariants.
+        // The defector keeps cycling through its own ladder (a served
+        // clean window earns probation, renewed defiance relapses it)
+        // while safe mode comes and goes around it.
         med.set_cap(&mut sim, Watts::new(20.0));
-        med.run_for(&mut sim, Seconds::new(5.0), DT);
+        step_holding_the_ladder(&mut med, &mut sim, 50, "kmeans");
         assert!(
             med.hardening_stats().safe_mode_entries > entries_before,
             "the watchdog engaged over the standing quarantine"
-        );
-        assert!(
-            med.trust_score("kmeans").expect("scored").quarantined(),
-            "safe mode does not launder trust"
         );
 
         // Restore the cap: the breach clears, safe mode releases, and
         // the release replan re-asserts the integrity clamp.
         med.set_cap(&mut sim, Watts::new(100.0));
-        med.run_for(&mut sim, Seconds::new(8.0), DT);
+        step_holding_the_ladder(&mut med, &mut sim, 80, "kmeans");
         let stats = med.hardening_stats();
         assert!(
             stats.safe_mode_exits > exits_before,
@@ -2835,14 +2857,13 @@ mod tests {
             stats.safe_mode_entries >= stats.safe_mode_exits,
             "release ordering: every exit pairs with an earlier entry"
         );
-        assert!(
-            med.trust_score("kmeans").expect("scored").quarantined(),
-            "the quarantine outlives the safe-mode round trip"
-        );
+        let after = med.trust_stats();
+        let on_probation =
+            med.trust_score("kmeans").expect("scored").tier() == crate::trust::TrustTier::Probation;
         assert_eq!(
-            med.trust_stats().quarantines,
-            quarantines_before,
-            "E7 fired once; the safe-mode round trip is not a relapse"
+            after.quarantines - before.quarantines + u64::from(on_probation),
+            after.probations - before.probations,
+            "every E7 in the round trip is a probation relapse, none a safe-mode artefact"
         );
         for honest in ["stream", "pagerank"] {
             assert!(
@@ -2858,7 +2879,7 @@ mod tests {
         let mut sim = sim_no_esd().with_adversary(AdversaryConfig::noncompliance(7, &["kmeans"]));
         let mut med = mediator(PolicyKind::AppResAware, 100.0)
             .with_estimation(EstimatorConfig::default())
-            .with_integrity_defense(sticky_trust())
+            .with_integrity_defense(TrustConfig::default())
             .with_hardening(HardeningConfig::default());
         med.admit(&mut sim, catalog::stream()).unwrap();
         med.admit(&mut sim, catalog::kmeans()).unwrap();
@@ -2869,11 +2890,10 @@ mod tests {
             "precondition: post-clamp overdraw escalated to containment: {:?}",
             med.trust_stats()
         );
+        let run_state =
+            |sim: &ServerSim, app: &str| sim.server().assignment(app).expect("hosted").run_state();
         assert_eq!(
-            sim.server()
-                .assignment("kmeans")
-                .expect("hosted")
-                .run_state(),
+            run_state(&sim, "kmeans"),
             AppRunState::Suspended,
             "containment means suspension, the one lever defiance cannot fake"
         );
@@ -2882,43 +2902,37 @@ mod tests {
         let exits_before = med.hardening_stats().safe_mode_exits;
 
         // A cap below even the idle floor forces escalation: everyone
-        // is parked, honest and contained alike.
+        // is parked, honest and contained alike. Escalation does not
+        // clear containment; only the ladder's clean window does.
         med.set_cap(&mut sim, Watts::new(5.0));
-        med.run_for(&mut sim, Seconds::new(4.0), DT);
+        step_holding_the_ladder(&mut med, &mut sim, 40, "kmeans");
         assert!(
             med.hardening_stats().safe_mode_entries > entries_before,
             "the watchdog engaged on the impossible cap"
         );
-        assert!(
-            med.is_contained("kmeans"),
-            "escalation does not clear containment"
-        );
 
         // Release ordering: the exit replan hands settings back to the
-        // honest apps (the actuator resumes them) while the contained
+        // honest apps (the actuator resumes them) while a contained
         // defector is planned *without* a setting and stays parked.
         med.set_cap(&mut sim, Watts::new(100.0));
-        med.run_for(&mut sim, Seconds::new(6.0), DT);
+        step_holding_the_ladder(&mut med, &mut sim, 60, "kmeans");
         assert!(
             med.hardening_stats().safe_mode_exits > exits_before,
             "released once the cap came back"
         );
         for honest in ["stream", "pagerank"] {
             assert_eq!(
-                sim.server().assignment(honest).expect("hosted").run_state(),
+                run_state(&sim, honest),
                 AppRunState::Running,
                 "the honest app {honest} is resumed on release"
             );
         }
         assert!(
             med.is_contained("kmeans"),
-            "containment survives the release"
+            "defiance that outlives the round trip is contained again"
         );
         assert_eq!(
-            sim.server()
-                .assignment("kmeans")
-                .expect("hosted")
-                .run_state(),
+            run_state(&sim, "kmeans"),
             AppRunState::Suspended,
             "the contained app does not ride the release back in"
         );

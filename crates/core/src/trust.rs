@@ -32,66 +32,52 @@
 
 use std::collections::BTreeMap;
 
-/// Tunables for the integrity defense.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TrustConfig {
-    /// Scores below this make an app `Suspect` (σ inflation, claimed
-    /// heartbeat ignored).
-    pub suspect_threshold: f64,
-    /// Scores below this quarantine the app (E7, fair-share clamp).
-    pub quarantine_threshold: f64,
-    /// Multiplier applied by mild evidence (a clamp-bound claim).
-    pub mild_factor: f64,
-    /// Multiplier applied by strong evidence (residual attribution,
-    /// sustained overdraw, drift churn).
-    pub strong_factor: f64,
-    /// Linear credit per clean poll, capped at a score of 1.
-    pub clean_credit: f64,
-    /// Clean polls a quarantined app must string together before
-    /// probation (and again before re-admission).
-    pub probation_clean_polls: u32,
-    /// Fraction of an app's outstanding watt debt clawed back per
-    /// plan (bounded so the clamp never goes below the grid floor).
-    pub clawback_rate: f64,
-    /// Watts of headroom above the allocation before a poll counts as
-    /// overdraw.
-    pub overdraw_margin_w: f64,
-    /// Consecutive overdraw polls before the evidence registers (and
-    /// the debt is charged).
-    pub overdraw_patience: u32,
-    /// E4 drift events on one app before further drifts count as
-    /// strong evidence (profile churn is how a sandbagger looks from
-    /// the outside).
-    pub drift_churn_threshold: u32,
-    /// How long an integrity audit holds the server in a pinned
-    /// minimum-power Space schedule. The audit fires when the
-    /// estimation fallback engages while every app is still trusted —
-    /// the meter disagrees with the model but nothing is implicated,
-    /// which is what a colluding pair hiding inside a duty-cycled
-    /// schedule looks like. Pinning everyone low and steady lets
-    /// heartbeat claims mature so the plausibility cross-checks can
-    /// assign blame; the audit ends at the first quarantine or at this
-    /// deadline, whichever comes first.
-    pub audit_secs: f64,
-}
+/// Scores below this make an app `Suspect` (σ inflation, claimed
+/// heartbeat ignored).
+pub const SUSPECT_THRESHOLD: f64 = 0.7;
+/// Scores below this quarantine the app (E7, fair-share clamp).
+pub const QUARANTINE_THRESHOLD: f64 = 0.3;
+/// Multiplier applied by mild evidence (a clamp-bound claim).
+pub const MILD_FACTOR: f64 = 0.9;
+/// Multiplier applied by strong evidence (residual attribution,
+/// sustained overdraw, drift churn).
+pub const STRONG_FACTOR: f64 = 0.6;
+/// Linear credit per clean poll, capped at a score of 1.
+pub const CLEAN_CREDIT: f64 = 0.005;
+/// Clean polls a quarantined app must string together before
+/// probation (and again before re-admission).
+pub const PROBATION_CLEAN_POLLS: u32 = 40;
+/// Fraction of an app's outstanding watt debt clawed back per
+/// plan (bounded so the clamp never goes below the grid floor).
+pub const CLAWBACK_RATE: f64 = 0.25;
+/// Watts of headroom above the allocation before a poll counts as
+/// overdraw.
+pub const OVERDRAW_MARGIN_W: f64 = 2.0;
+/// Consecutive overdraw polls before the evidence registers (and
+/// the debt is charged).
+pub const OVERDRAW_PATIENCE: u32 = 5;
+/// E4 drift events on one app before further drifts count as
+/// strong evidence (profile churn is how a sandbagger looks from
+/// the outside).
+pub const DRIFT_CHURN_THRESHOLD: u32 = 3;
+/// How long an integrity audit holds the server in a pinned
+/// minimum-power Space schedule, in seconds. The audit fires when the
+/// estimation fallback engages while every app is still trusted —
+/// the meter disagrees with the model but nothing is implicated,
+/// which is what a colluding pair hiding inside a duty-cycled
+/// schedule looks like. Pinning everyone low and steady lets
+/// heartbeat claims mature so the plausibility cross-checks can
+/// assign blame; the audit ends at the first quarantine or at this
+/// deadline, whichever comes first.
+pub const AUDIT_SECS: f64 = 8.0;
 
-impl Default for TrustConfig {
-    fn default() -> Self {
-        Self {
-            suspect_threshold: 0.7,
-            quarantine_threshold: 0.3,
-            mild_factor: 0.9,
-            strong_factor: 0.6,
-            clean_credit: 0.005,
-            probation_clean_polls: 40,
-            clawback_rate: 0.25,
-            overdraw_margin_w: 2.0,
-            overdraw_patience: 5,
-            drift_churn_threshold: 3,
-            audit_secs: 8.0,
-        }
-    }
-}
+const _: () = assert!(0.0 < QUARANTINE_THRESHOLD && QUARANTINE_THRESHOLD < SUSPECT_THRESHOLD);
+const _: () = assert!(SUSPECT_THRESHOLD < 1.0);
+
+/// Enables the integrity defense. It carries no settings: the layer's
+/// tunables are the constants of this module.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct TrustConfig {}
 
 /// Where an app currently sits on the quarantine ladder.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -185,18 +171,18 @@ impl TrustScore {
 
     /// Records one E4 drift; returns `true` once churn crosses the
     /// threshold (the caller then feeds [`Evidence::Strong`]).
-    pub fn note_drift(&mut self, cfg: &TrustConfig) -> bool {
+    pub fn note_drift(&mut self) -> bool {
         self.drift_events = self.drift_events.saturating_add(1);
-        self.drift_events > cfg.drift_churn_threshold
+        self.drift_events > DRIFT_CHURN_THRESHOLD
     }
 
     /// Records one poll of overdraw (attributed draw above allocation
     /// plus margin); returns `true` when patience is exhausted — the
     /// caller charges the debt and feeds [`Evidence::Strong`]. A
     /// non-overdrawn poll resets the streak via [`Self::note_clean`].
-    pub fn note_overdraw(&mut self, cfg: &TrustConfig) -> bool {
+    pub fn note_overdraw(&mut self) -> bool {
         self.overdraw_polls = self.overdraw_polls.saturating_add(1);
-        if self.overdraw_polls >= cfg.overdraw_patience {
+        if self.overdraw_polls >= OVERDRAW_PATIENCE {
             self.overdraw_polls = 0;
             return true;
         }
@@ -205,38 +191,34 @@ impl TrustScore {
 
     /// Applies one poll of evidence against the app. Never raises the
     /// score. Returns the ladder transition, if any.
-    pub fn note_evidence(
-        &mut self,
-        evidence: Evidence,
-        cfg: &TrustConfig,
-    ) -> Option<TrustTransition> {
+    pub fn note_evidence(&mut self, evidence: Evidence) -> Option<TrustTransition> {
         let factor = match evidence {
-            Evidence::Mild => cfg.mild_factor,
-            Evidence::Strong => cfg.strong_factor,
+            Evidence::Mild => MILD_FACTOR,
+            Evidence::Strong => STRONG_FACTOR,
         };
         self.score = (self.score * factor).clamp(0.0, 1.0);
         self.clean_polls = 0;
         match self.tier {
-            TrustTier::Trusted if self.score < cfg.suspect_threshold => {
+            TrustTier::Trusted if self.score < SUSPECT_THRESHOLD => {
                 self.tier = TrustTier::Suspect;
-                if self.score < cfg.quarantine_threshold {
+                if self.score < QUARANTINE_THRESHOLD {
                     self.tier = TrustTier::Quarantined;
                     return Some(TrustTransition::Quarantined);
                 }
                 Some(TrustTransition::Downgraded)
             }
-            TrustTier::Suspect if self.score < cfg.quarantine_threshold => {
+            TrustTier::Suspect if self.score < QUARANTINE_THRESHOLD => {
                 self.tier = TrustTier::Quarantined;
                 Some(TrustTransition::Quarantined)
             }
             // One strong strike on probation re-quarantines outright;
             // a mild one only costs score (and the clean streak).
             TrustTier::Probation if evidence == Evidence::Strong => {
-                self.score = self.score.min(cfg.quarantine_threshold * 0.9);
+                self.score = self.score.min(QUARANTINE_THRESHOLD * 0.9);
                 self.tier = TrustTier::Quarantined;
                 Some(TrustTransition::Quarantined)
             }
-            TrustTier::Probation if self.score < cfg.quarantine_threshold => {
+            TrustTier::Probation if self.score < QUARANTINE_THRESHOLD => {
                 self.tier = TrustTier::Quarantined;
                 Some(TrustTransition::Quarantined)
             }
@@ -246,35 +228,35 @@ impl TrustScore {
 
     /// Credits one clean poll. Never lowers the score. Returns the
     /// ladder transition, if any (quarantine → probation → trusted).
-    pub fn note_clean(&mut self, cfg: &TrustConfig) -> Option<TrustTransition> {
+    pub fn note_clean(&mut self) -> Option<TrustTransition> {
         self.overdraw_polls = 0;
-        self.score = (self.score + cfg.clean_credit).clamp(0.0, 1.0);
+        self.score = (self.score + CLEAN_CREDIT).clamp(0.0, 1.0);
         match self.tier {
             TrustTier::Quarantined => {
                 self.clean_polls += 1;
-                if self.clean_polls >= cfg.probation_clean_polls {
+                if self.clean_polls >= PROBATION_CLEAN_POLLS {
                     self.clean_polls = 0;
                     self.tier = TrustTier::Probation;
                     // Probation starts at the quarantine boundary so a
                     // single mild slip does not instantly re-latch.
-                    self.score = self.score.max(cfg.quarantine_threshold);
+                    self.score = self.score.max(QUARANTINE_THRESHOLD);
                     return Some(TrustTransition::Probation);
                 }
                 None
             }
             TrustTier::Probation => {
                 self.clean_polls += 1;
-                if self.clean_polls >= cfg.probation_clean_polls {
+                if self.clean_polls >= PROBATION_CLEAN_POLLS {
                     self.clean_polls = 0;
                     self.tier = TrustTier::Trusted;
-                    self.score = self.score.max(cfg.suspect_threshold);
+                    self.score = self.score.max(SUSPECT_THRESHOLD);
                     self.drift_events = 0;
                     return Some(TrustTransition::Readmitted);
                 }
                 None
             }
             TrustTier::Suspect => {
-                if self.score >= cfg.suspect_threshold {
+                if self.score >= SUSPECT_THRESHOLD {
                     self.tier = TrustTier::Trusted;
                 }
                 None
@@ -357,18 +339,14 @@ impl WattDebtLedger {
 /// more plans instead of starving the app outright, and an honest
 /// app's share is never the source of the repayment (proptest-enforced
 /// alongside the ledger invariants).
-pub fn clamp_budget(fair_w: f64, outstanding_w: f64, clawback_rate: f64) -> (f64, f64) {
-    let clawback = (outstanding_w * clawback_rate).min(fair_w * 0.5).max(0.0);
+pub fn clamp_budget(fair_w: f64, outstanding_w: f64) -> (f64, f64) {
+    let clawback = (outstanding_w * CLAWBACK_RATE).min(fair_w * 0.5).max(0.0);
     ((fair_w - clawback).max(0.0), clawback)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn cfg() -> TrustConfig {
-        TrustConfig::default()
-    }
 
     #[test]
     fn fresh_score_is_fully_trusted() {
@@ -381,11 +359,10 @@ mod tests {
     #[test]
     fn mild_evidence_walks_down_to_suspect_then_quarantine() {
         let mut t = TrustScore::new();
-        let c = cfg();
         let mut saw_downgrade = false;
         let mut saw_quarantine = false;
         for _ in 0..32 {
-            match t.note_evidence(Evidence::Mild, &c) {
+            match t.note_evidence(Evidence::Mild) {
                 Some(TrustTransition::Downgraded) => saw_downgrade = true,
                 Some(TrustTransition::Quarantined) => {
                     saw_quarantine = true;
@@ -401,13 +378,12 @@ mod tests {
 
     #[test]
     fn strong_evidence_quarantines_faster_than_mild() {
-        let c = cfg();
         let mut mild = TrustScore::new();
         let mut strong = TrustScore::new();
         let count = |t: &mut TrustScore, e: Evidence| {
             let mut polls = 0;
             while !t.quarantined() {
-                t.note_evidence(e, &c);
+                t.note_evidence(e);
                 polls += 1;
             }
             polls
@@ -417,14 +393,13 @@ mod tests {
 
     #[test]
     fn clean_window_earns_probation_then_readmission() {
-        let c = cfg();
         let mut t = TrustScore::new();
         while !t.quarantined() {
-            t.note_evidence(Evidence::Strong, &c);
+            t.note_evidence(Evidence::Strong);
         }
         let mut transitions = Vec::new();
-        for _ in 0..(2 * c.probation_clean_polls) {
-            if let Some(tr) = t.note_clean(&c) {
+        for _ in 0..(2 * PROBATION_CLEAN_POLLS) {
+            if let Some(tr) = t.note_clean() {
                 transitions.push(tr);
             }
         }
@@ -433,22 +408,21 @@ mod tests {
             vec![TrustTransition::Probation, TrustTransition::Readmitted]
         );
         assert_eq!(t.tier(), TrustTier::Trusted);
-        assert!(t.score() >= c.suspect_threshold);
+        assert!(t.score() >= SUSPECT_THRESHOLD);
     }
 
     #[test]
     fn strong_strike_on_probation_requarantines() {
-        let c = cfg();
         let mut t = TrustScore::new();
         while !t.quarantined() {
-            t.note_evidence(Evidence::Strong, &c);
+            t.note_evidence(Evidence::Strong);
         }
-        for _ in 0..c.probation_clean_polls {
-            t.note_clean(&c);
+        for _ in 0..PROBATION_CLEAN_POLLS {
+            t.note_clean();
         }
         assert_eq!(t.tier(), TrustTier::Probation);
         assert_eq!(
-            t.note_evidence(Evidence::Strong, &c),
+            t.note_evidence(Evidence::Strong),
             Some(TrustTransition::Quarantined)
         );
         assert!(t.quarantined());
@@ -456,26 +430,24 @@ mod tests {
 
     #[test]
     fn drift_churn_counts_only_past_the_threshold() {
-        let c = cfg();
         let mut t = TrustScore::new();
-        for _ in 0..c.drift_churn_threshold {
-            assert!(!t.note_drift(&c), "early drifts are legitimate E4s");
+        for _ in 0..DRIFT_CHURN_THRESHOLD {
+            assert!(!t.note_drift(), "early drifts are legitimate E4s");
         }
-        assert!(t.note_drift(&c), "churn past the threshold is evidence");
+        assert!(t.note_drift(), "churn past the threshold is evidence");
     }
 
     #[test]
     fn overdraw_needs_patience_and_clean_polls_reset_it() {
-        let c = cfg();
         let mut t = TrustScore::new();
-        for _ in 0..(c.overdraw_patience - 1) {
-            assert!(!t.note_overdraw(&c));
+        for _ in 0..(OVERDRAW_PATIENCE - 1) {
+            assert!(!t.note_overdraw());
         }
-        t.note_clean(&c);
-        for _ in 0..(c.overdraw_patience - 1) {
-            assert!(!t.note_overdraw(&c), "streak was reset by the clean poll");
+        t.note_clean();
+        for _ in 0..(OVERDRAW_PATIENCE - 1) {
+            assert!(!t.note_overdraw(), "streak was reset by the clean poll");
         }
-        assert!(t.note_overdraw(&c));
+        assert!(t.note_overdraw());
     }
 
     #[test]
@@ -506,18 +478,18 @@ mod tests {
 
     /// Replays an arbitrary evidence history onto a fresh score.
     /// 0 = clean, 1 = mild, 2 = strong.
-    fn replay(codes: &[u8], cfg: &TrustConfig) -> TrustScore {
+    fn replay(codes: &[u8]) -> TrustScore {
         let mut t = TrustScore::new();
         for &code in codes {
             match code {
                 0 => {
-                    t.note_clean(cfg);
+                    t.note_clean();
                 }
                 1 => {
-                    t.note_evidence(Evidence::Mild, cfg);
+                    t.note_evidence(Evidence::Mild);
                 }
                 _ => {
-                    t.note_evidence(Evidence::Strong, cfg);
+                    t.note_evidence(Evidence::Strong);
                 }
             }
         }
@@ -534,11 +506,10 @@ mod tests {
             history in proptest::collection::vec(0u8..3, 0..60),
             cleans in 1usize..80,
         ) {
-            let c = cfg();
-            let mut t = replay(&history, &c);
+            let mut t = replay(&history);
             let mut score = t.score();
             for _ in 0..cleans {
-                t.note_clean(&c);
+                t.note_clean();
                 prop_assert!(
                     t.score() >= score,
                     "a clean poll lowered the score: {score} -> {}",
@@ -556,12 +527,11 @@ mod tests {
             history in proptest::collection::vec(0u8..3, 0..60),
             strikes in proptest::collection::vec(1u8..3, 1..80),
         ) {
-            let c = cfg();
-            let mut t = replay(&history, &c);
+            let mut t = replay(&history);
             let mut score = t.score();
             for code in strikes {
                 let evidence = if code == 1 { Evidence::Mild } else { Evidence::Strong };
-                t.note_evidence(evidence, &c);
+                t.note_evidence(evidence);
                 prop_assert!(
                     t.score() <= score,
                     "implausible evidence raised the score: {score} -> {}",
@@ -612,14 +582,13 @@ mod tests {
         fn prop_clamp_budget_keeps_the_fair_floor(
             fair in 0.0f64..60.0,
             outstanding in 0.0f64..500.0,
-            rate in 0.0f64..1.0,
         ) {
-            let (budget, clawback) = clamp_budget(fair, outstanding, rate);
+            let (budget, clawback) = clamp_budget(fair, outstanding);
             prop_assert!(budget >= fair * 0.5 - 1e-9, "docked below the fair floor");
             prop_assert!(budget <= fair + 1e-9, "the clamp never grants extra watts");
             prop_assert!(clawback >= 0.0);
             prop_assert!((fair - budget - clawback).abs() < 1e-9, "watts leaked");
-            prop_assert!(clawback <= outstanding * rate + 1e-9, "clawed back more than due");
+            prop_assert!(clawback <= outstanding * CLAWBACK_RATE + 1e-9, "clawed back more than due");
         }
     }
 }

@@ -1,5 +1,5 @@
 //! Graceful-degradation machinery: the safe-mode watchdog and the
-//! hardening configuration for a [`crate::runtime::PowerMediator`]
+//! hardening tunables for a [`crate::runtime::PowerMediator`]
 //! facing a faulty substrate.
 //!
 //! The watchdog is deliberately a tiny pure state machine — it consumes
@@ -11,44 +11,37 @@
 
 use powermed_units::Seconds;
 
-/// Tunables for the hardened mediator.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct HardeningConfig {
-    /// Bounded retries for a knob write that failed or did not land.
-    pub max_retries: u32,
-    /// Base sim-time backoff between retries (attempt `k` waits
-    /// `k × retry_backoff`).
-    pub retry_backoff: Seconds,
-    /// Consecutive over-cap observed polls before safe mode engages.
-    pub watchdog_patience: u32,
-    /// Consecutive under-cap observed polls before safe mode releases.
-    pub watchdog_release: u32,
-    /// Consecutive sample dropouts before an E6 sensor fault fires.
-    pub dropout_patience: u32,
-    /// Dropout polls over which the mediator keeps feeding the *last
-    /// good* meter reading to the watchdog before going blind. Must be
-    /// below `dropout_patience`: holding bridges brief sensor gaps so a
-    /// breach in progress keeps arming the watchdog, while a sustained
-    /// outage still escalates to E6 on schedule.
-    pub dropout_hold_polls: u32,
-    /// Consecutive bit-identical observed readings (while the internal
-    /// RAPL-side reading moves) before an E6 sensor fault fires.
-    pub stuck_patience: u32,
-}
+/// Bounded retries for a knob write that failed or did not land.
+pub const MAX_RETRIES: u32 = 3;
+/// Base sim-time backoff between retries (attempt `k` waits
+/// `k × RETRY_BACKOFF`).
+pub const RETRY_BACKOFF: Seconds = Seconds::new(0.2);
+/// Consecutive over-cap observed polls before safe mode engages.
+pub const WATCHDOG_PATIENCE: u32 = 5;
+/// Consecutive under-cap observed polls before safe mode releases.
+pub const WATCHDOG_RELEASE: u32 = 10;
+/// Consecutive sample dropouts before an E6 sensor fault fires.
+pub const DROPOUT_PATIENCE: u32 = 5;
+/// Dropout polls over which the mediator keeps feeding the *last
+/// good* meter reading to the watchdog before going blind. Must be
+/// below [`DROPOUT_PATIENCE`]: holding bridges brief sensor gaps so a
+/// breach in progress keeps arming the watchdog, while a sustained
+/// outage still escalates to E6 on schedule.
+pub const DROPOUT_HOLD_POLLS: u32 = 3;
+/// Consecutive bit-identical observed readings (while the internal
+/// RAPL-side reading moves) before an E6 sensor fault fires.
+pub const STUCK_PATIENCE: u32 = 10;
 
-impl Default for HardeningConfig {
-    fn default() -> Self {
-        Self {
-            max_retries: 3,
-            retry_backoff: Seconds::new(0.2),
-            watchdog_patience: 5,
-            watchdog_release: 10,
-            dropout_patience: 5,
-            dropout_hold_polls: 3,
-            stuck_patience: 10,
-        }
-    }
-}
+const _: () = assert!(MAX_RETRIES >= 1);
+const _: () = assert!(RETRY_BACKOFF.value() > 0.0);
+const _: () = assert!(WATCHDOG_PATIENCE >= 1 && WATCHDOG_RELEASE >= WATCHDOG_PATIENCE);
+// Holding must not outlast the dropout E6 deadline.
+const _: () = assert!(DROPOUT_HOLD_POLLS < DROPOUT_PATIENCE);
+
+/// Enables the hardened mediator. It carries no settings: the layer's
+/// tunables are the constants of this module.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct HardeningConfig {}
 
 /// A watchdog state change reported by [`SafeModeWatchdog::observe`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -201,18 +194,6 @@ mod tests {
     #[should_panic(expected = "patience")]
     fn zero_patience_rejected() {
         let _ = SafeModeWatchdog::new(0, 1);
-    }
-
-    #[test]
-    fn default_config_is_sane() {
-        let c = HardeningConfig::default();
-        assert!(c.max_retries >= 1);
-        assert!(c.retry_backoff.value() > 0.0);
-        assert!(c.watchdog_release >= c.watchdog_patience);
-        assert!(
-            c.dropout_hold_polls < c.dropout_patience,
-            "holding must not outlast the dropout E6 deadline"
-        );
     }
 
     #[test]

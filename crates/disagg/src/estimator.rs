@@ -30,76 +30,51 @@ use std::collections::BTreeMap;
 
 use crate::solver::{solve_shares, AppPrior};
 
-/// Tunables for the estimation layer.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct EstimatorConfig {
-    /// Floor on any per-app prior sigma, in watts.
-    pub sigma_floor_w: f64,
-    /// Base relative sigma on a full-confidence prior (fraction of the
-    /// predicted draw).
-    pub prior_rel_sigma: f64,
-    /// Sigma multiplier for an app whose last knob write has not
-    /// verified (the actuated setting may not be the planned one).
-    pub stale_knob_inflation: f64,
-    /// Relative sigma attributed to the meter itself (fraction of the
-    /// observed reading); folds into the residual band so calibrated
-    /// meter noise does not read as model error.
-    pub meter_rel_sigma: f64,
-    /// Polls a missing sample is served from the last good reading
-    /// before the estimator falls back to the prior-sum pseudo-meter.
-    pub hold_max_polls: u32,
-    /// Per-held-poll multiplicative band growth (≥ 1).
-    pub stale_sigma_growth: f64,
-    /// A residual counts as a spike above `residual_band_k × band`
-    /// (and above `residual_floor_w`, so a near-idle server with a
-    /// tiny band is not hair-triggered).
-    pub residual_band_k: f64,
-    /// Absolute spike floor, in watts.
-    pub residual_floor_w: f64,
-    /// Consecutive spike polls before the fallback cap engages.
-    pub residual_patience: u32,
-    /// Consecutive spike polls *while the fallback is engaged* before
-    /// the ladder escalates to safe mode.
-    pub escalate_patience: u32,
-    /// Consecutive clean polls before an engaged fallback releases.
-    pub release_patience: u32,
-    /// Lower bound on the claimed-over-expected heartbeat ratio an
-    /// app's self-report may scale its prior by. Claims below this are
-    /// clamped (and counted — the integrity layer reads clamp-bound
-    /// polls as evidence).
-    pub hb_ratio_min: f64,
-    /// Upper bound on the claimed-over-expected heartbeat ratio.
-    pub hb_ratio_max: f64,
-    /// Learn the static floor online from idle-period meter readings
-    /// (EWMA) instead of trusting the spec-declared value. Off by
-    /// default: estimates are bit-identical to the spec-floor path.
-    pub learn_static_floor: bool,
-    /// EWMA smoothing factor for the learned floor (weight of a fresh
-    /// idle sample; the first idle sample seeds the estimate directly).
-    pub floor_ewma_alpha: f64,
-}
+/// Floor on any per-app prior sigma, in watts.
+pub const SIGMA_FLOOR_W: f64 = 0.5;
+/// Base relative sigma on a full-confidence prior (fraction of the
+/// predicted draw).
+pub const PRIOR_REL_SIGMA: f64 = 0.05;
+/// Sigma multiplier for an app whose last knob write has not
+/// verified (the actuated setting may not be the planned one).
+pub const STALE_KNOB_INFLATION: f64 = 3.0;
+/// Relative sigma attributed to the meter itself (fraction of the
+/// observed reading); folds into the residual band so calibrated
+/// meter noise does not read as model error.
+pub const METER_REL_SIGMA: f64 = 0.02;
+/// Polls a missing sample is served from the last good reading
+/// before the estimator falls back to the prior-sum pseudo-meter.
+pub const HOLD_MAX_POLLS: u32 = 3;
+/// Per-held-poll multiplicative band growth (≥ 1).
+pub const STALE_SIGMA_GROWTH: f64 = 1.5;
+/// A residual counts as a spike above `RESIDUAL_BAND_K × band`
+/// (and above [`RESIDUAL_FLOOR_W`], so a near-idle server with a
+/// tiny band is not hair-triggered).
+pub const RESIDUAL_BAND_K: f64 = 3.0;
+/// Absolute spike floor, in watts.
+pub const RESIDUAL_FLOOR_W: f64 = 3.0;
+/// Consecutive spike polls before the fallback cap engages.
+pub const RESIDUAL_PATIENCE: u32 = 8;
+/// Consecutive spike polls *while the fallback is engaged* before
+/// the ladder escalates to safe mode.
+pub const ESCALATE_PATIENCE: u32 = 100;
+/// Consecutive clean polls before an engaged fallback releases.
+pub const RELEASE_PATIENCE: u32 = 20;
+/// Lower bound on the claimed-over-expected heartbeat ratio an
+/// app's self-report may scale its prior by. Claims below this are
+/// clamped (and counted — the integrity layer reads clamp-bound
+/// polls as evidence).
+pub const HB_RATIO_MIN: f64 = 0.5;
+/// Upper bound on the claimed-over-expected heartbeat ratio.
+pub const HB_RATIO_MAX: f64 = 1.5;
 
-impl Default for EstimatorConfig {
-    fn default() -> Self {
-        Self {
-            sigma_floor_w: 0.5,
-            prior_rel_sigma: 0.05,
-            stale_knob_inflation: 3.0,
-            meter_rel_sigma: 0.02,
-            hold_max_polls: 3,
-            stale_sigma_growth: 1.5,
-            residual_band_k: 3.0,
-            residual_floor_w: 3.0,
-            residual_patience: 8,
-            escalate_patience: 100,
-            release_patience: 20,
-            hb_ratio_min: 0.5,
-            hb_ratio_max: 1.5,
-            learn_static_floor: false,
-            floor_ewma_alpha: 0.05,
-        }
-    }
-}
+const _: () = assert!(HB_RATIO_MIN < 1.0 && 1.0 < HB_RATIO_MAX);
+const _: () = assert!(STALE_SIGMA_GROWTH >= 1.0);
+
+/// Enables the estimation layer. It carries no settings: the layer's
+/// tunables are the constants of this module.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct EstimatorConfig {}
 
 /// One app's estimated share with its confidence interval.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -128,9 +103,23 @@ pub struct EstimatedBreakdown {
     /// One-sigma band on the total (priors + meter), in watts. The
     /// conservative fallback shaves the planning cap by this much.
     pub band_w: f64,
-    /// Polls this estimate has been served without a fresh sample
-    /// (0 = the meter reported this poll).
-    pub held_polls: u32,
+    /// Where the aggregate sample came from.
+    pub sample: SampleSource,
+}
+
+/// Where the aggregate sample behind an [`EstimatedBreakdown`] came
+/// from. The held variants carry the polls served since the last fresh
+/// sample.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SampleSource {
+    /// The meter reported this poll.
+    Fresh,
+    /// A dropout inside the hold window: the last good reading stood in.
+    Held(u32),
+    /// No usable reading — the dropout outlasted [`HOLD_MAX_POLLS`], or
+    /// the meter never reported at all: the prior-sum pseudo-meter
+    /// stood in.
+    Blind(u32),
 }
 
 /// What the degradation ladder wants the runtime to do this poll.
@@ -147,54 +136,31 @@ pub enum DegradeAction {
     ReleaseFallback,
 }
 
+/// One poll's verdict from [`PowerEstimator::note_residual`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ResidualVerdict {
+    /// `Some(streak)` when the residual spiked: the consecutive spike
+    /// polls so far, this one included.
+    pub spike: Option<u32>,
+    /// What the runtime must do.
+    pub action: DegradeAction,
+}
+
 /// Stateful per-server power estimator.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct PowerEstimator {
-    config: EstimatorConfig,
     last_good_w: Option<f64>,
     held_polls: u32,
     spike_polls: u32,
     clean_polls: u32,
     fallback_engaged: bool,
     escalated: bool,
-    /// EWMA of idle-period meter readings when floor learning is on.
-    learned_floor_w: Option<f64>,
 }
 
 impl PowerEstimator {
-    /// Creates an estimator under `config`.
-    pub fn new(config: EstimatorConfig) -> Self {
-        Self {
-            config,
-            last_good_w: None,
-            held_polls: 0,
-            spike_polls: 0,
-            clean_polls: 0,
-            fallback_engaged: false,
-            escalated: false,
-            learned_floor_w: None,
-        }
-    }
-
-    /// The online floor estimate, once at least one idle-period sample
-    /// has been folded in (`None` before that, or with learning off).
-    pub fn learned_floor_w(&self) -> Option<f64> {
-        self.learned_floor_w
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> &EstimatorConfig {
-        &self.config
-    }
-
     /// Whether the conservative fallback cap is currently engaged.
     pub fn fallback_engaged(&self) -> bool {
         self.fallback_engaged
-    }
-
-    /// Consecutive spike polls so far (resets on any clean poll).
-    pub fn spike_polls(&self) -> u32 {
-        self.spike_polls
     }
 
     /// Reconstructs the per-app breakdown for one poll.
@@ -213,69 +179,44 @@ impl PowerEstimator {
         esd_discharge_w: f64,
         priors: &[AppPrior],
     ) -> EstimatedBreakdown {
-        // Online floor learning: an idle poll — every hosted app
-        // predicted at 0 W (suspended, completed, or nothing hosted) —
-        // gives the meter a direct reading of the static floor. Fold
-        // fresh idle samples into an EWMA and substitute the learned
-        // value for the spec-declared floor once one exists, so a
-        // mis-specified spec stops biasing every share estimate.
-        let static_floor_w = if self.config.learn_static_floor {
-            if let Some(v) = observed_net_w {
-                if priors.iter().all(|p| p.predicted_w == 0.0) {
-                    let idle_sample = v - esd_charge_w + esd_discharge_w;
-                    let alpha = self.config.floor_ewma_alpha.clamp(0.0, 1.0);
-                    self.learned_floor_w = Some(match self.learned_floor_w {
-                        Some(f) => f + alpha * (idle_sample - f),
-                        None => idle_sample,
-                    });
-                }
-            }
-            self.learned_floor_w.unwrap_or(static_floor_w)
-        } else {
-            static_floor_w
-        };
         let prior_sum: f64 = priors.iter().map(|p| p.predicted_w).sum();
         let predicted_net = static_floor_w + prior_sum + esd_charge_w - esd_discharge_w;
-        let (sample, held) = match observed_net_w {
+        let (sample_w, source) = match observed_net_w {
             Some(v) => {
                 self.last_good_w = Some(v);
                 self.held_polls = 0;
-                (v, 0)
+                (v, SampleSource::Fresh)
             }
             None => {
                 self.held_polls += 1;
                 match self.last_good_w {
                     // Hold the last good reading through a bounded
                     // window…
-                    Some(v) if self.held_polls <= self.config.hold_max_polls => {
-                        (v, self.held_polls)
+                    Some(v) if self.held_polls <= HOLD_MAX_POLLS => {
+                        (v, SampleSource::Held(self.held_polls))
                     }
                     // …then stop pretending the meter exists: serve the
                     // model's own prediction with a maximally wide band
                     // (the residual is zero by construction, so a blind
                     // estimator never drives the ladder).
-                    _ => (predicted_net, self.held_polls),
+                    _ => (predicted_net, SampleSource::Blind(self.held_polls)),
                 }
             }
         };
         // Staleness widens every band geometrically per held poll.
-        let growth = self
-            .config
-            .stale_sigma_growth
-            .max(1.0)
-            .powi(held.min(16) as i32);
+        let growth = STALE_SIGMA_GROWTH.powi(self.held_polls.min(16) as i32);
         let widened: Vec<AppPrior> = priors
             .iter()
             .map(|p| AppPrior {
                 name: p.name.clone(),
                 predicted_w: p.predicted_w,
-                sigma_w: (p.sigma_w * growth).max(self.config.sigma_floor_w),
+                sigma_w: (p.sigma_w * growth).max(SIGMA_FLOOR_W),
             })
             .collect();
-        let dynamic_total = sample - static_floor_w - esd_charge_w + esd_discharge_w;
+        let dynamic_total = sample_w - static_floor_w - esd_charge_w + esd_discharge_w;
         let shares = solve_shares(dynamic_total, &widened);
         let prior_var: f64 = widened.iter().map(|p| p.sigma_w.powi(2)).sum();
-        let meter_sigma = self.config.meter_rel_sigma * sample.abs() * growth;
+        let meter_sigma = METER_REL_SIGMA * sample_w.abs() * growth;
         let band = (prior_var + meter_sigma.powi(2)).sqrt();
         let apps: BTreeMap<String, ShareEstimate> = widened
             .iter()
@@ -292,26 +233,27 @@ impl PowerEstimator {
             .collect();
         EstimatedBreakdown {
             apps,
-            observed_net_w: sample,
+            observed_net_w: sample_w,
             dynamic_total_w: dynamic_total.max(0.0),
-            residual_w: sample - predicted_net,
+            residual_w: sample_w - predicted_net,
             band_w: band,
-            held_polls: held,
+            sample: source,
         }
     }
 
-    /// Feeds one poll's residual verdict into the degradation ladder
-    /// and returns the action the runtime must take.
+    /// Feeds one poll's residual into the degradation ladder and
+    /// returns the spike verdict and the action the runtime must take.
     ///
-    /// Held polls never advance the spike counter (a held sample
-    /// carries no fresh evidence either way); they do not reset it
-    /// either.
-    pub fn note_residual(&mut self, estimate: &EstimatedBreakdown) -> DegradeAction {
-        if estimate.held_polls > 0 {
-            return DegradeAction::None;
+    /// Only a fresh sample is evidence: held and blind polls neither
+    /// advance the spike counter nor reset it.
+    pub fn note_residual(&mut self, estimate: &EstimatedBreakdown) -> ResidualVerdict {
+        if estimate.sample != SampleSource::Fresh {
+            return ResidualVerdict {
+                spike: None,
+                action: DegradeAction::None,
+            };
         }
-        let threshold =
-            (self.config.residual_band_k * estimate.band_w).max(self.config.residual_floor_w);
+        let threshold = (RESIDUAL_BAND_K * estimate.band_w).max(RESIDUAL_FLOOR_W);
         let spike = estimate.residual_w.abs() > threshold;
         if spike {
             self.spike_polls += 1;
@@ -320,28 +262,32 @@ impl PowerEstimator {
             self.clean_polls += 1;
             self.spike_polls = 0;
         }
-        if !self.fallback_engaged {
-            if self.spike_polls >= self.config.residual_patience {
+        let streak = spike.then_some(self.spike_polls);
+        let action = if !self.fallback_engaged {
+            if self.spike_polls >= RESIDUAL_PATIENCE {
                 self.fallback_engaged = true;
                 self.escalated = false;
                 self.spike_polls = 0;
-                return DegradeAction::EngageFallback;
+                DegradeAction::EngageFallback
+            } else {
+                DegradeAction::None
             }
-            return DegradeAction::None;
-        }
-        // Fallback engaged.
-        if spike && !self.escalated && self.spike_polls >= self.config.escalate_patience {
+        } else if spike && !self.escalated && self.spike_polls >= ESCALATE_PATIENCE {
             self.escalated = true;
             self.spike_polls = 0;
-            return DegradeAction::Escalate;
-        }
-        if !spike && self.clean_polls >= self.config.release_patience {
+            DegradeAction::Escalate
+        } else if !spike && self.clean_polls >= RELEASE_PATIENCE {
             self.fallback_engaged = false;
             self.escalated = false;
             self.clean_polls = 0;
-            return DegradeAction::ReleaseFallback;
+            DegradeAction::ReleaseFallback
+        } else {
+            DegradeAction::None
+        };
+        ResidualVerdict {
+            spike: streak,
+            action,
         }
-        DegradeAction::None
     }
 }
 
@@ -362,66 +308,11 @@ mod tests {
     }
 
     #[test]
-    fn mis_specified_floor_converges_when_learning_is_on() {
-        let mut e = PowerEstimator::new(EstimatorConfig {
-            learn_static_floor: true,
-            ..EstimatorConfig::default()
-        });
-        // The spec claims a 70 W floor; the server actually idles at
-        // 78 W. Idle polls (zero-predicted priors) teach the estimator.
-        let idle = vec![prior("stream", 0.0, 0.5), prior("kmeans", 0.0, 0.5)];
-        for _ in 0..120 {
-            e.estimate(Some(78.0), 70.0, 0.0, 0.0, &idle);
-        }
-        let learned = e.learned_floor_w().expect("floor learned after idle polls");
-        assert!((learned - 78.0).abs() < 0.5, "learned {learned}, true 78");
-        // An active poll now nets dynamic draw off the *learned* floor:
-        // meter 113 − learned 78 = 35 W of dynamic, unbiased residual.
-        let eb = e.estimate(Some(113.0), 70.0, 0.0, 0.0, &reference_priors());
-        assert!(
-            (eb.dynamic_total_w - 35.0).abs() < 0.5,
-            "dynamic {} should net off the learned floor",
-            eb.dynamic_total_w
-        );
-        assert!(eb.residual_w.abs() < 0.5, "residual {}", eb.residual_w);
-    }
-
-    #[test]
-    fn floor_learning_ignores_dropouts_and_busy_polls() {
-        let mut e = PowerEstimator::new(EstimatorConfig {
-            learn_static_floor: true,
-            ..EstimatorConfig::default()
-        });
-        // Busy polls and dropouts must not teach the floor.
-        e.estimate(Some(105.0), 70.0, 0.0, 0.0, &reference_priors());
-        e.estimate(None, 70.0, 0.0, 0.0, &[]);
-        assert_eq!(e.learned_floor_w(), None);
-        // ESD flows are netted out of the idle sample.
-        e.estimate(Some(80.0), 70.0, 5.0, 0.0, &[]);
-        assert_eq!(e.learned_floor_w(), Some(75.0));
-    }
-
-    #[test]
-    fn floor_learning_off_is_bit_identical() {
-        let mut learn_off = PowerEstimator::new(EstimatorConfig::default());
-        let mut explicit = PowerEstimator::new(EstimatorConfig {
-            learn_static_floor: false,
-            ..EstimatorConfig::default()
-        });
-        for sample in [Some(105.0), None, Some(78.0), Some(112.0)] {
-            let a = learn_off.estimate(sample, 70.0, 0.0, 0.0, &reference_priors());
-            let b = explicit.estimate(sample, 70.0, 0.0, 0.0, &reference_priors());
-            assert_eq!(a, b);
-        }
-        assert_eq!(learn_off.learned_floor_w(), None);
-    }
-
-    #[test]
     fn fresh_sample_disaggregates_to_the_meter() {
-        let mut e = PowerEstimator::new(EstimatorConfig::default());
+        let mut e = PowerEstimator::default();
         // floor 70, priors 35 ⇒ predicted net 105; meter says 107.
         let eb = e.estimate(Some(107.0), 70.0, 0.0, 0.0, &reference_priors());
-        assert_eq!(eb.held_polls, 0);
+        assert_eq!(eb.sample, SampleSource::Fresh);
         assert!((eb.dynamic_total_w - 37.0).abs() < 1e-9);
         let total: f64 = eb.apps.values().map(|s| s.watts).sum();
         assert!((total - 37.0).abs() < 1e-6, "shares sum to the meter");
@@ -430,7 +321,7 @@ mod tests {
 
     #[test]
     fn esd_flows_are_netted_out() {
-        let mut e = PowerEstimator::new(EstimatorConfig::default());
+        let mut e = PowerEstimator::default();
         // net = gross + charge − discharge; discharge of 10 W hides
         // 10 W of dynamic draw from the net meter.
         let eb = e.estimate(Some(95.0), 70.0, 0.0, 10.0, &reference_priors());
@@ -439,10 +330,10 @@ mod tests {
 
     #[test]
     fn dropouts_hold_the_last_good_sample_with_widening_bands() {
-        let mut e = PowerEstimator::new(EstimatorConfig::default());
+        let mut e = PowerEstimator::default();
         let fresh = e.estimate(Some(105.0), 70.0, 0.0, 0.0, &reference_priors());
         let held1 = e.estimate(None, 70.0, 0.0, 0.0, &reference_priors());
-        assert_eq!(held1.held_polls, 1);
+        assert_eq!(held1.sample, SampleSource::Held(1));
         assert_eq!(held1.observed_net_w, 105.0, "last good value held");
         assert!(held1.band_w > fresh.band_w, "staleness widens the band");
         let held2 = e.estimate(None, 70.0, 0.0, 0.0, &reference_priors());
@@ -451,16 +342,14 @@ mod tests {
 
     #[test]
     fn past_the_hold_window_the_prior_sum_takes_over() {
-        let cfg = EstimatorConfig {
-            hold_max_polls: 2,
-            ..EstimatorConfig::default()
-        };
-        let mut e = PowerEstimator::new(cfg);
+        let mut e = PowerEstimator::default();
         e.estimate(Some(200.0), 70.0, 0.0, 0.0, &reference_priors());
-        e.estimate(None, 70.0, 0.0, 0.0, &reference_priors());
-        e.estimate(None, 70.0, 0.0, 0.0, &reference_priors());
+        for polls in 1..=HOLD_MAX_POLLS {
+            let held = e.estimate(None, 70.0, 0.0, 0.0, &reference_priors());
+            assert_eq!(held.sample, SampleSource::Held(polls));
+        }
         let blind = e.estimate(None, 70.0, 0.0, 0.0, &reference_priors());
-        assert_eq!(blind.held_polls, 3);
+        assert_eq!(blind.sample, SampleSource::Blind(HOLD_MAX_POLLS + 1));
         assert!(
             (blind.observed_net_w - 105.0).abs() < 1e-9,
             "prior-sum pseudo-meter, not the stale 200 W"
@@ -470,64 +359,77 @@ mod tests {
 
     #[test]
     fn no_sample_ever_means_prior_sum_from_the_start() {
-        let mut e = PowerEstimator::new(EstimatorConfig::default());
+        let mut e = PowerEstimator::default();
         let eb = e.estimate(None, 70.0, 0.0, 0.0, &reference_priors());
+        assert_eq!(eb.sample, SampleSource::Blind(1), "nothing to hold yet");
         assert!((eb.dynamic_total_w - 35.0).abs() < 1e-9);
     }
 
-    #[test]
-    fn ladder_engages_escalates_and_releases() {
-        let cfg = EstimatorConfig {
-            residual_patience: 3,
-            escalate_patience: 4,
-            release_patience: 2,
-            residual_floor_w: 1.0,
-            ..EstimatorConfig::default()
-        };
-        let mut e = PowerEstimator::new(cfg);
-        let spike = EstimatedBreakdown {
+    fn spike(sample: SampleSource) -> EstimatedBreakdown {
+        EstimatedBreakdown {
             apps: BTreeMap::new(),
             observed_net_w: 120.0,
             dynamic_total_w: 50.0,
             residual_w: 50.0,
             band_w: 1.0,
-            held_polls: 0,
-        };
+            sample,
+        }
+    }
+
+    #[test]
+    fn ladder_engages_escalates_and_releases() {
+        let mut e = PowerEstimator::default();
+        let spike = spike(SampleSource::Fresh);
         let clean = EstimatedBreakdown {
             residual_w: 0.0,
             ..spike.clone()
         };
-        assert_eq!(e.note_residual(&spike), DegradeAction::None);
-        assert_eq!(e.note_residual(&spike), DegradeAction::None);
-        assert_eq!(e.note_residual(&spike), DegradeAction::EngageFallback);
-        assert!(e.fallback_engaged());
-        for _ in 0..3 {
-            assert_eq!(e.note_residual(&spike), DegradeAction::None);
+        let none = |streak| ResidualVerdict {
+            spike: Some(streak),
+            action: DegradeAction::None,
+        };
+        for streak in 1..RESIDUAL_PATIENCE {
+            assert_eq!(e.note_residual(&spike), none(streak));
         }
-        assert_eq!(e.note_residual(&spike), DegradeAction::Escalate);
+        assert_eq!(
+            e.note_residual(&spike).action,
+            DegradeAction::EngageFallback
+        );
+        assert!(e.fallback_engaged());
+        for streak in 1..ESCALATE_PATIENCE {
+            assert_eq!(e.note_residual(&spike), none(streak));
+        }
+        assert_eq!(
+            e.note_residual(&spike),
+            ResidualVerdict {
+                spike: Some(ESCALATE_PATIENCE),
+                action: DegradeAction::Escalate,
+            }
+        );
         // Clean polls release the fallback.
-        assert_eq!(e.note_residual(&clean), DegradeAction::None);
-        assert_eq!(e.note_residual(&clean), DegradeAction::ReleaseFallback);
+        let quiet = ResidualVerdict {
+            spike: None,
+            action: DegradeAction::None,
+        };
+        for _ in 1..RELEASE_PATIENCE {
+            assert_eq!(e.note_residual(&clean), quiet);
+        }
+        assert_eq!(
+            e.note_residual(&clean).action,
+            DegradeAction::ReleaseFallback
+        );
         assert!(!e.fallback_engaged());
     }
 
     #[test]
     fn held_polls_do_not_advance_the_ladder() {
-        let cfg = EstimatorConfig {
-            residual_patience: 2,
-            ..EstimatorConfig::default()
-        };
-        let mut e = PowerEstimator::new(cfg);
-        let held_spike = EstimatedBreakdown {
-            apps: BTreeMap::new(),
-            observed_net_w: 120.0,
-            dynamic_total_w: 50.0,
-            residual_w: 50.0,
-            band_w: 1.0,
-            held_polls: 1,
-        };
-        for _ in 0..10 {
-            assert_eq!(e.note_residual(&held_spike), DegradeAction::None);
+        let mut e = PowerEstimator::default();
+        for sample in [SampleSource::Held(1), SampleSource::Blind(4)] {
+            for _ in 0..2 * RESIDUAL_PATIENCE {
+                let verdict = e.note_residual(&spike(sample));
+                assert_eq!(verdict.spike, None, "stale evidence is no spike");
+                assert_eq!(verdict.action, DegradeAction::None);
+            }
         }
         assert!(!e.fallback_engaged(), "stale evidence never engages");
     }
@@ -536,9 +438,12 @@ mod tests {
     fn calibrated_noise_stays_under_the_band() {
         // 2% meter noise at ~105 W is ~2 W one-sigma; the default band
         // (k=3 over priors + meter term) must not read it as a spike.
-        let mut e = PowerEstimator::new(EstimatorConfig::default());
+        let mut e = PowerEstimator::default();
         let eb = e.estimate(Some(109.0), 70.0, 0.0, 0.0, &reference_priors());
-        assert_eq!(e.note_residual(&eb), DegradeAction::None);
-        assert_eq!(e.spike_polls(), 0, "4 W off at a ~5 W threshold");
+        assert_eq!(
+            e.note_residual(&eb).spike,
+            None,
+            "4 W off at a ~5 W threshold"
+        );
     }
 }

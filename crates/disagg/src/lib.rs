@@ -33,6 +33,7 @@ pub mod estimator;
 pub mod solver;
 
 pub use estimator::{
-    DegradeAction, EstimatedBreakdown, EstimatorConfig, PowerEstimator, ShareEstimate,
+    DegradeAction, EstimatedBreakdown, EstimatorConfig, PowerEstimator, ResidualVerdict,
+    SampleSource, ShareEstimate,
 };
 pub use solver::{solve_shares, AppPrior};

@@ -4,7 +4,7 @@
 //! into the PC6 deep-sleep state during OFF periods, which removes the
 //! chip-maintenance power `P_cm` while keeping `P_idle` (the server itself
 //! stays on). Wake-up latencies are in the hundreds of microseconds
-//! (Schöne et al. [47]), so duty-cycling at second granularity costs
+//! (Schöne et al. \[47\]), so duty-cycling at second granularity costs
 //! essentially nothing in transition overhead — but we model it anyway so
 //! that pathological high-frequency cycling would be penalized.
 

@@ -1,4 +1,4 @@
-//! The Application Heartbeats interface (Hoffmann et al. [41]).
+//! The Application Heartbeats interface (Hoffmann et al. \[41\]).
 //!
 //! Applications emit a heartbeat per completed unit of work; the runtime
 //! derives a windowed heartbeat *rate* as its performance signal. The

@@ -894,32 +894,19 @@ impl FleetTimeline {
     }
 }
 
-/// Configuration for the observability plane.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ObsConfig {
-    /// Ring-buffer bound for the event journal (0 disables retention
-    /// but keeps counting).
-    pub journal_capacity: usize,
-    /// Whether wall-clock self-profiling spans are recorded. Spans are
-    /// excluded from [`Obs::digest`] either way (wall time is not
-    /// deterministic), so this only controls the cost of `Instant`
-    /// reads.
-    pub spans: bool,
-}
+/// Ring-buffer bound for each [`Obs`] plane's event journal.
+pub const JOURNAL_CAPACITY: usize = 65_536;
 
-impl Default for ObsConfig {
-    fn default() -> Self {
-        Self {
-            journal_capacity: 65_536,
-            spans: true,
-        }
-    }
-}
+/// Creates an observability plane ([`Obs::new`]). It carries no
+/// settings: the journal holds [`JOURNAL_CAPACITY`] records and
+/// wall-clock spans are always recorded. Spans are excluded from
+/// [`Obs::digest`] (wall time is not deterministic).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct ObsConfig {}
 
 /// Interior state behind the [`Obs`] handle.
 #[derive(Debug)]
 struct ObsCore {
-    config: ObsConfig,
     journal: EventJournal,
     metrics: MetricsRegistry,
     /// Per-kind event tallies, kept on `&'static str` keys so the emit
@@ -969,13 +956,11 @@ impl Default for Obs {
 }
 
 impl Obs {
-    /// Creates a fresh plane under `config`.
-    pub fn new(config: ObsConfig) -> Self {
-        let journal = EventJournal::new(config.journal_capacity);
+    /// Creates a fresh plane.
+    pub fn new(_: ObsConfig) -> Self {
         Self {
             inner: Arc::new(parking_lot::Mutex::new(ObsCore {
-                config,
-                journal,
+                journal: EventJournal::new(JOURNAL_CAPACITY),
                 metrics: MetricsRegistry::new(),
                 by_kind: BTreeMap::new(),
                 poll: 0,
@@ -1057,13 +1042,11 @@ impl Obs {
     }
 
     /// Opens a wall-clock self-profiling span; the elapsed seconds land
-    /// in `span_seconds{name="…"}` when the guard drops. A no-op guard
-    /// is returned when spans are disabled in the config. Span
+    /// in `span_seconds{name="…"}` when the guard drops. Span
     /// histograms never enter [`Obs::digest`].
     pub fn span(&self, name: &'static str) -> ObsSpan {
-        let enabled = self.inner.lock().config.spans;
         ObsSpan {
-            obs: enabled.then(|| self.clone()),
+            obs: self.clone(),
             name,
             started: std::time::Instant::now(),
         }
@@ -1165,17 +1148,16 @@ impl Obs {
 /// RAII guard for a wall-clock span opened by [`Obs::span`].
 #[derive(Debug)]
 pub struct ObsSpan {
-    obs: Option<Obs>,
+    obs: Obs,
     name: &'static str,
     started: std::time::Instant,
 }
 
 impl Drop for ObsSpan {
     fn drop(&mut self) {
-        if let Some(obs) = self.obs.take() {
-            let elapsed = self.started.elapsed().as_secs_f64();
-            obs.observe(&prom_label("span_seconds", &[("name", self.name)]), elapsed);
-        }
+        let elapsed = self.started.elapsed().as_secs_f64();
+        self.obs
+            .observe(&prom_label("span_seconds", &[("name", self.name)]), elapsed);
     }
 }
 
@@ -1282,7 +1264,7 @@ mod tests {
     }
 
     #[test]
-    fn spans_record_only_when_enabled_and_never_enter_the_digest() {
+    fn spans_record_but_never_enter_the_digest() {
         let on = Obs::new(ObsConfig::default());
         {
             let _guard = on.span("plan");
@@ -1293,18 +1275,6 @@ mod tests {
                 .map(Histogram::count),
             Some(1)
         );
-
-        let off = Obs::new(ObsConfig {
-            spans: false,
-            ..ObsConfig::default()
-        });
-        {
-            let _guard = off.span("plan");
-        }
-        assert!(off
-            .metrics()
-            .histogram("span_seconds{name=\"plan\"}")
-            .is_none());
 
         // Same deterministic content, differing span samples → same digest.
         let twin = Obs::new(ObsConfig::default());
