@@ -1762,8 +1762,8 @@ impl PowerMediator {
         est.stats.estimates += 1;
         match eb.sample {
             SampleSource::Fresh => {}
-            SampleSource::Held(_) => est.stats.held_samples += 1,
-            SampleSource::Blind(_) => est.stats.blind_samples += 1,
+            SampleSource::Held => est.stats.held_samples += 1,
+            SampleSource::Blind => est.stats.blind_samples += 1,
         }
         Some(eb)
     }

@@ -108,18 +108,17 @@ pub struct EstimatedBreakdown {
 }
 
 /// Where the aggregate sample behind an [`EstimatedBreakdown`] came
-/// from. The held variants carry the polls served since the last fresh
-/// sample.
+/// from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SampleSource {
     /// The meter reported this poll.
     Fresh,
     /// A dropout inside the hold window: the last good reading stood in.
-    Held(u32),
+    Held,
     /// No usable reading — the dropout outlasted [`HOLD_MAX_POLLS`], or
     /// the meter never reported at all: the prior-sum pseudo-meter
     /// stood in.
-    Blind(u32),
+    Blind,
 }
 
 /// What the degradation ladder wants the runtime to do this poll.
@@ -192,14 +191,12 @@ impl PowerEstimator {
                 match self.last_good_w {
                     // Hold the last good reading through a bounded
                     // window…
-                    Some(v) if self.held_polls <= HOLD_MAX_POLLS => {
-                        (v, SampleSource::Held(self.held_polls))
-                    }
+                    Some(v) if self.held_polls <= HOLD_MAX_POLLS => (v, SampleSource::Held),
                     // …then stop pretending the meter exists: serve the
                     // model's own prediction with a maximally wide band
                     // (the residual is zero by construction, so a blind
                     // estimator never drives the ladder).
-                    _ => (predicted_net, SampleSource::Blind(self.held_polls)),
+                    _ => (predicted_net, SampleSource::Blind),
                 }
             }
         };
@@ -333,7 +330,7 @@ mod tests {
         let mut e = PowerEstimator::default();
         let fresh = e.estimate(Some(105.0), 70.0, 0.0, 0.0, &reference_priors());
         let held1 = e.estimate(None, 70.0, 0.0, 0.0, &reference_priors());
-        assert_eq!(held1.sample, SampleSource::Held(1));
+        assert_eq!(held1.sample, SampleSource::Held);
         assert_eq!(held1.observed_net_w, 105.0, "last good value held");
         assert!(held1.band_w > fresh.band_w, "staleness widens the band");
         let held2 = e.estimate(None, 70.0, 0.0, 0.0, &reference_priors());
@@ -344,12 +341,12 @@ mod tests {
     fn past_the_hold_window_the_prior_sum_takes_over() {
         let mut e = PowerEstimator::default();
         e.estimate(Some(200.0), 70.0, 0.0, 0.0, &reference_priors());
-        for polls in 1..=HOLD_MAX_POLLS {
+        for _ in 0..HOLD_MAX_POLLS {
             let held = e.estimate(None, 70.0, 0.0, 0.0, &reference_priors());
-            assert_eq!(held.sample, SampleSource::Held(polls));
+            assert_eq!(held.sample, SampleSource::Held);
         }
         let blind = e.estimate(None, 70.0, 0.0, 0.0, &reference_priors());
-        assert_eq!(blind.sample, SampleSource::Blind(HOLD_MAX_POLLS + 1));
+        assert_eq!(blind.sample, SampleSource::Blind);
         assert!(
             (blind.observed_net_w - 105.0).abs() < 1e-9,
             "prior-sum pseudo-meter, not the stale 200 W"
@@ -361,7 +358,7 @@ mod tests {
     fn no_sample_ever_means_prior_sum_from_the_start() {
         let mut e = PowerEstimator::default();
         let eb = e.estimate(None, 70.0, 0.0, 0.0, &reference_priors());
-        assert_eq!(eb.sample, SampleSource::Blind(1), "nothing to hold yet");
+        assert_eq!(eb.sample, SampleSource::Blind, "nothing to hold yet");
         assert!((eb.dynamic_total_w - 35.0).abs() < 1e-9);
     }
 
@@ -424,7 +421,7 @@ mod tests {
     #[test]
     fn held_polls_do_not_advance_the_ladder() {
         let mut e = PowerEstimator::default();
-        for sample in [SampleSource::Held(1), SampleSource::Blind(4)] {
+        for sample in [SampleSource::Held, SampleSource::Blind] {
             for _ in 0..2 * RESIDUAL_PATIENCE {
                 let verdict = e.note_residual(&spike(sample));
                 assert_eq!(verdict.spike, None, "stale evidence is no spike");

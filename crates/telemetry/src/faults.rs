@@ -96,7 +96,7 @@ pub struct EstimationStats {
     /// Ladder escalations to safe mode (shaving did not stop the
     /// spikes).
     pub escalations: u64,
-    /// Per-app polls whose claimed heartbeat ratio hit the configured
+    /// Per-app polls whose claimed heartbeat ratio hit the estimator's
     /// clamp bound. A truthful app sits well inside the band, so every
     /// bound hit is a sample the estimator could not take at face
     /// value — the integrity layer seeds its trust scores from these.
