@@ -50,48 +50,59 @@ const fn extension(name: &'static str, run: fn(&HarnessDoc) -> Outcome) -> Exper
     }
 }
 
+impl Experiment {
+    /// This entry with `digest` as its `--digest` mode.
+    const fn pinned(self, digest: fn() -> u64) -> Self {
+        Self {
+            digest: Some(digest),
+            ..self
+        }
+    }
+}
+
 /// Every experiment, once: the paper's tables and figures in `all`'s
 /// order, then the extensions, whose smoke digests come in the order of
 /// `crates/bench/golden/smoke_digests.txt`.
 pub static EXPERIMENTS: &[Experiment] = &[
-    paper("table1", |_| plain(table1::print)),
-    paper("table2", |_| plain(table2::print)),
-    paper("fig2", |_| plain(fig2::print)),
-    paper("fig3", |_| plain(fig3::print)),
-    paper("fig4", |_| plain(fig4::print)),
-    paper("fig5", |_| plain(fig5::print)),
-    Experiment {
-        digest: Some(|| fig7::digest(&fig7::run())),
-        ..paper("fig7", |_| plain(fig7::print))
-    },
-    paper("fig8", |_| plain(fig8::print)),
-    paper("fig9", |_| plain(fig9::print)),
-    paper("fig10", |_| plain(fig10::print)),
-    paper("fig11", |_| plain(fig11::print)),
-    Experiment {
-        digest: Some(|| Fnv1a::of_debug(&fig12::run())),
-        ..paper("fig12", |_| plain(fig12::print))
-    },
-    extension("ablations", |_| plain(ablations::print)),
-    extension("ext_napp", |_| plain(ext_napp::print)),
-    extension("ext_latency", |_| plain(ext_latency::print)),
-    Experiment {
-        digest: Some(|| Fnv1a::of_debug(&ext_cluster::run())),
-        ..extension("ext_cluster", |_| plain(ext_cluster::print))
-    },
+    paper("table1", |_| plain(table1::print)).pinned(|| Fnv1a::of_debug(&table1::rows())),
+    paper("table2", |_| plain(table2::print)).pinned(|| Fnv1a::of_debug(&table2::rows())),
+    paper("fig2", |_| plain(fig2::print)).pinned(|| Fnv1a::of_debug(&fig2::run())),
+    paper("fig3", |_| plain(fig3::print)).pinned(|| Fnv1a::of_debug(&fig3::run())),
+    paper("fig4", |_| plain(fig4::print)).pinned(|| Fnv1a::of_debug(&fig4::run())),
+    paper("fig5", |_| plain(fig5::print)).pinned(|| Fnv1a::of_debug(&fig5::run())),
+    paper("fig7", |_| plain(fig7::print)).pinned(|| fig7::digest(&fig7::run())),
+    paper("fig8", |_| plain(fig8::print)).pinned(|| Fnv1a::of_debug(&fig8::run())),
+    paper("fig9", |_| plain(fig9::print)).pinned(|| Fnv1a::of_debug(&fig9::run())),
+    paper("fig10", |_| plain(fig10::print)).pinned(|| Fnv1a::of_debug(&fig10::run())),
+    paper("fig11", |_| plain(fig11::print))
+        .pinned(|| Fnv1a::of_debug(&(fig11::run_arrival(), fig11::run_departure()))),
+    paper("fig12", |_| plain(fig12::print)).pinned(|| Fnv1a::of_debug(&fig12::run())),
+    extension("ablations", |_| plain(ablations::print)).pinned(|| {
+        Fnv1a::of_debug(&(
+            ablations::esd_device_sweep(),
+            ablations::dp_step_sweep(),
+            ablations::cycle_period_sweep(),
+        ))
+    }),
+    extension("ext_napp", |_| plain(ext_napp::print)).pinned(|| Fnv1a::of_debug(&ext_napp::run())),
+    extension("ext_latency", |_| plain(ext_latency::print))
+        .pinned(|| Fnv1a::of_debug(&ext_latency::run())),
+    extension("ext_cluster", |_| plain(ext_cluster::print))
+        .pinned(|| Fnv1a::of_debug(&ext_cluster::run())),
     Experiment {
         smoke: &[("ext_faults", ext_faults::smoke_digest, ext_faults::SEED)],
         ..extension("ext_faults", ext_faults::report)
-    },
+    }
+    .pinned(|| Fnv1a::of_debug(&(ext_faults::run_grid(), ext_faults::run_sweep()))),
     Experiment {
         smoke: &[(
             "ext_cluster_faults",
             ext_cluster_faults::smoke_digest,
             ext_cluster_faults::SEED,
         )],
-        digest: Some(|| Fnv1a::of_debug(&ext_cluster_faults::run_grid())),
         ..extension("ext_cluster_faults", ext_cluster_faults::report)
-    },
+    }
+    .pinned(|| Fnv1a::of_debug(&ext_cluster_faults::run_grid())),
     Experiment {
         smoke: &[(
             "ext_warmstart",
@@ -100,7 +111,8 @@ pub static EXPERIMENTS: &[Experiment] = &[
         )],
         gate: Gate::Budget(ext_warmstart::BUDGET_S),
         ..extension("ext_warmstart", ext_warmstart::report)
-    },
+    }
+    .pinned(|| Fnv1a::of_debug(&ext_warmstart::run_grid())),
     Experiment {
         // The cast fixes the element type of a two-entry array, whose
         // second fn item would not coerce to the first one's type.
@@ -123,7 +135,8 @@ pub static EXPERIMENTS: &[Experiment] = &[
         smoke: &[("ext_disagg", ext_disagg::smoke_digest, ext_disagg::SEED)],
         gate: Gate::Checks,
         ..extension("ext_disagg", ext_disagg::report)
-    },
+    }
+    .pinned(|| Fnv1a::of_debug(&ext_disagg::run_grid())),
     Experiment {
         smoke: &[(
             "ext_adversary",
@@ -132,10 +145,12 @@ pub static EXPERIMENTS: &[Experiment] = &[
         )],
         gate: Gate::Checks,
         ..extension("ext_adversary", ext_adversary::report)
-    },
+    }
+    .pinned(|| Fnv1a::of_debug(&ext_adversary::run_grid())),
     Experiment {
         smoke: &[("ext_traffic", ext_traffic::smoke_digest, ext_traffic::SEED)],
         gate: Gate::Checks,
         ..extension("ext_traffic", ext_traffic::report)
-    },
+    }
+    .pinned(|| Fnv1a::of_debug(&ext_traffic::run_grid())),
 ];

@@ -12,9 +12,11 @@
 //!   (`crates/bench/golden/smoke_digests.txt`);
 //! * `--gate` runs the experiment, records it, prints every release
 //!   check, and exits 1 if any failed;
-//! * `--digest` prints the experiment's bit-identity digest
-//!   (`fig7`, `fig12`, `ext_cluster`, `ext_cluster_faults`; each pinned
-//!   by `crates/bench/golden/<name>_digest.txt`).
+//! * `--digest` prints the experiment's bit-identity digest, a hash of
+//!   everything its run returns, pinned by
+//!   `crates/bench/golden/<name>_digest.txt`. Every entry has one but
+//!   `ext_obs`: its smoke digests pin its observed runs, and its report
+//!   is a wall-clock overhead measurement.
 //!
 //! `all` runs every paper entry and `extensions` every other entry;
 //! `all --smoke` checks every smoke digest in the registry. A flag the
@@ -455,7 +457,11 @@ mod tests {
         );
         assert_eq!(parse_mode("ext_obs", &args(&["--gate"])), Ok(Mode::Gate));
         assert_eq!(parse_mode("all", &args(&["--gate"])), Ok(Mode::Gate));
-        assert_eq!(usage("ext_disagg"), "usage: ext_disagg [--smoke | --gate]");
+        assert_eq!(
+            usage("ext_disagg"),
+            "usage: ext_disagg [--smoke | --gate | --digest]"
+        );
+        assert_eq!(usage("ext_obs"), "usage: ext_obs [--smoke | --gate]");
     }
 
     #[test]
@@ -532,17 +538,34 @@ mod tests {
             .map(|s| smoke_line(s).unwrap_or_else(|e| panic!("{e}")) + "\n")
             .collect();
         assert_eq!(lines.concat(), include_str!("../golden/smoke_digests.txt"));
-        let goldens = [
-            ("fig7", include_str!("../golden/fig7_digest.txt")),
-            ("fig12", include_str!("../golden/fig12_digest.txt")),
-            (
-                "ext_cluster",
-                include_str!("../golden/ext_cluster_digest.txt"),
-            ),
-            (
-                "ext_cluster_faults",
-                include_str!("../golden/ext_cluster_faults_digest.txt"),
-            ),
+        macro_rules! goldens {
+            ($($name:literal),* $(,)?) => {
+                [$(($name, include_str!(concat!("../golden/", $name, "_digest.txt")))),*]
+            };
+        }
+        let goldens = goldens![
+            "table1",
+            "table2",
+            "fig2",
+            "fig3",
+            "fig4",
+            "fig5",
+            "fig7",
+            "fig8",
+            "fig9",
+            "fig10",
+            "fig11",
+            "fig12",
+            "ablations",
+            "ext_napp",
+            "ext_latency",
+            "ext_cluster",
+            "ext_faults",
+            "ext_cluster_faults",
+            "ext_warmstart",
+            "ext_disagg",
+            "ext_adversary",
+            "ext_traffic",
         ];
         assert_eq!(
             EXPERIMENTS.iter().filter(|e| e.digest.is_some()).count(),
