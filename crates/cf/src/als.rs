@@ -8,8 +8,7 @@
 //! sampled entries without refitting the corpus — which is what makes the
 //! paper's online calibration cheap.
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use powermed_units::rng::SplitMix;
 
 use crate::linalg::{dot, solve_into};
 
@@ -162,13 +161,13 @@ impl Completion {
             assert!(r < rows && c < cols, "entry ({r},{c}) out of range");
         }
         let k = cfg.factors;
-        let mut rng = StdRng::seed_from_u64(cfg.seed);
+        let mut rng = SplitMix::new(cfg.seed);
         let scale = 0.1;
         // Flat init draws the same RNG sequence as the historical
         // row-of-Vecs layout (row by row, k values each), so fits stay
         // bit-identical across the storage change.
         let mut init =
-            |n: usize| -> Vec<f64> { (0..n * k).map(|_| rng.gen_range(-scale..scale)).collect() };
+            |n: usize| -> Vec<f64> { (0..n * k).map(|_| rng.uniform(-scale, scale)).collect() };
         let mut model = Self {
             factors: k,
             lambda: cfg.lambda,
@@ -425,8 +424,7 @@ mod tests {
     /// kernels: every prediction must match to the last bit.
     mod reference {
         use crate::linalg::solve;
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
+        use powermed_units::rng::SplitMix;
 
         pub struct Model {
             pub mean: f64,
@@ -476,11 +474,11 @@ mod tests {
             cfg: super::FitConfig,
         ) -> Model {
             let k = cfg.factors;
-            let mut rng = StdRng::seed_from_u64(cfg.seed);
+            let mut rng = SplitMix::new(cfg.seed);
             let scale = 0.1;
             let mut init = |n: usize| -> Vec<Vec<f64>> {
                 (0..n)
-                    .map(|_| (0..k).map(|_| rng.gen_range(-scale..scale)).collect())
+                    .map(|_| (0..k).map(|_| rng.uniform(-scale, scale)).collect())
                     .collect()
             };
             let mut m = Model {

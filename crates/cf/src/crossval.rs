@@ -7,15 +7,13 @@
 //! remaining estimation error — power overshoot at the server, lost
 //! performance — is what Fig. 7 plots against the sampling fraction.
 
-use serde::{Deserialize, Serialize};
-
 use crate::als::{Completion, FitConfig};
 use crate::linalg::rmse;
 use crate::matrix::UtilityMatrix;
 use crate::sampler::SparseSampler;
 
 /// The estimation outcome for one held-out application.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FoldReport {
     /// The held-out application.
     pub app: String,

@@ -9,10 +9,9 @@ use std::collections::BTreeMap;
 
 use powermed_units::hash::Fnv1a;
 use powermed_units::Watts;
-use serde::{Deserialize, Serialize};
 
 /// A sparse apps × settings matrix of measured `(power, perf)` pairs.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct UtilityMatrix {
     columns: usize,
     /// Per-app sparse rows: setting index → (power, perf).

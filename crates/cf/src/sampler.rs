@@ -8,9 +8,7 @@
 //! which anchor the power scale) and fills the remainder with seeded
 //! random picks.
 
-use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
+use powermed_units::rng::SplitMix;
 
 /// Picks grid columns to measure for a given sampling fraction.
 #[derive(Debug, Clone)]
@@ -72,9 +70,9 @@ impl SparseSampler {
             picked[col] = true;
         }
         // Random fill for the rest.
-        let mut rng = StdRng::seed_from_u64(self.seed);
+        let mut rng = SplitMix::new(self.seed);
         let mut remaining: Vec<usize> = (0..self.columns).filter(|c| !picked[*c]).collect();
-        remaining.shuffle(&mut rng);
+        rng.shuffle(&mut remaining);
         let mut count = picked.iter().filter(|p| **p).count();
         #[allow(clippy::explicit_counter_loop)]
         for col in remaining {

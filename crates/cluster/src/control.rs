@@ -7,10 +7,10 @@
 //! [`ControlPlane`] in between can drop, delay (and thereby reorder)
 //! either direction, crash whole nodes, partition a server away from the
 //! manager, and kill the manager itself for a takeover window — all
-//! driven by per-channel splitmix64 streams
-//! ([`powermed_sim::faults::channel_stream`]) so the same seed replays
-//! the same fault history bit-for-bit and flavors can be compared under
-//! common random numbers.
+//! driven by per-channel [`SplitMix`] streams (the seed XOR the
+//! channel's tag, as the server-level fault injector derives its own) so
+//! the same seed replays the same fault history bit-for-bit and flavors
+//! can be compared under common random numbers.
 //!
 //! Resilience is a flavor switch, not a different topology. The
 //! **resilient** manager heartbeats current assignments (repairing
@@ -46,11 +46,9 @@ use powermed_telemetry::metrics::{prom_label, MetricsRegistry};
 use powermed_telemetry::recorder::TraceRecorder;
 use powermed_telemetry::ProfileStoreStats;
 use powermed_units::hash::FNV_OFFSET;
+use powermed_units::rng::SplitMix;
 use powermed_units::{Joules, Ratio, Seconds, Watts};
 use powermed_workloads::mixes::Mix;
-use rand::rngs::StdRng;
-use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::agent::ServerAgent;
 use crate::manager::{ApportionTable, ClusterManager, ClusterPolicy, ClusterReport};
@@ -140,7 +138,7 @@ impl Uplink {
 
 /// One server's scheduled partition from the manager: both directions of
 /// its channel are cut for `from_step <= step < until_step`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PartitionWindow {
     /// The partitioned server.
     pub server: usize,
@@ -163,7 +161,7 @@ impl PartitionWindow {
 /// knob is non-zero, so flavors compared under the same seed see the
 /// same fault history (common random numbers) and a fully zeroed config
 /// consumes no randomness at all.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClusterFaultConfig {
     /// Seed for every per-channel splitmix64 stream.
     pub seed: u64,
@@ -222,7 +220,7 @@ impl ClusterFaultConfig {
 }
 
 /// One event in the deterministic fault/response history of a run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ClusterFaultEvent {
     /// A downlink to `server` was dropped.
     DownlinkDropped {
@@ -271,7 +269,7 @@ pub enum ClusterFaultEvent {
 }
 
 /// A timestamped [`ClusterFaultEvent`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ClusterFaultRecord {
     /// Control step the event occurred at.
     pub step: u64,
@@ -320,9 +318,9 @@ fn drain_due<T>(queue: &mut Vec<InFlight<T>>, step: u64) -> Vec<T> {
 pub struct ControlPlane {
     config: ClusterFaultConfig,
     step: u64,
-    down_rngs: Vec<StdRng>,
-    up_rngs: Vec<StdRng>,
-    churn_rngs: Vec<StdRng>,
+    down_rngs: Vec<SplitMix>,
+    up_rngs: Vec<SplitMix>,
+    churn_rngs: Vec<SplitMix>,
     downlinks: Vec<Vec<InFlight<Downlink>>>,
     uplinks: Vec<InFlight<Uplink>>,
     /// `Some(step)` while a node is down: it restarts at that step.
@@ -339,9 +337,7 @@ pub struct ControlPlane {
 impl ControlPlane {
     /// A control plane over `servers` channels under `config`.
     pub fn new(config: ClusterFaultConfig, servers: usize) -> Self {
-        let stream = |tag: u64, i: usize| {
-            powermed_sim::faults::channel_stream(config.seed, tag ^ ((i as u64) << 8))
-        };
+        let stream = |tag: u64, i: usize| SplitMix::new(config.seed ^ tag ^ ((i as u64) << 8));
         Self {
             down_rngs: (0..servers).map(|i| stream(0xD0_01, i)).collect(),
             up_rngs: (0..servers).map(|i| stream(0x0D_02, i)).collect(),
@@ -462,7 +458,7 @@ impl ControlPlane {
         if self.config.node_crash_prob <= 0.0 {
             return false;
         }
-        if self.churn_rngs[i].gen_range(0.0..1.0) >= self.config.node_crash_prob {
+        if self.churn_rngs[i].next_f64() >= self.config.node_crash_prob {
             return false;
         }
         self.down_until[i] = Some(self.step + self.config.node_down_steps.max(1));
@@ -504,7 +500,7 @@ impl ControlPlane {
             let (p, d) = (c.downlink_drop_prob, c.downlink_delay_max_steps);
             (p, d, &mut self.down_rngs[i])
         };
-        if drop_prob > 0.0 && rng.gen_range(0.0..1.0) < drop_prob {
+        if drop_prob > 0.0 && rng.next_f64() < drop_prob {
             if uplink {
                 self.stats.uplinks_dropped += 1;
                 self.record(ClusterFaultEvent::UplinkDropped { server: i });
@@ -514,10 +510,10 @@ impl ControlPlane {
             }
             return None;
         }
-        let steps = if delay_max > 0 {
-            rng.gen_range(0..=delay_max)
-        } else {
-            0
+        let steps = match delay_max {
+            0 => 0,
+            u64::MAX => rng.next_u64(),
+            _ => rng.below(delay_max + 1),
         };
         if steps > 0 && uplink {
             self.stats.uplinks_delayed += 1;
@@ -617,7 +613,7 @@ impl ControlPlane {
 }
 
 /// How the manager splits the cluster budget across servers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Apportionment {
     /// Even split across alive servers.
     Equal,
@@ -2699,9 +2695,9 @@ mod tests {
             membership_dirty: false,
             stats: ClusterControlStats::default(),
         };
-        let mut rng = 7u64;
+        let mut rng = SplitMix::new(7);
         for _ in 0..48 {
-            let mut draw = |n: u64| powermed_units::hash::splitmix64(&mut rng) % n;
+            let mut draw = |n: u64| rng.below(n);
             let excluded: Vec<bool> = (0..servers).map(|_| draw(4) == 0).collect();
             let total = Watts::new(draw(800) as f64 + [0.0, 2.5][draw(2) as usize]);
             if excluded.iter().all(|out| *out) {

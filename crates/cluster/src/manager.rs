@@ -4,7 +4,6 @@ use powermed_server::{KnobSetting, ServerSpec};
 use powermed_units::{Joules, Seconds, Watts};
 use powermed_workloads::mixes::{self, Mix};
 use powermed_workloads::profile::AppProfile;
-use serde::{Deserialize, Serialize};
 
 use crate::control::{self, ControlOptions, ManagedPolicy};
 use crate::trace::ClusterPowerTrace;
@@ -23,7 +22,7 @@ fn ladder(floor: Watts, ceiling: Watts) -> impl Iterator<Item = Watts> {
 const SERVER_LOADED_W: f64 = 105.0;
 
 /// Cluster-level power management strategy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ClusterPolicy {
     /// Even split; servers enforce with utility-unaware RAPL capping.
     EqualRapl,
@@ -59,7 +58,7 @@ impl core::fmt::Display for ClusterPolicy {
 }
 
 /// Outcome of one cluster run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClusterReport {
     /// The strategy evaluated.
     pub policy: ClusterPolicy,
@@ -636,7 +635,7 @@ mod tests {
 
     mod matches_reference {
         use super::*;
-        use powermed_units::hash::splitmix64;
+        use powermed_units::rng::SplitMix;
         use proptest::prelude::*;
 
         /// The per-call DP [`ApportionTable`] replaced: a fresh
@@ -704,11 +703,11 @@ mod tests {
             f64::NEG_INFINITY,
         ];
 
-        struct Draws(u64);
+        struct Draws(SplitMix);
 
         impl Draws {
             fn below(&mut self, n: u64) -> u64 {
-                splitmix64(&mut self.0) % n
+                self.0.below(n)
             }
 
             /// A SKU-like server: its floor (on or off the 5 W grid) and
@@ -756,7 +755,7 @@ mod tests {
             /// too) and every membership a random mask leaves.
             #[test]
             fn prop_table_split_matches_the_per_call_dp(seed in 0u64..u64::MAX) {
-                let mut draws = Draws(seed);
+                let mut draws = Draws(SplitMix::new(seed));
                 let fleet: Vec<(Watts, Vec<(Watts, f64)>)> =
                     (0..draws.below(6)).map(|_| draws.server()).collect();
                 for _ in 0..3 {

@@ -7,17 +7,15 @@
 //! and derive the cap series by clipping it at `(1 − shave) · peak`
 //! (Fig. 12a).
 
+use powermed_units::rng::SplitMix;
 use powermed_units::{Ratio, Seconds, Watts};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Peak demand attributed to one loaded shared server, including supply
 /// overheads (PSU losses, fans) on top of the ~105 W IT draw.
 const SERVER_PEAK_W: f64 = 115.0;
 
 /// A time series of cluster-level power values (demand or caps).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClusterPowerTrace {
     samples: Vec<(Seconds, Watts)>,
 }
@@ -48,7 +46,7 @@ impl ClusterPowerTrace {
     pub fn synthetic_diurnal(servers: usize, duration: Seconds, seed: u64) -> Self {
         assert!(servers > 0 && duration.value() > 0.0);
         let peak = SERVER_PEAK_W * servers as f64;
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = SplitMix::new(seed);
         let n = 96; // 15-minute granularity over the compressed day
         let mut samples = Vec::with_capacity(n);
         for i in 0..n {
@@ -56,7 +54,7 @@ impl ClusterPowerTrace {
             let phase = i as f64 / n as f64 * std::f64::consts::TAU;
             // Peak mid-day (phase π), trough at the ends.
             let diurnal = 0.875 - 0.125 * phase.cos();
-            let noise = 1.0 + rng.gen_range(-0.02..0.02);
+            let noise = 1.0 + rng.uniform(-0.02, 0.02);
             samples.push((t, Watts::new(peak * diurnal * noise)));
         }
         Self { samples }

@@ -30,10 +30,9 @@
 use std::collections::BTreeMap;
 
 use powermed_units::{Ratio, Watts};
-use serde::{Deserialize, Serialize};
 
 /// A re-planning trigger.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Event {
     /// E1: the server cap changed to the given value.
     CapChanged(Watts),

@@ -9,13 +9,12 @@
 //! settings × ~60 watt levels × a handful of apps is trivially cheap.
 
 use powermed_units::Watts;
-use serde::{Deserialize, Serialize};
 
 use crate::measurement::AppMeasurement;
 use crate::utility::UtilityCurve;
 
 /// The outcome of one apportionment.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Allocation {
     /// Per-app power budgets, in the order the apps were given.
     pub budgets: Vec<Watts>,

@@ -24,13 +24,12 @@
 use std::collections::BTreeMap;
 
 use powermed_units::{Ratio, Seconds, Watts};
-use serde::{Deserialize, Serialize};
 
 use crate::allocator::{Allocation, PowerAllocator};
 use crate::measurement::AppMeasurement;
 
 /// Storage parameters the coordinator needs (a snapshot of the device).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EsdParams {
     /// Round-trip efficiency `η`.
     pub efficiency: Ratio,
@@ -41,7 +40,7 @@ pub struct EsdParams {
 }
 
 /// One ON slot of an alternate duty cycle.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TimeSlot {
     /// The application running during this slot.
     pub app: String,
@@ -52,7 +51,7 @@ pub struct TimeSlot {
 }
 
 /// How the current allocation is realized over the next cycle.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Schedule {
     /// All applications run simultaneously at their settings (R3a).
     Space {

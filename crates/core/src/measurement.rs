@@ -10,10 +10,9 @@ use powermed_server::knobs::{KnobGrid, KnobSetting};
 use powermed_server::ServerSpec;
 use powermed_units::Watts;
 use powermed_workloads::profile::AppProfile;
-use serde::{Deserialize, Serialize};
 
 /// An application's power and performance at every knob-grid setting.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AppMeasurement {
     name: String,
     grid: KnobGrid,

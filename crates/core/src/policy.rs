@@ -10,7 +10,6 @@
 
 use powermed_server::ServerSpec;
 use powermed_units::{Seconds, Watts};
-use serde::{Deserialize, Serialize};
 
 use crate::allocator::{Allocation, PowerAllocator};
 use crate::coordinator::{Coordinator, EsdParams, Schedule};
@@ -18,7 +17,7 @@ use crate::measurement::AppMeasurement;
 use powermed_workloads::catalog;
 
 /// Which of the five evaluated schemes to run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PolicyKind {
     /// Fair power split, RAPL-style frequency enforcement (baseline 1).
     UtilUnaware,

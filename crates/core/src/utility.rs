@@ -8,12 +8,11 @@
 
 use powermed_server::ServerSpec;
 use powermed_units::Watts;
-use serde::{Deserialize, Serialize};
 
 use crate::measurement::AppMeasurement;
 
 /// One point of a utility curve.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CurvePoint {
     /// The dynamic power budget.
     pub budget: Watts,
@@ -25,7 +24,7 @@ pub struct CurvePoint {
 }
 
 /// A per-application utility curve on an integer-watt budget grid.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct UtilityCurve {
     step: Watts,
     points: Vec<CurvePoint>,
@@ -98,7 +97,7 @@ impl UtilityCurve {
 /// one extra watt buys when spent on each individual knob, starting from
 /// the app's best setting within `budget` (the decomposition behind
 /// Fig. 3 and Fig. 9d).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ResourceMarginals {
     /// Perf gain per watt from raising the DVFS state.
     pub frequency: f64,

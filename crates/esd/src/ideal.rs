@@ -2,14 +2,13 @@
 //! ablations) and the absence of storage (baselines).
 
 use powermed_units::{Joules, Ratio, Seconds, Watts};
-use serde::{Deserialize, Serialize};
 
 use crate::storage::{EnergyStorage, StorageStats};
 
 /// A lossless, rate-unlimited-ish energy store. Useful as the upper bound
 /// in ablations of Requirement R4: how much of the Lead-Acid benefit is
 /// lost to its efficiency and rate limits?
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct IdealEsd {
     capacity: Joules,
     stored: Joules,
@@ -107,7 +106,7 @@ impl EnergyStorage for IdealEsd {
 /// The absence of an energy storage device. Every operation is a no-op;
 /// policies treat a server with `NoEsd` exactly like one with a fully
 /// depleted, uncharging battery.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct NoEsd;
 
 impl EnergyStorage for NoEsd {

@@ -17,12 +17,11 @@
 //!   lifetime arguments.
 
 use powermed_units::{Joules, Ratio, Seconds, Watts};
-use serde::{Deserialize, Serialize};
 
 use crate::storage::{EnergyStorage, StorageStats};
 
 /// A Lead-Acid battery attached to the server's power bus.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LeadAcidBattery {
     capacity: Joules,
     stored: Joules,

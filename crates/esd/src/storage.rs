@@ -2,10 +2,9 @@
 //! about any storage device.
 
 use powermed_units::{Joules, Ratio, Seconds, Watts};
-use serde::{Deserialize, Serialize};
 
 /// Lifetime accounting for a storage device.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct StorageStats {
     /// Total energy ever pushed into the device (bus side).
     pub charged: Joules,

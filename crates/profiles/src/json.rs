@@ -1,10 +1,10 @@
 //! Minimal JSON reader/writer for store snapshots.
 //!
-//! The vendored `serde` shim's derives expand to nothing (the offline
-//! build has no registry access), so — like the benchmark harness's
-//! `HarnessDoc` — snapshots are rendered and parsed by hand. The dialect
-//! is plain JSON plus bare `NaN`/`inf`/`-inf` number tokens, matching
-//! what Rust's `f64` `Display` can emit; `Display` produces the shortest
+//! The workspace has no serialization dependency (it builds offline),
+//! so — like the benchmark harness's `HarnessDoc` — snapshots are
+//! rendered and parsed by hand. The dialect is plain JSON plus bare
+//! `NaN`/`inf`/`-inf` number tokens, matching what Rust's `f64`
+//! `Display` can emit; `Display` produces the shortest
 //! string that parses back to the same bits, which is what makes
 //! snapshot → restore round-trips bit-identical for finite values.
 

@@ -854,7 +854,7 @@ mod tests {
     /// against the code it stands in for.
     mod matches_reference {
         use super::*;
-        use powermed_units::hash::splitmix64;
+        use powermed_units::rng::SplitMix;
         use std::cmp::Ordering;
 
         /// The merge order with the canonical serialization as the only
@@ -987,11 +987,11 @@ mod tests {
         /// NaN payloads, an infinity and a few ordinary values.
         const POOL: [f64; 7] = [0.0, -0.0, f64::NAN, 0.5, 0.9, f64::INFINITY, 1.0];
 
-        struct Draws(u64);
+        struct Draws(SplitMix);
 
         impl Draws {
             fn below(&mut self, n: u64) -> u64 {
-                splitmix64(&mut self.0) % n
+                self.0.below(n)
             }
 
             fn float(&mut self) -> f64 {
@@ -1107,7 +1107,7 @@ mod tests {
             /// exactly as the canonical-only tie-break does.
             #[test]
             fn prop_rank_and_merge_match_the_canonical_tie_break(seed in 0u64..u64::MAX) {
-                let mut draws = Draws(seed);
+                let mut draws = Draws(SplitMix::new(seed));
                 for _ in 0..16 {
                     let (a, b) = draws.pair();
                     prop_assert_eq!(a.rank(&b), rank_reference(&a, &b));
@@ -1126,7 +1126,7 @@ mod tests {
             /// recency, counters and bytes.
             #[test]
             fn prop_store_matches_the_recounting_reference(seed in 0u64..u64::MAX) {
-                let mut draws = Draws(seed);
+                let mut draws = Draws(SplitMix::new(seed));
                 let config = StoreConfig {
                     capacity: 1 + draws.below(4) as usize,
                     confidence_threshold: 0.4,

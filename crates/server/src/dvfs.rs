@@ -6,7 +6,6 @@
 //! settable frequencies closed under the policies' search.
 
 use powermed_units::Gigahertz;
-use serde::{Deserialize, Serialize};
 
 use crate::error::ServerError;
 
@@ -21,9 +20,7 @@ use crate::error::ServerError;
 /// assert_eq!(ladder.frequency(DvfsState::new(0)), Gigahertz::new(1.2));
 /// assert_eq!(ladder.frequency(ladder.top_state()), Gigahertz::new(2.0));
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct DvfsState(usize);
 
 impl DvfsState {
@@ -61,7 +58,7 @@ impl core::fmt::Display for DvfsState {
 /// The discrete set of frequencies every core can be set to.
 ///
 /// Frequencies are evenly spaced between `min` and `max` inclusive.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FrequencyLadder {
     min: Gigahertz,
     max: Gigahertz,

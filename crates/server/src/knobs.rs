@@ -13,7 +13,6 @@
 //! utility matrix is indexed by.
 
 use powermed_units::{Gigahertz, Watts};
-use serde::{Deserialize, Serialize};
 
 use crate::dvfs::DvfsState;
 use crate::error::ServerError;
@@ -29,7 +28,7 @@ use crate::spec::ServerSpec;
 /// let knob = KnobSetting::new(DvfsState::new(8), 6, Watts::new(10.0));
 /// assert_eq!(knob.cores(), 6);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct KnobSetting {
     dvfs: DvfsState,
     cores: usize,
@@ -152,7 +151,7 @@ impl core::fmt::Display for KnobSetting {
 ///
 /// The stable order matters: the collaborative-filtering utility matrix
 /// uses the grid index as its column key.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct KnobGrid {
     settings: Vec<KnobSetting>,
     dvfs_steps: usize,

@@ -11,7 +11,6 @@
 //!    from a watt of core budget (Fig. 3 / Fig. 9d).
 
 use powermed_units::{BytesPerSec, Gigahertz, Ratio, Watts};
-use serde::{Deserialize, Serialize};
 
 /// Per-core dynamic power model: `P(f) = base + lin·f + cube·f³` for an
 /// active core at frequency `f` (in GHz), scaled by utilization.
@@ -28,7 +27,7 @@ use serde::{Deserialize, Serialize};
 /// let fast = model.active_power(Gigahertz::new(2.0));
 /// assert!(fast > slow * 1.5, "frequency scaling is super-linear");
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CorePowerModel {
     /// Static per-core overhead while the core is un-gated (W).
     base: Watts,
@@ -130,7 +129,7 @@ impl Default for CorePowerModel {
 /// let capped = dram.bandwidth_at_limit(Watts::new(3.0));
 /// assert!(capped.value() < full.value() / 4.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DramPowerModel {
     /// Background (traffic-independent) power while the DIMM is online.
     background: Watts,

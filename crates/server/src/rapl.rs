@@ -15,7 +15,6 @@
 //! * [`DramDomain`] — limit ↔ bandwidth clamping for the memory knob.
 
 use powermed_units::{BytesPerSec, Joules, Seconds, Watts};
-use serde::{Deserialize, Serialize};
 
 use crate::dvfs::DvfsState;
 use crate::power::DramPowerModel;
@@ -32,7 +31,7 @@ use crate::spec::ServerSpec;
 /// meter.accumulate(Watts::new(50.0), Seconds::new(2.0));
 /// assert_eq!(meter.total().value(), 100.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct EnergyMeter {
     total: Joules,
 }
@@ -66,7 +65,7 @@ impl EnergyMeter {
 
 /// The package RAPL domain: a power limit enforced by uniformly scaling
 /// the frequency of every active core in the package.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PackageDomain {
     limit: Option<Watts>,
     meter: EnergyMeter,
@@ -130,7 +129,7 @@ impl PackageDomain {
 
 /// The DRAM RAPL domain for one DIMM: an explicit power limit in watts
 /// (the paper's `m` knob) that caps achievable memory bandwidth.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DramDomain {
     model: DramPowerModel,
     limit: Watts,

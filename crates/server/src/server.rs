@@ -9,7 +9,6 @@
 use std::collections::BTreeMap;
 
 use powermed_units::{BytesPerSec, Ratio, Seconds, Watts};
-use serde::{Deserialize, Serialize};
 
 use crate::error::ServerError;
 use crate::knobs::KnobSetting;
@@ -19,7 +18,7 @@ use crate::spec::ServerSpec;
 use crate::topology::{CoreAllocator, CoreId, DimmId, SocketId};
 
 /// Run state of a hosted application (the suspend/continue knob).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum AppRunState {
     /// Scheduled and executing on its cores.
     #[default]
@@ -32,7 +31,7 @@ pub enum AppRunState {
 /// What an application demands of the hardware this instant, produced by
 /// the workload model: how busy its cores are and how much memory
 /// bandwidth it wants.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AppDemand {
     /// Fraction of time the app's cores retire work (vs stall).
     pub core_busy: Ratio,
@@ -50,7 +49,7 @@ impl Default for AppDemand {
 }
 
 /// An application's placement and knob state on the server.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Assignment {
     /// Application slot index (used by the core allocator).
     slot: usize,
@@ -87,7 +86,7 @@ impl Assignment {
 /// Per-component decomposition of one instant of server power draw,
 /// mirroring the paper's Fig. 1 accounting
 /// (`P_idle + P_cm + Σ P_X [+ ESD]`).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PowerBreakdown {
     /// Always-on floor: fans, disks, LLC leakage, DRAM self-refresh.
     pub idle: Watts,
@@ -127,7 +126,7 @@ impl PowerBreakdown {
 /// assert_eq!(server.assignment("stream").unwrap().cores().len(), 6);
 /// # Ok::<(), powermed_server::ServerError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Server {
     spec: ServerSpec,
     allocator: CoreAllocator,

@@ -9,10 +9,9 @@
 //! that pathological high-frequency cycling would be penalized.
 
 use powermed_units::Seconds;
-use serde::{Deserialize, Serialize};
 
 /// Power state of one socket (package).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum SocketPowerState {
     /// Package active: uncore powered, cores runnable.
     #[default]
@@ -38,7 +37,7 @@ impl core::fmt::Display for SocketPowerState {
 }
 
 /// Transition-latency model for socket sleep states.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SleepLatency {
     /// Time to enter PC6 once the last core halts.
     pub enter: Seconds,

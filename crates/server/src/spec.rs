@@ -1,7 +1,6 @@
 //! Server hardware specification (the paper's Table I).
 
 use powermed_units::{BytesPerSec, Gigahertz, Watts};
-use serde::{Deserialize, Serialize};
 
 use crate::dvfs::FrequencyLadder;
 use crate::knobs::KnobGrid;
@@ -35,7 +34,7 @@ use crate::topology::Topology;
 /// assert_eq!(spec.idle_power(), Watts::new(50.0));
 /// assert_eq!(spec.topology().total_cores(), 12);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ServerSpec {
     topology: Topology,
     ladder: FrequencyLadder,

@@ -6,14 +6,10 @@
 //! resource contention), which is exactly the regime in which power
 //! struggles arise.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::ServerError;
 
 /// Identifier of a socket (NUMA node).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SocketId(pub usize);
 
 impl core::fmt::Display for SocketId {
@@ -23,9 +19,7 @@ impl core::fmt::Display for SocketId {
 }
 
 /// Identifier of a physical core, global across sockets.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct CoreId(pub usize);
 
 impl core::fmt::Display for CoreId {
@@ -36,9 +30,7 @@ impl core::fmt::Display for CoreId {
 
 /// Identifier of a DIMM (one per memory controller / socket on the paper's
 /// platform).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct DimmId(pub usize);
 
 impl core::fmt::Display for DimmId {
@@ -56,7 +48,7 @@ impl core::fmt::Display for DimmId {
 /// assert_eq!(topo.total_cores(), 12);
 /// assert_eq!(topo.socket_of(CoreId(7)), SocketId(1));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Topology {
     sockets: usize,
     cores_per_socket: usize,
@@ -135,7 +127,7 @@ impl Topology {
 /// paper's "disjoint direct resources" co-location discipline: each
 /// application owns a socket-local, mutually exclusive core set
 /// (the simulated analogue of `taskset`).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CoreAllocator {
     topology: Topology,
     /// `owner[i]` is the index of the owning application slot for core `i`.

@@ -30,8 +30,8 @@
 //! # Determinism contract
 //!
 //! Same contract as [`crate::faults`]: the one randomized channel
-//! (heartbeat jitter) draws from its own `splitmix64` stream derived
-//! from the scenario seed, draws happen only for adversarial apps at
+//! (heartbeat jitter) draws from its own [`SplitMix`] stream, the
+//! scenario seed XOR the channel's tag, draws happen only for adversarial apps at
 //! points fixed by the single-threaded simulation order, and inert
 //! channels consume no randomness. A [`ServerSim`] built without an
 //! adversary never consults this module at all, so the layer is
@@ -43,11 +43,8 @@ use std::cell::Cell;
 
 use powermed_server::{KnobSetting, ServerSpec};
 use powermed_telemetry::faults::AdversaryStats;
+use powermed_units::rng::SplitMix;
 use powermed_units::Seconds;
-use rand::rngs::StdRng;
-use rand::Rng;
-
-use crate::faults::channel_stream;
 
 /// Scenario description: which applications misbehave and how.
 ///
@@ -170,7 +167,7 @@ impl AdversaryConfig {
 #[derive(Debug)]
 pub struct AdversaryInjector {
     config: AdversaryConfig,
-    hb_rng: StdRng,
+    hb_rng: SplitMix,
     now: Seconds,
     /// Counters live in a `Cell` because the sandbag hook sits on the
     /// engine's `&self` probe path.
@@ -183,7 +180,7 @@ impl AdversaryInjector {
     /// (0xA001/0xB002/0xC003) even under a shared scenario seed.
     pub fn new(config: AdversaryConfig) -> Self {
         Self {
-            hb_rng: channel_stream(config.seed, 0xD004),
+            hb_rng: SplitMix::new(config.seed ^ 0xD004),
             config,
             now: Seconds::ZERO,
             stats: Cell::new(AdversaryStats::default()),
@@ -223,7 +220,7 @@ impl AdversaryInjector {
         if self.config.misreport_active() {
             factor *= self.config.heartbeat_factor;
             if self.config.heartbeat_jitter > 0.0 {
-                let g = gaussian(&mut self.hb_rng);
+                let g = self.hb_rng.normal();
                 factor *= (1.0 + self.config.heartbeat_jitter * g).max(0.0);
             }
             self.bump(|s| s.heartbeats_misreported += 1);
@@ -275,14 +272,6 @@ impl AdversaryInjector {
         }
         defied
     }
-}
-
-/// A standard-normal sample by Box–Muller over the jitter stream (the
-/// vendored rand shim has no distributions module).
-fn gaussian(rng: &mut StdRng) -> f64 {
-    let u1: f64 = 1.0 - rng.gen_range(0.0..1.0); // (0, 1]
-    let u2: f64 = rng.gen_range(0.0..1.0);
-    (-2.0 * u1.ln()).sqrt() * (core::f64::consts::TAU * u2).cos()
 }
 
 #[cfg(test)]

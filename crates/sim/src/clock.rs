@@ -1,7 +1,6 @@
 //! The simulation clock.
 
 use powermed_units::Seconds;
-use serde::{Deserialize, Serialize};
 
 /// A monotonically advancing simulation clock.
 ///
@@ -13,7 +12,7 @@ use serde::{Deserialize, Serialize};
 /// clock.advance(Seconds::from_millis(100.0));
 /// assert_eq!(clock.now(), Seconds::new(0.1));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct SimClock {
     now: Seconds,
     steps: u64,

@@ -22,8 +22,8 @@
 //!
 //! # Determinism contract
 //!
-//! Each fault channel draws from its own `splitmix64` stream derived
-//! from the scenario seed, and every draw happens at a point fixed by
+//! Each fault channel draws from its own [`SplitMix`] stream, the
+//! scenario seed XOR the channel's tag, and every draw happens at a point fixed by
 //! the simulation's own (single-threaded, fixed-timestep) execution
 //! order. Two runs with the same seed and the same driver therefore
 //! produce bit-identical fault traces, observations and results; runs
@@ -33,9 +33,8 @@
 use std::collections::BTreeMap;
 
 use powermed_telemetry::faults::FaultStats;
+use powermed_units::rng::SplitMix;
 use powermed_units::{Seconds, Watts};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 /// Scenario description: which faults to inject and how hard.
 ///
@@ -206,9 +205,9 @@ pub enum KnobWriteOutcome {
 #[derive(Debug)]
 pub struct FaultInjector {
     config: FaultConfig,
-    knob_rng: StdRng,
-    meter_rng: StdRng,
-    app_rng: StdRng,
+    knob_rng: SplitMix,
+    meter_rng: SplitMix,
+    app_rng: SplitMix,
     step: u64,
     now: Seconds,
     stats: FaultStats,
@@ -222,25 +221,15 @@ pub struct FaultInjector {
     crashed: BTreeMap<String, u64>,
 }
 
-/// Derives one independent splitmix64-backed stream for channel `tag`
-/// of scenario `seed` — the per-channel derivation the injector uses so
-/// enabling one fault channel never perturbs another's draw sequence.
-/// Exported so higher layers (the cluster control plane) reuse the same
-/// pattern with their own tag space instead of inventing a second
-/// seeding scheme.
-pub fn channel_stream(seed: u64, tag: u64) -> StdRng {
-    StdRng::seed_from_u64(seed ^ tag)
-}
-
 impl FaultInjector {
     /// Creates an injector for `config`, deriving one independent
     /// stream per fault channel so enabling one channel never perturbs
     /// another's sequence.
     pub fn new(config: FaultConfig) -> Self {
         Self {
-            knob_rng: channel_stream(config.seed, 0xA001),
-            meter_rng: channel_stream(config.seed, 0xB002),
-            app_rng: channel_stream(config.seed, 0xC003),
+            knob_rng: SplitMix::new(config.seed ^ 0xA001),
+            meter_rng: SplitMix::new(config.seed ^ 0xB002),
+            app_rng: SplitMix::new(config.seed ^ 0xC003),
             config,
             step: 0,
             now: Seconds::ZERO,
@@ -297,10 +286,10 @@ impl FaultInjector {
         if self.config.knob_failure_prob <= 0.0 {
             return KnobWriteOutcome::Apply;
         }
-        if self.knob_rng.gen_range(0.0..1.0) >= self.config.knob_failure_prob {
+        if self.knob_rng.next_f64() >= self.config.knob_failure_prob {
             return KnobWriteOutcome::Apply;
         }
-        match self.knob_rng.gen_range(0u32..3) {
+        match self.knob_rng.below(3) {
             0 => {
                 self.stats.knob_rejections += 1;
                 self.record(FaultKind::KnobRejected {
@@ -343,7 +332,7 @@ impl FaultInjector {
             self.held_reading = None;
         }
         if self.config.meter_dropout_prob > 0.0
-            && self.meter_rng.gen_range(0.0..1.0) < self.config.meter_dropout_prob
+            && self.meter_rng.next_f64() < self.config.meter_dropout_prob
         {
             self.stats.meter_dropouts += 1;
             self.record(FaultKind::MeterDropout);
@@ -355,12 +344,12 @@ impl FaultInjector {
             self.stats.meter_biased += 1;
         }
         if self.config.meter_noise_sigma > 0.0 {
-            let g = gaussian(&mut self.meter_rng);
+            let g = self.meter_rng.normal();
             observed = (observed * (1.0 + self.config.meter_noise_sigma * g)).max_zero();
             self.stats.meter_noisy += 1;
         }
         if self.config.meter_stuck_prob > 0.0
-            && self.meter_rng.gen_range(0.0..1.0) < self.config.meter_stuck_prob
+            && self.meter_rng.next_f64() < self.config.meter_stuck_prob
         {
             let steps = self.config.meter_stuck_steps;
             self.held_reading = Some((observed, steps));
@@ -404,7 +393,7 @@ impl FaultInjector {
         if self.config.app_crash_prob <= 0.0 || self.crashed.contains_key(app) {
             return false;
         }
-        if self.app_rng.gen_range(0.0..1.0) >= self.config.app_crash_prob {
+        if self.app_rng.next_f64() >= self.config.app_crash_prob {
             return false;
         }
         self.crashed
@@ -426,14 +415,6 @@ impl FaultInjector {
         self.crashed.remove(app);
         self.stale_until.remove(app);
     }
-}
-
-/// A standard-normal sample by Box–Muller over the channel stream (the
-/// vendored rand shim has no distributions module).
-fn gaussian(rng: &mut StdRng) -> f64 {
-    let u1: f64 = 1.0 - rng.gen_range(0.0..1.0); // (0, 1]
-    let u2: f64 = rng.gen_range(0.0..1.0);
-    (-2.0 * u1.ln()).sqrt() * (core::f64::consts::TAU * u2).cos()
 }
 
 #[cfg(test)]
@@ -607,23 +588,12 @@ mod tests {
     }
 
     #[test]
-    fn channel_streams_are_deterministic_and_independent_per_tag() {
-        let mut a = channel_stream(9, 0xA001);
-        let mut a_again = channel_stream(9, 0xA001);
-        let mut b = channel_stream(9, 0xB002);
-        let first: f64 = a.gen_range(0.0..1.0);
-        assert_eq!(first, a_again.gen_range(0.0..1.0), "same (seed, tag)");
-        assert_ne!(first, b.gen_range(0.0..1.0), "different tag diverges");
-    }
-
-    #[test]
-    fn gaussian_is_roughly_standard() {
-        let mut rng = StdRng::seed_from_u64(42);
-        let n = 20_000;
-        let samples: Vec<f64> = (0..n).map(|_| gaussian(&mut rng)).collect();
-        let mean = samples.iter().sum::<f64>() / n as f64;
-        let var = samples.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / n as f64;
-        assert!(mean.abs() < 0.05, "mean {mean}");
-        assert!((var - 1.0).abs() < 0.1, "variance {var}");
+    fn fault_channels_are_deterministic_and_independent_per_tag() {
+        let mut a = SplitMix::new(9 ^ 0xA001);
+        let mut a_again = SplitMix::new(9 ^ 0xA001);
+        let mut b = SplitMix::new(9 ^ 0xB002);
+        let first = a.next_f64();
+        assert_eq!(first, a_again.next_f64(), "same (seed, tag)");
+        assert_ne!(first, b.next_f64(), "different tag diverges");
     }
 }

@@ -8,10 +8,8 @@
 //! both are surfaced through the [`crate::recorder::TraceRecorder`] as
 //! time series by their owners.
 
-use serde::{Deserialize, Serialize};
-
 /// Counters for faults injected into the simulated substrate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct FaultStats {
     /// Knob writes rejected outright (the actuation returned an error).
     pub knob_rejections: u64,
@@ -54,7 +52,7 @@ impl FaultStats {
 }
 
 /// Counters for the hardened mediator's degradation responses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct HardeningStats {
     /// Actuation retries attempted (each backoff-scheduled reattempt).
     pub retries: u64,
@@ -76,7 +74,7 @@ pub struct HardeningStats {
 
 /// Counters for the non-intrusive power-estimation layer (all zero
 /// when the mediator runs on oracle per-app power).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct EstimationStats {
     /// Breakdowns estimated (one per poll while estimation is on).
     pub estimates: u64,
@@ -106,7 +104,7 @@ pub struct EstimationStats {
 /// Counters for injected adversarial-application behaviour (the
 /// strategic misreporting channels in `powermed-sim`'s adversary
 /// module). All zero when no adversary is configured.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct AdversaryStats {
     /// Heartbeat reports scaled away from the true rate (inflation or
     /// deflation, including jittered reports).
@@ -134,7 +132,7 @@ impl AdversaryStats {
 /// Counters for the mediator's integrity defense (trust scoring,
 /// quarantine ladder and watt-debt clawback). All zero when the
 /// defense is off or every app behaves.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct TrustStats {
     /// Polls on which some app's claim failed a physics-plausibility
     /// cross-check (claimed rate vs. the calibrated surface, residual
@@ -175,7 +173,7 @@ impl TrustStats {
 /// reapportionments, checkpoints) and the per-server agents (heartbeat
 /// misses, fallback engagements). A naive manager leaves the response
 /// half at zero, and a fault-free run leaves the injected half at zero.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ClusterControlStats {
     /// Cap-assignment / heartbeat downlinks dropped in flight.
     pub downlinks_dropped: u64,

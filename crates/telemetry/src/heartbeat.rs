@@ -8,13 +8,12 @@
 use std::collections::VecDeque;
 
 use powermed_units::Seconds;
-use serde::{Deserialize, Serialize};
 
 /// One heartbeat: a timestamp and the amount of work it certifies.
 ///
 /// Real heartbeats are unit events; the simulation batches them (`ops`
 /// completed during a step) to stay step-rate independent.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Heartbeat {
     /// Simulation time of the beat.
     pub at: Seconds,
@@ -25,7 +24,7 @@ pub struct Heartbeat {
 /// Sliding-window heartbeat aggregator for one application.
 ///
 /// Keeps beats within `window` of the newest and reports their rate.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HeartbeatMonitor {
     window: Seconds,
     beats: VecDeque<Heartbeat>,

@@ -1,10 +1,9 @@
 //! Server power metering and cap-compliance accounting.
 
 use powermed_units::{Joules, Seconds, Watts};
-use serde::{Deserialize, Serialize};
 
 /// How well a run respected its power cap, as reported by the meter.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct CapCompliance {
     /// Time spent above the cap.
     pub violation_time: Seconds,
@@ -40,7 +39,7 @@ impl CapCompliance {
 /// assert_eq!(meter.average(), Some(Watts::new(100.0)));
 /// assert_eq!(meter.compliance().violation_fraction(), 0.5);
 /// ```
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct PowerMeter {
     energy: Joules,
     time: Seconds,

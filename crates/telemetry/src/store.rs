@@ -7,10 +7,8 @@
 //! and its owner surfaces it through the
 //! [`crate::recorder::TraceRecorder`] as time series.
 
-use serde::{Deserialize, Serialize};
-
 /// Counters for a profile knowledge-plane store.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ProfileStoreStats {
     /// Confident lookups: an admission found a usable stored profile.
     pub hits: u64,

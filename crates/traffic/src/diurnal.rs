@@ -9,9 +9,8 @@
 //! onset times come from a dedicated seeded stream; they only ever add
 //! load, which is what makes them useful for provoking SLO misses.
 
+use powermed_units::rng::SplitMix;
 use powermed_units::Seconds;
-
-use crate::rng::TrafficRng;
 
 /// Mean-one diurnal rate multiplier with a midday peak.
 ///
@@ -74,7 +73,7 @@ impl FlashCrowds {
     /// Draws `count` burst onsets uniformly over `period` from the
     /// given stream.
     pub fn new(
-        rng: &mut TrafficRng,
+        rng: &mut SplitMix,
         count: u32,
         period: Seconds,
         magnitude: f64,
@@ -158,7 +157,7 @@ mod tests {
 
     #[test]
     fn flash_crowds_only_add_load_and_decay() {
-        let mut rng = TrafficRng::new(42, 0xF1A5);
+        let mut rng = SplitMix::channel(42, 0xF1A5);
         let period = Seconds::new(86.4);
         let bursts = FlashCrowds::new(&mut rng, 3, period, 6.0, Seconds::new(2.0));
         assert_eq!(bursts.onsets().len(), 3);

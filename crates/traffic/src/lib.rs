@@ -12,18 +12,16 @@
 //! attainment metric the `ext_traffic` experiment sweeps against cap
 //! tightness.
 //!
-//! Everything is seeded and deterministic (splitmix64 channels, fixed
-//! draw order), so the harness's CRN and smoke-digest contracts extend
+//! Everything is seeded and deterministic
+//! ([`powermed_units::rng::SplitMix`] channels, fixed draw order), so the harness's CRN and smoke-digest contracts extend
 //! to traffic unchanged. The crate is pure demand-side modeling: it
 //! depends only on `powermed-units` and is entirely optional to the
 //! simulation (zero-cost when no source is attached).
 
 pub mod diurnal;
-pub mod rng;
 pub mod samplers;
 pub mod source;
 
 pub use diurnal::{DiurnalCurve, FlashCrowds};
-pub use rng::TrafficRng;
 pub use samplers::{zipf_weights, BoundedPareto, ZipfRanks};
 pub use source::{TrafficConfig, TrafficEvent, TrafficSource, TrafficStats};

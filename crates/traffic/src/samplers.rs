@@ -7,7 +7,7 @@
 //! transforms of one uniform, so stream positions never depend on the
 //! sampled values.
 
-use crate::rng::TrafficRng;
+use powermed_units::rng::SplitMix;
 
 /// Normalized Zipf popularity weights for `n` ranks with exponent `s`:
 /// `w_k ∝ 1 / k^s`, `Σ w_k = 1`. Rank 1 (index 0) is the most popular.
@@ -40,7 +40,7 @@ impl ZipfRanks {
     }
 
     /// Draws a 0-based rank (0 = most popular).
-    pub fn sample(&self, rng: &mut TrafficRng) -> usize {
+    pub fn sample(&self, rng: &mut SplitMix) -> usize {
         let u = rng.next_f64();
         self.cumulative
             .partition_point(|&c| c < u)
@@ -78,7 +78,7 @@ impl BoundedPareto {
     }
 
     /// Draws one sample.
-    pub fn sample(&self, rng: &mut TrafficRng) -> f64 {
+    pub fn sample(&self, rng: &mut SplitMix) -> f64 {
         self.quantile(rng.next_f64())
     }
 
@@ -112,7 +112,7 @@ mod tests {
         let s = 1.1;
         let n_ranks = 50;
         let sampler = ZipfRanks::new(n_ranks, s);
-        let mut rng = TrafficRng::new(0x51AF, 11);
+        let mut rng = SplitMix::channel(0x51AF, 11);
         let mut counts = vec![0u64; n_ranks];
         for _ in 0..200_000 {
             counts[sampler.sample(&mut rng)] += 1;
@@ -135,7 +135,7 @@ mod tests {
         let alpha = 1.5;
         // A cap far above xm keeps truncation bias below the tolerance.
         let dist = BoundedPareto::new(1.0, alpha, 1e6);
-        let mut rng = TrafficRng::new(0x7A1E, 13);
+        let mut rng = SplitMix::channel(0x7A1E, 13);
         let mut samples: Vec<f64> = (0..100_000).map(|_| dist.sample(&mut rng)).collect();
         samples.sort_by(|a, b| b.partial_cmp(a).expect("samples are finite"));
         let k = 2_000; // tail fraction for the Hill estimator
@@ -151,7 +151,7 @@ mod tests {
     #[test]
     fn bounded_pareto_mean_matches_samples() {
         let dist = BoundedPareto::new(1.0, 1.5, 50.0);
-        let mut rng = TrafficRng::new(0xCAFE, 17);
+        let mut rng = SplitMix::channel(0xCAFE, 17);
         let n = 200_000;
         let total: f64 = (0..n).map(|_| dist.sample(&mut rng)).sum();
         let sample_mean = total / n as f64;
@@ -165,7 +165,7 @@ mod tests {
     #[test]
     fn samples_respect_bounds() {
         let dist = BoundedPareto::new(2.0, 1.3, 40.0);
-        let mut rng = TrafficRng::new(1, 2);
+        let mut rng = SplitMix::channel(1, 2);
         for _ in 0..10_000 {
             let x = dist.sample(&mut rng);
             assert!((2.0..=40.0).contains(&x), "sample {x} out of bounds");

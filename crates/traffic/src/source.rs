@@ -25,10 +25,10 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
+use powermed_units::rng::SplitMix;
 use powermed_units::Seconds;
 
 use crate::diurnal::{DiurnalCurve, FlashCrowds};
-use crate::rng::TrafficRng;
 use crate::samplers::{zipf_weights, BoundedPareto};
 
 /// Scenario description for one server's request traffic.
@@ -166,7 +166,7 @@ struct AppStream {
     weight: f64,
     /// Mean ops per request, calibrated against uncapped capacity.
     mean_ops_per_request: f64,
-    rng: TrafficRng,
+    rng: SplitMix,
     queue: VecDeque<Request>,
     /// Open-window counters (completions, within-budget completions,
     /// arrivals).
@@ -229,7 +229,7 @@ impl TrafficSource {
                 name: name.clone(),
                 weight: *weight,
                 mean_ops_per_request,
-                rng: TrafficRng::new(config.seed, 0x0A00 + rank as u64),
+                rng: SplitMix::channel(config.seed, 0x0A00 + rank as u64),
                 queue: VecDeque::new(),
                 window_completions: 0,
                 window_within: 0,
@@ -238,7 +238,7 @@ impl TrafficSource {
             });
         }
         let diurnal = DiurnalCurve::new(config.day, config.diurnal_a1, config.diurnal_a2);
-        let mut burst_rng = TrafficRng::new(config.seed, 0xB0B5);
+        let mut burst_rng = SplitMix::channel(config.seed, 0xB0B5);
         let bursts = FlashCrowds::new(
             &mut burst_rng,
             config.flash_crowds,

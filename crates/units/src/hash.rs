@@ -1,8 +1,9 @@
-//! Deterministic hashing and seeded streams shared by the workspace.
+//! Deterministic hashing shared by the workspace.
 //!
 //! Digests, content fingerprints and determinism witnesses all use
-//! 64-bit FNV-1a; seeded per-channel streams use splitmix64. Both are
-//! defined here once, so every crate folds and draws bit-identically.
+//! 64-bit FNV-1a, defined here once so every crate folds
+//! bit-identically. The splitmix64 step behind [`crate::rng::SplitMix`]
+//! lives here too.
 
 use std::fmt::{self, Debug, Write};
 
@@ -81,7 +82,7 @@ impl Write for Fnv1a {
 }
 
 /// Advances a splitmix64 `state` and returns its next output.
-pub fn splitmix64(state: &mut u64) -> u64 {
+pub(crate) fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(SPLITMIX_GAMMA);
     let mut z = *state;
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);

@@ -23,8 +23,8 @@
 //! assert_eq!(banked, Joules::new(500.0));
 //! ```
 //!
-//! All types are `Copy`, `Send`, `Sync`, ordered, serializable with `serde`
-//! (as transparent `f64`), and display with their unit suffix (`"12.5 W"`).
+//! All types are `Copy`, `Send`, `Sync`, ordered, and display with their
+//! unit suffix (`"12.5 W"`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -38,6 +38,7 @@ mod frequency;
 pub mod hash;
 mod power;
 mod ratio;
+pub mod rng;
 mod time;
 
 pub use bandwidth::BytesPerSec;

@@ -1,5 +1,5 @@
 //! The `quantity!` macro declaring an `f64` newtype with the full set of
-//! arithmetic, ordering, formatting and serde impls shared by every unit.
+//! arithmetic, ordering and formatting impls shared by every unit.
 
 /// Declares a physical-quantity newtype over `f64`.
 ///
@@ -11,14 +11,11 @@
 /// * `Mul<f64>`, `Div<f64>` (and `Mul<$name> for f64`) keeping dimension;
 /// * `Div<Self> -> f64` (dimensionless ratio);
 /// * `Sum` for iterator accumulation;
-/// * `PartialOrd`, `Display` (`"12.5 W"`), `Debug`, `Default`;
-/// * serde `Serialize`/`Deserialize` as a transparent `f64`.
+/// * `PartialOrd`, `Display` (`"12.5 W"`), `Debug`, `Default`.
 macro_rules! quantity {
     ($(#[$meta:meta])* $name:ident, $suffix:expr) => {
         $(#[$meta])*
-        #[derive(Clone, Copy, PartialEq, PartialOrd, Default,
-                 serde::Serialize, serde::Deserialize)]
-        #[serde(transparent)]
+        #[derive(Clone, Copy, PartialEq, PartialOrd, Default)]
         pub struct $name(f64);
 
         impl $name {

@@ -7,11 +7,8 @@
 //! training corpus with more than 12 distinct apps), and Poisson-ish
 //! arrival scripts.
 
+use powermed_units::rng::SplitMix;
 use powermed_units::Seconds;
-use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::catalog;
 use crate::mixes::{Mix, MixId};
@@ -20,11 +17,11 @@ use crate::profile::AppProfile;
 /// Deterministic workload generator.
 #[derive(Debug)]
 pub struct WorkloadGenerator {
-    rng: StdRng,
+    rng: SplitMix,
 }
 
 /// One scripted arrival: an application and when it shows up.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Arrival {
     /// The arriving application.
     pub profile: AppProfile,
@@ -36,7 +33,7 @@ impl WorkloadGenerator {
     /// Creates a generator with a fixed seed (same seed, same workloads).
     pub fn new(seed: u64) -> Self {
         Self {
-            rng: StdRng::seed_from_u64(seed),
+            rng: SplitMix::new(seed),
         }
     }
 
@@ -44,12 +41,9 @@ impl WorkloadGenerator {
     /// catalog.
     pub fn random_mix(&mut self, id: usize) -> Mix {
         let pool = catalog::all();
-        let mut picks = pool
-            .choose_multiple(&mut self.rng, 2)
-            .cloned()
-            .collect::<Vec<_>>();
-        let app2 = picks.pop().expect("two picks");
-        let app1 = picks.pop().expect("two picks");
+        let mut picks = self.rng.choose_multiple(&pool, 2);
+        let app2 = picks.pop().expect("two picks").clone();
+        let app1 = picks.pop().expect("two picks").clone();
         Mix {
             id: MixId(id),
             app1,
@@ -71,11 +65,11 @@ impl WorkloadGenerator {
     pub fn profile_variant(&mut self, base: &str, spread: f64) -> AppProfile {
         assert!((0.0..1.0).contains(&spread), "spread in [0,1)");
         let p = catalog::by_name(base).unwrap_or_else(|| panic!("unknown profile {base:?}"));
-        let cf = 1.0 + self.rng.gen_range(-spread..=spread);
-        let mf = 1.0 + self.rng.gen_range(-spread..=spread);
+        let cf = 1.0 + self.rng.uniform(-spread, spread);
+        let mf = 1.0 + self.rng.uniform(-spread, spread);
         // Re-author the profile with scaled intensities via the public
         // constructor (names are suffixed to keep corpus keys unique).
-        let name = format!("{}~v{}", p.name(), self.rng.gen_range(0..u32::MAX));
+        let name = format!("{}~v{}", p.name(), self.rng.below(u64::from(u32::MAX)));
         scale_profile(&p, &name, cf, mf)
     }
 
@@ -95,16 +89,18 @@ impl WorkloadGenerator {
     }
 
     /// Scripts `count` arrivals uniformly at random within
-    /// `[0, horizon]`, drawing apps from the catalog.
+    /// `[0, horizon)`, drawing apps from the catalog.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `count` is nonzero and `horizon` is not positive.
     pub fn arrival_script(&mut self, count: usize, horizon: Seconds) -> Vec<Arrival> {
+        assert!(count == 0 || horizon.value() > 0.0, "empty arrival horizon");
         let pool = catalog::all();
         let mut arrivals: Vec<Arrival> = (0..count)
             .map(|_| {
-                let profile = pool
-                    .choose(&mut self.rng)
-                    .expect("catalog non-empty")
-                    .clone();
-                let at = Seconds::new(self.rng.gen_range(0.0..horizon.value()));
+                let profile = self.rng.choose(&pool).expect("catalog non-empty").clone();
+                let at = Seconds::new(self.rng.uniform(0.0, horizon.value()));
                 Arrival { profile, at }
             })
             .collect();

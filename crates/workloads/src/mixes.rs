@@ -1,12 +1,10 @@
 //! The paper's Table II: fifteen two-application co-location mixes.
 
-use serde::{Deserialize, Serialize};
-
 use crate::catalog;
 use crate::profile::AppProfile;
 
 /// Identifier of a Table II mix (1-based, as in the paper).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct MixId(pub usize);
 
 impl core::fmt::Display for MixId {
@@ -16,7 +14,7 @@ impl core::fmt::Display for MixId {
 }
 
 /// A two-application co-location from Table II.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Mix {
     /// The mix number (1–15).
     pub id: MixId,

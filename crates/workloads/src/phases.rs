@@ -7,11 +7,10 @@
 //! provides the drifting behaviour that triggers it.
 
 use powermed_units::Seconds;
-use serde::{Deserialize, Serialize};
 
 /// One phase: intensity multipliers applied to the profile's nominal
 /// compute and memory cost per op, for a duration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Phase {
     /// Multiplier on instructions per op (> 0).
     pub compute_scale: f64,
@@ -48,7 +47,7 @@ impl Phase {
 /// assert_eq!(track.phase_at(Seconds::new(12.0)).memory_scale, 2.0);
 /// assert_eq!(track.phase_at(Seconds::new(16.0)).memory_scale, 0.2); // wrapped
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PhaseTrack {
     phases: Vec<Phase>,
     cycle: Seconds,

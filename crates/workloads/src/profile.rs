@@ -3,7 +3,6 @@
 use powermed_server::server::AppDemand;
 use powermed_server::{KnobSetting, ServerSpec};
 use powermed_units::{BytesPerSec, Ratio, Seconds, Watts};
-use serde::{Deserialize, Serialize};
 
 use crate::phases::PhaseTrack;
 
@@ -19,7 +18,7 @@ pub fn evaluation_count() -> u64 {
 }
 
 /// Broad workload class, as in the paper's Sec. IV application list.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Category {
     /// Data analytics (MineBench: kmeans, APR).
     DataAnalytics,
@@ -48,7 +47,7 @@ impl core::fmt::Display for Category {
 
 /// Performance and hardware demand of one application at one knob
 /// setting — everything the runtime can observe about it.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OperatingPoint {
     /// Work units completed per second (the heartbeat rate).
     pub throughput: f64,
@@ -64,7 +63,7 @@ pub struct OperatingPoint {
 ///
 /// One "op" is an arbitrary unit of application progress (an iteration,
 /// a frame, a query); heartbeats count ops.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AppProfile {
     name: String,
     category: Category,
