@@ -818,11 +818,10 @@ mod tests {
         let text = loaded
             .get("ext_obs_fleet_metrics")
             .expect("section survives the save/load cycle");
-        let back = powermed_telemetry::metrics::MetricsRegistry::from_json(text)
-            .expect("exposition parses back");
-        assert_eq!(back, fleet.metrics);
-        assert!(back.counter("digest_bytes_total") > 0);
-        assert!(back.gauge("timeline_len").is_some());
-        assert!(back.gauge("last_acked_seq{server=\"0\"}").is_some());
+        let metrics = &fleet.metrics;
+        assert_eq!(text, metrics.to_json());
+        assert!(metrics.counter("digest_bytes_total") > 0);
+        assert!(metrics.gauge("timeline_len").is_some());
+        assert!(metrics.gauge("last_acked_seq{server=\"0\"}").is_some());
     }
 }

@@ -129,8 +129,9 @@ pub struct FoldedRow {
 }
 
 impl FoldedRow {
-    /// Rebuilds a row from stored components (e.g. a profile-store
-    /// snapshot). The inverse of [`FoldedRow::bias`] + [`FoldedRow::factors`].
+    /// Builds a row from stored components (e.g. a profile-store
+    /// tombstone's empty rows). The inverse of [`FoldedRow::bias`] +
+    /// [`FoldedRow::factors`].
     pub fn new(bias: f64, factors: Vec<f64>) -> Self {
         Self { bias, factors }
     }

@@ -67,14 +67,13 @@ struct Boot {
 
 impl Boot {
     /// Builds one incarnation capped at `cap`: the server stack with the
-    /// mix admitted, a warm-start store restored from `snapshot` (fresh
+    /// mix admitted, a warm-start store copied from `snapshot` (fresh
     /// without one), then the journal and estimation wired onto it.
-    fn incarnate(&self, cap: Watts, snapshot: Option<&str>) -> (ServerSim, PowerMediator) {
+    fn incarnate(&self, cap: Watts, snapshot: Option<&ProfileStore>) -> (ServerSim, PowerMediator) {
         let warm = self.warm.as_ref().map(|w| WarmBoot {
-            store: w.store.map(|config| {
-                snapshot
-                    .and_then(ProfileStore::from_json)
-                    .unwrap_or_else(|| ProfileStore::new(config))
+            store: w.store.map(|config| match snapshot {
+                Some(store) => store.clone(),
+                None => ProfileStore::new(config),
             }),
             server_id: self.server_id,
             sampling_fraction: w.sampling_fraction,
@@ -120,10 +119,11 @@ pub struct ServerAgent {
     ops_before: BTreeMap<String, f64>,
     heartbeat_misses: u64,
     fallback_engagements: u64,
-    /// Crash-durable store image: taken on [`ServerAgent::crash`],
-    /// restored by [`ServerAgent::restart`] (local disk survives a
-    /// reboot even though the applications and ESD state do not).
-    store_snapshot: Option<String>,
+    /// Crash-durable store image ([`ProfileStore::rebooted`]): taken on
+    /// [`ServerAgent::crash`], copied by [`ServerAgent::restart`] (local
+    /// disk survives a reboot even though the applications and ESD
+    /// state do not).
+    store_snapshot: Option<ProfileStore>,
     /// Probe accounting banked from previous incarnations.
     probes_before: ProbeSplit,
     /// Store counters banked from previous incarnations.
@@ -414,8 +414,9 @@ impl ServerAgent {
     }
 
     /// The node crashed: bank the work and probe accounting completed so
-    /// far and snapshot the knowledge-plane store (local disk survives a
-    /// reboot). The stale simulation stays in place until
+    /// far and keep the knowledge-plane store as the next incarnation
+    /// boots it, with its counters banked and zeroed (local disk
+    /// survives a reboot). The stale simulation stays in place until
     /// [`ServerAgent::restart`] rebuilds it; the run loop must not step
     /// a crashed agent.
     pub fn crash(&mut self) {
@@ -425,8 +426,8 @@ impl ServerAgent {
         }
         self.probes_before = self.probes_before.merged(&self.mediator.probe_split());
         self.store_stats_before = self.store_stats_before.merged(&self.mediator.store_stats());
-        if let Some(snapshot) = self.mediator.store_snapshot_json() {
-            self.store_snapshot = Some(snapshot);
+        if let Some(store) = self.mediator.profile_store() {
+            self.store_snapshot = Some(store.rebooted());
         }
     }
 
@@ -444,9 +445,7 @@ impl ServerAgent {
         } else {
             self.current_cap
         };
-        (self.sim, self.mediator) = self
-            .boot
-            .incarnate(boot_cap, self.store_snapshot.as_deref());
+        (self.sim, self.mediator) = self.boot.incarnate(boot_cap, self.store_snapshot.as_ref());
         self.now = now;
         self.current_cap = boot_cap;
         self.steps_since_downlink = 0;

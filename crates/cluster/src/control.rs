@@ -859,8 +859,9 @@ impl ManagerFleet {
 /// Everything a resilient checkpoint carries across manager failover.
 struct Checkpoint {
     state: ManagerState,
-    /// JSON snapshot of the profile store (`None` without one).
-    store: Option<String>,
+    /// The profile store as a standby boots it
+    /// ([`ProfileStore::rebooted`]; `None` without a store).
+    store: Option<ProfileStore>,
     /// The fleet timeline position (`None` when fleet recording is off).
     fleet: Option<FleetMark>,
 }
@@ -907,14 +908,13 @@ impl Manager {
         };
         if let Some(live) = self.store.as_mut() {
             // The standby's knowledge plane: the resilient flavor
-            // restores the checkpointed snapshot (and re-learns anything
+            // restores the checkpointed store (and re-learns anything
             // newer from subsequent uplinks); the naive flavor boots an
             // empty store and must recollect the whole fleet's profiles.
-            let config = live.config();
-            *live = checkpoint
-                .and_then(|c| c.store.as_deref())
-                .and_then(ProfileStore::from_json)
-                .unwrap_or_else(|| ProfileStore::new(config));
+            *live = match checkpoint.and_then(|c| c.store.as_ref()) {
+                Some(store) => store.clone(),
+                None => ProfileStore::new(live.config()),
+            };
         }
         // The fleet timeline lives (or dies) with the apportionment
         // state: the resilient standby rewinds to the checkpointed
@@ -1043,7 +1043,7 @@ impl Manager {
         if self.resilient && step.is_multiple_of(CHECKPOINT_INTERVAL_STEPS) {
             self.checkpoint = Some(Checkpoint {
                 state: self.state.clone(),
-                store: self.store.as_ref().map(ProfileStore::snapshot_json),
+                store: self.store.as_ref().map(ProfileStore::rebooted),
                 fleet: self.fleet.as_mut().map(|f| f.log.mark()),
             });
             if let Some(fleet) = self.fleet.as_ref() {

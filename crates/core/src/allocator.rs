@@ -8,6 +8,8 @@
 //! run an exact dynamic program on an integer-watt budget grid — 432
 //! settings × ~60 watt levels × a handful of apps is trivially cheap.
 
+use std::borrow::Cow;
+
 use powermed_units::Watts;
 
 use crate::measurement::AppMeasurement;
@@ -74,15 +76,8 @@ impl PowerAllocator {
         let curves: Vec<(UtilityCurve, f64)> = apps
             .iter()
             .map(|(m, family)| {
-                let default_family;
-                let fam: &[usize] = match family {
-                    Some(f) => f,
-                    None => {
-                        default_family = m.feasible_indices();
-                        &default_family
-                    }
-                };
-                let curve = UtilityCurve::build(m, fam, budget, self.step);
+                let fam = family_or_feasible(m, *family);
+                let curve = UtilityCurve::build(m, &fam, budget, self.step);
                 let nocap = m.nocap_perf().max(1e-12);
                 (curve, nocap)
             })
@@ -173,24 +168,7 @@ impl PowerAllocator {
         let mut normalized = Vec::with_capacity(apps.len());
         let mut objective = 0.0;
         for (m, family) in apps {
-            let default_family;
-            let fam: &[usize] = match family {
-                Some(f) => f,
-                None => {
-                    default_family = m.feasible_indices();
-                    &default_family
-                }
-            };
-            let best = m.best_within(share, fam).or_else(|| {
-                // Best effort: the cheapest runnable setting, tolerated
-                // up to 15% above the share.
-                fam.iter()
-                    .copied()
-                    .filter(|&i| m.perf(i) > 0.0)
-                    .min_by(|&a, &b| m.power(a).partial_cmp(&m.power(b)).expect("finite powers"))
-                    .filter(|&i| m.power(i) <= share * 1.15)
-                    .map(|i| (i, m.perf(i)))
-            });
+            let best = m.best_effort_within(share, &family_or_feasible(m, *family));
             budgets.push(share);
             settings.push(best.map(|(i, _)| i));
             let p = best.map_or(0.0, |(_, p)| p) / m.nocap_perf().max(1e-12);
@@ -236,18 +214,10 @@ impl PowerAllocator {
         // (level, cores) pair.
         let mut candidates: Vec<Vec<(usize, usize, f64, usize)>> = Vec::with_capacity(apps.len());
         for (m, family) in apps {
-            let default_family;
-            let fam: &[usize] = match family {
-                Some(f) => f,
-                None => {
-                    default_family = m.feasible_indices();
-                    &default_family
-                }
-            };
             let nocap = m.nocap_perf().max(1e-12);
             let mut best: std::collections::BTreeMap<(usize, usize), (f64, usize)> =
                 std::collections::BTreeMap::new();
-            for &idx in fam {
+            for &idx in family_or_feasible(m, *family).iter() {
                 let level = (m.power(idx).value() / self.step.value()).ceil() as usize;
                 if level > levels || m.perf(idx) <= 0.0 {
                     continue;
@@ -332,6 +302,11 @@ impl Default for PowerAllocator {
     fn default() -> Self {
         Self::new(Watts::new(1.0))
     }
+}
+
+/// `family`, or the app's whole feasible grid when it has none.
+fn family_or_feasible<'a>(m: &AppMeasurement, family: Option<&'a [usize]>) -> Cow<'a, [usize]> {
+    family.map_or_else(|| Cow::Owned(m.feasible_indices()), Cow::Borrowed)
 }
 
 #[cfg(test)]

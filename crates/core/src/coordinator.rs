@@ -293,16 +293,7 @@ impl Coordinator {
         let mut slots = Vec::new();
         let mut runnable = Vec::new();
         for ((name, m), family) in apps.iter().zip(families) {
-            let choice = m.best_within(solo_budget, family).or_else(|| {
-                family
-                    .iter()
-                    .copied()
-                    .filter(|&i| m.perf(i) > 0.0)
-                    .min_by(|&a, &b| m.power(a).partial_cmp(&m.power(b)).expect("finite powers"))
-                    .filter(|&i| m.power(i) <= solo_budget * 1.15)
-                    .map(|i| (i, m.perf(i)))
-            });
-            if let Some((idx, _)) = choice {
+            if let Some((idx, _)) = m.best_effort_within(solo_budget, family) {
                 runnable.push((name.to_string(), idx));
             }
         }

@@ -565,11 +565,6 @@ impl PowerMediator {
         }
     }
 
-    /// JSON snapshot of the attached store (crash-durable state), if any.
-    pub fn store_snapshot_json(&self) -> Option<String> {
-        self.store.as_ref().map(|s| s.store.snapshot_json())
-    }
-
     /// Number of re-planning events handled so far.
     pub fn replans(&self) -> usize {
         self.replans
@@ -2395,10 +2390,10 @@ mod tests {
         assert_eq!(med_a.take_store_outbox().len(), 1, "publication queued");
         assert_eq!(med_a.store_stats().misses, 1, "cold lookup missed");
 
-        // Warm server: restores the snapshot (the crash-durable path)
-        // and admits the same workload without a single probe.
-        let snapshot = med_a.store_snapshot_json().unwrap();
-        let restored = ProfileStore::from_json(&snapshot).unwrap();
+        // Warm server: restarts from the store's by-value snapshot (the
+        // crash-durable path) and admits the same workload without a
+        // single probe.
+        let restored = med_a.profile_store().unwrap().rebooted();
         let mut sim_b = sim_no_esd();
         let mut med_b = mediator(PolicyKind::AppResAware, 100.0)
             .with_online_calibration(&corpus, 0.10)

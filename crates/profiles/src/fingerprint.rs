@@ -24,7 +24,7 @@ impl AppFingerprint {
         Self(Fnv1a::of_debug(value))
     }
 
-    /// Rebuilds a fingerprint from its raw hash (snapshot restore).
+    /// Rebuilds a fingerprint from its raw hash.
     pub fn from_raw(raw: u64) -> Self {
         Self(raw)
     }

@@ -20,9 +20,9 @@
 //!   score, and provenance;
 //! * [`store::ProfileStore`] — bounded, mergeable store with confidence
 //!   decay, E4 tombstone invalidation, LRU eviction that spares the
-//!   highest-confidence entry, and bit-identical JSON snapshot/restore
-//!   (which is how the manager checkpoint and crash-surviving agent
-//!   state carry it);
+//!   highest-confidence entry, and a by-value restart copy
+//!   ([`store::ProfileStore::rebooted`]) that the manager checkpoint and
+//!   the crash-surviving agent state hold;
 //! * [`store::ProfileDigest`] — the store entry as it rides the cluster
 //!   control plane's epoch-stamped messages;
 //! * [`store::ProbeSplit`] — cold / warm / skipped probe accounting.
@@ -43,15 +43,15 @@
 //! });
 //! store.publish(fp, profile);
 //! assert!(store.confident(fp).is_some());
-//! let restored = ProfileStore::from_json(&store.snapshot_json()).unwrap();
-//! assert_eq!(restored.snapshot_json(), store.snapshot_json());
+//! let restarted = store.rebooted();
+//! assert_eq!(restarted.digests(), store.digests());
+//! assert_eq!(restarted.stats().hits, 0, "counters restart");
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod fingerprint;
-pub mod json;
 pub mod store;
 
 pub use fingerprint::AppFingerprint;

@@ -1,7 +1,7 @@
 //! Property tests for the profile store's distributed-systems contract:
 //! merge is a semilattice join (commutative, associative, idempotent),
-//! eviction never drops the best knowledge in the store, and snapshots
-//! restore bit-identically. These are the properties that make replica
+//! eviction never drops the best knowledge in the store, and a restarted
+//! store keeps every entry. These are the properties that make replica
 //! convergence over a lossy, reordering control plane a theorem rather
 //! than a hope.
 
@@ -139,10 +139,11 @@ proptest! {
         for &fp in &invalidate {
             let _ = store.invalidate(AppFingerprint::from_raw(fp));
         }
-        let snap = store.snapshot_json();
-        let restored = ProfileStore::from_json(&snap).expect("snapshot parses");
-        prop_assert_eq!(restored.snapshot_json(), snap);
+        let restored = store.rebooted();
         prop_assert_eq!(restored.digests(), store.digests());
         prop_assert_eq!(restored.epoch(), store.epoch());
+        prop_assert_eq!(restored.config(), store.config());
+        prop_assert_eq!(restored.stats().bytes, store.stats().bytes);
+        prop_assert_eq!(restored.stats().total_events(), 0);
     }
 }

@@ -14,9 +14,8 @@
 //! [`prom_label`] (e.g. `events_total{kind="safe_mode"}`); the
 //! exposition code splits the label block back off when grouping
 //! `# TYPE` lines. The build is offline (no serialization crate), so
-//! the JSON round-trip is hand-rolled: [`MetricsRegistry::to_json`]
-//! emits a stable document and [`MetricsRegistry::from_json`] parses it
-//! back with a private minimal JSON reader.
+//! the JSON exposition is hand-rolled: [`MetricsRegistry::to_json`]
+//! emits a stable document, written and never read back.
 
 use std::collections::BTreeMap;
 
@@ -109,27 +108,6 @@ impl Histogram {
     /// Mean of the recorded samples, or `None` before the first one.
     pub fn mean(&self) -> Option<f64> {
         (self.count > 0).then(|| self.sum / self.count as f64)
-    }
-
-    /// Rebuilds a histogram from its serialized parts, validating the
-    /// shape invariants (`buckets.len() == boundaries.len() + 1`,
-    /// strictly increasing boundaries, bucket totals matching `count`).
-    fn from_parts(boundaries: Vec<f64>, buckets: Vec<u64>, sum: f64, count: u64) -> Option<Self> {
-        if buckets.len() != boundaries.len() + 1 || boundaries.is_empty() {
-            return None;
-        }
-        if boundaries.windows(2).any(|w| w[0] >= w[1]) {
-            return None;
-        }
-        if buckets.iter().sum::<u64>() != count {
-            return None;
-        }
-        Some(Self {
-            boundaries,
-            buckets,
-            sum,
-            count,
-        })
     }
 }
 
@@ -344,42 +322,6 @@ impl MetricsRegistry {
         out.push_str("}\n  }");
         out
     }
-
-    /// Parses a document produced by [`Self::to_json`] back into a
-    /// registry. Returns `None` on any structural mismatch — this is a
-    /// round-trip reader for our own exposition, not a general JSON
-    /// metrics importer.
-    pub fn from_json(text: &str) -> Option<Self> {
-        let top = mini_json::parse(text)?;
-        let top = top.as_object()?;
-        let mut registry = Self::new();
-        for (key, value) in field(top, "counters")?.as_object()? {
-            registry.counters.insert(key.clone(), value.as_u64()?);
-        }
-        for (key, value) in field(top, "gauges")?.as_object()? {
-            registry.gauges.insert(key.clone(), value.as_f64()?);
-        }
-        for (key, value) in field(top, "histograms")?.as_object()? {
-            let h = value.as_object()?;
-            let boundaries = field(h, "boundaries")?
-                .as_array()?
-                .iter()
-                .map(mini_json::Value::as_f64)
-                .collect::<Option<Vec<f64>>>()?;
-            let buckets = field(h, "buckets")?
-                .as_array()?
-                .iter()
-                .map(mini_json::Value::as_u64)
-                .collect::<Option<Vec<u64>>>()?;
-            let sum = field(h, "sum")?.as_f64()?;
-            let count = field(h, "count")?.as_u64()?;
-            registry.histograms.insert(
-                key.clone(),
-                Histogram::from_parts(boundaries, buckets, sum, count)?,
-            );
-        }
-        Some(registry)
-    }
 }
 
 /// Formats `name{k="v",…}` with Prometheus label-value escaping
@@ -482,225 +424,6 @@ fn json_escape(s: &str) -> String {
         }
     }
     out
-}
-
-/// Looks up `name` in a parsed JSON object.
-fn field<'a>(obj: &'a [(String, mini_json::Value)], name: &str) -> Option<&'a mini_json::Value> {
-    obj.iter().find(|(k, _)| k == name).map(|(_, v)| v)
-}
-
-/// A minimal recursive-descent JSON reader, private to this module.
-///
-/// The telemetry crate sits below `powermed-profiles` in the dependency
-/// graph, so it cannot reuse that crate's parser; this one supports
-/// exactly what [`MetricsRegistry::to_json`] emits (objects, arrays,
-/// strings with escapes, and numbers kept as raw text so integer
-/// counters survive the trip unrounded).
-mod mini_json {
-    /// A parsed JSON value; numbers keep their raw text.
-    #[derive(Debug, Clone, PartialEq)]
-    pub enum Value {
-        /// `null`.
-        Null,
-        /// `true` / `false`.
-        Bool(bool),
-        /// A number, as the raw source text.
-        Num(String),
-        /// A string, unescaped.
-        Str(String),
-        /// An array of values.
-        Arr(Vec<Value>),
-        /// An object, in source order.
-        Obj(Vec<(String, Value)>),
-    }
-
-    impl Value {
-        /// The object fields, if this is an object.
-        pub fn as_object(&self) -> Option<&[(String, Value)]> {
-            match self {
-                Value::Obj(fields) => Some(fields),
-                _ => None,
-            }
-        }
-
-        /// The array elements, if this is an array.
-        pub fn as_array(&self) -> Option<&[Value]> {
-            match self {
-                Value::Arr(items) => Some(items),
-                _ => None,
-            }
-        }
-
-        /// The number as an unsigned integer, if it parses as one.
-        pub fn as_u64(&self) -> Option<u64> {
-            match self {
-                Value::Num(raw) => raw.parse().ok(),
-                _ => None,
-            }
-        }
-
-        /// The number as a float, if it parses as one.
-        pub fn as_f64(&self) -> Option<f64> {
-            match self {
-                Value::Num(raw) => raw.parse().ok(),
-                _ => None,
-            }
-        }
-    }
-
-    /// Parses `text` as a single JSON value with no trailing content.
-    pub fn parse(text: &str) -> Option<Value> {
-        let mut p = Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        };
-        let v = p.value()?;
-        p.skip_ws();
-        (p.pos == p.bytes.len()).then_some(v)
-    }
-
-    struct Parser<'a> {
-        bytes: &'a [u8],
-        pos: usize,
-    }
-
-    impl Parser<'_> {
-        fn peek(&self) -> Option<u8> {
-            self.bytes.get(self.pos).copied()
-        }
-
-        pub fn skip_ws(&mut self) {
-            while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-                self.pos += 1;
-            }
-        }
-
-        fn eat(&mut self, b: u8) -> Option<()> {
-            (self.peek() == Some(b)).then(|| self.pos += 1)
-        }
-
-        fn literal(&mut self, word: &str) -> Option<()> {
-            let end = self.pos + word.len();
-            if self.bytes.get(self.pos..end) == Some(word.as_bytes()) {
-                self.pos = end;
-                Some(())
-            } else {
-                None
-            }
-        }
-
-        pub fn value(&mut self) -> Option<Value> {
-            self.skip_ws();
-            match self.peek()? {
-                b'{' => self.object(),
-                b'[' => self.array(),
-                b'"' => self.string().map(Value::Str),
-                b't' => self.literal("true").map(|()| Value::Bool(true)),
-                b'f' => self.literal("false").map(|()| Value::Bool(false)),
-                b'n' => self.literal("null").map(|()| Value::Null),
-                _ => self.number(),
-            }
-        }
-
-        fn object(&mut self) -> Option<Value> {
-            self.eat(b'{')?;
-            let mut fields = Vec::new();
-            self.skip_ws();
-            if self.eat(b'}').is_some() {
-                return Some(Value::Obj(fields));
-            }
-            loop {
-                self.skip_ws();
-                let key = self.string()?;
-                self.skip_ws();
-                self.eat(b':')?;
-                let value = self.value()?;
-                fields.push((key, value));
-                self.skip_ws();
-                if self.eat(b',').is_some() {
-                    continue;
-                }
-                self.eat(b'}')?;
-                return Some(Value::Obj(fields));
-            }
-        }
-
-        fn array(&mut self) -> Option<Value> {
-            self.eat(b'[')?;
-            let mut items = Vec::new();
-            self.skip_ws();
-            if self.eat(b']').is_some() {
-                return Some(Value::Arr(items));
-            }
-            loop {
-                items.push(self.value()?);
-                self.skip_ws();
-                if self.eat(b',').is_some() {
-                    continue;
-                }
-                self.eat(b']')?;
-                return Some(Value::Arr(items));
-            }
-        }
-
-        fn string(&mut self) -> Option<String> {
-            self.eat(b'"')?;
-            let mut out = String::new();
-            loop {
-                match self.peek()? {
-                    b'"' => {
-                        self.pos += 1;
-                        return Some(out);
-                    }
-                    b'\\' => {
-                        self.pos += 1;
-                        match self.peek()? {
-                            b'"' => out.push('"'),
-                            b'\\' => out.push('\\'),
-                            b'/' => out.push('/'),
-                            b'n' => out.push('\n'),
-                            b't' => out.push('\t'),
-                            b'r' => out.push('\r'),
-                            b'b' => out.push('\u{8}'),
-                            b'f' => out.push('\u{c}'),
-                            b'u' => {
-                                let hex = self.bytes.get(self.pos + 1..self.pos + 5)?;
-                                let code =
-                                    u32::from_str_radix(std::str::from_utf8(hex).ok()?, 16).ok()?;
-                                out.push(char::from_u32(code)?);
-                                self.pos += 4;
-                            }
-                            _ => return None,
-                        }
-                        self.pos += 1;
-                    }
-                    _ => {
-                        // Consume one whole UTF-8 scalar from the source.
-                        let rest = std::str::from_utf8(&self.bytes[self.pos..]).ok()?;
-                        let ch = rest.chars().next()?;
-                        out.push(ch);
-                        self.pos += ch.len_utf8();
-                    }
-                }
-            }
-        }
-
-        fn number(&mut self) -> Option<Value> {
-            let start = self.pos;
-            while matches!(
-                self.peek(),
-                Some(b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-            ) {
-                self.pos += 1;
-            }
-            if self.pos == start {
-                return None;
-            }
-            let raw = std::str::from_utf8(&self.bytes[start..self.pos]).ok()?;
-            raw.parse::<f64>().ok()?;
-            Some(Value::Num(raw.to_string()))
-        }
-    }
 }
 
 #[cfg(test)]
@@ -821,32 +544,29 @@ lat_seconds_count 2
     }
 
     #[test]
-    fn json_round_trips() {
+    fn json_golden() {
         let mut m = MetricsRegistry::new();
         m.inc_by("events_total{kind=\"safe_mode\"}", 3);
         m.inc("knob_writes_total");
         m.set_gauge("journal_len", 128.0);
         m.set_gauge("frac", 0.123456789);
-        m.observe("cap_violation_w", 12.5);
-        m.observe("cap_violation_w", 0.25);
-        m.observe("heartbeat_jitter_hz", 3.0);
-        let text = m.to_json();
-        let back = MetricsRegistry::from_json(&text).expect("own output parses");
-        assert_eq!(back, m);
-        assert_eq!(back.to_json(), text, "exposition is a fixed point");
+        m.register_histogram("lat_seconds", Histogram::log_bucketed(0.001, 10.0, 3));
+        m.observe("lat_seconds", 0.0005);
+        m.observe("lat_seconds", 0.02);
+        let want = r#"{
+    "counters": {
+      "events_total{kind=\"safe_mode\"}": 3,
+      "knob_writes_total": 1
+    },
+    "gauges": {
+      "frac": 0.123456789,
+      "journal_len": 128
+    },
+    "histograms": {
+      "lat_seconds": {"boundaries": [0.001, 0.01, 0.1], "buckets": [1, 0, 1, 0], "sum": 0.0205, "count": 2}
     }
-
-    #[test]
-    fn json_rejects_malformed_documents() {
-        assert!(MetricsRegistry::from_json("not json").is_none());
-        assert!(
-            MetricsRegistry::from_json("{}").is_none(),
-            "sections required"
-        );
-        assert!(MetricsRegistry::from_json(
-            "{\"counters\": {}, \"gauges\": {}, \"histograms\": {\"h\": {\"boundaries\": [2.0, 1.0], \"buckets\": [0, 0, 0], \"sum\": 0, \"count\": 0}}}"
-        )
-        .is_none(), "non-monotone boundaries rejected");
+  }"#;
+        assert_eq!(m.to_json(), want);
     }
 
     proptest::proptest! {
@@ -896,11 +616,13 @@ lat_seconds_count 2
     }
 
     #[test]
-    fn empty_registry_round_trips() {
+    fn empty_registry_renders_empty_sections() {
         let m = MetricsRegistry::new();
-        let back = MetricsRegistry::from_json(&m.to_json()).unwrap();
-        assert_eq!(back, m);
-        assert!(back.is_empty());
+        assert!(m.is_empty());
+        assert_eq!(
+            m.to_json(),
+            "{\n    \"counters\": {},\n    \"gauges\": {},\n    \"histograms\": {}\n  }"
+        );
         assert_eq!(m.to_prometheus(), "");
     }
 }
