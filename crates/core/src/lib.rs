@@ -15,6 +15,8 @@
 //!   per budget, plus resource-level marginal utilities (Figs. 2, 3, 9);
 //! * [`allocator`] — the `PowerAllocator`: exact dynamic-programming
 //!   apportionment of the dynamic power budget maximizing Eq. 1;
+//! * [`knapsack`] — the one exact 1-D apportionment DP, shared by the
+//!   allocator, the SLO planner and the cluster's server split;
 //! * [`coordinator`] — the `Coordinator`: space coordination, alternate
 //!   duty-cycling, and the Eq. 5 ESD-backed consolidated duty cycle;
 //! * [`accountant`] — the `Accountant`: events E1–E4 (cap change,
@@ -51,6 +53,7 @@ pub mod cache;
 pub mod calibration;
 pub mod coordinator;
 pub mod error;
+pub mod knapsack;
 pub mod measurement;
 pub mod policy;
 pub mod runtime;
