@@ -9,9 +9,9 @@
 //!   under temporal schedules.
 
 use powermed_core::allocator::PowerAllocator;
-use powermed_core::coordinator::{Coordinator, EsdParams};
+use powermed_core::coordinator::{EsdParams, Schedule};
 use powermed_core::measurement::AppMeasurement;
-use powermed_core::policy::PolicyKind;
+use powermed_core::policy::{PolicyKind, PowerPolicy};
 use powermed_core::runtime::PowerMediator;
 use powermed_esd::{EnergyStorage, IdealEsd, LeadAcidBattery, NoEsd};
 use powermed_server::ServerSpec;
@@ -138,29 +138,21 @@ pub fn cycle_period_sweep() -> Vec<CyclePoint> {
     let mix = mixes::mix(1).expect("mix 1");
     let duration = Seconds::new(120.0);
     par_map(vec![2.0, 10.0, 30.0], |period| {
-        // The PowerMediator's policy embeds a 10 s coordinator; for
-        // the sweep we reproduce its planning with a custom period
-        // and measure through a mediator-free drive of the schedule.
-        let coordinator = Coordinator::new(
-            spec.idle_power(),
-            spec.chip_maintenance_power(),
-            Seconds::new(period),
-        );
+        // The OFF fraction comes from the mediator's own policy at the
+        // custom period; the throughput from a mediator running it.
         let a = measure(&spec, &mix.app1);
         let b = measure(&spec, &mix.app2);
         let apps = [(mix.app1.name(), &a), (mix.app2.name(), &b)];
-        let families: Vec<Vec<usize>> = apps.iter().map(|(_, m)| m.feasible_indices()).collect();
-        let allocation =
-            PowerAllocator::default().apportion(&[(&a, None), (&b, None)], Watts::new(10.0));
         let esd = EsdParams {
             efficiency: Ratio::new(0.75),
             max_discharge: Watts::new(100.0),
             max_charge: Watts::new(50.0),
         };
-        let schedule =
-            coordinator.schedule(&apps, &families, &allocation, Watts::new(80.0), Some(esd));
+        let schedule = PowerPolicy::new(PolicyKind::AppResEsdAware, spec.clone())
+            .with_cycle_period(Seconds::new(period))
+            .plan(&apps, Watts::new(80.0), Some(esd));
         let off_fraction = match &schedule {
-            powermed_core::coordinator::Schedule::EsdCycle { off, on, .. } => *off / (*off + *on),
+            Schedule::EsdCycle { off, on, .. } => *off / (*off + *on),
             _ => 0.0,
         };
 

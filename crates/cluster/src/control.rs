@@ -34,6 +34,7 @@ use std::sync::Arc;
 
 use powermed_core::cache::MeasurementCache;
 use powermed_core::coordinator::EsdParams;
+use powermed_core::knapsack::Knapsack;
 use powermed_core::policy::{PolicyKind, PowerPolicy};
 use powermed_disagg::EstimatorConfig;
 use powermed_profiles::{ProbeSplit, ProfileDigest, ProfileStore, StoreConfig};
@@ -51,7 +52,7 @@ use powermed_units::{Joules, Ratio, Seconds, Watts};
 use powermed_workloads::mixes::Mix;
 
 use crate::agent::ServerAgent;
-use crate::manager::{ApportionTable, ClusterManager, ClusterPolicy, ClusterReport};
+use crate::manager::{self, ClusterManager, ClusterPolicy, ClusterReport};
 use crate::trace::ClusterPowerTrace;
 
 /// A cap assignment (or heartbeat) from the manager to one server.
@@ -875,7 +876,7 @@ struct Manager {
     /// `excluded` mask it was built for (UtilityDp only). Derived from
     /// `curves` and the membership, so no checkpoint carries it: it is
     /// rebuilt whenever the mask differs, after a failover too.
-    table: Option<(Vec<bool>, ApportionTable)>,
+    table: Option<(Vec<bool>, Knapsack)>,
     servers: usize,
     initial_share: Watts,
     /// The share reserved for an excluded node: the parked floor it
@@ -1078,12 +1079,11 @@ impl Manager {
                 // only goes stale when the membership does. Built to
                 // the saturation level, it splits any budget exactly.
                 if self.table.as_ref().is_none_or(|(mask, _)| mask != excluded) {
-                    let floors = vec![self.floor; n_included];
-                    let table = ApportionTable::build(&included, &floors, usize::MAX);
+                    let table = manager::cap_table(&included, usize::MAX);
                     self.table = Some((excluded.clone(), table));
                 }
                 let (_, table) = self.table.as_ref().expect("table just built");
-                table.split(&included, budget)
+                manager::split_caps(table, &included, &vec![self.floor; n_included], budget)
             }
         }
         .into_iter();

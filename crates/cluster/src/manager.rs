@@ -1,5 +1,6 @@
 //! The cluster manager and the three evaluated cluster policies.
 
+use powermed_core::knapsack::Knapsack;
 use powermed_server::{KnobSetting, ServerSpec};
 use powermed_units::{Joules, Seconds, Watts};
 use powermed_workloads::mixes::{self, Mix};
@@ -213,19 +214,21 @@ impl ClusterManager {
     /// cover the fleet. Pair it with per-SKU value curves from
     /// [`Self::candidate_caps_for`].
     ///
-    /// A one-shot `ApportionTable`: built up to `total`'s level (or
-    /// the saturation level, if lower), then split once.
+    /// A one-shot [`Knapsack`] table: built up to `total`'s level (or the
+    /// saturation level, if lower), then split once.
     ///
     /// # Panics
     ///
     /// Panics unless `floors` and `curves` have equal length, or if a
-    /// curve has 255 or more caps.
+    /// curve has 65,535 or more caps.
     pub fn apportion_cluster_with_floors(
         curves: &[Vec<(Watts, f64)>],
         total: Watts,
         floors: &[Watts],
     ) -> Vec<Watts> {
-        ApportionTable::build(curves, floors, budget_level(total)).split(curves, total)
+        assert_eq!(curves.len(), floors.len(), "one floor per server");
+        let table = cap_table(curves, budget_level(total));
+        split_caps(&table, curves, floors, total)
     }
 
     /// The consolidation baseline, evaluated analytically: at each trace
@@ -302,139 +305,50 @@ fn cap_need(cap: Watts) -> usize {
     (cap.value() / CAP_STEP).ceil() as usize
 }
 
-/// A `keep` cell no cap combination reaches (its value is -inf).
-const NO_CHOICE: u8 = u8::MAX;
-
-/// The cluster DP over fixed value curves, built once and split at any
-/// budget.
+/// The cluster DP over fixed value curves: one [`Knapsack`] group per
+/// server, one choice per cap, each needing [`cap_need`] levels. Built
+/// up to budget level `levels`, or the saturation level if that is
+/// lower.
 ///
-/// Layer `i` holds, for every budget level `b` (in [`CAP_STEP`]s), the
-/// best total value of servers `0..=i` whose caps need at most `b`
-/// levels, and the ladder index server `i` takes there (the first index
-/// to reach the maximum wins ties).
+/// # Panics
 ///
-/// **Why one table serves every budget exactly.** Cell `b` of layer `i`
-/// reads only cells `≤ b` of layer `i − 1`, so a table built to a larger
-/// level holds bit-identical values, choices and tie-breaks at every
-/// smaller level, and so the same floor fallback. Past the *saturation
-/// level* `S = Σ_i max_need_i` nothing changes either: by induction,
-/// every cell `b ≥ S_i = Σ_{j≤i} max_need_j` of layer `i` is the same,
-/// because each cap of server `i` fits and each cell it reads,
-/// `b − need ≥ S_{i−1}`, is one of the equal cells of layer `i − 1`.
-/// The backtrack from any `b ≥ S` therefore takes the same caps as from
-/// `S`, and [`Self::split`] clamps larger budgets to `S` without knowing
-/// which budgets will come.
-#[derive(Debug)]
-pub(crate) struct ApportionTable {
-    /// Per-server fallback caps when the budget cannot cover the fleet.
-    floors: Vec<Watts>,
-    /// The highest budget level the table holds.
-    levels: usize,
-    /// Whether `levels` is the saturation level, past which every
-    /// budget splits as it does there.
-    saturated: bool,
-    /// The last layer's best values, one per level `0..=levels`.
-    best: Vec<f64>,
-    /// Server `i`'s ladder index at level `b`, at `i * (levels + 1) + b`
-    /// ([`NO_CHOICE`] where the cell is unreachable).
-    keep: Vec<u8>,
+/// Panics if a curve has 65,535 or more caps.
+pub(crate) fn cap_table(curves: &[impl AsRef<[(Watts, f64)]>], levels: usize) -> Knapsack {
+    let groups: Vec<Vec<(usize, f64)>> = curves
+        .iter()
+        .map(|curve| {
+            curve
+                .as_ref()
+                .iter()
+                .map(|&(cap, v)| (cap_need(cap), v))
+                .collect()
+        })
+        .collect();
+    Knapsack::build(&groups, levels)
 }
 
-impl ApportionTable {
-    /// Runs the DP over `curves` up to budget level `levels`, or up to
-    /// the saturation level if that is lower. `floors` are the caps
-    /// [`Self::split`] falls back to.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `floors` and `curves` have equal length, or if a
-    /// curve has 255 or more caps.
-    pub(crate) fn build(
-        curves: &[impl AsRef<[(Watts, f64)]>],
-        floors: &[Watts],
-        levels: usize,
-    ) -> Self {
-        assert_eq!(curves.len(), floors.len(), "one floor per server");
-        let needs: Vec<Vec<usize>> = curves
+/// The caps that maximize the summed value within `total`: the
+/// backtrack through `table` (built by [`cap_table`] from `curves`) at
+/// `total`'s level. Every server gets its floor when even the floors do
+/// not fit.
+///
+/// # Panics
+///
+/// Panics if `total` lies past a table that was built short of
+/// saturation.
+pub(crate) fn split_caps(
+    table: &Knapsack,
+    curves: &[impl AsRef<[(Watts, f64)]>],
+    floors: &[Watts],
+    total: Watts,
+) -> Vec<Watts> {
+    match table.split(budget_level(total)) {
+        Some(choices) => curves
             .iter()
-            .map(|curve| {
-                let curve = curve.as_ref();
-                assert!(curve.len() < usize::from(NO_CHOICE), "cap ladder fits a u8");
-                curve.iter().map(|(cap, _)| cap_need(*cap)).collect()
-            })
-            .collect();
-        let saturation = needs
-            .iter()
-            .map(|n| n.iter().copied().max().unwrap_or(0))
-            .fold(0usize, usize::saturating_add);
-        let saturated = levels >= saturation;
-        let levels = levels.min(saturation);
-        let mut best = vec![0.0f64; levels + 1];
-        let mut keep = vec![NO_CHOICE; curves.len() * (levels + 1)];
-        for ((curve, needs), choice) in curves.iter().zip(&needs).zip(keep.chunks_mut(levels + 1)) {
-            let mut next = vec![f64::NEG_INFINITY; levels + 1];
-            for b in 0..=levels {
-                for (ci, ((_, value), &need)) in curve.as_ref().iter().zip(needs).enumerate() {
-                    if need <= b && best[b - need].is_finite() {
-                        let v = best[b - need] + value;
-                        if v > next[b] {
-                            next[b] = v;
-                            choice[b] = ci as u8;
-                        }
-                    }
-                }
-            }
-            best = next;
-        }
-        Self {
-            floors: floors.to_vec(),
-            levels,
-            saturated,
-            best,
-            keep,
-        }
-    }
-
-    /// The caps that maximize the summed value within `total`: the
-    /// backtrack through the table at `total`'s level. Every server gets
-    /// its floor when even the floors do not fit. `curves` must be the
-    /// curves the table was built from.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `curves` has a different length from the table, or if
-    /// `total` lies past a table that was built short of saturation.
-    pub(crate) fn split(&self, curves: &[impl AsRef<[(Watts, f64)]>], total: Watts) -> Vec<Watts> {
-        assert_eq!(curves.len(), self.floors.len(), "the table's curves");
-        let wanted = budget_level(total);
-        assert!(
-            wanted <= self.levels || self.saturated,
-            "budget level {wanted} past a table built to {}",
-            self.levels
-        );
-        let levels = wanted.min(self.levels);
-        // When even the per-server floors cannot fit (best is -inf at
-        // the root), fall back to the floor for everyone.
-        if !self.best[levels].is_finite() {
-            return self.floors.clone();
-        }
-        let mut caps = self.floors.clone();
-        let mut b = levels;
-        for i in (0..curves.len()).rev() {
-            let ci = self.keep[i * (self.levels + 1) + b];
-            if ci == NO_CHOICE {
-                // A finite root guarantees a recorded choice at every
-                // backtrack cell; guard anyway (NaN curve values can
-                // break the invariant) and keep the floor fallback.
-                return self.floors.clone();
-            }
-            caps[i] = curves[i].as_ref()[usize::from(ci)].0;
-            let Some(rest) = b.checked_sub(cap_need(caps[i])) else {
-                return self.floors.clone();
-            };
-            b = rest;
-        }
-        caps
+            .zip(choices)
+            .map(|(curve, ci)| curve.as_ref()[ci].0)
+            .collect(),
+        None => floors.to_vec(),
     }
 }
 
@@ -638,7 +552,7 @@ mod tests {
         use powermed_units::rng::SplitMix;
         use proptest::prelude::*;
 
-        /// The per-call DP [`ApportionTable`] replaced: a fresh
+        /// The per-call DP the shared table replaced: a fresh
         /// `servers × levels × ladder` table for every budget.
         fn apportion_reference(
             curves: &[Vec<(Watts, f64)>],
@@ -770,11 +684,12 @@ mod tests {
                         .map(|c| c.iter().map(|(cap, _)| cap_need(*cap)).max().unwrap_or(0) as f64)
                         .sum::<f64>()
                         * CAP_STEP;
-                    let table = ApportionTable::build(&curves, &floors, usize::MAX);
+                    let table = cap_table(&curves, usize::MAX);
                     for _ in 0..8 {
                         let total = draws.budget(floor_sum, saturation);
                         let reference = bits(&apportion_reference(&curves, total, &floors));
-                        prop_assert_eq!(bits(&table.split(&curves, total)), reference.clone());
+                        let split = split_caps(&table, &curves, &floors, total);
+                        prop_assert_eq!(bits(&split), reference.clone());
                         let one_shot =
                             ClusterManager::apportion_cluster_with_floors(&curves, total, &floors);
                         prop_assert_eq!(bits(&one_shot), reference);

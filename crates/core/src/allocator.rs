@@ -12,11 +12,12 @@ use std::borrow::Cow;
 
 use powermed_units::Watts;
 
+use crate::knapsack::Knapsack;
 use crate::measurement::AppMeasurement;
 use crate::utility::UtilityCurve;
 
 /// The outcome of one apportionment.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Allocation {
     /// Per-app power budgets, in the order the apps were given.
     pub budgets: Vec<Watts>,
@@ -34,6 +35,21 @@ impl Allocation {
     /// budget — i.e. space coordination suffices (R3a).
     pub fn all_feasible(&self) -> bool {
         self.settings.iter().all(Option::is_some)
+    }
+}
+
+/// Collects one `(budget, setting, normalized perf)` per app, in app
+/// order; the objective sums the normalized performances in that order.
+impl FromIterator<(Watts, Option<usize>, f64)> for Allocation {
+    fn from_iter<I: IntoIterator<Item = (Watts, Option<usize>, f64)>>(apps: I) -> Self {
+        let mut out = Self::default();
+        for (budget, setting, perf) in apps {
+            out.budgets.push(budget);
+            out.settings.push(setting);
+            out.normalized_perf.push(perf);
+            out.objective += perf;
+        }
+        out
     }
 }
 
@@ -64,6 +80,11 @@ impl PowerAllocator {
     /// Apps whose floor exceeds their achievable share end up with a
     /// zero budget and no setting — the coordinator then moves them to
     /// temporal multiplexing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `apps` is empty or `budget` spans 65,534 steps or more
+    /// (see [`Knapsack::build`]).
     pub fn apportion(
         &self,
         apps: &[(&AppMeasurement, Option<&[usize]>)],
@@ -72,80 +93,38 @@ impl PowerAllocator {
         assert!(!apps.is_empty(), "cannot apportion to zero apps");
         let levels = (budget.value() / self.step.value()).floor().max(0.0) as usize;
 
-        // Build normalized utility curves per app.
-        let curves: Vec<(UtilityCurve, f64)> = apps
+        // Utility curves per app, one point per budget level
+        // `0..=levels`, and one knapsack group per app: `g` levels are
+        // worth the curve's normalized performance at level `g`. Finite
+        // curves reach every level; should one not, every app gets
+        // nothing.
+        let (curves, groups): (Vec<(UtilityCurve, f64)>, Vec<_>) = apps
             .iter()
             .map(|(m, family)| {
                 let fam = family_or_feasible(m, *family);
                 let curve = UtilityCurve::build(m, &fam, budget, self.step);
                 let nocap = m.nocap_perf().max(1e-12);
-                (curve, nocap)
+                let group = curve.knapsack_group(|p| p.perf / nocap);
+                ((curve, nocap), group)
             })
-            .collect();
+            .unzip();
+        let gives = Knapsack::build(&groups, levels)
+            .split(levels)
+            .unwrap_or_else(|| vec![0; apps.len()]);
 
-        // DP over apps: best[b] = max objective using the first i apps
-        // and b budget levels; keep[i][b] = levels given to app i.
-        let mut best = vec![0.0f64; levels + 1];
-        let mut keep: Vec<Vec<usize>> = Vec::with_capacity(apps.len());
-        for (curve, nocap) in &curves {
-            let mut next = vec![f64::NEG_INFINITY; levels + 1];
-            let mut choice = vec![0usize; levels + 1];
-            for b in 0..=levels {
-                for give in 0..=b {
-                    // An empty curve (no representable budget level)
-                    // contributes nothing; guarding here keeps
-                    // `levels() - 1` from underflowing.
-                    let perf = if curve.levels() == 0 {
-                        0.0
-                    } else if give < curve.levels() {
-                        curve.at_level(give).perf / nocap
-                    } else {
-                        curve.at_level(curve.levels() - 1).perf / nocap
-                    };
-                    let value = best[b - give] + perf;
-                    if value > next[b] {
-                        next[b] = value;
-                        choice[b] = give;
-                    }
-                }
-            }
-            best = next;
-            keep.push(choice);
-        }
-
-        // Backtrack.
-        let mut budgets = vec![Watts::ZERO; apps.len()];
-        let mut remaining = levels;
-        for i in (0..apps.len()).rev() {
-            let give = keep[i][remaining];
-            budgets[i] = self.step * give as f64;
-            remaining -= give;
-        }
-
-        // Resolve settings and per-app normalized perf.
-        let mut settings = Vec::with_capacity(apps.len());
-        let mut normalized = Vec::with_capacity(apps.len());
-        let mut objective = 0.0;
-        for (i, (curve, nocap)) in curves.iter().enumerate() {
-            let level = (budgets[i].value() / self.step.value()).round() as usize;
-            if curve.levels() == 0 {
-                settings.push(None);
-                normalized.push(0.0);
-                continue;
-            }
-            let point = curve.at_level(level.min(curve.levels() - 1));
-            settings.push(point.best_index);
-            let p = point.perf / nocap;
-            normalized.push(p);
-            objective += p;
-        }
-
-        Allocation {
-            budgets,
-            settings,
-            normalized_perf: normalized,
-            objective,
-        }
+        // Resolve budgets, settings and per-app normalized perf.
+        curves
+            .iter()
+            .zip(gives)
+            .map(|((curve, nocap), give)| {
+                let point = curve.at_level(give);
+                (
+                    self.step * give as f64,
+                    point.best_index,
+                    point.perf / nocap,
+                )
+            })
+            .collect()
     }
 
     /// Equal (fair) apportionment: `budget / apps` each, with each app's
@@ -163,24 +142,13 @@ impl PowerAllocator {
     ) -> Allocation {
         assert!(!apps.is_empty(), "cannot apportion to zero apps");
         let share = budget / apps.len() as f64;
-        let mut budgets = Vec::with_capacity(apps.len());
-        let mut settings = Vec::with_capacity(apps.len());
-        let mut normalized = Vec::with_capacity(apps.len());
-        let mut objective = 0.0;
-        for (m, family) in apps {
-            let best = m.best_effort_within(share, &family_or_feasible(m, *family));
-            budgets.push(share);
-            settings.push(best.map(|(i, _)| i));
-            let p = best.map_or(0.0, |(_, p)| p) / m.nocap_perf().max(1e-12);
-            normalized.push(p);
-            objective += p;
-        }
-        Allocation {
-            budgets,
-            settings,
-            normalized_perf: normalized,
-            objective,
-        }
+        apps.iter()
+            .map(|(m, family)| {
+                let best = m.best_effort_within(share, &family_or_feasible(m, *family));
+                let p = best.map_or(0.0, |(_, p)| p) / m.nocap_perf().max(1e-12);
+                (share, best.map(|(i, _)| i), p)
+            })
+            .collect()
     }
 }
 
@@ -439,6 +407,29 @@ mod tests {
         if let Some(idx) = out.settings[0] {
             assert!(fam.contains(&idx));
         }
+    }
+
+    #[test]
+    fn wide_budgets_match_the_reference_dp() {
+        // A 400 W cap on mix 14 leaves 330 one-watt levels, more than a
+        // `u8` knapsack cell can index.
+        let mix = powermed_workloads::mixes::mix(14).expect("mix 14");
+        let a = m(mix.app1.clone());
+        let b = m(mix.app2.clone());
+        let budget = Watts::new(400.0) - spec().idle_power() - spec().chip_maintenance_power();
+        let out = PowerAllocator::default().apportion(&[(&a, None), (&b, None)], budget);
+        let curves: Vec<(Vec<f64>, f64)> = [&a, &b]
+            .iter()
+            .map(|m| {
+                let curve = UtilityCurve::build(m, &m.feasible_indices(), budget, Watts::new(1.0));
+                let perf = curve.points().iter().map(|p| p.perf).collect();
+                (perf, m.nocap_perf().max(1e-12))
+            })
+            .collect();
+        let gives = crate::knapsack::tests::apportion_reference(&curves, 330);
+        let budgets: Vec<Watts> = gives.iter().map(|&g| Watts::new(g as f64)).collect();
+        assert_eq!(out.budgets, budgets);
+        assert!(out.all_feasible(), "{out:?}");
     }
 
     #[test]

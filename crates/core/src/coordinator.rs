@@ -23,6 +23,7 @@
 
 use std::collections::BTreeMap;
 
+use powermed_server::ServerSpec;
 use powermed_units::{Ratio, Seconds, Watts};
 
 use crate::allocator::{Allocation, PowerAllocator};
@@ -48,6 +49,21 @@ pub struct TimeSlot {
     pub setting: usize,
     /// Slot length.
     pub duration: Seconds,
+}
+
+impl TimeSlot {
+    /// Equal slots, one per `(app, setting)`, filling one `cycle`.
+    pub(crate) fn fair(cycle: Seconds, runnable: Vec<(String, usize)>) -> Vec<TimeSlot> {
+        let duration = cycle / runnable.len() as f64;
+        runnable
+            .into_iter()
+            .map(|(app, setting)| TimeSlot {
+                app,
+                setting,
+                duration,
+            })
+            .collect()
+    }
 }
 
 /// How the current allocation is realized over the next cycle.
@@ -182,43 +198,32 @@ impl Schedule {
 /// Decides the coordination mode and constructs the schedule.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Coordinator {
-    allocator: PowerAllocator,
     /// Nominal cycle period for temporal schedules.
     cycle: Seconds,
     /// Idle power of the platform.
     p_idle: Watts,
     /// Chip-maintenance power of the platform.
     p_cm: Watts,
-    /// Joint core capacity for simultaneous (ESD-cycle) operation, if
-    /// the platform's cores can be overcommitted by the hosted set.
-    core_capacity: Option<usize>,
+    /// The platform's cores, the joint capacity of simultaneous
+    /// (ESD-cycle) operation.
+    cores: usize,
 }
 
 impl Coordinator {
-    /// Creates a coordinator for a platform with the given idle and
-    /// chip-maintenance powers.
+    /// Creates a coordinator for the platform `spec` (its idle and
+    /// chip-maintenance powers and its total cores).
     ///
     /// # Panics
     ///
     /// Panics if `cycle` is not positive.
-    pub fn new(p_idle: Watts, p_cm: Watts, cycle: Seconds) -> Self {
+    pub fn new(spec: &ServerSpec, cycle: Seconds) -> Self {
         assert!(cycle.value() > 0.0, "cycle period must be positive");
         Self {
-            allocator: PowerAllocator::default(),
             cycle,
-            p_idle,
-            p_cm,
-            core_capacity: None,
+            p_idle: spec.idle_power(),
+            p_cm: spec.chip_maintenance_power(),
+            cores: spec.topology().total_cores(),
         }
-    }
-
-    /// Makes simultaneous-run planning (the R4 ESD cycle) respect a
-    /// joint core capacity. Needed when three or more applications can
-    /// overcommit the platform's cores.
-    pub fn with_core_capacity(mut self, cores: usize) -> Self {
-        assert!(cores >= 1, "need at least one core");
-        self.core_capacity = Some(cores);
-        self
     }
 
     /// The paper's Eq. 5 OFF:ON ratio. Returns `None` when the ON period
@@ -290,29 +295,25 @@ impl Coordinator {
         // bottoms out at its cheapest setting (best-effort RAPL, up to
         // 15% over), rather than never scheduling the app.
         let solo_budget = p_cap - self.p_idle - self.p_cm;
-        let mut slots = Vec::new();
-        let mut runnable = Vec::new();
-        for ((name, m), family) in apps.iter().zip(families) {
-            if let Some((idx, _)) = m.best_effort_within(solo_budget, family) {
-                runnable.push((name.to_string(), idx));
-            }
-        }
+        let runnable: Vec<(String, usize)> = apps
+            .iter()
+            .zip(families)
+            .filter_map(|((name, m), family)| {
+                let (idx, _) = m.best_effort_within(solo_budget, family)?;
+                Some((name.to_string(), idx))
+            })
+            .collect();
         if runnable.is_empty() {
             return Schedule::Infeasible;
         }
-        let slot_len = self.cycle / runnable.len() as f64;
-        for (app, setting) in runnable {
-            slots.push(TimeSlot {
-                app,
-                setting,
-                duration: slot_len,
-            });
+        Schedule::Alternate {
+            slots: TimeSlot::fair(self.cycle, runnable),
         }
-        Schedule::Alternate { slots }
     }
 
     /// Constructs the R4 consolidated cycle, or `None` when the ESD
-    /// cannot make all apps runnable together.
+    /// cannot make all apps runnable together. The apps run at once, so
+    /// their settings share the platform's cores.
     fn esd_cycle(
         &self,
         apps: &[(&str, &AppMeasurement)],
@@ -339,12 +340,8 @@ impl Coordinator {
             .zip(families)
             .map(|((_, m), f)| (*m, Some(f.as_slice())))
             .collect();
-        let allocation = match self.core_capacity {
-            Some(cores) => self
-                .allocator
-                .apportion_with_cores(&measurements, on_budget, cores),
-            None => self.allocator.apportion(&measurements, on_budget),
-        };
+        let allocation =
+            PowerAllocator::default().apportion_with_cores(&measurements, on_budget, self.cores);
         if !allocation.all_feasible() {
             return None;
         }
@@ -381,7 +378,6 @@ impl Coordinator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use powermed_server::ServerSpec;
     use powermed_workloads::catalog;
 
     fn spec() -> ServerSpec {
@@ -389,7 +385,7 @@ mod tests {
     }
 
     fn coordinator() -> Coordinator {
-        Coordinator::new(Watts::new(50.0), Watts::new(20.0), Seconds::new(10.0))
+        Coordinator::new(&spec(), Seconds::new(10.0))
     }
 
     fn lead_acid_params() -> EsdParams {
@@ -605,6 +601,39 @@ mod tests {
     }
 
     #[test]
+    fn esd_cycle_respects_the_core_capacity() {
+        // Three six-core apps could claim 18 of the Xeon's 12 cores, and
+        // the consolidated cycle runs them all at once.
+        let a = measure(catalog::kmeans());
+        let b = measure(catalog::stream());
+        let c = measure(catalog::x264());
+        let apps = [("kmeans", &a), ("stream", &b), ("x264", &c)];
+        let alloc = allocate(&apps, Watts::new(10.0));
+        let s = coordinator().schedule(
+            &apps,
+            &fams(&apps),
+            &alloc,
+            Watts::new(80.0),
+            Some(lead_acid_params()),
+        );
+        let Schedule::EsdCycle { settings, .. } = &s else {
+            panic!("expected EsdCycle, got {s:?}");
+        };
+        assert_eq!(settings.len(), 3, "all three run together");
+        let cores = |m: &AppMeasurement, idx: usize| m.grid().get(idx).expect("grid index").cores();
+        let used: usize = apps.iter().map(|(name, m)| cores(m, settings[*name])).sum();
+        assert!(used <= 12, "the cycle claims {used} cores");
+        // The core-blind DP at the same 110 W ON budget overcommits.
+        let blind = allocate(&apps, Watts::new(110.0));
+        let blind_used: usize = apps
+            .iter()
+            .zip(&blind.settings)
+            .filter_map(|((_, m), s)| s.map(|idx| cores(m, idx)))
+            .sum();
+        assert!(blind_used > 12, "the blind DP claims {blind_used} cores");
+    }
+
+    #[test]
     fn cap_below_idle_is_infeasible_even_with_esd() {
         let a = measure(catalog::kmeans());
         let apps = [("kmeans", &a)];
@@ -697,6 +726,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "cycle period must be positive")]
     fn zero_cycle_rejected() {
-        let _ = Coordinator::new(Watts::new(50.0), Watts::new(20.0), Seconds::ZERO);
+        let _ = Coordinator::new(&spec(), Seconds::ZERO);
     }
 }

@@ -18,6 +18,7 @@ use powermed_server::ServerSpec;
 use powermed_units::{Seconds, Watts};
 
 use crate::coordinator::{Schedule, TimeSlot};
+use crate::knapsack::Knapsack;
 use crate::measurement::AppMeasurement;
 use crate::utility::UtilityCurve;
 
@@ -52,82 +53,50 @@ impl SloPlanner {
     /// batch apps run spatially when the surplus allows, otherwise they
     /// alternate in [`Schedule::Hybrid`] slots.
     pub fn plan(&self, apps: &[(&str, &AppMeasurement)], p_cap: Watts) -> Schedule {
-        if apps.is_empty() {
-            return Schedule::Space {
-                settings: BTreeMap::new(),
-            };
-        }
         let budget =
             (p_cap - self.spec.idle_power() - self.spec.chip_maintenance_power()).max_zero();
         let levels = (budget.value() / self.step.value()).floor() as usize;
 
-        // Per-app curves with the lexicographic SLO bonus.
-        let curves: Vec<(UtilityCurve, f64, Option<f64>)> = apps
+        // Per-app curves, one point per budget level `0..=levels`, and
+        // the exact knapsack over their bonus-augmented values.
+        let (curves, groups): (Vec<UtilityCurve>, Vec<_>) = apps
             .iter()
             .map(|(_, m)| {
-                let family = m.feasible_indices();
-                let curve = UtilityCurve::build(m, &family, budget, self.step);
-                (curve, m.nocap_perf().max(1e-12), m.slo())
+                let curve = UtilityCurve::build(m, &m.feasible_indices(), budget, self.step);
+                let nocap = m.nocap_perf().max(1e-12);
+                let group = curve.knapsack_group(|p| match m.slo() {
+                    Some(target) if p.perf / nocap + 1e-9 >= target => p.perf / nocap + SLO_BONUS,
+                    _ => p.perf / nocap,
+                });
+                (curve, group)
             })
-            .collect();
-        let value = |ci: usize, level: usize| -> f64 {
-            let (curve, nocap, slo) = &curves[ci];
-            let point = curve.at_level(level.min(curve.levels() - 1));
-            let norm = point.perf / nocap;
-            match slo {
-                Some(target) if norm + 1e-9 >= *target => norm + SLO_BONUS,
-                _ => norm,
-            }
-        };
-
-        // Exact DP over watt levels with the bonus-augmented values.
-        let mut best = vec![0.0f64; levels + 1];
-        let mut keep: Vec<Vec<usize>> = Vec::with_capacity(apps.len());
-        for ci in 0..apps.len() {
-            let mut next = vec![f64::NEG_INFINITY; levels + 1];
-            let mut choice = vec![0usize; levels + 1];
-            for b in 0..=levels {
-                for give in 0..=b {
-                    let v = best[b - give] + value(ci, give);
-                    if v > next[b] {
-                        next[b] = v;
-                        choice[b] = give;
-                    }
-                }
-            }
-            best = next;
-            keep.push(choice);
-        }
-        let mut allocations = vec![0usize; apps.len()];
-        let mut b = levels;
-        for i in (0..apps.len()).rev() {
-            allocations[i] = keep[i][b];
-            b -= allocations[i];
-        }
+            .unzip();
+        let allocations = Knapsack::build(&groups, levels)
+            .split(levels)
+            .unwrap_or_else(|| vec![0; apps.len()]);
 
         // Partition the outcome: pinned latency-critical apps, spatial
         // batch apps, and starved batch apps that must rotate.
         let mut pinned = BTreeMap::new();
         let mut spatial = BTreeMap::new();
-        let mut starved: Vec<usize> = Vec::new();
-        for (i, (name, _m)) in apps.iter().enumerate() {
-            let (curve, _, slo) = &curves[i];
-            let point = curve.at_level(allocations[i].min(curve.levels() - 1));
-            match (slo, point.best_index) {
-                (Some(_), Some(idx)) => {
-                    pinned.insert(name.to_string(), idx);
-                }
-                (None, Some(idx)) => {
-                    spatial.insert(name.to_string(), idx);
-                }
-                (_, None) => starved.push(i),
-            }
+        let mut starved = false;
+        for (((name, m), curve), give) in apps.iter().zip(&curves).zip(allocations) {
+            let Some(idx) = curve.at_level(give).best_index else {
+                starved = true;
+                continue;
+            };
+            let side = if m.slo().is_some() {
+                &mut pinned
+            } else {
+                &mut spatial
+            };
+            side.insert(name.to_string(), idx);
         }
 
         // Every app (including LC apps whose SLO could not be met but
         // that still got a feasible budget) runs spatially when nothing
         // starved.
-        if starved.is_empty() {
+        if !starved {
             let mut settings = pinned;
             settings.append(&mut spatial);
             return Schedule::Space { settings };
@@ -146,41 +115,23 @@ impl SloPlanner {
             })
             .sum();
         let leftover = (budget - pinned_used).max_zero();
-        let mut slots = Vec::new();
-        let mut rotating = Vec::new();
-        for (name, m) in apps {
-            if pinned.contains_key(*name) {
-                // Pinned latency-critical apps never rotate.
-                continue;
-            }
-            // Batch apps rotate; so does a latency-critical app whose
-            // budget could not be met at all — running it degraded in
-            // the rotation beats parking it forever.
-            if let Some((idx, _)) = m.best_within(leftover, &m.feasible_indices()) {
-                rotating.push((name.to_string(), idx));
-            }
-        }
-        spatial.clear();
-        if rotating.is_empty() && pinned.is_empty() && spatial.is_empty() {
+        // Batch apps rotate; so does a latency-critical app whose budget
+        // could not be met at all — running it degraded in the rotation
+        // beats parking it forever.
+        let rotating: Vec<(String, usize)> = apps
+            .iter()
+            .filter(|(name, _)| !pinned.contains_key(*name))
+            .filter_map(|(name, m)| {
+                let (idx, _) = m.best_within(leftover, &m.feasible_indices())?;
+                Some((name.to_string(), idx))
+            })
+            .collect();
+        if rotating.is_empty() && pinned.is_empty() {
             return Schedule::Infeasible;
         }
-        let slot_len = if rotating.is_empty() {
-            Seconds::ZERO
-        } else {
-            self.cycle / rotating.len() as f64
-        };
-        for (app, setting) in rotating {
-            slots.push(TimeSlot {
-                app,
-                setting,
-                duration: slot_len,
-            });
-        }
-        let mut all_pinned = pinned;
-        all_pinned.append(&mut spatial);
         Schedule::Hybrid {
-            pinned: all_pinned,
-            slots,
+            pinned,
+            slots: TimeSlot::fair(self.cycle, rotating),
         }
     }
 
@@ -296,6 +247,42 @@ mod tests {
             other => panic!("unexpected schedule {other:?}"),
         };
         assert_eq!(met, 1, "exactly one of the two SLOs is satisfiable");
+    }
+
+    #[test]
+    fn wide_budgets_match_the_reference_dp() {
+        // A 400 W cap on mix 14 leaves 330 one-watt levels, more than a
+        // `u8` knapsack cell can index.
+        let planner = SloPlanner::new(spec());
+        let mix = powermed_workloads::mixes::mix(14).expect("mix 14");
+        let lc = measure(mix.app1.clone().with_slo(0.8));
+        let batch = measure(mix.app2.clone());
+        let apps = [(mix.app1.name(), &lc), (mix.app2.name(), &batch)];
+        let schedule = planner.plan(&apps, Watts::new(400.0));
+        let budget = Watts::new(330.0);
+        let curves: Vec<UtilityCurve> = apps
+            .iter()
+            .map(|(_, m)| UtilityCurve::build(m, &m.feasible_indices(), budget, Watts::new(1.0)))
+            .collect();
+        let reference: Vec<(Vec<f64>, f64, Option<f64>)> = apps
+            .iter()
+            .zip(&curves)
+            .map(|((_, m), curve)| {
+                let perf = curve.points().iter().map(|p| p.perf).collect();
+                (perf, m.nocap_perf().max(1e-12), m.slo())
+            })
+            .collect();
+        let gives = crate::knapsack::tests::slo_reference(&reference, 330);
+        let settings = apps
+            .iter()
+            .zip(&curves)
+            .zip(gives)
+            .map(|(((name, _), curve), g)| {
+                let idx = curve.at_level(g).best_index.expect("330 W hosts both");
+                (name.to_string(), idx)
+            })
+            .collect();
+        assert_eq!(schedule, Schedule::Space { settings });
     }
 
     #[test]

@@ -59,11 +59,6 @@ impl UtilityCurve {
         self.step
     }
 
-    /// Number of budget levels (including zero).
-    pub fn levels(&self) -> usize {
-        self.points.len()
-    }
-
     /// The curve point at budget level `level` (budget = `level · step`).
     ///
     /// # Panics
@@ -90,6 +85,12 @@ impl UtilityCurve {
     /// All points of the curve.
     pub fn points(&self) -> &[CurvePoint] {
         &self.points
+    }
+
+    /// The curve as one [`crate::knapsack::Knapsack`] group: level `g`
+    /// needs `g` levels and is worth `value` of the point there.
+    pub(crate) fn knapsack_group(&self, value: impl Fn(&CurvePoint) -> f64) -> Vec<(usize, f64)> {
+        self.points.iter().map(value).enumerate().collect()
     }
 }
 
@@ -209,7 +210,7 @@ mod tests {
         assert_eq!(curve.perf_at(Watts::new(12.7)), curve.at_level(12).perf);
         // Beyond the top level clamps.
         assert_eq!(curve.perf_at(Watts::new(500.0)), curve.at_level(30).perf);
-        assert_eq!(curve.levels(), 31);
+        assert_eq!(curve.points().len(), 31);
         assert_eq!(curve.step(), Watts::new(1.0));
     }
 

@@ -111,6 +111,10 @@ impl StoredProfile {
     /// digest) serialize identically, so they rank `Equal` without
     /// rendering either one. The check compares floats by their bits,
     /// so `0.0` against `-0.0` still reaches the serialization.
+    ///
+    /// Replicas that differ only in a NaN's sign or payload serialize
+    /// alike (`NaN`); their float bits break that last tie, and never
+    /// decide between NaN-free replicas (`Display` is unique per bits).
     fn rank(&self, other: &Self) -> std::cmp::Ordering {
         self.version
             .cmp(&other.version)
@@ -122,7 +126,9 @@ impl StoredProfile {
                 if self.bit_identical(other) {
                     std::cmp::Ordering::Equal
                 } else {
-                    self.canonical().cmp(&other.canonical())
+                    self.canonical()
+                        .cmp(&other.canonical())
+                        .then_with(|| self.float_bits().cmp(other.float_bits()))
                 }
             })
     }
@@ -148,6 +154,16 @@ impl StoredProfile {
             })
             && same_row(&self.power_row, &other.power_row)
             && same_row(&self.perf_row, &other.perf_row)
+    }
+
+    /// Every float field's bits, in serialization order.
+    fn float_bits(&self) -> impl Iterator<Item = u64> + '_ {
+        let (power, perf) = (&self.power_row, &self.perf_row);
+        std::iter::once(self.confidence)
+            .chain(self.samples.iter().flat_map(|s| [s.power_w, s.perf]))
+            .chain(std::iter::once(power.bias()).chain(power.factors().iter().copied()))
+            .chain(std::iter::once(perf.bias()).chain(perf.factors().iter().copied()))
+            .map(f64::to_bits)
     }
 
     /// True when `other` beats `self` in the merge order.
@@ -630,6 +646,36 @@ mod tests {
     }
 
     #[test]
+    fn merge_commutes_for_replicas_differing_in_a_nan_sign() {
+        // Both replicas serialize the bias as `NaN`; merge must still
+        // pick the same one whichever side it starts from.
+        let with_bias = |bias: f64| {
+            let mut p = profile(1, 0.9, 0);
+            p.power_row = FoldedRow::new(bias, p.power_row.factors().to_vec());
+            p
+        };
+        let (a, b) = (with_bias(f64::NAN), with_bias(-f64::NAN));
+        assert_eq!(a.canonical(), b.canonical());
+        let ab = a.clone().merge(b.clone()).power_row.bias().to_bits();
+        let ba = b.merge(a).power_row.bias().to_bits();
+        assert_eq!(ab, ba, "{ab:#x} vs {ba:#x}");
+    }
+
+    #[test]
+    fn rows_splitting_the_same_floats_differently_are_not_replicas() {
+        // The float fields read 0.5, 1.0, 1.0 in both, split between the
+        // rows at different places.
+        let mut a = profile(1, 0.9, 0);
+        a.power_row = FoldedRow::new(0.5, vec![1.0]);
+        a.perf_row = FoldedRow::new(1.0, Vec::new());
+        let mut b = a.clone();
+        b.power_row = FoldedRow::new(0.5, Vec::new());
+        b.perf_row = FoldedRow::new(1.0, vec![1.0]);
+        assert_ne!(a.rank(&b), std::cmp::Ordering::Equal);
+        assert_eq!(a.rank(&b), b.rank(&a).reverse());
+    }
+
+    #[test]
     fn invalidate_tombstones_and_tombstone_wins_merges() {
         let mut store = ProfileStore::default();
         store.publish(fp(1), profile(3, 0.9, 0));
@@ -762,8 +808,8 @@ mod tests {
         use powermed_units::rng::SplitMix;
         use std::cmp::Ordering;
 
-        /// The merge order with the canonical serialization as the only
-        /// tie-break.
+        /// The merge order with the canonical serialization, then every
+        /// field's bits, as the tie-breaks.
         fn rank_reference(a: &StoredProfile, b: &StoredProfile) -> Ordering {
             a.version
                 .cmp(&b.version)
@@ -772,6 +818,7 @@ mod tests {
                 .then(a.provenance.epoch.cmp(&b.provenance.epoch))
                 .then(a.provenance.server.cmp(&b.provenance.server))
                 .then_with(|| a.canonical().cmp(&b.canonical()))
+                .then_with(|| bits(a).cmp(&bits(b)))
         }
 
         fn merge_reference(a: StoredProfile, b: StoredProfile) -> StoredProfile {
