@@ -101,7 +101,12 @@ fn policy_kind(name: &str) -> Result<PolicyKind, String> {
 
 fn simulate(flags: &BTreeMap<String, String>) -> Result<(), String> {
     let mix_id = flag_f64(flags, "mix", 1.0)? as usize;
-    let cap = Watts::new(flag_f64(flags, "cap", 100.0)?);
+    let cap_w = flag_f64(flags, "cap", 100.0)?;
+    // The allocator's knapsack spans at most 65,533 one-watt levels.
+    if cap_w.is_nan() || cap_w > 10_000.0 {
+        return Err(format!("--cap expects at most 10000 W, got {cap_w}"));
+    }
+    let cap = Watts::new(cap_w);
     let duration = Seconds::new(flag_f64(flags, "duration", 30.0)?);
     let kind = policy_kind(flags.get("policy").map(String::as_str).unwrap_or("app-res"))?;
     let battery = flags.contains_key("battery") || kind.uses_esd();
