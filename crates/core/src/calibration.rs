@@ -21,6 +21,9 @@ use powermed_workloads::profile::AppProfile;
 
 use crate::measurement::AppMeasurement;
 
+/// The seed of the sparse sampler that picks which settings to probe.
+const SAMPLING_SEED: u64 = 17;
+
 /// The result of one online calibration, rich enough to republish to
 /// the profile knowledge plane: the surface, the probe accounting, and
 /// the observations + folded rows that produced it.
@@ -56,7 +59,6 @@ pub struct Calibrator {
     /// same workload is never double-weighted however it arrives
     /// (catalog seeding, store-derived sparse rows, repeat seeding).
     seeded: BTreeSet<u64>,
-    seed: u64,
 }
 
 impl Calibrator {
@@ -78,14 +80,7 @@ impl Calibrator {
             fit: FitConfig::default(),
             corpus: UtilityMatrix::new(columns),
             seeded: BTreeSet::new(),
-            seed: 17,
         }
-    }
-
-    /// Overrides the RNG seed for sampling.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
     }
 
     /// The configured sampling fraction.
@@ -288,7 +283,7 @@ impl Calibrator {
                 perf_row: FoldedRow::new(0.0, vec![0.0; k]),
             });
         }
-        let sampler = SparseSampler::new(grid.len(), self.seed);
+        let sampler = SparseSampler::new(grid.len(), SAMPLING_SEED);
         let cols = sampler.columns_for(self.sampling_fraction);
 
         let mut power_obs = Vec::with_capacity(cols.len());
