@@ -2500,20 +2500,41 @@ mod tests {
             warm_start: Some(WarmStartOptions::warm()),
             ..ControlOptions::perfect(21)
         };
-        let recorded = run_cluster_flight_recorded(
-            &mixes_for(2),
-            ManagedPolicy::equal_ours(),
-            &short_trace(2),
-            DT,
-            &options,
-            &FleetObsOptions::default(),
-        );
+        let run = |max_digest_bytes| {
+            run_cluster_flight_recorded(
+                &mixes_for(2),
+                ManagedPolicy::equal_ours(),
+                &short_trace(2),
+                DT,
+                &options,
+                &FleetObsOptions { max_digest_bytes },
+            )
+        };
         // Constants taken before the recorder and the store learned to
-        // skip redundant work; any drift means a cut was not exact.
-        let timeline = &recorded.fleet.as_ref().expect("fleet report").timeline;
+        // skip redundant work, and before the journal kept each
+        // record's wire cost; any drift means a cut was not exact.
+        // A 256-byte budget holds one or two records, so most waves
+        // truncate and re-ship their tail: the byte accounting of every
+        // re-shipped record shows in the totals below.
+        let starved = run(256);
+        let fleet = starved.fleet.as_ref().expect("fleet report");
+        assert_eq!(fleet.timeline.digest(), 0x4aa7_f345_beef_932b);
+        assert_eq!(fleet.timeline.merged_total(), 737);
+        assert_eq!(fleet.timeline.dedup_total(), 111);
+        assert_eq!(fleet.digest_bytes_total, 58_085);
+        assert_eq!(fleet.max_wave_bytes, 493);
+        assert_eq!(fleet.digest_gaps, 0);
+        assert_eq!(fleet.last_acked, [121, 122]);
+        let recorded = run(FleetObsOptions::default().max_digest_bytes);
+        let fleet = recorded.fleet.as_ref().expect("fleet report");
+        let timeline = &fleet.timeline;
         assert_eq!(timeline.digest(), 0x4619_9524_c4ce_16bc);
         assert_eq!(timeline.merged_total(), 713);
         assert_eq!(timeline.dedup_total(), 550);
+        assert_eq!(fleet.digest_bytes_total, 279_789);
+        assert_eq!(fleet.max_wave_bytes, 7945);
+        assert_eq!(fleet.digest_gaps, 0);
+        assert_eq!(fleet.last_acked, [121, 122]);
         assert_eq!(
             recorded.store_stats,
             ProfileStoreStats {
