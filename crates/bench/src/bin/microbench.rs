@@ -132,8 +132,9 @@ fn main() {
     });
 
     // One bounded digest extraction over a 1k-record journal: what a
-    // server pays per uplink wave to encode its unshipped delta under
-    // the default 8 KiB budget.
+    // server pays per uplink wave to re-ship its unacknowledged delta
+    // under the default 8 KiB budget. Every iteration after the first
+    // reads the record costs the first one measured.
     let mut journal = EventJournal::new(2048);
     for i in 0..1000u64 {
         journal.record(

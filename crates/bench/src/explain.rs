@@ -899,7 +899,7 @@ mod tests {
         let count = |report: &ResilienceReport, pred: fn(&ObsEvent) -> bool| {
             let fleet = report.fleet.as_ref().expect("fleet recording enabled");
             assert_eq!(fleet.digest_gaps, 0, "the timeline has no gaps");
-            tally(fleet.timeline.iter().map(|r| &r.record), pred)
+            tally(fleet.timeline.iter().map(|r| &*r.record), pred)
         };
         // Left out: endpoint losses (one record can cover several lost
         // messages), the manager counters that have no event, and

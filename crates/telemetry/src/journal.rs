@@ -21,7 +21,6 @@
 use crate::metrics::{prom_label, Histogram, MetricsRegistry};
 use powermed_units::hash::Fnv1a;
 use powermed_units::Seconds;
-use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
@@ -469,12 +468,52 @@ pub struct EventRecord {
 /// ancient history is summarized by the metrics registry's counters. A
 /// capacity of zero stores nothing (every record counts as evicted),
 /// which keeps an attached-but-journalless configuration legal.
+///
+/// Records are immutable once written, so the ring, every
+/// [`JournalDigest`] that ships a record and every [`FleetTimeline`]
+/// that merges it share one copy.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct EventJournal {
     capacity: usize,
-    ring: std::collections::VecDeque<EventRecord>,
+    ring: std::collections::VecDeque<Slot>,
     next_seq: u64,
     evicted: u64,
+}
+
+/// One ring slot: a record and its wire cost, evicted together.
+#[derive(Clone)]
+struct Slot {
+    record: Arc<EventRecord>,
+    /// [`encoded_cost`] of `record`, measured the first time a digest
+    /// reaches it; 0 until then (no record encodes to nothing). A
+    /// journal that never ships never formats a record.
+    cost: u32,
+}
+
+impl Slot {
+    /// The record's wire cost, measured once.
+    fn cost(&mut self) -> usize {
+        if self.cost == 0 {
+            self.cost =
+                u32::try_from(encoded_cost(&self.record)).expect("a record encodes to under 4 GiB");
+        }
+        self.cost as usize
+    }
+}
+
+// The cost is a cache of the record: a slot prints and compares as its
+// record alone, so a journal that has shipped is indistinguishable from
+// one that has not.
+impl std::fmt::Debug for Slot {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        self.record.fmt(f)
+    }
+}
+
+impl PartialEq for Slot {
+    fn eq(&self, other: &Self) -> bool {
+        self.record == other.record
+    }
 }
 
 impl EventJournal {
@@ -503,12 +542,15 @@ impl EventJournal {
             self.ring.pop_front();
             self.evicted += 1;
         }
-        self.ring.push_back(EventRecord {
-            seq,
-            at,
-            poll,
-            epoch,
-            event,
+        self.ring.push_back(Slot {
+            record: Arc::new(EventRecord {
+                seq,
+                at,
+                poll,
+                epoch,
+                event,
+            }),
+            cost: 0,
         });
         seq
     }
@@ -540,12 +582,12 @@ impl EventJournal {
 
     /// Iterates the retained records oldest-first.
     pub fn iter(&self) -> impl Iterator<Item = &EventRecord> {
-        self.ring.iter()
+        self.ring.iter().map(|slot| &*slot.record)
     }
 
     /// The most recent record, if any.
     pub fn latest(&self) -> Option<&EventRecord> {
-        self.ring.back()
+        self.ring.back().map(|slot| &*slot.record)
     }
 
     /// Extracts a bounded delta digest of everything recorded since the
@@ -564,8 +606,12 @@ impl EventJournal {
     /// carrying the dropped count, stamped with the oldest survivor's
     /// coordinates so every re-ship regenerates the identical gap record
     /// and the idempotent fleet merge dedups it.
-    pub fn digest_since(&self, server_id: u64, since: u64, max_bytes: usize) -> JournalDigest {
-        let oldest_retained = self.ring.front().map_or(self.next_seq, |r| r.seq);
+    ///
+    /// Shipped entries share the ring's records. Each record's encoding
+    /// cost is measured the first time a digest reaches it and kept in
+    /// its slot, so re-shipping an unacknowledged tail formats nothing.
+    pub fn digest_since(&mut self, server_id: u64, since: u64, max_bytes: usize) -> JournalDigest {
+        let oldest_retained = self.iter().next().map_or(self.next_seq, |r| r.seq);
         let resume_at = oldest_retained.max(since);
         let dropped = resume_at - since;
         let wrapped = dropped > 0;
@@ -574,8 +620,8 @@ impl EventJournal {
         let mut truncated = 0;
         if wrapped {
             let (at, poll, epoch) = self
-                .ring
-                .front()
+                .iter()
+                .next()
                 .map_or((Seconds::ZERO, 0, 0), |r| (r.at, r.poll, r.epoch));
             let gap = EventRecord {
                 seq: since,
@@ -585,21 +631,22 @@ impl EventJournal {
                 event: ObsEvent::DigestGap { dropped },
             };
             bytes += encoded_cost(&gap);
-            entries.push(gap);
+            entries.push(Arc::new(gap));
         }
         // Sequence numbers rise along the ring, so the resume point is
         // a binary search away.
-        let start = self.ring.partition_point(|r| r.seq < resume_at);
-        for (shipped, rec) in self.ring.range(start..).enumerate() {
-            let cost = encoded_cost(rec);
+        let start = self.ring.partition_point(|s| s.record.seq < resume_at);
+        let retained = self.ring.len();
+        for (shipped, slot) in self.ring.range_mut(start..).enumerate() {
+            let cost = slot.cost();
             if bytes + cost <= max_bytes || entries.is_empty() {
                 bytes += cost;
-                entries.push(rec.clone());
+                entries.push(Arc::clone(&slot.record));
             } else {
                 // The delta must stay contiguous: once one record is
                 // over budget, everything after it waits too. Those
                 // records are only counted, never measured.
-                truncated = (self.ring.len() - start - shipped) as u64;
+                truncated = (retained - start - shipped) as u64;
                 break;
             }
         }
@@ -654,8 +701,9 @@ pub struct JournalDigest {
     pub since: u64,
     /// Records with `seq >= since`, contiguous and oldest-first. When
     /// the ring wrapped past unshipped records the first entry is a
-    /// synthesized [`ObsEvent::DigestGap`].
-    pub entries: Vec<EventRecord>,
+    /// synthesized [`ObsEvent::DigestGap`]. Each entry shares its
+    /// record with the shipping journal.
+    pub entries: Vec<Arc<EventRecord>>,
     /// True when the ring overwrote records in `since..` before they
     /// could ship — the blind spot the gap entry marks.
     pub wrapped: bool,
@@ -697,8 +745,9 @@ pub struct FleetRecord {
     /// The originating server ([`MANAGER_SERVER_ID`] for the manager's
     /// own journal).
     pub server_id: u64,
-    /// The journal record.
-    pub record: EventRecord,
+    /// The journal record, shared with the journal and digest that
+    /// shipped it.
+    pub record: Arc<EventRecord>,
 }
 
 /// The total order a [`FleetTimeline`] merges under:
@@ -713,8 +762,9 @@ pub type FleetKey = (u64, u64, u64, u64);
 /// trivially robust — agents re-ship their entire unacknowledged
 /// backlog every wave, and a duplicate from retry, reorder, or delayed
 /// delivery costs a key lookup and a dedup counter bump (it is never
-/// copied), besides the wire bytes that carried it. Same-seed runs
-/// produce byte-identical timelines (the `ext_obs` fleet smoke
+/// copied), besides the wire bytes that carried it. A new record from a
+/// digest is stored as the digest's shared copy, not a clone. Same-seed
+/// runs produce byte-identical timelines (the `ext_obs` fleet smoke
 /// enforces it).
 ///
 /// A [`FleetTimeline::mark`] remembers the timeline's position, and
@@ -773,16 +823,22 @@ impl FleetTimeline {
     /// Inserts one record if its key is absent. Returns whether it was
     /// added (false = dedup).
     pub fn insert(&mut self, server_id: u64, record: EventRecord) -> bool {
-        self.insert_cow(server_id, Cow::Owned(record))
+        let record = Arc::new(record);
+        self.insert_with(server_id, &record, || Arc::clone(&record))
     }
 
-    /// [`FleetTimeline::insert`] for a borrowed record: it is cloned
-    /// only when its key is new.
-    fn insert_cow(&mut self, server_id: u64, record: Cow<'_, EventRecord>) -> bool {
-        let key = Self::key(server_id, &record);
+    /// Inserts `record` if its key is absent, storing what `share`
+    /// returns for it — called only when the key is new.
+    fn insert_with(
+        &mut self,
+        server_id: u64,
+        record: &EventRecord,
+        share: impl FnOnce() -> Arc<EventRecord>,
+    ) -> bool {
+        let key = Self::key(server_id, record);
         match self.entries.entry(key) {
             std::collections::btree_map::Entry::Vacant(slot) => {
-                let record = record.into_owned();
+                let record = share();
                 slot.insert(FleetRecord { server_id, record });
                 self.merged += 1;
                 if let Some(log) = self.since_mark.as_mut() {
@@ -798,23 +854,29 @@ impl FleetTimeline {
     }
 
     /// Merges one shipped digest; returns how many records were new.
+    /// A new record is stored as the digest's shared copy.
     pub fn merge_digest(&mut self, digest: &JournalDigest) -> u64 {
-        self.merge_records(digest.server_id, &digest.entries)
+        let server_id = digest.server_id;
+        digest
+            .entries
+            .iter()
+            .filter(|r| self.insert_with(server_id, r, || Arc::clone(r)))
+            .count() as u64
     }
 
     /// Merges a batch of records from one server; returns how many were
-    /// new.
+    /// new. A record is copied only when its key is new.
     pub fn merge_records(&mut self, server_id: u64, records: &[EventRecord]) -> u64 {
         records
             .iter()
-            .filter(|r| self.insert_cow(server_id, Cow::Borrowed(r)))
+            .filter(|r| self.insert_with(server_id, r, || Arc::new((*r).clone())))
             .count() as u64
     }
 
     /// Merges another timeline in (union of entries).
     pub fn merge(&mut self, other: &FleetTimeline) {
         for entry in other.iter() {
-            self.insert_cow(entry.server_id, Cow::Borrowed(&entry.record));
+            self.insert_with(entry.server_id, &entry.record, || Arc::clone(&entry.record));
         }
     }
 
@@ -1070,18 +1132,6 @@ impl Obs {
         self.core()
             .journal
             .digest_since(server_id, since, max_bytes)
-    }
-
-    /// Retained records with `seq >= since`, oldest-first — how a
-    /// manager folds its own journal into a fleet timeline without
-    /// re-copying what it already merged.
-    pub fn records_since(&self, since: u64) -> Vec<EventRecord> {
-        self.core()
-            .journal
-            .iter()
-            .filter(|r| r.seq >= since)
-            .cloned()
-            .collect()
     }
 
     /// `(retained, evicted, total)` journal record counts.
@@ -1357,7 +1407,7 @@ mod tests {
 
     #[test]
     fn digest_is_a_contiguous_delta_since_the_watermark() {
-        let j = filled(64, 10);
+        let mut j = filled(64, 10);
         let d = j.digest_since(3, 4, 1 << 16);
         assert!(!d.wrapped);
         assert_eq!(d.dropped, 0);
@@ -1374,7 +1424,7 @@ mod tests {
 
     #[test]
     fn digest_byte_cap_truncates_but_the_watermark_still_advances() {
-        let j = filled(64, 12);
+        let mut j = filled(64, 12);
         let mut since = 0u64;
         let mut waves = 0;
         // A budget this small admits one record per wave (the first
@@ -1403,7 +1453,7 @@ mod tests {
         // Capacity 1: three events recorded, only seq 2 survives. The
         // digest must lead with a DigestGap for the two lost records —
         // synthesized, not stored, so the ring itself never recursed.
-        let j = filled(1, 3);
+        let mut j = filled(1, 3);
         let d = j.digest_since(0, 0, 1 << 16);
         assert!(d.wrapped);
         assert_eq!(d.dropped, 2);
@@ -1418,7 +1468,7 @@ mod tests {
 
     #[test]
     fn wraparound_marks_a_digest_gap_at_cap_two() {
-        let j = filled(2, 5);
+        let mut j = filled(2, 5);
         let d = j.digest_since(0, 1, 1 << 16);
         assert!(d.wrapped);
         assert_eq!(d.dropped, 2, "seqs 1 and 2 were overwritten unshipped");
@@ -1435,7 +1485,7 @@ mod tests {
 
     #[test]
     fn empty_ring_past_the_watermark_is_all_gap() {
-        let j = filled(0, 4);
+        let mut j = filled(0, 4);
         let d = j.digest_since(0, 0, 1 << 16);
         assert!(d.wrapped);
         assert_eq!(d.dropped, 4);
@@ -1444,8 +1494,30 @@ mod tests {
     }
 
     #[test]
+    fn the_cost_cache_is_invisible() {
+        // Capacity 8 of 12 records: the shipped journal has measured
+        // records it then evicted, and truncated waves left some
+        // records measured but unshipped.
+        let mut shipped = filled(8, 12);
+        for (since, max_bytes) in [(0, 1 << 16), (5, 300), (9, 1)] {
+            shipped.digest_since(0, since, max_bytes);
+        }
+        let fresh = filled(8, 12);
+        assert_eq!(format!("{shipped:?}"), format!("{fresh:?}"));
+        assert_eq!(format!("{shipped:#?}"), format!("{fresh:#?}"));
+        assert_eq!(shipped, fresh);
+        for (since, max_bytes) in [(0, 1 << 16), (0, 300), (5, 300), (9, 1), (12, 0)] {
+            assert_eq!(
+                shipped.digest_since(2, since, max_bytes),
+                filled(8, 12).digest_since(2, since, max_bytes),
+                "since {since}, max_bytes {max_bytes}"
+            );
+        }
+    }
+
+    #[test]
     fn fleet_merge_is_idempotent_and_counts_dedup() {
-        let j = filled(64, 6);
+        let mut j = filled(64, 6);
         let d = j.digest_since(7, 0, 1 << 16);
         let mut t = FleetTimeline::new();
         assert_eq!(t.merge_digest(&d), 6);
@@ -1485,7 +1557,7 @@ mod tests {
 
     #[test]
     fn fleet_digest_is_sensitive_to_content_and_provenance() {
-        let j = filled(64, 3);
+        let mut j = filled(64, 3);
         let mut a = FleetTimeline::new();
         let mut b = FleetTimeline::new();
         a.merge_digest(&j.digest_since(0, 0, 1 << 16));
@@ -1614,7 +1686,7 @@ mod tests {
             since: u64,
             max_bytes: usize,
         ) -> JournalDigest {
-            let oldest_retained = j.ring.front().map_or(j.next_seq, |r| r.seq);
+            let oldest_retained = j.iter().next().map_or(j.total_recorded(), |r| r.seq);
             let resume_at = oldest_retained.max(since);
             let dropped = resume_at - since;
             let wrapped = dropped > 0;
@@ -1623,8 +1695,8 @@ mod tests {
             let mut truncated = 0u64;
             if wrapped {
                 let (at, poll, epoch) = j
-                    .ring
-                    .front()
+                    .iter()
+                    .next()
                     .map_or((Seconds::ZERO, 0, 0), |r| (r.at, r.poll, r.epoch));
                 let gap = EventRecord {
                     seq: since,
@@ -1634,17 +1706,17 @@ mod tests {
                     event: ObsEvent::DigestGap { dropped },
                 };
                 bytes += encoded_cost_reference(&gap);
-                entries.push(gap);
+                entries.push(Arc::new(gap));
             }
             let mut shipping = true;
-            for rec in j.ring.iter() {
+            for rec in j.iter() {
                 if rec.seq < resume_at {
                     continue;
                 }
                 let cost = encoded_cost_reference(rec);
                 if shipping && (bytes + cost <= max_bytes || entries.is_empty()) {
                     bytes += cost;
-                    entries.push(rec.clone());
+                    entries.push(Arc::new(rec.clone()));
                 } else {
                     shipping = false;
                     truncated += 1;
@@ -1921,18 +1993,17 @@ mod tests {
             }
         }
 
-        /// A journal of `capacity` holding `events` drawn records (the
-        /// ring wraps when `events` exceeds `capacity`).
-        fn journal(draws: &mut Draws, capacity: usize, events: u64) -> EventJournal {
-            let mut j = EventJournal::new(capacity);
-            let (mut poll, mut epoch) = (0, 0);
-            for i in 0..events {
+        /// Appends `events` drawn records to `j` (the ring evicts once
+        /// full), polls and epochs rising from its latest record.
+        fn record_drawn(draws: &mut Draws, j: &mut EventJournal, events: u64) {
+            let (mut poll, mut epoch) = j.latest().map_or((0, 0), |r| (r.poll, r.epoch));
+            for _ in 0..events {
                 poll += draws.below(3);
                 epoch += draws.below(2);
                 let event = draws.any_event();
+                let i = j.total_recorded();
                 j.record(at(i as f64 * draws.float()), poll, epoch, event);
             }
-            j
         }
 
         /// Records as server `0..servers` might ship them, with repeats.
@@ -2002,17 +2073,21 @@ mod tests {
             }
 
             /// (c) The binary-searched, count-only-past-the-cap digest
-            /// equals the scanning one on wrapped and unwrapped rings,
-            /// under tight, loose and absent byte caps, with the
-            /// watermark behind, inside and ahead of the ring.
+            /// with cached costs equals the scanning, formatting one on
+            /// wrapped and unwrapped rings, under tight, loose and
+            /// absent byte caps, with the watermark behind, inside and
+            /// ahead of the ring. Records land between digests, so a
+            /// digest reads costs an earlier one cached after the ring
+            /// has evicted some of their records.
             #[test]
             fn prop_digest_since_matches_the_scanning_reference(seed in 0u64..u64::MAX) {
                 let mut draws = Draws(SplitMix::new(seed));
                 let capacity = draws.below(9) as usize;
-                let events = draws.below(24);
-                let j = journal(&mut draws, capacity, events);
+                let mut j = EventJournal::new(capacity);
                 for _ in 0..8 {
-                    let since = draws.below(events + 4);
+                    let events = draws.below(8);
+                    record_drawn(&mut draws, &mut j, events);
+                    let since = draws.below(j.total_recorded() + 4);
                     let max_bytes = match draws.below(4) {
                         0 => usize::MAX,
                         1 => 0,
