@@ -125,6 +125,7 @@ pub fn print() {
 }
 
 /// Power of `app` at the timeline point nearest `t`.
+#[cfg(test)]
 pub fn power_at(tl: &Timeline, app: &str, t: f64) -> Option<f64> {
     tl.points
         .iter()

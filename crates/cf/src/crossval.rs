@@ -36,6 +36,7 @@ impl FoldReport {
     }
 
     /// RMSE of the performance estimates.
+    #[cfg(test)]
     pub fn perf_rmse(&self) -> f64 {
         rmse(&self.perf_pred, &self.perf_true)
     }
@@ -45,6 +46,7 @@ impl FoldReport {
     ///
     /// Returns 0.0 for an empty report (no grid points), mirroring the
     /// empty-input guard in [`rmse`] rather than dividing by zero.
+    #[cfg(test)]
     pub fn mean_power_underestimate(&self) -> f64 {
         if self.power_true.is_empty() {
             return 0.0;
@@ -59,6 +61,7 @@ impl FoldReport {
     }
 
     /// Worst-case power underestimation across the grid (watts).
+    #[cfg(test)]
     pub fn worst_power_underestimate(&self) -> f64 {
         self.power_true
             .iter()
@@ -72,7 +75,6 @@ impl FoldReport {
 #[derive(Debug, Clone)]
 pub struct CrossValidator {
     folds: usize,
-    fit: FitConfig,
 }
 
 impl CrossValidator {
@@ -83,16 +85,7 @@ impl CrossValidator {
     /// Panics if `folds < 2`.
     pub fn new(folds: usize) -> Self {
         assert!(folds >= 2, "need at least two folds");
-        Self {
-            folds,
-            fit: FitConfig::default(),
-        }
-    }
-
-    /// Overrides the ALS fit configuration.
-    pub fn with_fit_config(mut self, fit: FitConfig) -> Self {
-        self.fit = fit;
-        self
+        Self { folds }
     }
 
     /// Runs cross-validation on a **dense** utility matrix (every app
@@ -177,7 +170,7 @@ impl CrossValidator {
                 rows: train.len(),
                 cols,
                 entries: power_entries,
-                fit: self.fit,
+                fit: FitConfig::default(),
             });
             jobs.push(FoldFitJob {
                 fold,
@@ -185,7 +178,7 @@ impl CrossValidator {
                 rows: train.len(),
                 cols,
                 entries: perf_entries,
-                fit: self.fit,
+                fit: FitConfig::default(),
             });
         }
         jobs
@@ -309,6 +302,7 @@ pub struct FoldModels {
 
 impl FoldModels {
     /// Number of fitted `(fold × channel)` models held.
+    #[cfg(test)]
     pub fn model_count(&self) -> usize {
         2 * self.slots.len()
     }
@@ -372,6 +366,7 @@ impl FoldModels {
 
 /// Aggregates fold reports into mean power RMSE, mean underestimation and
 /// mean perf RMSE — the summary series plotted in Fig. 7.
+#[cfg(test)]
 pub fn summarize(reports: &[FoldReport]) -> (f64, f64, f64) {
     if reports.is_empty() {
         return (0.0, 0.0, 0.0);

@@ -44,7 +44,6 @@ use powermed_telemetry::journal::{
     FleetTimeline, JournalDigest, Obs, ObsEvent, TimelineMark, MANAGER_SERVER_ID,
 };
 use powermed_telemetry::metrics::{prom_label, MetricsRegistry};
-use powermed_telemetry::recorder::TraceRecorder;
 use powermed_telemetry::ProfileStoreStats;
 use powermed_units::hash::FNV_OFFSET;
 use powermed_units::rng::SplitMix;
@@ -1409,9 +1408,6 @@ pub struct ResilienceReport {
     pub excess_watt_seconds: f64,
     /// Control-plane fault and response counters.
     pub stats: ClusterControlStats,
-    /// Cluster-level time series (net power, budget, violation-seconds,
-    /// heartbeat misses, failovers, reapportionments).
-    pub recorder: TraceRecorder,
     /// FNV-1a digest of the deterministic fault history.
     pub trace_digest: u64,
     /// Fleet-wide probe accounting across every server incarnation
@@ -1536,7 +1532,6 @@ struct FleetRun<'a> {
     energy: Joules,
     violation_seconds: f64,
     excess_watt_seconds: f64,
-    recorder: TraceRecorder,
     digest_bytes_total: u64,
     max_wave_bytes: u64,
     now: Seconds,
@@ -1618,7 +1613,6 @@ impl<'a> FleetRun<'a> {
             energy: Joules::ZERO,
             violation_seconds: 0.0,
             excess_watt_seconds: 0.0,
-            recorder: TraceRecorder::new(),
             digest_bytes_total: 0,
             max_wave_bytes: 0,
             now: Seconds::ZERO,
@@ -1637,8 +1631,7 @@ impl<'a> FleetRun<'a> {
             self.deliver_downlinks();
             self.inject_drift(step);
             self.simulate_and_uplink(step);
-            let net = self.score(step, budget);
-            self.record_series(budget, net);
+            self.score(step, budget);
             self.now += self.dt;
         }
         self.finish(steps)
@@ -1723,8 +1716,8 @@ impl<'a> FleetRun<'a> {
     }
 
     /// Accounts the step's energy, scores the fleet's net draw against
-    /// `budget`, and lets the breaker arm or trip. Returns the net draw.
-    fn score(&mut self, step: u64, budget: Watts) -> Watts {
+    /// `budget`, and lets the breaker arm or trip.
+    fn score(&mut self, step: u64, budget: Watts) {
         let mut net = Watts::ZERO;
         for &(_, server_net) in &self.nets {
             self.energy += server_net * self.dt;
@@ -1740,31 +1733,6 @@ impl<'a> FleetRun<'a> {
         }
         self.breaker
             .trip(step, self.now, &mut self.agents, &self.plane);
-        net
-    }
-
-    /// Appends this step's cluster-level trace series.
-    fn record_series(&mut self, budget: Watts, net: Watts) {
-        let now = self.now;
-        let misses = self.total(ServerAgent::heartbeat_misses);
-        let r = &mut self.recorder;
-        r.push("cluster_net_power", now, net.value());
-        r.push("cluster_budget", now, budget.value());
-        r.push("violation_seconds", now, self.violation_seconds);
-        r.push("heartbeat_misses", now, misses as f64);
-        let m = &self.manager.stats;
-        r.push("failovers", now, m.manager_failovers as f64);
-        r.push("reapportionments", now, m.reapportionments as f64);
-        r.push("breaker_trips", now, self.breaker.trips as f64);
-        if self.options.warm_start.is_some() {
-            let fleet = self.store_stats();
-            let r = &mut self.recorder;
-            r.push("profile_hits", now, fleet.hits as f64);
-            r.push("profile_misses", now, fleet.misses as f64);
-            r.push("profile_invalidations", now, fleet.invalidations as f64);
-            r.push("profile_evictions", now, fleet.evictions as f64);
-            r.push("profile_store_bytes", now, fleet.bytes as f64);
-        }
     }
 
     /// A per-agent counter summed over the fleet.
@@ -1835,7 +1803,6 @@ impl<'a> FleetRun<'a> {
             violation_seconds: self.violation_seconds,
             excess_watt_seconds: self.excess_watt_seconds,
             stats,
-            recorder: self.recorder,
             trace_digest: fault_trace_digest(self.plane.records()),
             probe_split,
             store_stats,
@@ -1852,7 +1819,7 @@ impl<'a> FleetRun<'a> {
 /// breaker release, the manager (takeover, telemetry drain,
 /// apportionment, heartbeats, checkpoint), downlink delivery, scheduled
 /// drift, the simulation step and telemetry uplink of every up node,
-/// budget scoring with the breaker's arm and trip, and the trace series.
+/// and budget scoring with the breaker's arm and trip.
 pub fn run_cluster(
     mixes: &[Mix],
     policy: ManagedPolicy,
@@ -2170,10 +2137,6 @@ mod tests {
         );
         assert!(warm.probe_split.skipped > 0);
         assert!(warm.store_stats.hits > 0);
-        // The recorder carries the knowledge-plane series.
-        let hits = warm.recorder.series("profile_hits").unwrap();
-        assert_eq!(hits.last().unwrap().1, warm.store_stats.hits as f64);
-        assert!(warm.recorder.series("profile_store_bytes").is_some());
     }
 
     #[test]
@@ -2254,7 +2217,8 @@ mod tests {
         assert_eq!(base.report, observed.report);
         assert_eq!(base.trace_digest, observed.trace_digest);
         assert_eq!(base.violation_seconds, observed.violation_seconds);
-        assert_eq!(base.recorder, observed.recorder);
+        assert_eq!(base.stats, observed.stats);
+        assert_eq!(base.excess_watt_seconds, observed.excess_watt_seconds);
         // Message lifecycle and mirrored fault records hit the journal.
         let journal = obs.journal_snapshot();
         let kinds: std::collections::BTreeSet<&str> =
@@ -2351,12 +2315,6 @@ mod tests {
             protected.violation_seconds,
             unprotected.violation_seconds
         );
-        let trips = protected.recorder.series("breaker_trips").unwrap();
-        assert_eq!(
-            trips.last().unwrap().1,
-            protected.stats.breaker_trips as f64,
-            "the telemetry series tracks the counter"
-        );
     }
 
     #[test]
@@ -2389,7 +2347,8 @@ mod tests {
         assert_eq!(base.report, recorded.report);
         assert_eq!(base.trace_digest, recorded.trace_digest);
         assert_eq!(base.violation_seconds, recorded.violation_seconds);
-        assert_eq!(base.recorder, recorded.recorder);
+        assert_eq!(base.stats, recorded.stats);
+        assert_eq!(base.excess_watt_seconds, recorded.excess_watt_seconds);
         assert!(base.fleet.is_none(), "plain runs carry no fleet report");
 
         let fleet = recorded.fleet.as_ref().expect("fleet report attached");

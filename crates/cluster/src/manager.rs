@@ -144,7 +144,7 @@ impl ClusterManager {
 
     /// Runs `policy` through the control plane under an explicit fault
     /// and resilience configuration, returning the full resilience
-    /// report (violation-seconds, fault counters, telemetry series).
+    /// report (violation-seconds, fault counters, probe and store stats).
     pub fn run_with_control(
         &self,
         policy: ManagedPolicy,

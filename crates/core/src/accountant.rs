@@ -223,6 +223,7 @@ impl Accountant {
     }
 
     /// Applications currently on the books.
+    #[cfg(test)]
     pub fn tracked(&self) -> Vec<&str> {
         self.allocations.keys().map(String::as_str).collect()
     }

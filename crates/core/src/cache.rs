@@ -126,6 +126,7 @@ impl MeasurementCache {
     }
 
     /// Number of distinct completion-model pairs stored.
+    #[cfg(test)]
     pub fn model_count(&self) -> usize {
         read(&self.inner.models).len()
     }

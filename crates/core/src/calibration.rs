@@ -89,6 +89,7 @@ impl Calibrator {
     }
 
     /// Number of previously-seen applications in the corpus.
+    #[cfg(test)]
     pub fn corpus_size(&self) -> usize {
         self.corpus.app_count()
     }
@@ -158,6 +159,7 @@ impl Calibrator {
     }
 
     /// Ground-truth calibration: probe every grid setting.
+    #[cfg(test)]
     pub fn calibrate_exhaustive(
         &self,
         name: &str,

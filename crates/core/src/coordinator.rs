@@ -109,6 +109,7 @@ pub enum Schedule {
 impl Schedule {
     /// The length of one full cycle of this schedule (zero for `Space`,
     /// which has no cycling).
+    #[cfg(test)]
     pub fn cycle_length(&self) -> Seconds {
         match self {
             Self::Space { .. } | Self::Infeasible => Seconds::ZERO,

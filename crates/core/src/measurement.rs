@@ -171,6 +171,7 @@ impl AppMeasurement {
     /// Grid indices of the frequency-only knob family: all cores, max
     /// DRAM limit, every DVFS state. This is the restricted family that
     /// RAPL-style policies (Util-Unaware, App-Aware) actuate.
+    #[cfg(test)]
     pub fn frequency_family(&self, spec: &ServerSpec) -> Vec<usize> {
         spec.ladder()
             .states()
@@ -300,6 +301,7 @@ impl AppMeasurement {
 
     /// The least power at which the app can run at all (cheapest
     /// feasible setting with non-zero performance).
+    #[cfg(test)]
     pub fn min_feasible_power(&self) -> Option<Watts> {
         self.feasible_indices()
             .into_iter()

@@ -605,6 +605,7 @@ impl PowerMediator {
 
     /// Whether the estimation fallback cap is currently engaged (the
     /// planner is targeting the cap minus the confidence band).
+    #[cfg(test)]
     pub fn estimation_fallback_engaged(&self) -> bool {
         self.estimation
             .as_ref()
@@ -628,6 +629,7 @@ impl PowerMediator {
 
     /// Whether `name` is currently contained (suspended until its watt
     /// debt is repaid — the escalation for overdraw under clamp).
+    #[cfg(test)]
     pub fn is_contained(&self, name: &str) -> bool {
         self.defense
             .as_ref()
@@ -1846,7 +1848,7 @@ impl PowerMediator {
     }
 
     /// Harden stage: sensor health, the safe-mode watchdog over the
-    /// observed net draw, and the hardened series.
+    /// observed net draw, and the hardened gauges.
     fn observe_hardened(&mut self, sim: &mut ServerSim, report: &StepReport) {
         let now = sim.now();
         let h = self.hardening.as_mut().expect("only called when hardened");
@@ -1924,8 +1926,6 @@ impl PowerMediator {
 
         let engaged = if self.watchdog.engaged() { 1.0 } else { 0.0 };
         let retries = self.hardening_stats.retries as f64;
-        sim.recorder_mut().push("safe_mode", now, engaged);
-        sim.recorder_mut().push("retries_total", now, retries);
         self.obs.with(|obs| {
             obs.set_gauge("safe_mode_engaged", engaged);
             obs.set_gauge("retries_total", retries);
@@ -2307,10 +2307,6 @@ mod tests {
         assert!(!med.safe_mode());
         assert_eq!(med.hardening_stats().retries, 0);
         assert!(med.last_fault_error().is_none());
-        assert!(
-            sim.recorder().series("safe_mode").is_none(),
-            "no hardened series recorded when hardening is off"
-        );
     }
 
     #[test]

@@ -137,6 +137,7 @@ impl SloPlanner {
 
     /// The minimum budget (in watts) at which `m` meets its SLO, if it
     /// has one and the SLO is achievable at all.
+    #[cfg(test)]
     pub fn slo_floor(&self, m: &AppMeasurement) -> Option<Watts> {
         let target = m.slo()?;
         let family = m.feasible_indices();

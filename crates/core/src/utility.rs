@@ -119,6 +119,7 @@ impl UtilityCurve {
 
     /// The best performance within `budget` (interpolating down to the
     /// nearest grid level).
+    #[cfg(test)]
     pub fn perf_at(&self, budget: Watts) -> f64 {
         let level = ((budget.value() / self.step.value()).floor() as usize)
             .min(self.points.len().saturating_sub(1));
@@ -127,6 +128,7 @@ impl UtilityCurve {
 
     /// The first budget level with non-zero performance, if any — the
     /// app's power floor on this knob family.
+    #[cfg(test)]
     pub fn floor_level(&self) -> Option<usize> {
         self.points.iter().position(|p| p.perf > 0.0)
     }

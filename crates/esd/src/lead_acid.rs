@@ -91,6 +91,7 @@ impl LeadAcidBattery {
     }
 
     /// Overrides the Peukert extra-loss coefficient (0 disables).
+    #[cfg(test)]
     pub fn with_peukert_loss(mut self, k: f64) -> Self {
         assert!((0.0..1.0).contains(&k));
         self.peukert_loss = k;

@@ -35,11 +35,13 @@ impl DvfsState {
     }
 
     /// The next-slower state, if any.
+    #[cfg(test)]
     pub fn step_down(self) -> Option<Self> {
         self.0.checked_sub(1).map(Self)
     }
 
     /// The next-faster state within a ladder of `steps` states, if any.
+    #[cfg(test)]
     pub fn step_up(self, steps: usize) -> Option<Self> {
         if self.0 + 1 < steps {
             Some(Self(self.0 + 1))
@@ -132,6 +134,7 @@ impl FrequencyLadder {
 
     /// The highest state whose frequency does not exceed `freq`, or `None`
     /// if even the bottom state is faster than `freq`.
+    #[cfg(test)]
     pub fn state_at_or_below(&self, freq: Gigahertz) -> Option<DvfsState> {
         (0..self.steps)
             .rev()
@@ -141,6 +144,7 @@ impl FrequencyLadder {
 
     /// The state whose frequency is closest to `freq`, clamping to the
     /// ladder's ends.
+    #[cfg(test)]
     pub fn nearest_state(&self, freq: Gigahertz) -> DvfsState {
         let mut best = DvfsState::new(0);
         let mut best_err = f64::INFINITY;

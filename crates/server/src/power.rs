@@ -199,6 +199,7 @@ impl DramPowerModel {
     }
 
     /// The minimum RAPL limit that still permits `bandwidth` of traffic.
+    #[cfg(test)]
     pub fn limit_for_bandwidth(&self, bandwidth: BytesPerSec) -> Watts {
         self.power_at_bandwidth(bandwidth)
     }

@@ -55,6 +55,7 @@ impl EnergyMeter {
     /// Average power between two meter snapshots taken `dt` apart.
     ///
     /// Returns `None` when `dt` is non-positive (no window elapsed).
+    #[cfg(test)]
     pub fn average_power(before: Self, after: Self, dt: Seconds) -> Option<Watts> {
         if dt.value() <= 0.0 {
             return None;
@@ -165,6 +166,7 @@ impl DramDomain {
     }
 
     /// Bandwidth available under the current limit.
+    #[cfg(test)]
     pub fn available_bandwidth(&self) -> BytesPerSec {
         self.model.bandwidth_at_limit(self.limit)
     }

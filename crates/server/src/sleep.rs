@@ -62,6 +62,7 @@ impl SleepLatency {
 
     /// Fraction of useful time lost when duty-cycling with the given ON
     /// period: `round_trip / on_period`, clamped to 1.
+    #[cfg(test)]
     pub fn cycling_overhead(&self, on_period: Seconds) -> f64 {
         if on_period.value() <= 0.0 {
             return 1.0;

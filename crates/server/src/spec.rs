@@ -1,6 +1,6 @@
 //! Server hardware specification (the paper's Table I).
 
-use powermed_units::{BytesPerSec, Gigahertz, Watts};
+use powermed_units::{Gigahertz, Watts};
 
 use crate::dvfs::FrequencyLadder;
 use crate::knobs::KnobGrid;
@@ -123,12 +123,14 @@ impl ServerSpec {
     }
 
     /// Builder-style override of the chip-maintenance (uncore) power.
+    #[cfg(test)]
     pub fn with_chip_maintenance_power(mut self, cm: Watts) -> Self {
         self.chip_maintenance_power = cm;
         self
     }
 
     /// Builder-style override of the maximum cores one application may use.
+    #[cfg(test)]
     pub fn with_max_app_cores(mut self, n: usize) -> Self {
         self.max_app_cores = n;
         self
@@ -184,11 +186,6 @@ impl ServerSpec {
     /// Number of integer-watt DRAM RAPL levels (`m_min..=m_max`, 1 W steps).
     pub fn dram_levels(&self) -> usize {
         (self.dram_limit_max.value() - self.dram_limit_min.value()).round() as usize + 1
-    }
-
-    /// Peak memory bandwidth of one DIMM at its maximum RAPL limit.
-    pub fn peak_dimm_bandwidth(&self) -> BytesPerSec {
-        self.dram_power.bandwidth_at_limit(self.dram_limit_max)
     }
 
     /// The full `(f, n, m)` knob grid for one application on this platform.

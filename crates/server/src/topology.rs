@@ -107,17 +107,13 @@ impl Topology {
         (start..start + self.cores_per_socket).map(CoreId)
     }
 
-    /// All core ids on the server.
-    pub fn all_cores(&self) -> impl ExactSizeIterator<Item = CoreId> {
-        (0..self.total_cores()).map(CoreId)
-    }
-
     /// All socket ids.
     pub fn all_sockets(&self) -> impl ExactSizeIterator<Item = SocketId> {
         (0..self.sockets).map(SocketId)
     }
 
     /// Whether `core` exists on this server.
+    #[cfg(test)]
     pub fn contains_core(&self, core: CoreId) -> bool {
         core.0 < self.total_cores()
     }
@@ -259,6 +255,7 @@ impl CoreAllocator {
     }
 
     /// Socket ids with at least one core owned by any application.
+    #[cfg(test)]
     pub fn active_sockets(&self) -> Vec<SocketId> {
         let mut out: Vec<SocketId> = self
             .owner

@@ -152,6 +152,7 @@ impl RunningApp {
     }
 
     /// Fraction of total work completed, or `None` for endless services.
+    #[cfg(test)]
     pub fn progress_fraction(&self) -> Option<f64> {
         self.profile
             .total_ops()

@@ -9,7 +9,6 @@ use powermed_telemetry::faults::{AdversaryStats, FaultStats};
 use powermed_telemetry::journal::{Obs, ObsEvent};
 use powermed_telemetry::meter::PowerMeter;
 use powermed_telemetry::metrics::prom_label;
-use powermed_telemetry::recorder::TraceRecorder;
 use powermed_traffic::source::{TrafficConfig, TrafficEvent, TrafficSource};
 use powermed_units::{Seconds, Watts};
 use powermed_workloads::profile::AppProfile;
@@ -70,15 +69,11 @@ pub struct StepReport {
 pub struct ServerSim {
     server: Server,
     apps: BTreeMap<String, RunningApp>,
-    /// Pre-interned `app_power_w.<name>` recorder keys, maintained by
-    /// `host`/`remove` so `step` never formats one.
-    series_keys: BTreeMap<String, String>,
     esd: Box<dyn EnergyStorage>,
     esd_command: EsdCommand,
     cap: Option<Watts>,
     clock: SimClock,
     meter: PowerMeter,
-    recorder: TraceRecorder,
     faults: Option<FaultInjector>,
     /// Adversarial-application behaviour; `None` (the default) keeps
     /// every hook a skipped branch, exactly like `faults`.
@@ -99,13 +94,11 @@ impl ServerSim {
         Self {
             server: Server::new(spec),
             apps: BTreeMap::new(),
-            series_keys: BTreeMap::new(),
             esd,
             esd_command: EsdCommand::Idle,
             cap: None,
             clock: SimClock::new(),
             meter: PowerMeter::new(),
-            recorder: TraceRecorder::new(),
             faults: None,
             adversary: None,
             obs: None,
@@ -194,6 +187,7 @@ impl ServerSim {
     }
 
     /// The active fault injector, if any.
+    #[cfg(test)]
     pub fn fault_injector(&self) -> Option<&FaultInjector> {
         self.faults.as_ref()
     }
@@ -240,9 +234,6 @@ impl ServerSim {
     /// Sets or clears the server power cap (event E1).
     pub fn set_cap(&mut self, cap: Option<Watts>) {
         self.cap = cap;
-        if let Some(c) = cap {
-            self.recorder.push("cap_w", self.clock.now(), c.value());
-        }
     }
 
     /// Sets the standing ESD command (applied every step until changed).
@@ -265,8 +256,6 @@ impl ServerSim {
     pub fn host(&mut self, profile: AppProfile, knob: KnobSetting) -> Result<(), ServerError> {
         let name = profile.name().to_string();
         self.server.host_app(&name, knob)?;
-        self.series_keys
-            .insert(name.clone(), format!("app_power_w.{name}"));
         self.apps
             .insert(name, RunningApp::new(profile, self.clock.now()));
         Ok(())
@@ -280,7 +269,6 @@ impl ServerSim {
     pub fn remove(&mut self, name: &str) -> Result<(), ServerError> {
         self.server.remove_app(name)?;
         self.apps.remove(name);
-        self.series_keys.remove(name);
         if let Some(f) = self.faults.as_mut() {
             f.forget_app(name);
         }
@@ -386,17 +374,6 @@ impl ServerSim {
     /// The cumulative power meter.
     pub fn meter(&self) -> &PowerMeter {
         &self.meter
-    }
-
-    /// The recorded time series.
-    pub fn recorder(&self) -> &TraceRecorder {
-        &self.recorder
-    }
-
-    /// Mutable access to the recorder (policies may add their own
-    /// series).
-    pub fn recorder_mut(&mut self) -> &mut TraceRecorder {
-        &mut self.recorder
     }
 
     /// Advances the simulation by `dt`.
@@ -555,48 +532,9 @@ impl ServerSim {
             None => Some(net),
         };
 
-        // 4. Record the standard series.
-        self.recorder.push("gross_w", now, gross.value());
-        self.recorder.push("net_w", now, net.value());
-        self.recorder.push("esd_soc", now, self.esd.soc().value());
-        for (name, p) in &breakdown.apps {
-            // Per-app series keys are interned at host() time so the
-            // per-step hot path allocates no strings.
-            match self.series_keys.get(name) {
-                Some(key) => self.recorder.push(key, now, p.value()),
-                None => self
-                    .recorder
-                    .push_owned(format!("app_power_w.{name}"), now, p.value()),
-            }
-        }
-        // Observed-vs-true divergence is recorded whenever a sample
-        // exists (zero without injection), so sensor-fault figures can
-        // plot it without bespoke plumbing. Dropouts leave a gap.
-        if let Some(seen) = observed_net_power {
-            self.recorder
-                .push("net_divergence_w", now, (seen - net).value());
-        }
-        // Fault-only series: nothing extra is recorded when injection
-        // is off, keeping fault-free traces bit-identical to before.
-        if let Some(f) = self.faults.as_ref() {
-            if let Some(obs) = observed_net_power {
-                self.recorder.push("net_observed_w", now, obs.value());
-            }
-            self.recorder
-                .push("faults_total", now, f.stats().total_events() as f64);
-        }
-        // Traffic-only series and events: nothing is recorded or
-        // emitted when no source is attached, keeping scripted traces
-        // bit-identical to before.
+        // 4. Surface traffic events to the flight recorder. Nothing is
+        // emitted when no source is attached.
         if let Some(t) = self.traffic.as_mut() {
-            let stats = t.stats();
-            self.recorder.push(
-                "traffic_backlog_ops",
-                now,
-                stats.offered_ops - stats.served_ops,
-            );
-            self.recorder
-                .push("traffic_attainment", now, stats.attainment());
             let events = t.take_events();
             if let Some(obs) = self.obs.as_ref() {
                 for event in events {
@@ -798,19 +736,6 @@ mod tests {
     }
 
     #[test]
-    fn recorder_captures_series() {
-        let mut s = sim();
-        let knob = KnobSetting::max_for(s.server().spec());
-        s.host(catalog::bfs(), knob).unwrap();
-        s.set_cap(Some(Watts::new(100.0)));
-        s.run_for(Seconds::new(0.5), DT);
-        let r = s.recorder();
-        assert!(r.series("gross_w").unwrap().len() >= 5);
-        assert!(r.series("app_power_w.bfs").is_some());
-        assert!(r.series("cap_w").is_some());
-    }
-
-    #[test]
     fn no_injection_reports_true_power_as_observed() {
         let mut s = sim();
         let r = s.step(DT);
@@ -818,20 +743,19 @@ mod tests {
         assert!(s.fault_injector().is_none());
         assert_eq!(s.fault_stats().total_events(), 0);
         assert!(s.fault_trace().is_empty());
-        assert!(s.recorder().series("net_observed_w").is_none());
     }
 
     #[test]
     fn divergence_series_is_always_recorded() {
-        // Without injection the observed channel is the truth, so the
-        // divergence series exists and is identically zero.
+        // Without injection the observed channel is the truth on every
+        // step.
         let mut s = sim();
-        s.run_for(Seconds::new(0.5), DT);
-        let d = s.recorder().series("net_divergence_w").unwrap();
-        assert_eq!(d.len(), 5);
-        assert!(d.iter().all(|(_, v)| *v == 0.0));
+        for _ in 0..5 {
+            let r = s.step(DT);
+            assert_eq!(r.observed_net_power, Some(r.net_power));
+        }
 
-        // With meter noise it exists and deviates somewhere.
+        // With meter noise the observed draw deviates somewhere.
         let cfg = crate::faults::FaultConfig {
             seed: 11,
             meter_noise_sigma: 0.1,
@@ -840,9 +764,12 @@ mod tests {
         let mut noisy = sim().with_fault_injection(cfg);
         let knob = KnobSetting::max_for(noisy.server().spec());
         noisy.host(catalog::kmeans(), knob).unwrap();
-        noisy.run_for(Seconds::new(2.0), DT);
-        let d = noisy.recorder().series("net_divergence_w").unwrap();
-        assert!(d.iter().any(|(_, v)| v.abs() > 1e-6), "noise never showed");
+        let diverged = (0..20).any(|_| {
+            let r = noisy.step(DT);
+            r.observed_net_power
+                .is_some_and(|seen| (seen - r.net_power).value().abs() > 1e-6)
+        });
+        assert!(diverged, "noise never showed");
     }
 
     #[test]
@@ -1108,10 +1035,6 @@ mod tests {
         );
         let stats = driven.traffic().unwrap().stats();
         assert!(stats.completions > 0, "no requests completed");
-        // Traffic-only series exist on the driven sim and not the
-        // scripted one (zero-cost-off).
-        assert!(driven.recorder().series("traffic_attainment").is_some());
-        assert!(scripted.recorder().series("traffic_attainment").is_none());
     }
 
     #[test]

@@ -4,9 +4,7 @@
 //! The simulated substrate (see `powermed-sim`'s fault injector) counts
 //! every fault it injects in a [`FaultStats`]; the hardened mediator
 //! counts every mitigation it performs in a [`HardeningStats`]. Both are
-//! plain counter structs so experiments can diff them across runs, and
-//! both are surfaced through the [`crate::recorder::TraceRecorder`] as
-//! time series by their owners.
+//! plain counter structs so experiments can diff them across runs.
 
 /// Counters for faults injected into the simulated substrate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]

@@ -1,7 +1,7 @@
 //! Flight-recorder event journal with causal ids.
 //!
-//! The figure-oriented [`crate::recorder::TraceRecorder`] stores
-//! *signals*; this module stores *decisions*. Every consequential step
+//! Run reports and counter structs say *what* happened; this module
+//! stores *decisions*. Every consequential step
 //! the mediator, simulator or cluster control plane takes — an
 //! allocation installed, an E1–E6 event handled, a safe-mode
 //! escalation, a probe skipped, a knob write retried, an uplink
@@ -1003,9 +1003,8 @@ impl ObsCore {
 /// Producers (`PowerMediator`, `ServerSim`, `ControlPlane`, agents)
 /// each hold an `Option<Obs>`; cloning the handle shares the same
 /// journal and registry, so a server's simulator and mediator write
-/// interleaved records into one flight recorder. Like
-/// [`crate::recorder::SharedRecorder`], a panic under the lock does not
-/// poison the plane for later callers.
+/// interleaved records into one flight recorder. A panic under the
+/// lock does not poison the plane for later callers.
 #[derive(Debug, Clone)]
 pub struct Obs {
     inner: Arc<Mutex<ObsCore>>,

@@ -1,13 +1,13 @@
 //! Telemetry for `powermed`: application heartbeats, power metering and
-//! time-series recording.
+//! the flight recorder.
 //!
 //! The paper's runtime observes applications through two channels
 //! (Sec. III-A): the **Application Heartbeats** interface for performance
 //! and the **RAPL energy counters** for power. The Accountant polls both
 //! "in the order of microseconds" to detect drift (event E4) and
 //! departures (E3). This crate provides those observation channels for
-//! the simulated platform, plus a general time-series recorder that the
-//! figure-regeneration harness uses to dump every plotted signal.
+//! the simulated platform, plus the flight-recorder journal and metrics
+//! registry that record why the runtime decided what it did.
 //!
 //! # Example
 //!
@@ -30,7 +30,6 @@ pub mod heartbeat;
 pub mod journal;
 pub mod meter;
 pub mod metrics;
-pub mod recorder;
 pub mod store;
 
 pub use faults::{EstimationStats, FaultStats, HardeningStats};
@@ -42,5 +41,4 @@ pub use journal::{
 };
 pub use meter::{CapCompliance, PowerMeter};
 pub use metrics::{prom_label, Histogram, MetricsRegistry};
-pub use recorder::{SharedRecorder, TraceRecorder};
 pub use store::ProfileStoreStats;

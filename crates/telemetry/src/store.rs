@@ -3,9 +3,7 @@
 //! The fleet-wide profile store (see `powermed-profiles`) counts every
 //! lookup, invalidation and eviction it performs in a
 //! [`ProfileStoreStats`]. Like the fault counters in [`crate::faults`],
-//! it is a plain counter struct so experiments can diff it across runs,
-//! and its owner surfaces it through the
-//! [`crate::recorder::TraceRecorder`] as time series.
+//! it is a plain counter struct so experiments can diff it across runs.
 
 /// Counters for a profile knowledge-plane store.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]

@@ -395,19 +395,6 @@ impl TrafficSource {
             .unwrap_or(0.0)
     }
 
-    /// Requests still queued for `name`.
-    pub fn queue_depth(&self, name: &str) -> usize {
-        self.index
-            .get(name)
-            .map(|&i| self.apps[i].queue.len())
-            .unwrap_or(0)
-    }
-
-    /// Cumulative accounting for one app.
-    pub fn app_stats(&self, name: &str) -> Option<TrafficStats> {
-        self.index.get(name).map(|&i| self.apps[i].stats)
-    }
-
     /// Cumulative accounting summed across apps.
     pub fn stats(&self) -> TrafficStats {
         let mut total = TrafficStats::default();

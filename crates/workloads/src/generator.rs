@@ -2,15 +2,15 @@
 //!
 //! The paper picks its 15 mixes "randomly" from the benchmark pool and
 //! drives dynamic arrival/departure experiments. This module provides the
-//! deterministic random machinery for both: random mixes beyond Table II,
-//! perturbed profile variants (to populate the collaborative-filtering
-//! training corpus with more than 12 distinct apps), and Poisson-ish
-//! arrival scripts.
+//! deterministic random machinery: perturbed profile variants (to
+//! populate the collaborative-filtering training corpus with more than 12
+//! distinct apps) and Poisson-ish arrival scripts.
 
 use powermed_units::rng::SplitMix;
 use powermed_units::Seconds;
 
 use crate::catalog;
+#[cfg(test)]
 use crate::mixes::{Mix, MixId};
 use crate::profile::AppProfile;
 
@@ -39,6 +39,7 @@ impl WorkloadGenerator {
 
     /// Draws a random two-application mix (distinct apps) from the
     /// catalog.
+    #[cfg(test)]
     pub fn random_mix(&mut self, id: usize) -> Mix {
         let pool = catalog::all();
         let mut picks = self.rng.choose_multiple(&pool, 2);

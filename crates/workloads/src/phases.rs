@@ -66,11 +66,6 @@ impl PhaseTrack {
         Self { phases, cycle }
     }
 
-    /// Total length of one cycle.
-    pub fn cycle_length(&self) -> Seconds {
-        self.cycle
-    }
-
     /// The phases in order.
     pub fn phases(&self) -> &[Phase] {
         &self.phases
@@ -87,18 +82,6 @@ impl PhaseTrack {
         }
         // Floating-point edge: land on the final phase.
         *self.phases.last().expect("non-empty by construction")
-    }
-
-    /// Index of the phase active at `elapsed`.
-    pub fn phase_index_at(&self, elapsed: Seconds) -> usize {
-        let mut t = elapsed.value().rem_euclid(self.cycle.value());
-        for (i, phase) in self.phases.iter().enumerate() {
-            if t < phase.duration.value() {
-                return i;
-            }
-            t -= phase.duration.value();
-        }
-        self.phases.len() - 1
     }
 }
 
@@ -124,26 +107,26 @@ mod tests {
     #[test]
     fn phase_lookup_within_cycle() {
         let t = track();
-        assert_eq!(t.cycle_length(), Seconds::new(15.0));
-        assert_eq!(t.phase_index_at(Seconds::new(0.0)), 0);
-        assert_eq!(t.phase_index_at(Seconds::new(9.99)), 0);
-        assert_eq!(t.phase_index_at(Seconds::new(10.0)), 1);
-        assert_eq!(t.phase_index_at(Seconds::new(14.9)), 1);
+        let [first, second] = [t.phases()[0], t.phases()[1]];
+        assert_eq!(t.phase_at(Seconds::new(0.0)), first);
+        assert_eq!(t.phase_at(Seconds::new(9.99)), first);
+        assert_eq!(t.phase_at(Seconds::new(10.0)), second);
+        assert_eq!(t.phase_at(Seconds::new(14.9)), second);
     }
 
     #[test]
     fn phase_lookup_wraps() {
         let t = track();
-        assert_eq!(t.phase_index_at(Seconds::new(15.0)), 0);
-        assert_eq!(t.phase_index_at(Seconds::new(25.0)), 1);
-        assert_eq!(t.phase_index_at(Seconds::new(30.0)), 0);
+        assert_eq!(t.phase_at(Seconds::new(15.0)), t.phases()[0]);
+        assert_eq!(t.phase_at(Seconds::new(25.0)), t.phases()[1]);
+        assert_eq!(t.phase_at(Seconds::new(30.0)), t.phases()[0]);
     }
 
     #[test]
     fn negative_time_wraps_like_modulo() {
         let t = track();
         // rem_euclid(-1, 15) = 14 -> second phase.
-        assert_eq!(t.phase_index_at(Seconds::new(-1.0)), 1);
+        assert_eq!(t.phase_at(Seconds::new(-1.0)), t.phases()[1]);
     }
 
     #[test]

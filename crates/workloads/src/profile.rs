@@ -164,6 +164,7 @@ impl AppProfile {
     /// # Panics
     ///
     /// Panics if `min_cores` is zero.
+    #[cfg(test)]
     pub fn with_min_cores(mut self, min_cores: usize) -> Self {
         assert!(min_cores >= 1, "min_cores must be at least 1");
         self.min_cores = min_cores;
@@ -305,6 +306,7 @@ impl AppProfile {
 
     /// Whether this app is memory-bound at the uncapped point (memory
     /// time exceeds compute time).
+    #[cfg(test)]
     pub fn is_memory_bound(&self, spec: &ServerSpec) -> bool {
         let op = self.uncapped(spec);
         op.demand.core_busy.value() < 0.5

@@ -16,7 +16,7 @@
 //! | [`server`] | `powermed-server` | the simulated Xeon platform: DVFS, RAPL, PC6, power model |
 //! | [`workloads`] | `powermed-workloads` | the benchmark catalog and Table II mixes |
 //! | [`esd`] | `powermed-esd` | Lead-Acid / ideal energy storage models |
-//! | [`telemetry`] | `powermed-telemetry` | heartbeats, power meters, trace recording, flight-recorder journal + metrics |
+//! | [`telemetry`] | `powermed-telemetry` | heartbeats, power meters, flight-recorder journal + metrics |
 //! | [`cf`] | `powermed-cf` | collaborative filtering for online calibration |
 //! | [`sim`] | `powermed-sim` | the discrete-time simulation engine |
 //! | [`mediator`] | `powermed-core` | allocator, coordinator, accountant, the five policies |
