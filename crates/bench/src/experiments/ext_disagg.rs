@@ -319,9 +319,10 @@ pub fn run_one(
     let mut err_sum = 0.0;
     let mut err_n = 0u64;
     for _ in 0..steps {
-        let report = med.step(&mut sim, DT);
+        med.step(&mut sim, DT);
         if let Some(estimate) = med.last_estimate() {
-            for (name, true_w) in &report.breakdown.apps {
+            for name in sim.app_names() {
+                let true_w = sim.app_power(name).expect("hosted");
                 let est = estimate.apps.get(name).map(|s| s.watts).unwrap_or(0.0);
                 err_sum += (est - true_w.value()).abs();
                 err_n += 1;

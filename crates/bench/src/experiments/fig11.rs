@@ -87,18 +87,15 @@ fn sample_loop(
     while t < to - 1e-9 {
         let mut last_apps = Vec::new();
         for _ in 0..steps_per_sample {
-            let report = med.step(sim, DT);
-            last_apps = report
-                .breakdown
-                .apps
+            med.step(sim, DT);
+            last_apps = sim
+                .app_names()
                 .iter()
-                .map(|(name, p)| {
-                    let (cores, ghz) = sim
-                        .server()
-                        .assignment(name)
-                        .map(|a| (a.cores().len(), a.knob().frequency(&spec).value()))
-                        .unwrap_or((0, 0.0));
-                    (name.clone(), *p, cores, ghz)
+                .zip(sim.server().assignments())
+                .map(|(name, a)| {
+                    let power = sim.app_power(name).expect("hosted");
+                    let (cores, ghz) = (a.cores().len(), a.knob().frequency(&spec).value());
+                    (name.clone(), power, cores, ghz)
                 })
                 .collect();
         }

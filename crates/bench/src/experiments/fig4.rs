@@ -58,13 +58,14 @@ fn timeline(cap: Watts) -> Timeline {
         }
         let running = sim
             .app_names()
-            .into_iter()
+            .iter()
             .filter(|n| {
                 sim.server()
                     .assignment(n)
                     .map(|a| a.run_state() == AppRunState::Running)
                     .unwrap_or(false)
             })
+            .cloned()
             .collect();
         points.push(TimelinePoint {
             at: Seconds::new((i + 1) as f64),

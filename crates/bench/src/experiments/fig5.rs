@@ -102,15 +102,9 @@ fn run_consolidated(spec: &ServerSpec) -> CyclingOutcome {
     let mut exec = vec![0.0f64; 2];
     let steps = (WINDOW.value() / DT.value()).round() as u64;
     for _ in 0..steps {
-        let report = med.step(&mut sim, DT);
+        med.step(&mut sim, DT);
         for (i, n) in names.iter().enumerate() {
-            if report
-                .breakdown
-                .apps
-                .get(n)
-                .map(|p| p.value() > 0.1)
-                .unwrap_or(false)
-            {
+            if sim.app_power(n).is_some_and(|p| p.value() > 0.1) {
                 exec[i] += DT.value();
             }
         }

@@ -48,7 +48,7 @@ use powermed_telemetry::ProfileStoreStats;
 use powermed_units::{Ratio, Seconds, Watts};
 use powermed_workloads::profile::AppProfile;
 
-use crate::accountant::{Accountant, Event, Observation};
+use crate::accountant::{first_sight, Accountant, Event, Observation};
 use crate::cache::MeasurementCache;
 use crate::calibration::Calibrator;
 use crate::coordinator::{EsdParams, Schedule, TimeSlot};
@@ -321,6 +321,9 @@ pub struct PowerMediator {
     defense: Option<Defense>,
     store: Option<StoreLayer>,
     obs: ObsHandle,
+    /// Each hosted app's observation this poll, by server position;
+    /// reused from poll to poll.
+    sensed: Vec<Observation>,
 }
 
 impl PowerMediator {
@@ -357,6 +360,7 @@ impl PowerMediator {
             defense: None,
             store: None,
             obs: ObsHandle::default(),
+            sensed: Vec::new(),
         }
     }
 
@@ -662,7 +666,7 @@ impl PowerMediator {
             ) {
                 return Err(first_try.into());
             }
-            for existing in sim.app_names() {
+            for existing in sim.app_names().to_vec() {
                 let Some(knob) = sim.server().assignment(&existing).map(|a| a.knob()) else {
                     continue;
                 };
@@ -731,12 +735,13 @@ impl PowerMediator {
         }
         let report = sim.step(dt);
         let now = sim.now();
-        let mut observations = self.sense(sim);
+        let mut observations = std::mem::take(&mut self.sensed);
+        self.sense(sim, &mut observations);
         let estimate = self.estimate_breakdown(sim, &report, &observations);
-        for (name, o) in &mut observations {
+        for (name, o) in sim.app_names().iter().zip(&mut observations) {
             let power = match &estimate {
                 Some(eb) => eb.apps.get(name).map(|s| Watts::new(s.watts)),
-                None => report.breakdown.apps.get(name).copied(),
+                None => sim.app_power(name),
             };
             o.power = power.unwrap_or(Watts::ZERO);
         }
@@ -750,7 +755,10 @@ impl PowerMediator {
                 over_cap: observed.is_some_and(|o| o.violates_cap(cap)),
             }
         });
-        let events = self.accountant.poll(&observations);
+        let events = self
+            .accountant
+            .poll(sim.app_names().iter().zip(&observations));
+        self.sensed = observations;
         if !events.is_empty() {
             self.handle_events(sim, events);
         }
@@ -780,22 +788,24 @@ impl PowerMediator {
         }
     }
 
-    /// Sense stage: each app's run state and claimed heartbeat, with
-    /// power left for the estimate stage to fill in. Heartbeat windows
-    /// drain on read, so this runs once per poll. Heartbeat evidence is
-    /// only clean in steady spatial operation: duty-cycled windows and
-    /// windows spanning a knob change mix rates from different settings.
-    fn sense(&self, sim: &mut ServerSim) -> BTreeMap<String, Observation> {
+    /// Sense stage: refills `sensed` with each app's run state and
+    /// claimed heartbeat, by server position, with power left for the
+    /// estimate stage to fill in. Heartbeat windows drain on read, so
+    /// this runs once per poll. Heartbeat evidence is only clean in
+    /// steady spatial operation: duty-cycled windows and windows
+    /// spanning a knob change mix rates from different settings.
+    fn sense(&self, sim: &mut ServerSim, sensed: &mut Vec<Observation>) {
         let now = sim.now();
         let settled = |since: Seconds| (now - since) > Seconds::new(2.5);
         let heartbeat_clean =
             self.act.actuation == Actuation::Space && settled(self.act.actuated_at);
-        let mut sensed = BTreeMap::new();
-        for name in sim.app_names() {
-            let completed = sim.app(&name).is_some_and(|a| a.completed());
+        sensed.clear();
+        for pos in 0..sim.app_names().len() {
+            let name = sim.app_names()[pos].as_str();
+            let completed = sim.app(name).is_some_and(|a| a.completed());
             let suspended = sim
                 .server()
-                .assignment(&name)
+                .assignment(name)
                 .is_none_or(|a| a.run_state() == AppRunState::Suspended);
             // Defense mode refines the cleanliness gate per app: a knob
             // that has not actually changed keeps its window even when
@@ -810,27 +820,26 @@ impl PowerMediator {
             let stamp = self
                 .defense
                 .as_ref()
-                .and_then(|d| d.knob_stable_since.get(&name));
+                .and_then(|d| d.knob_stable_since.get(name));
             let clean = stamp.map_or(heartbeat_clean, |t| settled(*t));
             // Read through the adversary layer: what the app *claims*,
             // which is the truth unless an injector is misreporting.
             let heartbeat = if clean && !suspended && !completed {
-                sim.reported_heartbeat(&name, now)
+                sim.reported_heartbeat(pos, now)
             } else {
                 None
             };
             if let Some(rate) = heartbeat {
-                self.obs.with(|obs| obs.note_heartbeat(&name, rate));
+                self.obs
+                    .with(|obs| obs.note_heartbeat(&sim.app_names()[pos], rate));
             }
-            let observation = Observation {
+            sensed.push(Observation {
                 power: Watts::ZERO,
                 heartbeat,
                 completed,
                 suspended,
-            };
-            sensed.insert(name, observation);
+            });
         }
-        sensed
     }
 
     /// Handles accountant events: journals them, applies each, and
@@ -1046,7 +1055,7 @@ impl PowerMediator {
         let _span = self.obs.0.as_ref().map(|o| o.span("plan"));
         self.replans += 1;
         let now = sim.now();
-        let names: Vec<String> = sim.app_names();
+        let names = sim.app_names().to_vec();
         // Quarantined apps are planned by fiat, not by the policy:
         // clamped to their fair share of the dynamic budget minus
         // whatever the watt-debt ledger claws back this plan.
@@ -1190,13 +1199,13 @@ impl PowerMediator {
         let (residual, band) = (eb.residual_w, eb.band_w);
         let now = sim.now();
         let drift_strikes = std::mem::take(&mut d.drift_strikes);
-        let names: Vec<String> = sim.app_names();
+        let names = sim.app_names();
         let mut quarantines: Vec<String> = Vec::new();
         let mut probations: Vec<String> = Vec::new();
         let mut containments: Vec<String> = Vec::new();
         let mut readmitted = false;
         let mut charged = false;
-        for name in &names {
+        for name in names {
             // Evidence for this poll, strongest stream wins.
             let claim = d.claims.get(name).copied();
             let mut mild = claim.is_some_and(|c| c.clamped);
@@ -1234,7 +1243,7 @@ impl PowerMediator {
                     .max(OVERDRAW_MARGIN_W * CLAWBACK_RATE);
                 d.claw_back(&self.obs, now, name, due);
             }
-            let trust = d.trust.entry(name.clone()).or_default();
+            let trust = first_sight(&mut d.trust, name);
             // Persistent overdraw: the estimated share stays above the
             // allocation. Only charged against apps already below the
             // trusted tier — their σ is inflated, so the solver routes
@@ -1481,7 +1490,7 @@ impl PowerMediator {
             _ => (&none, None, EsdCommand::Idle),
         };
         let suspend_rest = |sim: &mut ServerSim| {
-            for name in sim.app_names() {
+            for name in sim.app_names().to_vec() {
                 if !settings.contains_key(&name) && slot.is_none_or(|s| s.app != name) {
                     let _ = sim.server_mut().suspend_app(&name);
                 }
@@ -1556,7 +1565,7 @@ impl PowerMediator {
         }
         let mut ok = sim.set_knobs(name, knob).is_ok();
         if !ok {
-            for other in sim.app_names() {
+            for other in sim.app_names().to_vec() {
                 let Some(a) = sim.server().assignment(&other) else {
                     continue;
                 };
@@ -1668,12 +1677,12 @@ impl PowerMediator {
         &mut self,
         sim: &ServerSim,
         report: &StepReport,
-        sensed: &BTreeMap<String, Observation>,
+        sensed: &[Observation],
     ) -> Option<EstimatedBreakdown> {
         let est = self.estimation.as_mut()?;
         let mut priors = Vec::with_capacity(sensed.len());
         let mut claims: BTreeMap<String, ClaimRecord> = BTreeMap::new();
-        for (name, o) in sensed {
+        for (name, o) in sim.app_names().iter().zip(sensed) {
             let idx = sim
                 .server()
                 .assignment(name)
@@ -1754,7 +1763,7 @@ impl PowerMediator {
         // assignments (spec constants per awake socket), not sensed per
         // app, so subtracting it does not consult the oracle. ESD flows
         // are separately metered by the BMS on a real server.
-        let static_floor = (report.breakdown.idle + report.breakdown.uncore).value();
+        let static_floor = (sim.breakdown().idle + sim.breakdown().uncore).value();
         let eb = est.estimator.estimate(
             report.observed_net_power.map(Watts::value),
             static_floor,
@@ -1951,7 +1960,7 @@ impl PowerMediator {
         if matches!(self.act.schedule, Schedule::EsdCycle { .. }) {
             self.esd_quarantined = true;
         }
-        for name in sim.app_names() {
+        for name in sim.app_names().to_vec() {
             let Some(a) = sim.server().assignment(&name) else {
                 continue;
             };
@@ -1973,7 +1982,7 @@ impl PowerMediator {
         self.obs.emit(sim.now(), || ObsEvent::SafeMode {
             transition: SafeModeTransition::Escalated,
         });
-        for name in sim.app_names() {
+        for name in sim.app_names().to_vec() {
             let _ = sim.server_mut().suspend_app(&name);
         }
         sim.set_esd_command(EsdCommand::Idle);
@@ -2490,7 +2499,6 @@ mod tests {
     }
 
     fn over_cap_report(observed: Option<f64>) -> StepReport {
-        use powermed_server::server::PowerBreakdown;
         StepReport {
             now: Seconds::ZERO,
             gross_power: Watts::new(90.0),
@@ -2500,12 +2508,6 @@ mod tests {
             cap_violated: true,
             observed_net_power: observed.map(Watts::new),
             completed: Vec::new(),
-            breakdown: PowerBreakdown {
-                idle: Watts::new(30.0),
-                uncore: Watts::new(20.0),
-                apps: BTreeMap::new(),
-                granted_bandwidth: BTreeMap::new(),
-            },
         }
     }
 

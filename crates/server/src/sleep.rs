@@ -22,6 +22,7 @@ pub enum SocketPowerState {
 
 impl SocketPowerState {
     /// Whether the socket contributes uncore (`P_cm`) power.
+    #[cfg(test)]
     pub fn draws_uncore_power(self) -> bool {
         matches!(self, Self::Active)
     }

@@ -1,0 +1,148 @@
+//! Heap allocations on the mediator's steady poll path.
+//!
+//! Builds every `server_sweep` cell (each Table II mix under each
+//! policy, as `fleet::build_server` boots them), warms it for
+//! [`WARM_POLLS`] polls and counts the allocations this thread makes
+//! over the next [`POLLS`]. A steady poll at 95 W or 110 W must not
+//! allocate: per-app state on the step and poll path lives in buffers
+//! indexed by position that are sized at admission. At 80 W phase
+//! changes re-plan and duty-cycle, which may allocate, but less than
+//! the name-keyed path did.
+//!
+//! This binary holds one test, so the counting allocator sees no other
+//! test's work; it counts only on the test's own thread.
+//!
+//! ```text
+//! cargo test -q --test poll_allocations
+//! ```
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::sync::atomic::{AtomicU64, Ordering};
+
+use powermed::cluster::fleet;
+use powermed::mediator::policy::PolicyKind;
+use powermed::server::ServerSpec;
+use powermed::units::{Seconds, Watts};
+use powermed::workloads::mixes;
+
+const DT: Seconds = Seconds::new(0.1);
+const WARM_POLLS: usize = 50;
+const POLLS: u64 = 600;
+/// Allocations per poll the name-keyed step and poll path made at 80 W:
+/// the lowest cell average over the 75 cells (they ranged from 15.5 to
+/// 16.2, and were 17 in every cell at 95 W and 110 W).
+const NAME_KEYED_PER_POLL_AT_80_W: f64 = 15.5;
+
+/// The system allocator, counting every allocation made while the
+/// calling thread has counting switched on.
+struct Counting;
+
+static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+
+thread_local! {
+    static COUNTING: Cell<bool> = const { Cell::new(false) };
+}
+
+fn note_allocation() {
+    // `try_with`: the allocator also runs while thread-locals are torn
+    // down, when the flag is gone and nothing is being counted.
+    if COUNTING.try_with(Cell::get).unwrap_or(false) {
+        // A statistic that publishes no other data.
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+// SAFETY: every method forwards to `System` with the arguments it was
+// given, so `System` upholds the `GlobalAlloc` contract; the counter is
+// an atomic and the flag a const-initialized thread-local without a
+// destructor, so neither allocates nor re-enters the allocator.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note_allocation();
+        // SAFETY: the caller's contract for `alloc` is passed on unchanged.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        note_allocation();
+        // SAFETY: the caller's contract for `alloc_zeroed` is passed on
+        // unchanged.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note_allocation();
+        // SAFETY: `ptr` was allocated by this allocator, which is `System`,
+        // with `layout`; the caller's contract is passed on unchanged.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` was allocated by this allocator, which is `System`,
+        // with `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Allocations this thread makes while running `f`.
+fn allocations_during(f: impl FnOnce()) -> u64 {
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    COUNTING.with(|c| c.set(true));
+    f();
+    COUNTING.with(|c| c.set(false));
+    ALLOCATIONS.load(Ordering::Relaxed) - before
+}
+
+/// Allocations over [`POLLS`] steady polls of every sweep cell at `cap`,
+/// one entry per cell, labelled by mix and policy.
+fn steady_poll_allocations(cap: Watts) -> Vec<(String, u64)> {
+    let spec = ServerSpec::xeon_e5_2620();
+    let mut cells = Vec::new();
+    for mix in mixes::table2() {
+        for kind in PolicyKind::all() {
+            let battery = kind == PolicyKind::AppResEsdAware;
+            let (mut sim, mut med) = fleet::build_server(&spec, &mix, kind, battery, cap);
+            for _ in 0..WARM_POLLS {
+                med.step(&mut sim, DT);
+            }
+            let count = allocations_during(|| {
+                for _ in 0..POLLS {
+                    std::hint::black_box(med.step(&mut sim, DT));
+                }
+            });
+            cells.push((format!("{} / {}", mix.label(), kind.name()), count));
+        }
+    }
+    cells
+}
+
+#[test]
+fn steady_server_sweep_polls_do_not_allocate() {
+    for cap in [95.0, 110.0] {
+        let cells = steady_poll_allocations(Watts::new(cap));
+        assert_eq!(cells.len(), 75);
+        let allocating: Vec<_> = cells.iter().filter(|(_, n)| *n > 0).collect();
+        assert!(
+            allocating.is_empty(),
+            "{} of 75 cells allocate over {POLLS} steady polls at {cap} W: {allocating:?}",
+            allocating.len()
+        );
+    }
+    // At 80 W phase changes re-plan and duty-cycle, which still
+    // allocates, but every cell must stay below what the name-keyed
+    // path made per poll.
+    let cells = steady_poll_allocations(Watts::new(80.0));
+    let over: Vec<_> = cells
+        .iter()
+        .filter(|(_, n)| *n as f64 / POLLS as f64 >= NAME_KEYED_PER_POLL_AT_80_W)
+        .collect();
+    assert!(
+        over.is_empty(),
+        "{} of 75 cells allocate {NAME_KEYED_PER_POLL_AT_80_W} or more times per poll at 80 W: {over:?}",
+        over.len()
+    );
+}
