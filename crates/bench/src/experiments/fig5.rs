@@ -54,7 +54,7 @@ fn run_alternate(spec: &ServerSpec) -> CyclingOutcome {
     let knob = KnobSetting::max_for(spec);
     for app in mix.apps() {
         sim.host(app.clone(), knob).expect("hosts");
-        sim.server_mut().suspend_app(app.name()).expect("suspend");
+        sim.suspend_app(app.name()).expect("suspend");
     }
     sim.set_cap(Some(CAP));
 
@@ -69,11 +69,11 @@ fn run_alternate(spec: &ServerSpec) -> CyclingOutcome {
     for _ in 0..steps {
         if charging && sim.esd().stored() >= bank_target {
             charging = false;
-            let _ = sim.server_mut().resume_app(&names[turn]);
+            let _ = sim.resume_app(&names[turn]);
             sim.set_esd_command(EsdCommand::DischargeToCap);
         } else if !charging && sim.esd().stored().value() <= 10.0 {
             charging = true;
-            let _ = sim.server_mut().suspend_app(&names[turn]);
+            let _ = sim.suspend_app(&names[turn]);
             turn = (turn + 1) % 2;
             sim.set_esd_command(EsdCommand::Charge(Watts::new(100.0)));
         }

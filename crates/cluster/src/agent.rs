@@ -784,7 +784,7 @@ mod tests {
         let next = a.ship_journal(1 << 20);
         assert!(next
             .iter()
-            .all(|d| d.since == acked && d.entries.iter().all(|r| r.seq >= acked)));
+            .all(|d| d.since == acked && d.entries.iter().all(|(_, r)| r.seq >= acked)));
     }
 
     #[test]

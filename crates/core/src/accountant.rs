@@ -771,8 +771,8 @@ mod tests {
                                 a.remove(name);
                             }
                         }
-                        2 => { let _ = sim.server_mut().suspend_app(name); }
-                        3 => { let _ = sim.server_mut().resume_app(name); }
+                        2 => { let _ = sim.suspend_app(name); }
+                        3 => { let _ = sim.resume_app(name); }
                         4 => { let _ = sim.set_knobs(name, knob); }
                         5 => {
                             let cap = Watts::new(60.0 + (idx % 70) as f64);

@@ -7,10 +7,12 @@
 //! greedy marginal-utility allocator can be arbitrarily wrong; instead we
 //! run an exact dynamic program on an integer-watt budget grid. Each
 //! app's utility curve is one sweep of its settings in power order, and
-//! the knapsack over the curves costs apps × levels² steps; the joint
-//! `(watts, cores)` program for three or more apps adds levels × cores ×
-//! settings per middle app. A two-app plan for the paper's platform takes
-//! 1–15 µs on a 2-core VM (DESIGN.md §10, "Plan cost").
+//! the knapsack over the curves costs apps × levels² steps. The joint
+//! `(watts, cores)` program for three or more apps adds candidates² for
+//! the last middle app and levels × cores × candidates for each earlier
+//! one. On a 2-core VM a two-app plan for the paper's platform takes
+//! 1–15 µs, and a three-app App+Res-Aware plan about 14–20 µs
+//! (DESIGN.md §10, "Plan cost").
 
 use std::borrow::Cow;
 
@@ -182,12 +184,17 @@ impl PowerAllocator {
     /// * layer 0 extends an all-zero table, so each cell is the best
     ///   candidate within its levels and cores — a 2-D prefix maximum,
     ///   `O(levels × cores)`;
-    /// * middle layers (three or more apps) take every cell,
-    ///   `O(levels × cores × candidates)` each;
     /// * the last layer is read at the root cell `(levels,
-    ///   total_cores)` only, `O(candidates)`.
+    ///   total_cores)` only, `O(candidates)`;
+    /// * so the last middle layer (three or more apps) is read only at
+    ///   the root cell and one cell per last-app candidate, `(levels −
+    ///   l, total_cores − cores)`, and fills just those,
+    ///   `O(candidates²)`;
+    /// * earlier middle layers (four or more apps) take every cell,
+    ///   `O(levels × cores × candidates)` each.
     ///
-    /// Two apps therefore cost `O(levels × cores + candidates)`.
+    /// Two apps therefore cost `O(levels × cores + candidates)`, and
+    /// three `O(levels × cores + candidates²)`.
     pub fn apportion_with_cores(
         &self,
         apps: &[(&AppMeasurement, Option<&[usize]>)],
@@ -203,32 +210,44 @@ impl PowerAllocator {
             .map(|(m, family)| self.candidate_grid(m, *family, levels, total_cores))
             .collect();
 
-        // Layer 0, then every middle layer in full. A choice is the
-        // cell `k` of the app's candidate grid: `k / width` levels and
-        // `k % width` cores, so it reads the previous layer `k` cells
-        // back.
+        // Layer 0, then the middle layers. A choice is the cell `k` of
+        // the app's candidate grid: `k / width` levels and `k % width`
+        // cores, so it reads the previous layer `k` cells back.
         let last = apps.len() - 1;
+        let last_cand = candidates(&grids[last], width);
         let mut layers = vec![Layer::prefix(&grids[0], width)];
-        for grid in &grids[1..last.max(1)] {
+        for (i, grid) in grids.iter().enumerate().take(last).skip(1) {
             let table = layers.last().expect("layer 0").values(levels, width);
             let cand = candidates(grid, width);
             let mut next = vec![f64::NEG_INFINITY; table.len()];
             let mut choice = vec![NONE; table.len()];
-            for b in 0..=levels {
-                for c in 0..=total_cores {
-                    let here = b * width + c;
-                    // Option: suspend this app.
-                    let mut v = table[here];
-                    for &(l, cores, k) in &cand {
-                        if l <= b && cores <= c {
-                            let cv = table[here - k] + grid[k].0;
-                            if cv > v {
-                                v = cv;
-                                choice[here] = k;
-                            }
+            let mut fill = |b: usize, c: usize| {
+                let here = b * width + c;
+                // Option: suspend this app.
+                let mut v = table[here];
+                for &(l, cores, k) in &cand {
+                    if l <= b && cores <= c {
+                        let cv = table[here - k] + grid[k].0;
+                        if cv > v {
+                            v = cv;
+                            choice[here] = k;
                         }
                     }
-                    next[here] = v;
+                }
+                next[here] = v;
+            };
+            if i + 1 < last {
+                for b in 0..=levels {
+                    for c in 0..=total_cores {
+                        fill(b, c);
+                    }
+                }
+            } else {
+                // The last middle layer: only the cells the root scan
+                // and the backtrack read.
+                fill(levels, total_cores);
+                for &(l, cores, _) in &last_cand {
+                    fill(levels - l, total_cores - cores);
                 }
             }
             layers.push(Layer {
@@ -243,7 +262,7 @@ impl PowerAllocator {
         if last > 0 {
             let prev = layers.last().expect("layer 0");
             let mut v = prev.value_at(levels, total_cores);
-            for (l, cores, k) in candidates(&grids[last], width) {
+            for &(l, cores, k) in &last_cand {
                 let cv = prev.value_at(levels - l, total_cores - cores) + grids[last][k].0;
                 if cv > v {
                     v = cv;

@@ -8,6 +8,8 @@
 //! applications.
 
 use std::collections::BTreeSet;
+use std::fmt;
+use std::sync::OnceLock;
 
 use powermed_cf::als::{Completion, FitConfig, FoldedRow};
 use powermed_cf::matrix::UtilityMatrix;
@@ -48,7 +50,11 @@ pub struct OnlineCalibration {
 
 /// Builds [`AppMeasurement`]s, either exhaustively or by sparse sampling
 /// plus collaborative filtering.
-#[derive(Debug, Clone)]
+///
+/// `Debug` covers the configuration and the corpus only: the probe
+/// schedule derived from the configuration, and the corpus key derived
+/// from the corpus, never show.
+#[derive(Clone)]
 pub struct Calibrator {
     spec: ServerSpec,
     /// Fraction of the knob grid measured online.
@@ -59,6 +65,24 @@ pub struct Calibrator {
     /// same workload is never double-weighted however it arrives
     /// (catalog seeding, store-derived sparse rows, repeat seeding).
     seeded: BTreeSet<u64>,
+    /// The grid columns an online calibration probes, ascending: the
+    /// sparse sampler's schedule for `sampling_fraction`.
+    schedule: Vec<usize>,
+    /// [`Self::corpus_model_key`] of the current corpus, computed on
+    /// first use and cleared by every corpus mutation.
+    model_key: OnceLock<u64>,
+}
+
+impl fmt::Debug for Calibrator {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Calibrator")
+            .field("spec", &self.spec)
+            .field("sampling_fraction", &self.sampling_fraction)
+            .field("fit", &self.fit)
+            .field("corpus", &self.corpus)
+            .field("seeded", &self.seeded)
+            .finish()
+    }
 }
 
 impl Calibrator {
@@ -74,12 +98,15 @@ impl Calibrator {
             "sampling fraction in (0, 1]"
         );
         let columns = spec.knob_grid().len();
+        let schedule = SparseSampler::new(columns, SAMPLING_SEED).columns_for(sampling_fraction);
         Self {
             spec,
             sampling_fraction,
             fit: FitConfig::default(),
             corpus: UtilityMatrix::new(columns),
             seeded: BTreeSet::new(),
+            schedule,
+            model_key: OnceLock::new(),
         }
     }
 
@@ -98,7 +125,18 @@ impl Calibrator {
     /// corpus content plus every [`FitConfig`] field. Two calibrators
     /// with equal keys would fit bit-identical `(power, perf)` model
     /// pairs, so the pair can be shared through the measurement cache.
+    /// The key moves only when the corpus does, so it is fingerprinted
+    /// once per corpus state, not once per calibration.
     fn corpus_model_key(&self) -> u64 {
+        *self
+            .model_key
+            .get_or_init(|| self.fingerprint_corpus_model())
+    }
+
+    /// [`Self::corpus_model_key`] fingerprinted afresh from the corpus.
+    fn fingerprint_corpus_model(&self) -> u64 {
+        #[cfg(test)]
+        tests::FINGERPRINTS.with(|n| n.set(n.get() + 1));
         let mut h = Fnv1a::resume(self.corpus.content_fingerprint());
         for v in [
             self.fit.factors as u64,
@@ -113,6 +151,7 @@ impl Calibrator {
 
     /// Adds a fully measured application to the corpus (dense row).
     pub fn add_to_corpus(&mut self, m: &AppMeasurement) {
+        self.model_key = OnceLock::new();
         for (i, _) in m.grid().iter().enumerate() {
             self.corpus.insert(m.name(), i, m.power(i), m.perf(i));
         }
@@ -150,6 +189,7 @@ impl Calibrator {
         if samples.is_empty() || !self.seeded.insert(fingerprint.value()) {
             return false;
         }
+        self.model_key = OnceLock::new();
         let name = format!("store:{fingerprint}");
         for s in samples {
             self.corpus
@@ -285,14 +325,13 @@ impl Calibrator {
                 perf_row: FoldedRow::new(0.0, vec![0.0; k]),
             });
         }
-        let sampler = SparseSampler::new(grid.len(), SAMPLING_SEED);
-        let cols = sampler.columns_for(self.sampling_fraction);
+        let cols = &self.schedule;
 
         let mut power_obs = Vec::with_capacity(cols.len());
         let mut perf_obs = Vec::with_capacity(cols.len());
         let mut probed = 0usize;
         let mut skipped = 0usize;
-        for &c in &cols {
+        for &c in cols {
             let knob = grid.get(c).expect("sampled column on grid");
             let (p, q) = match covered.get(&c) {
                 Some(&(p, q)) => {
@@ -381,8 +420,21 @@ impl Calibrator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::Cell;
+
+    use powermed_units::rng::SplitMix;
     use powermed_workloads::catalog;
     use powermed_workloads::generator::WorkloadGenerator;
+    use proptest::prelude::*;
+
+    thread_local! {
+        /// Corpus fingerprints taken on this thread.
+        pub(super) static FINGERPRINTS: Cell<u64> = const { Cell::new(0) };
+    }
+
+    fn fingerprints() -> u64 {
+        FINGERPRINTS.with(Cell::get)
+    }
 
     fn spec() -> ServerSpec {
         ServerSpec::xeon_e5_2620()
@@ -417,17 +469,24 @@ mod tests {
 
     #[test]
     fn online_probes_only_the_sampled_fraction() {
-        let mut cal = Calibrator::new(spec(), 0.1);
-        cal.seed_corpus(&catalog::all());
-        assert_eq!(cal.corpus_size(), 12);
-        let mut count = 0usize;
-        let mut probe = probe_for(catalog::stream());
-        let (_, probed) = cal.calibrate_online("stream2", 4, |k| {
-            count += 1;
-            probe(k)
-        });
-        assert_eq!(probed, count);
-        assert!((40..=48).contains(&count), "≈10% of 432, got {count}");
+        let grid = spec().knob_grid();
+        for fraction in [0.05, 0.1, 0.5, 1.0] {
+            let mut cal = Calibrator::new(spec(), fraction);
+            cal.seed_corpus(&catalog::all());
+            assert_eq!(cal.corpus_size(), 12);
+            let mut columns = Vec::new();
+            let mut probe = probe_for(catalog::stream());
+            let (_, probed) = cal.calibrate_online("stream2", 4, |k| {
+                columns.push(grid.iter().position(|g| g == k).unwrap());
+                probe(k)
+            });
+            assert_eq!(probed, columns.len());
+            let sampled = SparseSampler::new(grid.len(), SAMPLING_SEED).columns_for(fraction);
+            assert_eq!(columns, sampled, "the sampler's schedule at {fraction}");
+            if fraction == 0.1 {
+                assert!((40..=48).contains(&probed), "≈10% of 432, got {probed}");
+            }
+        }
     }
 
     #[test]
@@ -671,6 +730,121 @@ mod tests {
         cal.try_calibrate_online_seeded("s3", 4, None, |k| Some(probe3(k)))
             .unwrap();
         assert!(cache.model_misses() > misses_mid);
+    }
+
+    /// Online calibrations against an unchanged corpus fingerprint it
+    /// once; each corpus mutation costs one more fingerprint, a sparse
+    /// row that inserts nothing none, and a clone carries the key.
+    #[test]
+    fn calibrations_fingerprint_each_corpus_state_once() {
+        let mut cal = Calibrator::new(spec(), 0.1);
+        cal.seed_corpus(&catalog::all());
+        let calibrate = |cal: &Calibrator, times: usize| -> u64 {
+            let before = fingerprints();
+            for _ in 0..times {
+                let mut probe = probe_for(catalog::stream());
+                cal.try_calibrate_online("s", 4, |k| Some(probe(k)))
+                    .unwrap();
+            }
+            fingerprints() - before
+        };
+        assert_eq!(calibrate(&cal, 5), 1, "catalog corpus");
+        assert_eq!(calibrate(&cal, 3), 0, "the key is kept");
+
+        let samples = [ProbeSample {
+            col: 3,
+            power_w: 2.0,
+            perf: 1.0,
+        }];
+        assert!(cal.seed_sparse_row(AppFingerprint::from_raw(7), &samples));
+        assert_eq!(calibrate(&cal, 3), 1, "a sparse row that inserts");
+        assert!(!cal.seed_sparse_row(AppFingerprint::from_raw(7), &samples));
+        assert_eq!(calibrate(&cal, 3), 0, "a sparse row already held");
+
+        let dense = AppMeasurement::exhaustive(&spec(), &catalog::bfs());
+        cal.add_to_corpus(&dense);
+        assert_eq!(calibrate(&cal, 3), 1, "a dense row");
+
+        cal.seed_corpus(&WorkloadGenerator::new(3).variant_corpus(2, 0.25));
+        assert_eq!(calibrate(&cal, 3), 1, "catalog seeding");
+        cal.seed_corpus(&catalog::all());
+        assert_eq!(calibrate(&cal, 3), 0, "seeding only profiles already held");
+
+        assert_eq!(calibrate(&cal.clone(), 3), 0, "a clone carries the key");
+    }
+
+    /// `Debug` shows the same fields whether or not the corpus key has
+    /// been computed, and none of the derived state.
+    #[test]
+    fn the_derived_state_is_invisible() {
+        let mut read = Calibrator::new(spec(), 0.1);
+        read.seed_corpus(&catalog::all());
+        let fresh = read.clone();
+        read.corpus_model_key();
+        assert!(read.model_key.get().is_some());
+        assert!(fresh.model_key.get().is_none());
+        assert_eq!(format!("{read:?}"), format!("{fresh:?}"));
+        assert_eq!(format!("{read:#?}"), format!("{fresh:#?}"));
+        let shown = format!("{read:?}");
+        assert!(shown.starts_with("Calibrator { spec: "), "{shown}");
+        for hidden in ["schedule:", "model_key:"] {
+            assert!(!shown.contains(hidden), "{hidden} shows");
+        }
+    }
+
+    mod matches_reference {
+        use super::*;
+
+        proptest! {
+            // Release builds run 1024 cases; debug builds 64.
+            #![proptest_config(ProptestConfig::with_cases(if cfg!(debug_assertions) { 64 } else { 1024 }))]
+            /// The cached model key equals the key fingerprinted afresh
+            /// from the corpus after random sequences of the corpus
+            /// mutators (dense rows, sparse rows, catalog seeding, each
+            /// possibly repeating content already held) and clones,
+            /// whether or not the key was read in between.
+            #[test]
+            fn prop_cached_model_key_tracks_the_corpus(seed in 0u64..u64::MAX) {
+                let mut rng = SplitMix::new(seed);
+                let catalog = catalog::all();
+                let grid = spec().knob_grid();
+                let mut cal = Calibrator::new(spec(), 0.1);
+                for _ in 0..10 {
+                    match rng.below(5) {
+                        0 => {
+                            let name = ["a", "b", "c"][rng.below(3) as usize];
+                            let level = rng.below(3) as f64;
+                            let power = (0..grid.len()).map(|i| Watts::new(level + i as f64)).collect();
+                            let perf = (0..grid.len()).map(|i| level * i as f64).collect();
+                            cal.add_to_corpus(&AppMeasurement::from_vectors(name, grid.clone(), power, perf, 1));
+                        }
+                        1 => {
+                            let samples: Vec<ProbeSample> = (0..rng.below(3))
+                                .map(|i| ProbeSample {
+                                    col: (i + rng.below(4)) as usize,
+                                    power_w: rng.below(3) as f64,
+                                    perf: rng.below(3) as f64,
+                                })
+                                .collect();
+                            cal.seed_sparse_row(AppFingerprint::from_raw(rng.below(4)), &samples);
+                        }
+                        2 => {
+                            let from = rng.below(catalog.len() as u64) as usize;
+                            let until = from + rng.below(3) as usize;
+                            cal.seed_corpus(&catalog[from..until.min(catalog.len())]);
+                        }
+                        3 => cal = cal.clone(),
+                        _ => {
+                            cal.corpus_model_key();
+                        }
+                    }
+                    if rng.below(2) == 0 {
+                        prop_assert_eq!(cal.corpus_model_key(), cal.fingerprint_corpus_model());
+                    }
+                }
+                prop_assert_eq!(cal.corpus_model_key(), cal.fingerprint_corpus_model());
+            }
+        }
     }
 
     #[test]

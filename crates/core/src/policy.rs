@@ -422,6 +422,41 @@ mod tests {
         }
     }
 
+    /// Every scheme on three-app mixes, which overcommit the twelve
+    /// cores and so plan through the core-aware program: `server_composed`'s
+    /// kmeans + pagerank + stream and every run of three consecutive
+    /// catalog apps, caps of 50–115 W in 5 W steps, with and without a
+    /// Lead-Acid device, plan what the reference plans.
+    #[test]
+    #[cfg_attr(debug_assertions, ignore = "slow in debug builds; run with --release")]
+    fn three_app_plans_match_the_reference_at_every_cap() {
+        let spec = spec();
+        let policies: Vec<PowerPolicy> = PolicyKind::all()
+            .into_iter()
+            .map(|kind| PowerPolicy::new(kind, spec.clone()))
+            .collect();
+        let catalog = catalog::all();
+        let composed = vec![catalog::kmeans(), catalog::pagerank(), catalog::stream()];
+        let runs = (0..catalog.len()).map(|i| {
+            (0..3)
+                .map(|j| catalog[(i + j) % catalog.len()].clone())
+                .collect()
+        });
+        for profiles in std::iter::once(composed).chain(runs) {
+            let ms: Vec<AppMeasurement> = profiles.iter().map(|p| measure(p.clone())).collect();
+            let apps: Vec<(&str, &AppMeasurement)> =
+                profiles.iter().map(|p| p.name()).zip(&ms).collect();
+            assert!(apps.len() * spec.max_app_cores() > spec.topology().total_cores());
+            for policy in &policies {
+                for cap in (50..=115).step_by(5) {
+                    for esd in [None, Some(lead_acid())] {
+                        assert_plan_matches(policy, &apps, Watts::new(cap as f64), esd);
+                    }
+                }
+            }
+        }
+    }
+
     mod matches_reference {
         use super::*;
 

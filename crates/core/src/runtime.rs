@@ -1354,7 +1354,7 @@ impl PowerMediator {
             if let Some(d) = self.defense.as_mut() {
                 d.contained.remove(&name);
             }
-            let _ = sim.server_mut().resume_app(&name);
+            let _ = sim.resume_app(&name);
             self.recalibrate(sim, &name);
         }
         // Re-admission restores the app's full plan; fresh debt tightens
@@ -1492,7 +1492,7 @@ impl PowerMediator {
         let suspend_rest = |sim: &mut ServerSim| {
             for name in sim.app_names().to_vec() {
                 if !settings.contains_key(&name) && slot.is_none_or(|s| s.app != name) {
-                    let _ = sim.server_mut().suspend_app(&name);
+                    let _ = sim.suspend_app(&name);
                 }
             }
         };
@@ -1506,11 +1506,11 @@ impl PowerMediator {
         }
         for (name, idx) in Self::shrinks_first(sim, settings) {
             self.apply_setting(sim, &name, idx);
-            let _ = sim.server_mut().resume_app(&name);
+            let _ = sim.resume_app(&name);
         }
         if let Some(slot) = slot {
             self.apply_setting(sim, &slot.app, slot.setting);
-            let _ = sim.server_mut().resume_app(&slot.app);
+            let _ = sim.resume_app(&slot.app);
         }
         if !slotted && phase != Actuation::EsdOn {
             suspend_rest(sim);
@@ -1983,7 +1983,7 @@ impl PowerMediator {
             transition: SafeModeTransition::Escalated,
         });
         for name in sim.app_names().to_vec() {
-            let _ = sim.server_mut().suspend_app(&name);
+            let _ = sim.suspend_app(&name);
         }
         sim.set_esd_command(EsdCommand::Idle);
     }

@@ -12,8 +12,10 @@
 //!   application's cores ([`topology`]);
 //! * **`m`** — DRAM RAPL power limits per DIMM in 1 W steps over 3–10 W
 //!   ([`rapl::DramDomain`]);
-//! * socket deep sleep (PC6) with realistic wake-up latency
-//!   ([`sleep::SocketPowerState`]).
+//! * socket deep sleep (PC6): while no running application owns a core,
+//!   the sockets sleep and the server pays no chip-maintenance power
+//!   ([`server::Server::any_socket_active`]), with a realistic wake-up
+//!   latency ([`sleep::SleepLatency`]).
 //!
 //! The model's constants default to the paper's Table I
 //! (`P_idle` = 50 W, `P_cm` = 20 W, `P_dynamic` ≤ 60 W, 12 cores, 2 NUMA

@@ -10,33 +10,6 @@
 
 use powermed_units::Seconds;
 
-/// Power state of one socket (package).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum SocketPowerState {
-    /// Package active: uncore powered, cores runnable.
-    #[default]
-    Active,
-    /// Package C6 deep sleep: uncore power-gated, core state flushed.
-    DeepSleep,
-}
-
-impl SocketPowerState {
-    /// Whether the socket contributes uncore (`P_cm`) power.
-    #[cfg(test)]
-    pub fn draws_uncore_power(self) -> bool {
-        matches!(self, Self::Active)
-    }
-}
-
-impl core::fmt::Display for SocketPowerState {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        match self {
-            Self::Active => write!(f, "active"),
-            Self::DeepSleep => write!(f, "PC6"),
-        }
-    }
-}
-
 /// Transition-latency model for socket sleep states.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SleepLatency {
@@ -83,13 +56,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn uncore_power_follows_state() {
-        assert!(SocketPowerState::Active.draws_uncore_power());
-        assert!(!SocketPowerState::DeepSleep.draws_uncore_power());
-        assert_eq!(SocketPowerState::default(), SocketPowerState::Active);
-    }
-
-    #[test]
     fn second_scale_duty_cycling_is_cheap() {
         let lat = SleepLatency::xeon_pc6();
         // ON periods of 4 s (the paper's Fig. 5 scale): < 0.01% overhead.
@@ -101,11 +67,5 @@ mod tests {
         let lat = SleepLatency::xeon_pc6();
         assert!(lat.cycling_overhead(Seconds::from_micros(200.0)) > 0.5);
         assert_eq!(lat.cycling_overhead(Seconds::ZERO), 1.0);
-    }
-
-    #[test]
-    fn display_names() {
-        assert_eq!(SocketPowerState::Active.to_string(), "active");
-        assert_eq!(SocketPowerState::DeepSleep.to_string(), "PC6");
     }
 }

@@ -225,13 +225,23 @@ impl ServerSim {
         &self.server
     }
 
-    /// Mutable access to the server for knob actuation,
-    /// suspend/resume, etc. (the policy's enforcement path). Host and
-    /// remove apps through [`ServerSim::host`] and [`ServerSim::remove`],
-    /// which keep the simulator's per-app state at the server's
-    /// positions.
-    pub fn server_mut(&mut self) -> &mut Server {
-        &mut self.server
+    /// Suspends `name` (temporal coordination OFF period): it draws no
+    /// dynamic power and makes no progress until resumed.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ServerError::UnknownApp`] when `name` is not hosted.
+    pub fn suspend_app(&mut self, name: &str) -> Result<(), ServerError> {
+        self.server.suspend_app(name)
+    }
+
+    /// Resumes a suspended `name` (ON period).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ServerError::UnknownApp`] when `name` is not hosted.
+    pub fn resume_app(&mut self, name: &str) -> Result<(), ServerError> {
+        self.server.resume_app(name)
     }
 
     /// The energy storage device.
@@ -682,7 +692,7 @@ mod tests {
         let mut s = sim();
         let knob = KnobSetting::max_for(s.server().spec());
         s.host(catalog::kmeans(), knob).unwrap();
-        s.server_mut().suspend_app("kmeans").unwrap();
+        s.suspend_app("kmeans").unwrap();
         let r = s.step(DT);
         assert_eq!(r.gross_power, Watts::new(50.0), "socket deep sleeps");
         assert_eq!(s.ops_done("kmeans"), 0.0);
@@ -897,7 +907,7 @@ mod tests {
         assert_eq!(s.fault_stats().app_crashes, 1);
         assert_eq!(s.ops_done("kmeans"), 0.0);
         // The policy tries to resume it; the crash dominates.
-        s.server_mut().resume_app("kmeans").unwrap();
+        s.resume_app("kmeans").unwrap();
         s.step(DT);
         assert_eq!(s.ops_done("kmeans"), 0.0, "still down");
         // After the restart timer it runs again (and immediately
@@ -1490,8 +1500,8 @@ mod matches_reference {
                 sim.host(profile, knob.with_cores(1 + idx % 3))
             }
             1 => sim.remove(name),
-            2 => sim.server_mut().suspend_app(name),
-            3 => sim.server_mut().resume_app(name),
+            2 => sim.suspend_app(name),
+            3 => sim.resume_app(name),
             4 => sim.set_knobs(name, knob),
             5 => {
                 sim.set_cap((idx % 5 > 0).then(|| Watts::new(60.0 + (idx % 70) as f64)));
@@ -1567,14 +1577,14 @@ mod prop_tests {
             for (kind, which, idx) in ops {
                 let name = names[which];
                 match kind {
-                    0 => { let _ = sim.server_mut().suspend_app(name); }
-                    1 => { let _ = sim.server_mut().resume_app(name); }
+                    0 => { let _ = sim.suspend_app(name); }
+                    1 => { let _ = sim.resume_app(name); }
                     2 => {
                         let knob = grid.get(idx).unwrap();
                         let cores_ok = knob.cores() <= 4
                             || sim.server().assignment(name).is_some();
                         if cores_ok {
-                            let _ = sim.server_mut().set_knobs(name, knob);
+                            let _ = sim.set_knobs(name, knob);
                         }
                     }
                     _ => {}

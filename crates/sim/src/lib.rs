@@ -10,8 +10,10 @@
 //! heartbeats.
 //!
 //! The policies in `powermed-core` drive the engine from outside: they
-//! read telemetry between steps, actuate knobs / suspend / resume through
-//! [`engine::ServerSim::server_mut`], and set the ESD command. The engine
+//! read telemetry between steps, actuate knobs, suspend and resume
+//! through [`engine::ServerSim::set_knobs`],
+//! [`engine::ServerSim::suspend_app`] and
+//! [`engine::ServerSim::resume_app`], and set the ESD command. The engine
 //! itself is policy-free, so baselines and the paper's schemes run on the
 //! byte-identical mechanics.
 //!

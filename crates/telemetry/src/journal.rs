@@ -607,9 +607,10 @@ impl EventJournal {
     /// coordinates so every re-ship regenerates the identical gap record
     /// and the idempotent fleet merge dedups it.
     ///
-    /// Shipped entries share the ring's records. Each record's encoding
-    /// cost is measured the first time a digest reaches it and kept in
-    /// its slot, so re-shipping an unacknowledged tail formats nothing.
+    /// Shipped entries share the ring's records and carry their merge
+    /// keys. Each record's encoding cost is measured the first time a
+    /// digest reaches it and kept in its slot, so re-shipping an
+    /// unacknowledged tail formats nothing.
     pub fn digest_since(&mut self, server_id: u64, since: u64, max_bytes: usize) -> JournalDigest {
         let oldest_retained = self.iter().next().map_or(self.next_seq, |r| r.seq);
         let resume_at = oldest_retained.max(since);
@@ -631,7 +632,7 @@ impl EventJournal {
                 event: ObsEvent::DigestGap { dropped },
             };
             bytes += encoded_cost(&gap);
-            entries.push(Arc::new(gap));
+            entries.push((FleetTimeline::key(server_id, &gap), Arc::new(gap)));
         }
         // Sequence numbers rise along the ring, so the resume point is
         // a binary search away.
@@ -641,7 +642,8 @@ impl EventJournal {
             let cost = slot.cost();
             if bytes + cost <= max_bytes || entries.is_empty() {
                 bytes += cost;
-                entries.push(Arc::clone(&slot.record));
+                let key = FleetTimeline::key(server_id, &slot.record);
+                entries.push((key, Arc::clone(&slot.record)));
             } else {
                 // The delta must stay contiguous: once one record is
                 // over budget, everything after it waits too. Those
@@ -701,9 +703,11 @@ pub struct JournalDigest {
     pub since: u64,
     /// Records with `seq >= since`, contiguous and oldest-first. When
     /// the ring wrapped past unshipped records the first entry is a
-    /// synthesized [`ObsEvent::DigestGap`]. Each entry shares its
-    /// record with the shipping journal.
-    pub entries: Vec<Arc<EventRecord>>,
+    /// synthesized [`ObsEvent::DigestGap`]. Each entry is the record's
+    /// [`FleetTimeline::key`] beside the record, which it shares with the
+    /// shipping journal, so a merge finds the key without reading the
+    /// record.
+    pub entries: Vec<(FleetKey, Arc<EventRecord>)>,
     /// True when the ring overwrote records in `since..` before they
     /// could ship — the blind spot the gap entry marks.
     pub wrapped: bool,
@@ -728,7 +732,7 @@ impl JournalDigest {
         };
         self.entries
             .iter()
-            .map(|r| r.seq + 1)
+            .map(|&((_, _, _, seq), _)| seq + 1)
             .fold(past_hole, u64::max)
     }
 
@@ -824,20 +828,15 @@ impl FleetTimeline {
     /// added (false = dedup).
     pub fn insert(&mut self, server_id: u64, record: EventRecord) -> bool {
         let record = Arc::new(record);
-        self.insert_with(server_id, &record, || Arc::clone(&record))
+        self.insert_with(Self::key(server_id, &record), || Arc::clone(&record))
     }
 
-    /// Inserts `record` if its key is absent, storing what `share`
-    /// returns for it — called only when the key is new.
-    fn insert_with(
-        &mut self,
-        server_id: u64,
-        record: &EventRecord,
-        share: impl FnOnce() -> Arc<EventRecord>,
-    ) -> bool {
-        let key = Self::key(server_id, record);
+    /// Inserts the record under `key` if the key is absent, storing what
+    /// `share` returns for it — called only when the key is new.
+    fn insert_with(&mut self, key: FleetKey, share: impl FnOnce() -> Arc<EventRecord>) -> bool {
         match self.entries.entry(key) {
             std::collections::btree_map::Entry::Vacant(slot) => {
+                let (_, _, server_id, _) = key;
                 let record = share();
                 slot.insert(FleetRecord { server_id, record });
                 self.merged += 1;
@@ -854,13 +853,13 @@ impl FleetTimeline {
     }
 
     /// Merges one shipped digest; returns how many records were new.
-    /// A new record is stored as the digest's shared copy.
+    /// A new record is stored as the digest's shared copy; a duplicate
+    /// is told by its shipped key alone.
     pub fn merge_digest(&mut self, digest: &JournalDigest) -> u64 {
-        let server_id = digest.server_id;
         digest
             .entries
             .iter()
-            .filter(|r| self.insert_with(server_id, r, || Arc::clone(r)))
+            .filter(|(key, r)| self.insert_with(*key, || Arc::clone(r)))
             .count() as u64
     }
 
@@ -869,14 +868,14 @@ impl FleetTimeline {
     pub fn merge_records(&mut self, server_id: u64, records: &[EventRecord]) -> u64 {
         records
             .iter()
-            .filter(|r| self.insert_with(server_id, r, || Arc::new((*r).clone())))
+            .filter(|r| self.insert_with(Self::key(server_id, r), || Arc::new((*r).clone())))
             .count() as u64
     }
 
     /// Merges another timeline in (union of entries).
     pub fn merge(&mut self, other: &FleetTimeline) {
-        for entry in other.iter() {
-            self.insert_with(entry.server_id, &entry.record, || Arc::clone(&entry.record));
+        for (&key, entry) in &other.entries {
+            self.insert_with(key, || Arc::clone(&entry.record));
         }
     }
 
@@ -1411,7 +1410,7 @@ mod tests {
         assert!(!d.wrapped);
         assert_eq!(d.dropped, 0);
         assert_eq!(d.truncated, 0);
-        let seqs: Vec<u64> = d.entries.iter().map(|r| r.seq).collect();
+        let seqs: Vec<u64> = d.entries.iter().map(|(_, r)| r.seq).collect();
         assert_eq!(seqs, vec![4, 5, 6, 7, 8, 9]);
         assert_eq!(d.ack_to(), 10);
         assert_eq!(d.server_id, 3);
@@ -1434,7 +1433,7 @@ mod tests {
             let d = j.digest_since(0, since, 1);
             assert_eq!(d.entries.len(), 1, "one record per starved wave");
             assert!(d.truncated > 0 || d.ack_to() == j.total_recorded());
-            shipped.extend(d.entries.iter().map(|r| r.seq));
+            shipped.extend(d.entries.iter().map(|(_, r)| r.seq));
             assert!(d.ack_to() > since, "progress under any budget");
             since = d.ack_to();
             waves += 1;
@@ -1457,9 +1456,9 @@ mod tests {
         assert!(d.wrapped);
         assert_eq!(d.dropped, 2);
         assert_eq!(d.entries.len(), 2);
-        assert_eq!(d.entries[0].seq, 0, "gap sits at the first lost seq");
-        assert_eq!(d.entries[0].event, ObsEvent::DigestGap { dropped: 2 });
-        assert_eq!(d.entries[1].seq, 2);
+        assert_eq!(d.entries[0].1.seq, 0, "gap sits at the first lost seq");
+        assert_eq!(d.entries[0].1.event, ObsEvent::DigestGap { dropped: 2 });
+        assert_eq!(d.entries[1].1.seq, 2);
         assert_eq!(d.ack_to(), 3);
         // Re-shipping regenerates the identical gap record.
         assert_eq!(j.digest_since(0, 0, 1 << 16), d);
@@ -1471,9 +1470,9 @@ mod tests {
         let d = j.digest_since(0, 1, 1 << 16);
         assert!(d.wrapped);
         assert_eq!(d.dropped, 2, "seqs 1 and 2 were overwritten unshipped");
-        assert_eq!(d.entries[0].event, ObsEvent::DigestGap { dropped: 2 });
-        assert_eq!(d.entries[0].seq, 1);
-        let seqs: Vec<u64> = d.entries.iter().skip(1).map(|r| r.seq).collect();
+        assert_eq!(d.entries[0].1.event, ObsEvent::DigestGap { dropped: 2 });
+        assert_eq!(d.entries[0].1.seq, 1);
+        let seqs: Vec<u64> = d.entries.iter().skip(1).map(|(_, r)| r.seq).collect();
         assert_eq!(seqs, vec![3, 4]);
         assert_eq!(d.ack_to(), 5);
         // Already-acked evictions are not a gap.
@@ -1705,7 +1704,7 @@ mod tests {
                     event: ObsEvent::DigestGap { dropped },
                 };
                 bytes += encoded_cost_reference(&gap);
-                entries.push(Arc::new(gap));
+                entries.push((FleetTimeline::key(server_id, &gap), Arc::new(gap)));
             }
             let mut shipping = true;
             for rec in j.iter() {
@@ -1715,7 +1714,7 @@ mod tests {
                 let cost = encoded_cost_reference(rec);
                 if shipping && (bytes + cost <= max_bytes || entries.is_empty()) {
                     bytes += cost;
-                    entries.push(Arc::new(rec.clone()));
+                    entries.push((FleetTimeline::key(server_id, rec), Arc::new(rec.clone())));
                 } else {
                     shipping = false;
                     truncated += 1;
@@ -2077,12 +2076,16 @@ mod tests {
             /// absent byte caps, with the watermark behind, inside and
             /// ahead of the ring. Records land between digests, so a
             /// digest reads costs an earlier one cached after the ring
-            /// has evicted some of their records.
+            /// has evicted some of their records. Merging the digests by
+            /// their shipped keys builds the timeline that merging their
+            /// records does.
             #[test]
             fn prop_digest_since_matches_the_scanning_reference(seed in 0u64..u64::MAX) {
                 let mut draws = Draws(SplitMix::new(seed));
                 let capacity = draws.below(9) as usize;
                 let mut j = EventJournal::new(capacity);
+                let mut by_key = FleetTimeline::new();
+                let mut by_record = FleetTimeline::new();
                 for _ in 0..8 {
                     let events = draws.below(8);
                     record_drawn(&mut draws, &mut j, events);
@@ -2093,11 +2096,19 @@ mod tests {
                         _ => draws.below(1200) as usize,
                     };
                     let server = draws.count();
+                    let digest = j.digest_since(server, since, max_bytes);
                     // Compared as `Debug`: NaN fields defeat `==`.
                     prop_assert_eq!(
-                        format!("{:?}", j.digest_since(server, since, max_bytes)),
+                        format!("{digest:?}"),
                         format!("{:?}", digest_since_reference(&j, server, since, max_bytes))
                     );
+                    let records: Vec<EventRecord> =
+                        digest.entries.iter().map(|(_, r)| (**r).clone()).collect();
+                    prop_assert_eq!(
+                        by_key.merge_digest(&digest),
+                        by_record.merge_records(server, &records)
+                    );
+                    prop_assert_eq!(format!("{by_key:?}"), format!("{by_record:?}"));
                 }
             }
 
