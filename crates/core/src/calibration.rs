@@ -9,7 +9,7 @@
 
 use std::collections::BTreeSet;
 use std::fmt;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 use powermed_cf::als::{Completion, FitConfig, FoldedRow};
 use powermed_cf::matrix::UtilityMatrix;
@@ -26,13 +26,81 @@ use crate::measurement::AppMeasurement;
 /// The seed of the sparse sampler that picks which settings to probe.
 const SAMPLING_SEED: u64 = 17;
 
+#[cfg(test)]
+thread_local! {
+    /// Online completions (fold-ins) computed on this thread.
+    pub(crate) static COMPLETIONS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// The inputs an online completion read, kept beside the surface it
+/// produced: the corpus model key, `min_cores`, and the power and perf
+/// observation vectors in their order. Equal inputs complete the same
+/// surface, so a calibration that reads them again hands back the held
+/// one. Observations compare by [`f64::to_bits`]: `==` would equate
+/// `0.0` and `-0.0`, and an observation is written into the surface as
+/// is. The folded rows ride along for the store republish.
+#[derive(Debug)]
+pub struct CompletionRecord {
+    model_key: u64,
+    min_cores: usize,
+    power_obs: Vec<(usize, f64)>,
+    perf_obs: Vec<(usize, f64)>,
+    power_row: FoldedRow,
+    perf_row: FoldedRow,
+}
+
+impl CompletionRecord {
+    /// Whether a completion of these inputs repeats this record's.
+    fn repeats(
+        &self,
+        model_key: u64,
+        min_cores: usize,
+        power_obs: &[(usize, f64)],
+        perf_obs: &[(usize, f64)],
+    ) -> bool {
+        fn same(a: &[(usize, f64)], b: &[(usize, f64)]) -> bool {
+            a.len() == b.len()
+                && a.iter()
+                    .zip(b)
+                    .all(|(x, y)| x.0 == y.0 && x.1.to_bits() == y.1.to_bits())
+        }
+        self.model_key == model_key
+            && self.min_cores == min_cores
+            && same(&self.power_obs, power_obs)
+            && same(&self.perf_obs, perf_obs)
+    }
+}
+
+/// A surface, with the record of the online completion that produced
+/// it. The record is valid only beside this exact surface: a surface
+/// written any other way carries none.
+#[derive(Debug, Clone)]
+pub struct Calibrated {
+    /// The utility surface.
+    pub surface: Arc<AppMeasurement>,
+    /// The completion that produced `surface`, if one did.
+    pub record: Option<Arc<CompletionRecord>>,
+}
+
+impl Calibrated {
+    /// A surface no completion record vouches for.
+    pub fn unrecorded(surface: Arc<AppMeasurement>) -> Self {
+        Self {
+            surface,
+            record: None,
+        }
+    }
+}
+
 /// The result of one online calibration, rich enough to republish to
 /// the profile knowledge plane: the surface, the probe accounting, and
 /// the observations + folded rows that produced it.
 #[derive(Debug, Clone)]
 pub struct OnlineCalibration {
-    /// The completed utility surface.
-    pub measurement: AppMeasurement,
+    /// The completed surface and its completion record (none on the
+    /// exhaustive fallback). When the completion inputs repeat those of
+    /// the held surface's record, these are the held `Arc`s.
+    pub calibrated: Calibrated,
     /// Settings actually probed on the server.
     pub probed: usize,
     /// Scheduled settings satisfied from the prior instead of probed.
@@ -65,9 +133,11 @@ pub struct Calibrator {
     /// same workload is never double-weighted however it arrives
     /// (catalog seeding, store-derived sparse rows, repeat seeding).
     seeded: BTreeSet<u64>,
-    /// The grid columns an online calibration probes, ascending: the
-    /// sparse sampler's schedule for `sampling_fraction`.
-    schedule: Vec<usize>,
+    /// The grid columns an online calibration probes, ascending, each
+    /// with its setting: the sparse sampler's schedule for
+    /// `sampling_fraction`, built on first online use (a mediator that
+    /// calibrates exhaustively never samples).
+    schedule: OnceLock<Vec<(usize, KnobSetting)>>,
     /// [`Self::corpus_model_key`] of the current corpus, computed on
     /// first use and cleared by every corpus mutation.
     model_key: OnceLock<u64>,
@@ -98,14 +168,13 @@ impl Calibrator {
             "sampling fraction in (0, 1]"
         );
         let columns = spec.knob_grid().len();
-        let schedule = SparseSampler::new(columns, SAMPLING_SEED).columns_for(sampling_fraction);
         Self {
             spec,
             sampling_fraction,
             fit: FitConfig::default(),
             corpus: UtilityMatrix::new(columns),
             seeded: BTreeSet::new(),
-            schedule,
+            schedule: OnceLock::new(),
             model_key: OnceLock::new(),
         }
     }
@@ -119,6 +188,18 @@ impl Calibrator {
     #[cfg(test)]
     pub fn corpus_size(&self) -> usize {
         self.corpus.app_count()
+    }
+
+    /// The probe schedule, built on first use.
+    fn schedule(&self) -> &[(usize, KnobSetting)] {
+        self.schedule.get_or_init(|| {
+            let grid = self.spec.knob_grid();
+            SparseSampler::new(grid.len(), SAMPLING_SEED)
+                .columns_for(self.sampling_fraction)
+                .into_iter()
+                .map(|c| (c, grid.get(c).expect("sampled column on grid")))
+                .collect()
+        })
     }
 
     /// Memoization key for the corpus completion models: the exact
@@ -258,8 +339,8 @@ impl Calibrator {
         min_cores: usize,
         probe: impl FnMut(KnobSetting) -> Option<(Watts, f64)>,
     ) -> Option<(AppMeasurement, usize)> {
-        self.try_calibrate_online_seeded(name, min_cores, None, probe)
-            .map(|oc| (oc.measurement, oc.probed))
+        self.try_calibrate_online_seeded(name, min_cores, None, None, probe)
+            .map(|oc| (Arc::unwrap_or_clone(oc.calibrated.surface), oc.probed))
     }
 
     /// Online calibration with an optional warm-start prior from the
@@ -270,19 +351,25 @@ impl Calibrator {
     /// fold-in, tightening the completion beyond what the sparse
     /// schedule alone would see. With `prior = None` this is
     /// bit-identical to [`Self::try_calibrate_online`].
+    ///
+    /// `held` is the surface on record for `name`. When the completion
+    /// would read exactly the inputs of its record, the held surface and
+    /// record are handed back instead of being computed again; the
+    /// probes and the completion-model lookup still run.
     pub fn try_calibrate_online_seeded(
         &self,
         name: &str,
         min_cores: usize,
         prior: Option<&StoredProfile>,
+        held: Option<&Calibrated>,
         mut probe: impl FnMut(KnobSetting) -> Option<(Watts, f64)>,
     ) -> Option<OnlineCalibration> {
-        let grid = self.spec.knob_grid();
+        let columns = self.corpus.columns();
         let covered: std::collections::BTreeMap<usize, (f64, f64)> = prior
             .map(|p| {
                 p.samples
                     .iter()
-                    .filter(|s| s.col < grid.len())
+                    .filter(|s| s.col < columns)
                     .map(|s| (s.col, (s.power_w, s.perf)))
                     .collect()
             })
@@ -290,6 +377,7 @@ impl Calibrator {
         if self.corpus.app_count() < 2 {
             // Nothing to collaborate with: exhaustive ground truth, with
             // prior-covered settings taken on faith instead of probed.
+            let grid = self.spec.knob_grid();
             let mut power = Vec::with_capacity(grid.len());
             let mut perf = Vec::with_capacity(grid.len());
             let mut probed = 0usize;
@@ -316,8 +404,9 @@ impl Calibrator {
                 .collect();
             let k = self.fit.factors;
             let skipped = grid.len() - probed;
+            let m = AppMeasurement::from_vectors(name, grid, power, perf, min_cores);
             return Some(OnlineCalibration {
-                measurement: AppMeasurement::from_vectors(name, grid, power, perf, min_cores),
+                calibrated: Calibrated::unrecorded(Arc::new(m)),
                 probed,
                 skipped,
                 samples,
@@ -325,14 +414,13 @@ impl Calibrator {
                 perf_row: FoldedRow::new(0.0, vec![0.0; k]),
             });
         }
-        let cols = &self.schedule;
+        let schedule = self.schedule();
 
-        let mut power_obs = Vec::with_capacity(cols.len());
-        let mut perf_obs = Vec::with_capacity(cols.len());
+        let mut power_obs = Vec::with_capacity(schedule.len());
+        let mut perf_obs = Vec::with_capacity(schedule.len());
         let mut probed = 0usize;
         let mut skipped = 0usize;
-        for &c in cols {
-            let knob = grid.get(c).expect("sampled column on grid");
+        for &(c, knob) in schedule {
             let (p, q) = match covered.get(&c) {
                 Some(&(p, q)) => {
                     skipped += 1;
@@ -350,43 +438,9 @@ impl Calibrator {
         // free; appended after the scheduled columns so the prior-free
         // path sums in exactly the historical order.
         for (&c, &(p, q)) in &covered {
-            if cols.binary_search(&c).is_err() {
+            if schedule.binary_search_by_key(&c, |&(col, _)| col).is_err() {
                 power_obs.push((c, p));
                 perf_obs.push((c, q));
-            }
-        }
-
-        // The fits depend only on corpus content + fit config, both of
-        // which the key fingerprints exactly, so every admission against
-        // an unchanged corpus (every warm re-admission, every server in
-        // a sweep sharing a catalog) reuses one bit-identical pair.
-        let models = crate::cache::MeasurementCache::global().completion_pair(
-            self.corpus_model_key(),
-            || {
-                let (_, power_entries) = self.corpus.power_channel();
-                let (_, perf_entries) = self.corpus.perf_channel();
-                let rows = self.corpus.app_count();
-                (
-                    Completion::fit(rows, grid.len(), &power_entries, self.fit),
-                    Completion::fit(rows, grid.len(), &perf_entries, self.fit),
-                )
-            },
-        );
-        let (power_model, perf_model) = (&models.0, &models.1);
-
-        let power_row = power_model.fold_in(&power_obs);
-        let perf_row = perf_model.fold_in(&perf_obs);
-        let mut power_pred = power_model.predict_row(&power_row);
-        let mut perf_pred = perf_model.predict_row(&perf_row);
-        for (c, v) in &power_obs {
-            power_pred[*c] = *v;
-        }
-        for (c, v) in &perf_obs {
-            perf_pred[*c] = *v;
-        }
-        for v in power_pred.iter_mut().chain(perf_pred.iter_mut()) {
-            if !v.is_finite() || *v < 0.0 {
-                *v = 0.0;
             }
         }
         let mut samples: Vec<ProbeSample> = power_obs
@@ -399,15 +453,64 @@ impl Calibrator {
             })
             .collect();
         samples.sort_by_key(|s| s.col);
-        let m = AppMeasurement::from_vectors(
-            name,
-            grid,
-            power_pred.into_iter().map(Watts::new).collect(),
-            perf_pred,
+
+        // The fits depend only on corpus content + fit config, both of
+        // which the key fingerprints exactly, so every admission against
+        // an unchanged corpus (every warm re-admission, every server in
+        // a sweep sharing a catalog) reuses one bit-identical pair.
+        let model_key = self.corpus_model_key();
+        let models = crate::cache::MeasurementCache::global().completion_pair(model_key, || {
+            let (_, power_entries) = self.corpus.power_channel();
+            let (_, perf_entries) = self.corpus.perf_channel();
+            let rows = self.corpus.app_count();
+            (
+                Completion::fit(rows, columns, &power_entries, self.fit),
+                Completion::fit(rows, columns, &perf_entries, self.fit),
+            )
+        });
+        let repeated = held.and_then(|h| {
+            let record = h.record.as_ref()?;
+            (h.surface.name() == name
+                && record.repeats(model_key, min_cores, &power_obs, &perf_obs))
+            .then_some((h, record))
+        });
+        if let Some((h, record)) = repeated {
+            if cfg!(debug_assertions) {
+                let (fresh, power_row, perf_row) =
+                    self.complete(name, min_cores, &models, &power_obs, &perf_obs);
+                assert!(
+                    same_surface(&fresh, &h.surface)
+                        && same_row(&power_row, &record.power_row)
+                        && same_row(&perf_row, &record.perf_row),
+                    "the reused completion of {name} differs from a fresh one"
+                );
+            }
+            return Some(OnlineCalibration {
+                calibrated: h.clone(),
+                probed,
+                skipped,
+                samples,
+                power_row: record.power_row.clone(),
+                perf_row: record.perf_row.clone(),
+            });
+        }
+        #[cfg(test)]
+        COMPLETIONS.with(|n| n.set(n.get() + 1));
+        let (m, power_row, perf_row) =
+            self.complete(name, min_cores, &models, &power_obs, &perf_obs);
+        let record = CompletionRecord {
+            model_key,
             min_cores,
-        );
+            power_obs,
+            perf_obs,
+            power_row: power_row.clone(),
+            perf_row: perf_row.clone(),
+        };
         Some(OnlineCalibration {
-            measurement: m,
+            calibrated: Calibrated {
+                surface: Arc::new(m),
+                record: Some(Arc::new(record)),
+            },
             probed,
             skipped,
             samples,
@@ -415,6 +518,67 @@ impl Calibrator {
             perf_row,
         })
     }
+
+    /// Completes a surface from the observations: folds them into the
+    /// models, predicts every column, writes the observations over their
+    /// predictions and clamps what is not a finite non-negative value to
+    /// zero.
+    fn complete(
+        &self,
+        name: &str,
+        min_cores: usize,
+        models: &(Completion, Completion),
+        power_obs: &[(usize, f64)],
+        perf_obs: &[(usize, f64)],
+    ) -> (AppMeasurement, FoldedRow, FoldedRow) {
+        let (power_model, perf_model) = models;
+        let power_row = power_model.fold_in(power_obs);
+        let perf_row = perf_model.fold_in(perf_obs);
+        let mut power_pred = power_model.predict_row(&power_row);
+        let mut perf_pred = perf_model.predict_row(&perf_row);
+        for (c, v) in power_obs {
+            power_pred[*c] = *v;
+        }
+        for (c, v) in perf_obs {
+            perf_pred[*c] = *v;
+        }
+        for v in power_pred.iter_mut().chain(perf_pred.iter_mut()) {
+            if !v.is_finite() || *v < 0.0 {
+                *v = 0.0;
+            }
+        }
+        let m = AppMeasurement::from_vectors(
+            name,
+            self.spec.knob_grid(),
+            power_pred.into_iter().map(Watts::new).collect(),
+            perf_pred,
+            min_cores,
+        );
+        (m, power_row, perf_row)
+    }
+}
+
+/// Whether two surfaces have the same name, `min_cores` and power and
+/// perf bits at every setting (the SLO tag aside).
+fn same_surface(a: &AppMeasurement, b: &AppMeasurement) -> bool {
+    let n = a.grid().len();
+    a.name() == b.name()
+        && a.min_cores() == b.min_cores()
+        && n == b.grid().len()
+        && (0..n).all(|i| {
+            a.power(i).value().to_bits() == b.power(i).value().to_bits()
+                && a.perf(i).to_bits() == b.perf(i).to_bits()
+        })
+}
+
+/// Whether two folded rows agree bit for bit.
+fn same_row(a: &FoldedRow, b: &FoldedRow) -> bool {
+    a.bias().to_bits() == b.bias().to_bits()
+        && a.factors().len() == b.factors().len()
+        && a.factors()
+            .iter()
+            .zip(b.factors())
+            .all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
 #[cfg(test)]
@@ -434,6 +598,56 @@ mod tests {
 
     fn fingerprints() -> u64 {
         FINGERPRINTS.with(Cell::get)
+    }
+
+    fn completions() -> u64 {
+        COMPLETIONS.with(Cell::get)
+    }
+
+    /// `(power, perf)` of `profile` at every grid column, editable so a
+    /// test can change one probe result.
+    fn probe_table(profile: &AppProfile) -> Vec<(f64, f64)> {
+        let spec = spec();
+        spec.knob_grid()
+            .iter()
+            .map(|knob| {
+                let op = profile.evaluate(&spec, knob);
+                (op.dynamic_power.value(), op.throughput)
+            })
+            .collect()
+    }
+
+    /// One online calibration probing `table`, against `held`.
+    fn calibrate_from(
+        cal: &Calibrator,
+        min_cores: usize,
+        prior: Option<&StoredProfile>,
+        held: Option<&Calibrated>,
+        table: &[(f64, f64)],
+    ) -> OnlineCalibration {
+        let grid = spec().knob_grid();
+        cal.try_calibrate_online_seeded("app", min_cores, prior, held, |knob| {
+            let (p, q) = table[grid.index_of(knob).expect("on grid")];
+            Some((Watts::new(p), q))
+        })
+        .unwrap()
+    }
+
+    /// Whether two calibrations agree bit for bit: surface, rows,
+    /// samples and probe accounting.
+    fn same_calibration(a: &OnlineCalibration, b: &OnlineCalibration) -> bool {
+        let same_samples = a.samples.len() == b.samples.len()
+            && a.samples.iter().zip(&b.samples).all(|(x, y)| {
+                x.col == y.col
+                    && x.power_w.to_bits() == y.power_w.to_bits()
+                    && x.perf.to_bits() == y.perf.to_bits()
+            });
+        same_surface(&a.calibrated.surface, &b.calibrated.surface)
+            && a.calibrated.surface.slo() == b.calibrated.surface.slo()
+            && same_row(&a.power_row, &b.power_row)
+            && same_row(&a.perf_row, &b.perf_row)
+            && same_samples
+            && (a.probed, a.skipped) == (b.probed, b.skipped)
     }
 
     fn spec() -> ServerSpec {
@@ -605,13 +819,13 @@ mod tests {
             .unwrap();
         let mut probe_b = probe_for(catalog::stream());
         let seeded = cal
-            .try_calibrate_online_seeded("s", 4, None, |k| Some(probe_b(k)))
+            .try_calibrate_online_seeded("s", 4, None, None, |k| Some(probe_b(k)))
             .unwrap();
         assert_eq!(seeded.probed, probed_plain);
         assert_eq!(seeded.skipped, 0);
         for i in 0..plain.grid().len() {
-            assert_eq!(plain.power(i), seeded.measurement.power(i));
-            assert_eq!(plain.perf(i), seeded.measurement.perf(i));
+            assert_eq!(plain.power(i), seeded.calibrated.surface.power(i));
+            assert_eq!(plain.perf(i), seeded.calibrated.surface.perf(i));
         }
     }
 
@@ -622,7 +836,7 @@ mod tests {
         // Cold pass: measure and keep the observations as the prior.
         let mut probe = probe_for(catalog::bfs());
         let cold = cal
-            .try_calibrate_online_seeded("b", 4, None, |k| Some(probe(k)))
+            .try_calibrate_online_seeded("b", 4, None, None, |k| Some(probe(k)))
             .unwrap();
         assert!(cold.probed > 0);
         let mut prior = StoredProfile::tombstone(1, 0);
@@ -632,15 +846,21 @@ mod tests {
         // run and the surface comes out bit-identical (the sampler is
         // deterministic, so cold and warm share one schedule).
         let warm = cal
-            .try_calibrate_online_seeded("b", 4, Some(&prior), |_| {
+            .try_calibrate_online_seeded("b", 4, Some(&prior), None, |_| {
                 panic!("a fully covered admission must not probe")
             })
             .unwrap();
         assert_eq!(warm.probed, 0);
         assert_eq!(warm.skipped, cold.probed);
-        for i in 0..warm.measurement.grid().len() {
-            assert_eq!(warm.measurement.power(i), cold.measurement.power(i));
-            assert_eq!(warm.measurement.perf(i), cold.measurement.perf(i));
+        for i in 0..warm.calibrated.surface.grid().len() {
+            assert_eq!(
+                warm.calibrated.surface.power(i),
+                cold.calibrated.surface.power(i)
+            );
+            assert_eq!(
+                warm.calibrated.surface.perf(i),
+                cold.calibrated.surface.perf(i)
+            );
         }
     }
 
@@ -650,7 +870,7 @@ mod tests {
         cal.seed_corpus(&catalog::all());
         let mut probe = probe_for(catalog::x264());
         let cold = cal
-            .try_calibrate_online_seeded("x", 4, None, |k| Some(probe(k)))
+            .try_calibrate_online_seeded("x", 4, None, None, |k| Some(probe(k)))
             .unwrap();
         // Prior covering half the cold observations.
         let mut prior = StoredProfile::tombstone(1, 0);
@@ -659,7 +879,7 @@ mod tests {
         let half = prior.samples.len();
         let mut probe2 = probe_for(catalog::x264());
         let warm = cal
-            .try_calibrate_online_seeded("x", 4, Some(&prior), |k| Some(probe2(k)))
+            .try_calibrate_online_seeded("x", 4, Some(&prior), None, |k| Some(probe2(k)))
             .unwrap();
         assert_eq!(warm.skipped, half);
         assert_eq!(warm.probed, cold.probed - half);
@@ -675,21 +895,24 @@ mod tests {
         let cal = Calibrator::new(spec(), 0.1); // empty corpus
         let mut probe = probe_for(catalog::kmeans());
         let cold = cal
-            .try_calibrate_online_seeded("k", 4, None, |k| Some(probe(k)))
+            .try_calibrate_online_seeded("k", 4, None, None, |k| Some(probe(k)))
             .unwrap();
         assert_eq!(cold.probed, 432);
         let mut prior = StoredProfile::tombstone(1, 0);
         prior.confidence = 1.0;
         prior.samples = cold.samples.clone();
         let warm = cal
-            .try_calibrate_online_seeded("k", 4, Some(&prior), |_| {
+            .try_calibrate_online_seeded("k", 4, Some(&prior), None, |_| {
                 panic!("fully covered exhaustive fallback must not probe")
             })
             .unwrap();
         assert_eq!(warm.probed, 0);
         assert_eq!(warm.skipped, 432);
-        for i in 0..warm.measurement.grid().len() {
-            assert_eq!(warm.measurement.power(i), cold.measurement.power(i));
+        for i in 0..warm.calibrated.surface.grid().len() {
+            assert_eq!(
+                warm.calibrated.surface.power(i),
+                cold.calibrated.surface.power(i)
+            );
         }
     }
 
@@ -701,7 +924,7 @@ mod tests {
         let misses_before = cache.model_misses();
         let mut probe = probe_for(catalog::stream());
         let first = cal
-            .try_calibrate_online_seeded("s1", 4, None, |k| Some(probe(k)))
+            .try_calibrate_online_seeded("s1", 4, None, None, |k| Some(probe(k)))
             .unwrap();
         // Other tests share the global cache, so counter checks are
         // lower bounds rather than exact deltas.
@@ -715,19 +938,25 @@ mod tests {
         let hits_before = cache.model_hits();
         let mut probe2 = probe_for(catalog::stream());
         let second = cal
-            .try_calibrate_online_seeded("s2", 4, None, |k| Some(probe2(k)))
+            .try_calibrate_online_seeded("s2", 4, None, None, |k| Some(probe2(k)))
             .unwrap();
         assert!(cache.model_hits() > hits_before);
-        for i in 0..first.measurement.grid().len() {
-            assert_eq!(first.measurement.power(i), second.measurement.power(i));
-            assert_eq!(first.measurement.perf(i), second.measurement.perf(i));
+        for i in 0..first.calibrated.surface.grid().len() {
+            assert_eq!(
+                first.calibrated.surface.power(i),
+                second.calibrated.surface.power(i)
+            );
+            assert_eq!(
+                first.calibrated.surface.perf(i),
+                second.calibrated.surface.perf(i)
+            );
         }
         // Growing the corpus moves the key: the stale pair is not reused.
         let mut gen = WorkloadGenerator::new(3);
         cal.seed_corpus(&gen.variant_corpus(2, 0.25));
         let misses_mid = cache.model_misses();
         let mut probe3 = probe_for(catalog::stream());
-        cal.try_calibrate_online_seeded("s3", 4, None, |k| Some(probe3(k)))
+        cal.try_calibrate_online_seeded("s3", 4, None, None, |k| Some(probe3(k)))
             .unwrap();
         assert!(cache.model_misses() > misses_mid);
     }
@@ -771,6 +1000,73 @@ mod tests {
         assert_eq!(calibrate(&cal, 3), 0, "seeding only profiles already held");
 
         assert_eq!(calibrate(&cal.clone(), 3), 0, "a clone carries the key");
+    }
+
+    /// Recalibrations whose completion inputs repeat fold in once and
+    /// hand back the held `Arc`s; a change to any input folds in again:
+    /// one bit of one probe (`0.0` to `-0.0` too), the corpus through
+    /// either mutator, or `min_cores`.
+    #[test]
+    fn reused_completions_fold_in_once_per_input_state() {
+        let mut cal = Calibrator::new(spec(), 0.1);
+        cal.seed_corpus(&catalog::all());
+        let mut table = probe_table(&catalog::stream());
+        let mut held = calibrate_from(&cal, 4, None, None, &table).calibrated;
+        let mut recalibrate = |cal: &Calibrator, min_cores, table: &[(f64, f64)], times| {
+            let mut folds = 0;
+            for _ in 0..times {
+                let before = completions();
+                let oc = calibrate_from(cal, min_cores, None, Some(&held), table);
+                let folded = completions() - before;
+                assert_eq!(
+                    folded == 0,
+                    Arc::ptr_eq(&oc.calibrated.surface, &held.surface)
+                );
+                assert!(same_calibration(
+                    &oc,
+                    &calibrate_from(cal, min_cores, None, None, table)
+                ));
+                folds += folded;
+                held = oc.calibrated;
+            }
+            folds
+        };
+        assert_eq!(recalibrate(&cal, 4, &table, 5), 0, "unchanged");
+
+        let col = cal.schedule()[3].0;
+        table[col].0 = f64::from_bits(table[col].0.to_bits() ^ 1);
+        assert_eq!(recalibrate(&cal, 4, &table, 3), 1, "one power bit");
+        table[col].1 = 0.0;
+        assert_eq!(recalibrate(&cal, 4, &table, 3), 1, "a zero perf");
+        table[col].1 = -0.0;
+        assert_eq!(recalibrate(&cal, 4, &table, 3), 1, "0.0 to -0.0");
+        assert_eq!(recalibrate(&cal, 2, &table, 3), 1, "a new min_cores");
+
+        let variant = WorkloadGenerator::new(3).variant_corpus(1, 0.25);
+        cal.add_to_corpus(&AppMeasurement::exhaustive(&spec(), &variant[0]));
+        assert_eq!(recalibrate(&cal, 2, &table, 3), 1, "add_to_corpus");
+        let samples = [ProbeSample {
+            col: 5,
+            power_w: 3.0,
+            perf: 2.0,
+        }];
+        assert!(cal.seed_sparse_row(AppFingerprint::from_raw(9), &samples));
+        assert_eq!(recalibrate(&cal, 2, &table, 3), 1, "seed_sparse_row");
+    }
+
+    /// Debug builds recompute every reused surface and compare it bit
+    /// for bit: a record beside a surface it did not produce is caught.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "the reused completion of app differs from a fresh one")]
+    fn a_record_beside_the_wrong_surface_is_caught() {
+        let mut cal = Calibrator::new(spec(), 0.1);
+        cal.seed_corpus(&catalog::all());
+        let table = probe_table(&catalog::stream());
+        let mut held = calibrate_from(&cal, 4, None, None, &table).calibrated;
+        let other = calibrate_from(&cal, 4, None, None, &probe_table(&catalog::kmeans()));
+        held.surface = other.calibrated.surface;
+        calibrate_from(&cal, 4, None, Some(&held), &table);
     }
 
     /// `Debug` shows the same fields whether or not the corpus key has
@@ -843,6 +1139,88 @@ mod tests {
                     }
                 }
                 prop_assert_eq!(cal.corpus_model_key(), cal.fingerprint_corpus_model());
+            }
+
+            /// A calibration handed the surface and record it holds
+            /// equals one made without a record, bit for bit (surface,
+            /// rows, samples, probe accounting), over random sequences of
+            /// repeated and changed probe values (`±0.0`, NaN, one flipped
+            /// bit, a new value), priors, corpus mutations, `min_cores`
+            /// changes and the exhaustive fallback of a thin corpus. The
+            /// corpus takes one of a few dozen states, so the shared
+            /// cache fits each once however many cases run.
+            #[test]
+            fn prop_reused_completion_matches_a_fresh_one(seed in 0u64..u64::MAX) {
+                let mut rng = SplitMix::new(seed);
+                let catalog = catalog::all();
+                let mut cal = Calibrator::new(spec(), 0.1);
+                // A thin corpus exercises the exhaustive fallback first.
+                let seeded = rng.below(4) as usize;
+                cal.seed_corpus(&catalog[..seeded]);
+                let mut table = probe_table(&catalog[rng.below(catalog.len() as u64) as usize]);
+                let schedule: Vec<usize> = cal.schedule().iter().map(|&(c, _)| c).collect();
+                let mut min_cores = 1 + rng.below(4) as usize;
+                let mut prior: Option<StoredProfile> = None;
+                let mut held: Option<Calibrated> = None;
+                let mut mutated = false;
+                for _ in 0..8 {
+                    match rng.below(8) {
+                        0 | 1 => {}
+                        2 => {
+                            // Few columns, so one is often changed twice:
+                            // a zero becomes the other zero.
+                            let col = schedule[rng.below(3) as usize];
+                            let (p, q) = &mut table[col];
+                            let v = if rng.below(2) == 0 { p } else { q };
+                            *v = match rng.below(4) {
+                                0 if *v == 0.0 => -*v,
+                                0 => 0.0,
+                                1 => f64::NAN,
+                                2 => f64::from_bits(v.to_bits() ^ 1),
+                                _ => rng.below(40) as f64,
+                            };
+                        }
+                        3 => {
+                            prior = match prior {
+                                Some(_) => None,
+                                None => {
+                                    let mut p = StoredProfile::tombstone(1, 0);
+                                    p.confidence = 1.0;
+                                    p.samples = (0..rng.below(6))
+                                        .map(|_| {
+                                            let col = rng.below(table.len() as u64) as usize;
+                                            ProbeSample { col, power_w: table[col].0, perf: table[col].1 }
+                                        })
+                                        .collect();
+                                    p.samples.sort_by_key(|s| s.col);
+                                    p.samples.dedup_by_key(|s| s.col);
+                                    Some(p)
+                                }
+                            };
+                        }
+                        4 => min_cores = 1 + rng.below(4) as usize,
+                        _ if mutated => {}
+                        5 => {
+                            mutated = true;
+                            cal.seed_corpus(&catalog[3..5]);
+                        }
+                        6 => {
+                            mutated = true;
+                            let k = rng.below(2);
+                            let samples = [ProbeSample { col: 7 + k as usize, power_w: 4.0, perf: 2.0 }];
+                            cal.seed_sparse_row(AppFingerprint::from_raw(k), &samples);
+                        }
+                        _ => {
+                            mutated = true;
+                            let profile = &catalog[5 + rng.below(2) as usize];
+                            cal.add_to_corpus(&crate::cache::MeasurementCache::global().measure(&spec(), profile));
+                        }
+                    }
+                    let with = calibrate_from(&cal, min_cores, prior.as_ref(), held.as_ref(), &table);
+                    let without = calibrate_from(&cal, min_cores, prior.as_ref(), None, &table);
+                    prop_assert!(same_calibration(&with, &without));
+                    held = Some(with.calibrated);
+                }
             }
         }
     }

@@ -50,7 +50,7 @@ use powermed_workloads::profile::AppProfile;
 
 use crate::accountant::{first_sight, Accountant, Event, Observation};
 use crate::cache::MeasurementCache;
-use crate::calibration::Calibrator;
+use crate::calibration::{Calibrated, Calibrator};
 use crate::coordinator::{EsdParams, Schedule, TimeSlot};
 use crate::error::CoreError;
 use crate::measurement::AppMeasurement;
@@ -82,19 +82,58 @@ enum Actuation {
 /// The schedule in force and how far its execution has got.
 #[derive(Debug)]
 struct Actuator {
-    schedule: Schedule,
+    schedule: Arc<Schedule>,
     /// When `schedule` was installed; cycle positions count from here.
     anchor: Seconds,
     /// A freshly planned schedule that has not taken effect yet (the
     /// paper observes ~800 ms between a triggering event and the new
     /// allocation being in force; the latency is configurable and
     /// defaults to zero).
-    pending: Option<(Schedule, Seconds)>,
+    pending: Option<(Arc<Schedule>, Seconds)>,
     latency: Seconds,
     actuation: Actuation,
     /// When the actuation last changed (heartbeat windows spanning a
     /// knob change are not clean drift evidence).
     actuated_at: Seconds,
+}
+
+/// The last plan of the policy or the SLO planner, with the inputs it
+/// read: each planned app's name and surface, the planning target and
+/// the ESD parameters. Holding an `Arc` clone of each surface means a
+/// pointer match can never be an address reused after a free. A replan
+/// whose inputs match hands the schedule back; the quarantine clamps,
+/// the audit and the actuation around the plan still run.
+#[derive(Debug)]
+struct PlanMemo {
+    apps: Vec<(String, Arc<AppMeasurement>)>,
+    /// The target's bits.
+    target: u64,
+    /// [`esd_bits`] of the ESD parameters.
+    esd: Option<[u64; 3]>,
+    schedule: Arc<Schedule>,
+}
+
+impl PlanMemo {
+    /// Whether a plan of `apps` (in order) under `target` and `esd`
+    /// repeats this one. Allocates nothing.
+    fn repeats<'a>(
+        &self,
+        apps: impl Iterator<Item = (&'a String, &'a Arc<AppMeasurement>)>,
+        target: Watts,
+        esd: Option<EsdParams>,
+    ) -> bool {
+        if self.target != target.value().to_bits() || self.esd != esd_bits(esd) {
+            return false;
+        }
+        let mut held = self.apps.iter();
+        for (name, surface) in apps {
+            match held.next() {
+                Some((n, s)) if n == name && Arc::ptr_eq(s, surface) => {}
+                _ => return false,
+            }
+        }
+        held.next().is_none()
+    }
 }
 
 /// One poll's recorded self-report, held for the integrity layer's
@@ -295,10 +334,12 @@ pub struct PowerMediator {
     /// Probe accounting split cold / warm / skipped.
     probe_split: ProbeSplit,
     accountant: Accountant,
-    /// Each app's surface. One taken from the [`MeasurementCache`] at
+    /// Each app's surface, with the record of the online completion
+    /// that produced it. One taken from the [`MeasurementCache`] at
     /// admission is the cache's own `Arc`, so every mediator hosting
-    /// the profile reads one surface and one power order.
-    measurements: BTreeMap<String, Arc<AppMeasurement>>,
+    /// the profile reads one surface and one power order; one whose
+    /// recalibration repeats its completion inputs keeps its `Arc`.
+    measurements: BTreeMap<String, Calibrated>,
     act: Actuator,
     /// When set, planning honours per-application SLOs through the
     /// [`SloPlanner`] instead of the plain policy (latency-critical
@@ -306,6 +347,8 @@ pub struct PowerMediator {
     slo_planner: Option<SloPlanner>,
     /// Count of re-planning events handled.
     replans: usize,
+    /// The last plan of the policy or the SLO planner, with its inputs.
+    plan_memo: Option<PlanMemo>,
     // Safe mode and fault bookkeeping are shared across layers: the
     // hardening watchdog drives them, and so do estimation (Escalate
     // forces safe mode; the fallback raises E6) and calibration (an app
@@ -340,9 +383,9 @@ impl PowerMediator {
             accountant: Accountant::new(cap, Ratio::new(0.10), 3),
             measurements: BTreeMap::new(),
             act: Actuator {
-                schedule: Schedule::Space {
+                schedule: Arc::new(Schedule::Space {
                     settings: BTreeMap::new(),
-                },
+                }),
                 anchor: Seconds::ZERO,
                 pending: None,
                 latency: Seconds::ZERO,
@@ -351,6 +394,7 @@ impl PowerMediator {
             },
             slo_planner: None,
             replans: 0,
+            plan_memo: None,
             watchdog: SafeModeWatchdog::new(WATCHDOG_PATIENCE, WATCHDOG_RELEASE),
             hardening_stats: HardeningStats::default(),
             last_fault_error: None,
@@ -434,6 +478,7 @@ impl PowerMediator {
     /// never duty-cycled; batch applications absorb the shortfall.
     pub fn with_slo_awareness(mut self) -> Self {
         self.slo_planner = Some(SloPlanner::new(self.spec.clone()));
+        self.plan_memo = None;
         self
     }
 
@@ -445,6 +490,7 @@ impl PowerMediator {
     /// Panics if `period` is not positive.
     pub fn with_cycle_period(mut self, period: Seconds) -> Self {
         self.policy = self.policy.with_cycle_period(period);
+        self.plan_memo = None;
         self
     }
 
@@ -642,7 +688,7 @@ impl PowerMediator {
 
     /// The utility surface on record for `name`.
     pub fn measurement(&self, name: &str) -> Option<&AppMeasurement> {
-        self.measurements.get(name).map(Arc::as_ref)
+        self.measurements.get(name).map(|c| &*c.surface)
     }
 
     /// E2: admits `profile` onto the server, calibrates it, and
@@ -673,7 +719,7 @@ impl PowerMediator {
                 let floor = self
                     .measurements
                     .get(&existing)
-                    .map_or(1, |m| m.min_cores());
+                    .map_or(1, |c| c.surface.min_cores());
                 if knob.cores() > floor {
                     let _ = sim.set_knobs(&existing, knob.with_cores(floor));
                 }
@@ -695,14 +741,18 @@ impl PowerMediator {
             // as probed so reported totals match the uncached runtime.
             let m = MeasurementCache::global().measure(&self.spec, &profile);
             self.note_probes(sim.now(), &name, m.grid().len(), 0, 0);
-            self.measurements.insert(name.clone(), m);
+            self.measurements
+                .insert(name.clone(), Calibrated::unrecorded(m));
         } else {
             self.calibrate(sim, &name, min_cores);
         }
         if let Some(target) = profile.slo() {
-            if let Some(m) = self.measurements.remove(&name) {
-                let tagged = Arc::unwrap_or_clone(m).with_slo(target);
-                self.measurements.insert(name.clone(), Arc::new(tagged));
+            // The tagged surface is not the one the completion record
+            // describes, so the record goes with the untagged one.
+            if let Some(c) = self.measurements.remove(&name) {
+                let tagged = Arc::unwrap_or_clone(c.surface).with_slo(target);
+                self.measurements
+                    .insert(name.clone(), Calibrated::unrecorded(Arc::new(tagged)));
             }
         }
         self.replan(sim);
@@ -933,7 +983,10 @@ impl PowerMediator {
                 s.outbox.push(tombstone);
             }
         }
-        let min_cores = self.measurements.get(name).map_or(1, |m| m.min_cores());
+        let min_cores = self
+            .measurements
+            .get(name)
+            .map_or(1, |c| c.surface.min_cores());
         self.calibrate(sim, name, min_cores)
     }
 
@@ -963,8 +1016,23 @@ impl PowerMediator {
             return self.calibration_departed(sim, name);
         };
         self.note_probes(sim.now(), name, m.grid().len(), 0, 0);
-        self.measurements.insert(name.to_string(), Arc::new(m));
+        let surface = self.carry_slo(name, Arc::new(m));
+        self.measurements
+            .insert(name.to_string(), Calibrated::unrecorded(surface));
         true
+    }
+
+    /// `surface`, tagged with the SLO of the surface held for `name`: a
+    /// recalibration re-measures an application, it does not change
+    /// what the application needs.
+    fn carry_slo(&self, name: &str, surface: Arc<AppMeasurement>) -> Arc<AppMeasurement> {
+        let held = self.measurements.get(name).and_then(|c| c.surface.slo());
+        match held {
+            Some(target) if surface.slo() != Some(target) => {
+                Arc::new(Arc::unwrap_or_clone(surface).with_slo(target))
+            }
+            _ => surface,
+        }
     }
 
     /// Online calibration with the knowledge plane in the loop: consult
@@ -980,11 +1048,13 @@ impl PowerMediator {
             _ => None,
         };
         let sim_ref: &ServerSim = sim;
-        let result =
-            self.calibrator
-                .try_calibrate_online_seeded(name, min_cores, prior.as_ref(), |knob| {
-                    sim_ref.probe(name, knob)
-                });
+        let result = self.calibrator.try_calibrate_online_seeded(
+            name,
+            min_cores,
+            prior.as_ref(),
+            self.measurements.get(name),
+            |knob| sim_ref.probe(name, knob),
+        );
         let Some(oc) = result else {
             return self.calibration_departed(sim, name);
         };
@@ -1030,8 +1100,10 @@ impl PowerMediator {
                 profile: published,
             });
         }
+        let Calibrated { surface, record } = oc.calibrated;
+        let surface = self.carry_slo(name, surface);
         self.measurements
-            .insert(name.to_string(), Arc::new(oc.measurement));
+            .insert(name.to_string(), Calibrated { surface, record });
         true
     }
 
@@ -1048,14 +1120,16 @@ impl PowerMediator {
     }
 
     /// Plan stage: quarantine clamps, then the audit schedule or the
-    /// policy's plan for everyone else, handed to the actuator.
-    fn replan(&mut self, sim: &mut ServerSim) {
+    /// policy's plan for everyone else, handed to the actuator. A plan
+    /// whose inputs repeat those of the last one hands that schedule
+    /// back (see [`PlanMemo`]).
+    fn replan(&mut self, sim: &ServerSim) {
         // Wall-clock span around the planning pass (the DP allocator is
         // the paper's dominant decision cost).
         let _span = self.obs.0.as_ref().map(|o| o.span("plan"));
         self.replans += 1;
         let now = sim.now();
-        let names = sim.app_names().to_vec();
+        let names = sim.app_names();
         // Quarantined apps are planned by fiat, not by the policy:
         // clamped to their fair share of the dynamic budget minus
         // whatever the watt-debt ledger claws back this plan.
@@ -1064,7 +1138,7 @@ impl PowerMediator {
             let static_floor = self.spec.idle_power() + self.spec.chip_maintenance_power();
             let dynamic = (self.accountant.cap() - static_floor).max_zero();
             let fair = dynamic.value() / names.len().max(1) as f64;
-            for name in &names {
+            for name in names {
                 // A contained app gets no setting at all: the actuator
                 // suspends it, and its fair share flows back to the
                 // honest apps.
@@ -1073,7 +1147,7 @@ impl PowerMediator {
                 {
                     continue;
                 }
-                let Some(m) = self.measurements.get(name) else {
+                let Some(m) = self.measurements.get(name).map(|c| &c.surface) else {
                     continue;
                 };
                 let (budget, clawback) = clamp_budget(fair, d.debts.outstanding(name));
@@ -1099,20 +1173,23 @@ impl PowerMediator {
                     .iter()
                     .filter(|n| !d.contained.contains(*n))
                     .filter_map(|n| {
-                        Some((n.clone(), self.measurements.get(n)?.cheapest_feasible()?))
+                        let m = &self.measurements.get(n)?.surface;
+                        Some((n.clone(), m.cheapest_feasible()?))
                     })
                     .collect();
-                self.submit(Schedule::Space { settings }, now);
+                self.submit(Arc::new(Schedule::Space { settings }), now);
                 return;
             }
         }
         let contained = self.defense.as_ref().map(|d| &d.contained);
-        let apps: Vec<(&str, &AppMeasurement)> = names
-            .iter()
-            .filter(|n| !clamped.iter().any(|(c, _, _)| c == *n))
-            .filter(|n| !contained.is_some_and(|c| c.contains(*n)))
-            .filter_map(|n| self.measurements.get(n).map(|m| (n.as_str(), &**m)))
-            .collect();
+        let measurements = &self.measurements;
+        let planned_apps = || {
+            names
+                .iter()
+                .filter(|n| !clamped.iter().any(|(c, _, _)| c == *n))
+                .filter(|n| !contained.is_some_and(|c| c.contains(*n)))
+                .filter_map(|n| measurements.get(n).map(|c| (n, &c.surface)))
+        };
         let esd = self.esd_params(sim);
         // The estimation fallback shaves headroom off the *planning*
         // target only; the enforced cap (accountant, simulator, E6
@@ -1129,14 +1206,49 @@ impl PowerMediator {
             let clamped_sum: f64 = clamped.iter().map(|(_, _, w)| w.value()).sum();
             target = (target - Watts::new(clamped_sum)).max_zero();
         }
-        let planned = match &self.slo_planner {
-            Some(slo) if apps.iter().any(|(_, m)| m.slo().is_some()) => slo.plan(&apps, target),
-            _ => self.policy.plan(&apps, target, esd),
+        let plan = |apps: &[(&str, &AppMeasurement)]| match &self.slo_planner {
+            Some(slo) if apps.iter().any(|(_, m)| m.slo().is_some()) => slo.plan(apps, target),
+            _ => self.policy.plan(apps, target, esd),
+        };
+        let reused = self
+            .plan_memo
+            .as_ref()
+            .filter(|memo| memo.repeats(planned_apps(), target, esd))
+            .map(|memo| Arc::clone(&memo.schedule));
+        let schedule = match reused {
+            Some(schedule) => {
+                if cfg!(debug_assertions) {
+                    let apps: Vec<_> = planned_apps().map(|(n, m)| (n.as_str(), &**m)).collect();
+                    assert_eq!(
+                        plan(&apps),
+                        *schedule,
+                        "a reused schedule differs from a fresh plan"
+                    );
+                }
+                schedule
+            }
+            None => {
+                #[cfg(test)]
+                tests::PLANS.with(|n| n.set(n.get() + 1));
+                let apps: Vec<_> = planned_apps().map(|(n, m)| (n.as_str(), &**m)).collect();
+                let schedule = Arc::new(plan(&apps));
+                let memo = PlanMemo {
+                    apps: planned_apps()
+                        .map(|(n, m)| (n.clone(), Arc::clone(m)))
+                        .collect(),
+                    target: target.value().to_bits(),
+                    esd: esd_bits(esd),
+                    schedule: Arc::clone(&schedule),
+                };
+                self.plan_memo = Some(memo);
+                schedule
+            }
         };
         let planned = if clamped.is_empty() {
-            planned
+            schedule
         } else {
-            Self::merge_quarantined(planned, &clamped)
+            let honest = Arc::unwrap_or_clone(schedule);
+            Arc::new(Self::merge_quarantined(honest, &clamped))
         };
         self.submit(planned, now);
     }
@@ -1144,7 +1256,7 @@ impl PowerMediator {
     /// Installs `planned` now, or — once a schedule is in force and an
     /// actuation latency is set — keeps executing the old schedule until
     /// the latency elapses (the paper's ~800 ms window).
-    fn submit(&mut self, planned: Schedule, now: Seconds) {
+    fn submit(&mut self, planned: Arc<Schedule>, now: Seconds) {
         if self.act.latency.value() > 0.0 && self.act.actuation != Actuation::None {
             self.act.pending = Some((planned, now + self.act.latency));
         } else {
@@ -1370,7 +1482,7 @@ impl PowerMediator {
     /// Installs a schedule as the one in force and records the expected
     /// draws/rates so E4 drift is measured against the operating points
     /// actually actuated.
-    fn install_schedule(&mut self, schedule: Schedule, now: Seconds) {
+    fn install_schedule(&mut self, schedule: Arc<Schedule>, now: Seconds) {
         self.act.schedule = schedule;
         self.act.anchor = now;
         self.act.actuation = Actuation::None;
@@ -1380,7 +1492,7 @@ impl PowerMediator {
             h.retries.clear();
         }
         for (app, idx, always_on) in self.act.schedule.entries() {
-            if let Some(m) = self.measurements.get(app) {
+            if let Some(m) = self.measurements.get(app).map(|c| &c.surface) {
                 self.accountant.note_allocation(app, m.power(idx));
                 if always_on {
                     self.accountant.note_expected_perf(app, m.perf(idx));
@@ -1393,9 +1505,11 @@ impl PowerMediator {
                 .act
                 .schedule
                 .entries()
-                .filter_map(|(app, idx, _)| Some((app, self.measurements.get(app)?.power(idx))))
+                .filter_map(|(app, idx, _)| {
+                    Some((app, self.measurements.get(app)?.surface.power(idx)))
+                })
                 .collect();
-            let mode = match &self.act.schedule {
+            let mode = match &*self.act.schedule {
                 Schedule::Space { .. } => "space",
                 Schedule::Alternate { .. } => "alternate",
                 Schedule::Hybrid { .. } => "hybrid",
@@ -1438,7 +1552,7 @@ impl PowerMediator {
             self.install_schedule(schedule, now);
         }
         let since = now - self.act.anchor;
-        let phase = match &self.act.schedule {
+        let phase = match &*self.act.schedule {
             Schedule::Space { .. } => Actuation::Space,
             Schedule::Hybrid { slots, .. } if slots.is_empty() => Actuation::HybridPinned,
             Schedule::Alternate { slots } | Schedule::Hybrid { slots, .. } => {
@@ -1462,7 +1576,7 @@ impl PowerMediator {
             Schedule::Infeasible => Actuation::Parked,
         };
         if phase != self.act.actuation {
-            let schedule = self.act.schedule.clone();
+            let schedule = Arc::clone(&self.act.schedule);
             self.enter_phase(sim, &schedule, phase);
         }
     }
@@ -1489,9 +1603,17 @@ impl PowerMediator {
             }
             _ => (&none, None, EsdCommand::Idle),
         };
+        // Suspending an already suspended app changes nothing, so only
+        // the apps that still run are named (and their names cloned).
         let suspend_rest = |sim: &mut ServerSim| {
-            for name in sim.app_names().to_vec() {
-                if !settings.contains_key(&name) && slot.is_none_or(|s| s.app != name) {
+            for pos in 0..sim.app_names().len() {
+                let name = &sim.app_names()[pos];
+                let running = sim
+                    .server()
+                    .assignment(name)
+                    .is_some_and(|a| a.run_state() != AppRunState::Suspended);
+                if running && !settings.contains_key(name) && slot.is_none_or(|s| s.app != *name) {
+                    let name = name.clone();
                     let _ = sim.suspend_app(&name);
                 }
             }
@@ -1525,9 +1647,13 @@ impl PowerMediator {
     /// would fail on a fully-committed server and silently leave a stale
     /// knob in force.
     fn shrinks_first(sim: &ServerSim, settings: &BTreeMap<String, usize>) -> Vec<(String, usize)> {
-        let grid = sim.server().spec().knob_grid();
         let mut ordered: Vec<(String, usize)> =
             settings.iter().map(|(n, i)| (n.clone(), *i)).collect();
+        if ordered.len() < 2 {
+            // Nothing to order (a duty-cycle slot change has no settings).
+            return ordered;
+        }
+        let grid = sim.server().spec().knob_grid();
         ordered.sort_by_key(|(name, idx)| {
             let current = sim
                 .server()
@@ -1565,13 +1691,15 @@ impl PowerMediator {
         }
         let mut ok = sim.set_knobs(name, knob).is_ok();
         if !ok {
-            for other in sim.app_names().to_vec() {
-                let Some(a) = sim.server().assignment(&other) else {
+            for pos in 0..sim.app_names().len() {
+                let other = &sim.app_names()[pos];
+                let Some(a) = sim.server().assignment(other) else {
                     continue;
                 };
                 if other != name && a.run_state() == AppRunState::Suspended && a.knob().cores() > 1
                 {
                     let parked = a.knob().with_cores(1);
+                    let other = other.clone();
                     let _ = sim.set_knobs(&other, parked);
                 }
             }
@@ -1687,7 +1815,8 @@ impl PowerMediator {
                 .server()
                 .assignment(name)
                 .and_then(|a| self.grid.index_of(a.knob()));
-            let (predicted_w, sigma_w) = match (self.measurements.get(name), idx) {
+            let surface = self.measurements.get(name).map(|c| &c.surface);
+            let (predicted_w, sigma_w) = match (surface, idx) {
                 // A suspended or finished app draws no dynamic power,
                 // and the runtime knows it (the suspension was its own
                 // command): a tight prior at zero.
@@ -1957,7 +2086,7 @@ impl PowerMediator {
         self.obs.emit(now, || ObsEvent::SafeMode {
             transition: SafeModeTransition::Engaged,
         });
-        if matches!(self.act.schedule, Schedule::EsdCycle { .. }) {
+        if matches!(*self.act.schedule, Schedule::EsdCycle { .. }) {
             self.esd_quarantined = true;
         }
         for name in sim.app_names().to_vec() {
@@ -2017,6 +2146,18 @@ impl PowerMediator {
     }
 }
 
+/// The bits of each ESD parameter: a plan key equal to another only when
+/// every parameter is the same value, sign of zero included.
+fn esd_bits(esd: Option<EsdParams>) -> Option<[u64; 3]> {
+    esd.map(|e| {
+        [
+            e.efficiency.value().to_bits(),
+            e.max_discharge.value().to_bits(),
+            e.max_charge.value().to_bits(),
+        ]
+    })
+}
+
 /// The slot active `since` into a cyclic run of `slots`, or `None` when
 /// the cycle has no length.
 fn active_slot(slots: &[TimeSlot], since: Seconds) -> Option<usize> {
@@ -2037,10 +2178,17 @@ fn active_slot(slots: &[TimeSlot], since: Seconds) -> Option<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::Cell;
+
     use powermed_esd::{LeadAcidBattery, NoEsd};
     use powermed_workloads::catalog;
 
     const DT: Seconds = Seconds::new(0.1);
+
+    thread_local! {
+        /// Plans computed (not reused) on this thread.
+        pub(super) static PLANS: Cell<u64> = const { Cell::new(0) };
+    }
 
     fn sim_no_esd() -> ServerSim {
         ServerSim::new(ServerSpec::xeon_e5_2620(), Box::new(NoEsd))
@@ -2940,5 +3088,226 @@ mod tests {
             debts.total_repaid() <= debts.total_charged() + 1e-9,
             "clawback never repays more than was overdrawn"
         );
+    }
+
+    fn completions() -> u64 {
+        crate::calibration::COMPLETIONS.with(Cell::get)
+    }
+
+    fn plans() -> u64 {
+        PLANS.with(Cell::get)
+    }
+
+    /// The address of the surface held for `name`.
+    fn surface_at(med: &PowerMediator, name: &str) -> *const AppMeasurement {
+        med.measurement(name).expect("held")
+    }
+
+    /// An E4 re-measures an app; it does not change what the app needs.
+    /// Both calibration paths keep the SLO it was admitted with.
+    #[test]
+    fn a_recalibration_keeps_the_slo() {
+        let corpus = catalog::all();
+        for online in [false, true] {
+            let mut sim = sim_no_esd();
+            let mut med = mediator(PolicyKind::AppResAware, 100.0).with_slo_awareness();
+            if online {
+                med = med.with_online_calibration(&corpus, 0.10);
+            }
+            med.admit(&mut sim, catalog::x264().with_slo(0.8)).unwrap();
+            med.admit(&mut sim, catalog::kmeans()).unwrap();
+            for _ in 0..3 {
+                assert!(med.recalibrate(&mut sim, "x264"));
+                assert!(med.recalibrate(&mut sim, "kmeans"));
+                assert_eq!(
+                    med.measurement("x264").unwrap().slo(),
+                    Some(0.8),
+                    "online {online}"
+                );
+                assert_eq!(
+                    med.measurement("kmeans").unwrap().slo(),
+                    None,
+                    "online {online}"
+                );
+            }
+        }
+    }
+
+    /// Recalibrations whose probes repeat fold in once and keep the
+    /// surface's `Arc`; a surface no completion produced (a tagged or a
+    /// cache-sourced one) carries no record, so the next recalibration
+    /// folds in again.
+    #[test]
+    fn recalibrations_fold_in_once_per_completion_input() {
+        let corpus = catalog::all();
+        let recalibrate = |med: &mut PowerMediator, sim: &mut ServerSim, name: &str, times| {
+            let before = completions();
+            for _ in 0..times {
+                assert!(med.recalibrate(sim, name));
+            }
+            completions() - before
+        };
+
+        let mut sim = sim_no_esd();
+        let mut med =
+            mediator(PolicyKind::AppResAware, 100.0).with_online_calibration(&corpus, 0.10);
+        let before = completions();
+        med.admit(&mut sim, catalog::stream()).unwrap();
+        assert_eq!(completions() - before, 1, "the admission folds in");
+        let held = surface_at(&med, "stream");
+        assert_eq!(recalibrate(&mut med, &mut sim, "stream", 5), 0, "unchanged");
+        assert_eq!(surface_at(&med, "stream"), held, "the same Arc");
+
+        med.admit(&mut sim, catalog::x264().with_slo(0.8)).unwrap();
+        assert_eq!(recalibrate(&mut med, &mut sim, "x264", 1), 1, "tagged");
+        assert_eq!(recalibrate(&mut med, &mut sim, "x264", 4), 0, "then kept");
+        assert_eq!(med.measurement("x264").unwrap().slo(), Some(0.8));
+
+        let mut sim = sim_no_esd();
+        let mut med = mediator(PolicyKind::AppResAware, 100.0);
+        med.admit(&mut sim, catalog::stream()).unwrap();
+        let mut med = med.with_online_calibration(&corpus, 0.10);
+        assert_eq!(
+            recalibrate(&mut med, &mut sim, "stream", 1),
+            1,
+            "cache-sourced"
+        );
+        assert_eq!(recalibrate(&mut med, &mut sim, "stream", 4), 0, "then kept");
+    }
+
+    /// `med` with two apps admitted: its memo holds the plan every
+    /// check below starts from.
+    fn planned(mut med: PowerMediator, sim: &mut ServerSim) -> PowerMediator {
+        med.admit(sim, catalog::stream()).unwrap();
+        med.admit(sim, catalog::kmeans()).unwrap();
+        med
+    }
+
+    /// Plans computed over `times` replans at the mediator's cap.
+    fn replan_at_cap(med: &mut PowerMediator, sim: &mut ServerSim, times: usize) -> u64 {
+        let (before, replans) = (plans(), med.replans());
+        let cap = med.accountant().cap();
+        for _ in 0..times {
+            med.set_cap(sim, cap);
+        }
+        assert_eq!(med.replans() - replans, times, "every replan is counted");
+        plans() - before
+    }
+
+    /// Replans with unchanged inputs plan once; a change to any input
+    /// (the target, the ESD, a surface's `Arc`, the set of planned apps)
+    /// plans again.
+    #[test]
+    fn replans_plan_once_per_plan_input() {
+        let mut sim = sim_no_esd();
+        let mut med = planned(mediator(PolicyKind::AppResAware, 100.0), &mut sim);
+        assert_eq!(replan_at_cap(&mut med, &mut sim, 5), 0, "unchanged");
+
+        let before = plans();
+        med.set_cap(&mut sim, Watts::new(95.0));
+        assert_eq!(plans() - before, 1, "a cap change");
+        assert_eq!(replan_at_cap(&mut med, &mut sim, 3), 0, "then kept");
+
+        let c = med.measurements.get_mut("kmeans").unwrap();
+        *c = Calibrated::unrecorded(Arc::new(c.surface.as_ref().clone()));
+        assert_eq!(
+            replan_at_cap(&mut med, &mut sim, 3),
+            1,
+            "a new Arc, equal content"
+        );
+        let mut med = med.with_cycle_period(Seconds::new(5.0));
+        assert_eq!(
+            replan_at_cap(&mut med, &mut sim, 3),
+            1,
+            "a new cycle period"
+        );
+        let mut med = med.with_slo_awareness();
+        assert_eq!(replan_at_cap(&mut med, &mut sim, 3), 1, "a new SLO planner");
+
+        let mut sim = sim_with_battery();
+        let mut med = planned(mediator(PolicyKind::AppResEsdAware, 80.0), &mut sim);
+        assert_eq!(replan_at_cap(&mut med, &mut sim, 3), 0, "unchanged");
+        med.esd_quarantined = true;
+        assert_eq!(
+            replan_at_cap(&mut med, &mut sim, 3),
+            1,
+            "the ESD quarantined"
+        );
+
+        let mut sim = sim_no_esd();
+        let defended = mediator(PolicyKind::AppResAware, 100.0)
+            .with_estimation(EstimatorConfig::default())
+            .with_integrity_defense(TrustConfig::default());
+        let mut med = planned(defended, &mut sim);
+        assert_eq!(replan_at_cap(&mut med, &mut sim, 3), 0, "unchanged");
+        let d = med.defense.as_mut().unwrap();
+        let trust = d.trust.entry("kmeans".to_string()).or_default();
+        while !trust.quarantined() {
+            trust.note_evidence(Evidence::Strong);
+        }
+        assert_eq!(replan_at_cap(&mut med, &mut sim, 3), 1, "a clamped app");
+        med.defense
+            .as_mut()
+            .unwrap()
+            .contained
+            .insert("kmeans".to_string());
+        assert_eq!(replan_at_cap(&mut med, &mut sim, 3), 1, "a contained app");
+    }
+
+    /// The memo matches the planned apps in order, by `Arc`, and the
+    /// target and ESD parameters by their bits.
+    #[test]
+    fn the_plan_memo_matches_order_arcs_and_bits() {
+        let spec = ServerSpec::xeon_e5_2620();
+        let a = MeasurementCache::global().measure(&spec, &catalog::stream());
+        let b = MeasurementCache::global().measure(&spec, &catalog::kmeans());
+        let (na, nb) = ("stream".to_string(), "kmeans".to_string());
+        let esd = EsdParams {
+            efficiency: Ratio::new(0.8),
+            max_discharge: Watts::new(30.0),
+            max_charge: Watts::new(0.0),
+        };
+        let memo = PlanMemo {
+            apps: vec![(na.clone(), Arc::clone(&a)), (nb.clone(), Arc::clone(&b))],
+            target: 100f64.to_bits(),
+            esd: esd_bits(Some(esd)),
+            schedule: Arc::new(Schedule::Infeasible),
+        };
+        let cap = Watts::new(100.0);
+        assert!(memo.repeats([(&na, &a), (&nb, &b)].into_iter(), cap, Some(esd)));
+        assert!(!memo.repeats([(&nb, &b), (&na, &a)].into_iter(), cap, Some(esd)));
+        assert!(!memo.repeats([(&na, &a)].into_iter(), cap, Some(esd)));
+        assert!(!memo.repeats(
+            [(&na, &a), (&nb, &b), (&nb, &b)].into_iter(),
+            cap,
+            Some(esd)
+        ));
+        let copy = Arc::new(b.as_ref().clone());
+        assert!(!memo.repeats([(&na, &a), (&nb, &copy)].into_iter(), cap, Some(esd)));
+        let renamed = "kmeans2".to_string();
+        assert!(!memo.repeats([(&na, &a), (&renamed, &b)].into_iter(), cap, Some(esd)));
+        assert!(!memo.repeats(
+            [(&na, &a), (&nb, &b)].into_iter(),
+            Watts::new(99.0),
+            Some(esd)
+        ));
+        assert!(!memo.repeats([(&na, &a), (&nb, &b)].into_iter(), cap, None));
+        let negative_zero = EsdParams {
+            max_charge: Watts::new(-0.0),
+            ..esd
+        };
+        assert_eq!(negative_zero, esd, "== cannot tell them apart");
+        assert!(!memo.repeats([(&na, &a), (&nb, &b)].into_iter(), cap, Some(negative_zero)));
+    }
+
+    /// Debug builds re-plan every reused schedule and compare.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "a reused schedule differs from a fresh plan")]
+    fn a_stale_plan_memo_is_caught() {
+        let mut sim = sim_no_esd();
+        let mut med = planned(mediator(PolicyKind::AppResAware, 100.0), &mut sim);
+        med.plan_memo.as_mut().unwrap().schedule = Arc::new(Schedule::Infeasible);
+        replan_at_cap(&mut med, &mut sim, 1);
     }
 }
