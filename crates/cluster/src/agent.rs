@@ -19,7 +19,7 @@
 
 use std::collections::BTreeMap;
 
-use powermed_core::runtime::PowerMediator;
+use powermed_core::runtime::{PlanBook, PowerMediator};
 use powermed_disagg::EstimatorConfig;
 use powermed_profiles::{ProbeSplit, ProfileDigest, ProfileStore};
 use powermed_server::ServerSpec;
@@ -63,6 +63,8 @@ struct Boot {
     estimation: Option<EstimatorConfig>,
     /// The journal every incarnation records into (`None`: zero-cost).
     obs: Option<Obs>,
+    /// The fleet's shared plans, which every incarnation plans through.
+    book: PlanBook,
 }
 
 impl Boot {
@@ -79,8 +81,15 @@ impl Boot {
             sampling_fraction: w.sampling_fraction,
         });
         let p = self.policy;
-        let (mut sim, mut mediator) =
-            fleet::build_server_with(&self.spec, &self.mix, p.kind, p.with_battery, cap, warm);
+        let (mut sim, mut mediator) = fleet::build_booked(
+            &self.spec,
+            &self.mix,
+            p.kind,
+            p.with_battery,
+            cap,
+            warm,
+            Some(&self.book),
+        );
         if let Some(obs) = &self.obs {
             mediator.set_observability(obs.clone());
             sim.set_observability(obs.clone());
@@ -147,7 +156,9 @@ impl ServerAgent {
     /// Boots server `server_id` hosting `mix` under `policy`'s mediation
     /// at `initial_cap`. `options` picks the flavor and the warm-start
     /// and estimation layers; `obs` is the journal every incarnation
-    /// records into.
+    /// records into, and `book` the plans it shares with the rest of
+    /// the fleet.
+    #[allow(clippy::too_many_arguments)]
     pub fn new_with(
         spec: &ServerSpec,
         mix: &Mix,
@@ -156,6 +167,7 @@ impl ServerAgent {
         initial_cap: Watts,
         server_id: u64,
         obs: Option<Obs>,
+        book: &PlanBook,
     ) -> Self {
         let boot = Boot {
             spec: spec.clone(),
@@ -165,6 +177,7 @@ impl ServerAgent {
             warm: options.warm_start.clone(),
             estimation: options.estimation,
             obs,
+            book: book.clone(),
         };
         let (sim, mediator) = boot.incarnate(initial_cap, None);
         Self {
@@ -454,6 +467,18 @@ impl ServerAgent {
         self.clamped = None;
     }
 
+    /// The mediator of the current incarnation.
+    #[cfg(test)]
+    pub(crate) fn mediator(&self) -> &PowerMediator {
+        &self.mediator
+    }
+
+    /// The plans this server shares with the rest of its fleet.
+    #[cfg(test)]
+    pub(crate) fn plan_book(&self) -> &PlanBook {
+        &self.boot.book
+    }
+
     /// Each app's throughput over `seconds` of run time normalized to
     /// its uncapped solo rate, in mix order, across all incarnations.
     pub(crate) fn normalized_perf(&self, seconds: f64) -> Vec<f64> {
@@ -556,6 +581,7 @@ mod tests {
             Watts::new(100.0),
             0,
             obs,
+            &PlanBook::default(),
         )
     }
 

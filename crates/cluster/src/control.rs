@@ -36,6 +36,7 @@ use powermed_core::cache::MeasurementCache;
 use powermed_core::coordinator::EsdParams;
 use powermed_core::knapsack::Knapsack;
 use powermed_core::policy::{PolicyKind, PowerPolicy};
+use powermed_core::runtime::PlanBook;
 use powermed_disagg::EstimatorConfig;
 use powermed_profiles::{ProbeSplit, ProfileDigest, ProfileStore, StoreConfig};
 use powermed_server::ServerSpec;
@@ -1553,12 +1554,14 @@ impl<'a> FleetRun<'a> {
         assert!(servers > 0, "cluster needs at least one server");
         let initial_share = trace.at(Seconds::ZERO) / servers as f64;
         let floor = ClusterManager::cap_floor_for(&spec);
+        let book = PlanBook::default();
         let agents = mixes
             .iter()
             .enumerate()
             .map(|(i, mix)| {
                 let obs = recording.server(i).cloned();
-                ServerAgent::new_with(&spec, mix, policy, options, initial_share, i as u64, obs)
+                let id = i as u64;
+                ServerAgent::new_with(&spec, mix, policy, options, initial_share, id, obs, &book)
             })
             .collect();
         let curves = match policy.apportionment {
@@ -1621,6 +1624,12 @@ impl<'a> FleetRun<'a> {
 
     /// Runs every control step of the trace and reports.
     fn run(mut self) -> ResilienceReport {
+        let steps = self.advance();
+        self.finish(steps)
+    }
+
+    /// Runs every control step of the trace, returning how many.
+    fn advance(&mut self) -> u64 {
         let steps = (self.trace.duration().value() / self.dt.value()).ceil() as u64;
         for step in 0..steps {
             let budget = self.trace.at(self.now);
@@ -1634,7 +1643,7 @@ impl<'a> FleetRun<'a> {
             self.score(step, budget);
             self.now += self.dt;
         }
-        self.finish(steps)
+        steps
     }
 
     /// Advances the plane to `step` (recording a scheduled manager crash
@@ -2610,6 +2619,24 @@ mod tests {
             ]
         );
         assert_eq!(report.violation_seconds.to_bits(), 1.0f64.to_bits());
+    }
+
+    /// A 30-server utility-curve fleet on the 15 mixes plans each
+    /// distinct plan input once across all of its mediators: every plan
+    /// computed lands in the fleet's book, and none twice.
+    #[test]
+    fn a_fleet_plans_each_distinct_input_once() {
+        let mixes = mixes_for(30);
+        let trace = short_trace(30);
+        let options = ControlOptions::perfect(0);
+        let policy = ManagedPolicy::unequal_ours();
+        let mut run = FleetRun::new(&mixes, policy, &trace, DT, &options, Recording::Off);
+        run.advance();
+        let plans: usize = run.agents.iter().map(|a| a.mediator().plans()).sum();
+        let replans: usize = run.agents.iter().map(ServerAgent::replans).sum();
+        let book = run.agents[0].plan_book();
+        assert_eq!(plans, book.plans(), "each distinct input planned once");
+        assert_eq!((plans, replans), (37, 90), "pinned");
     }
 
     #[test]

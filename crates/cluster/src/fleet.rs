@@ -9,7 +9,7 @@
 //! admission sequence the initial boot used.
 
 use powermed_core::policy::PolicyKind;
-use powermed_core::runtime::PowerMediator;
+use powermed_core::runtime::{PlanBook, PowerMediator};
 use powermed_esd::{EnergyStorage, LeadAcidBattery, NoEsd};
 use powermed_profiles::ProfileStore;
 use powermed_server::ServerSpec;
@@ -62,6 +62,20 @@ pub fn build_server_with(
     cap: Watts,
     warm: Option<WarmBoot>,
 ) -> (ServerSim, PowerMediator) {
+    build_booked(spec, mix, kind, with_battery, cap, warm, None)
+}
+
+/// [`build_server_with`], with the mediator sharing a fleet's plan
+/// `book` from its admission on.
+pub(crate) fn build_booked(
+    spec: &ServerSpec,
+    mix: &Mix,
+    kind: PolicyKind,
+    with_battery: bool,
+    cap: Watts,
+    warm: Option<WarmBoot>,
+    book: Option<&PlanBook>,
+) -> (ServerSim, PowerMediator) {
     let esd: Box<dyn EnergyStorage> = if with_battery {
         Box::new(LeadAcidBattery::server_ups().with_soc(INITIAL_SOC))
     } else {
@@ -69,6 +83,9 @@ pub fn build_server_with(
     };
     let mut sim = ServerSim::new(spec.clone(), esd);
     let mut mediator = PowerMediator::new(kind, spec.clone(), cap);
+    if let Some(book) = book {
+        mediator = mediator.with_plan_book(book.clone());
+    }
     if let Some(warm) = warm {
         mediator = mediator.with_online_calibration(&catalog::all(), warm.sampling_fraction);
         if let Some(store) = warm.store {

@@ -131,16 +131,16 @@ impl Accountant {
     /// Records the budget the allocator granted to `name` (drift is
     /// measured against this).
     pub fn note_allocation(&mut self, name: &str, budget: Watts) {
-        self.allocations.insert(name.to_string(), budget);
-        self.drift_counts.insert(name.to_string(), 0);
+        *first_sight(&mut self.allocations, name) = budget;
+        *first_sight(&mut self.drift_counts, name) = 0;
     }
 
     /// Records the performance expected of `name` at its actuated
     /// setting (heartbeat drift is measured against this — the second
     /// telemetry channel of Fig. 6).
     pub fn note_expected_perf(&mut self, name: &str, perf: f64) {
-        self.expected_perf.insert(name.to_string(), perf);
-        self.drift_counts.insert(name.to_string(), 0);
+        *first_sight(&mut self.expected_perf, name) = perf;
+        *first_sight(&mut self.drift_counts, name) = 0;
     }
 
     /// The budget currently on record for `name`.

@@ -227,6 +227,11 @@ impl Coordinator {
         }
     }
 
+    /// The nominal cycle period of temporal schedules.
+    pub(crate) fn cycle(&self) -> Seconds {
+        self.cycle
+    }
+
     /// The paper's Eq. 5 OFF:ON ratio. Returns `None` when the ON period
     /// needs no battery supplement (ratio ≤ 0 → no OFF period needed) or
     /// when charging is impossible (`charge ≤ 0`).

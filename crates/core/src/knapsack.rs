@@ -27,6 +27,17 @@ const NO_CHOICE: u16 = u16::MAX;
 /// of the equal cells of layer `i − 1`. The backtrack from any `b ≥ S`
 /// therefore takes the same choices as from `S`, so [`Self::build`]
 /// stops at `S` and [`Self::split`] clamps larger levels to it.
+///
+/// **Why each layer stores only its band.** The same induction bounds
+/// every layer from both sides. Below `L_i = Σ_{j≤i} min_need_j` every
+/// cell of layer `i` is unreachable: each choice reads a cell below
+/// `L_{i−1}`, unreachable in turn (a group without choices makes every
+/// later cell unreachable). At or above `S_i` every cell equals the one
+/// at `S_i`. So layer `i` stores only the cells `L_i..=min(S_i,
+/// levels)`, a read of layer `i − 1` above its band is clamped to the
+/// band's top, and [`Self::split`] clamps the same way as it backtracks.
+/// The cluster's 100-server table, whose layer `i` spans the levels
+/// `10·(i+1)..=23·(i+1)`, holds 66k cells instead of 230k.
 #[derive(Debug, Clone)]
 pub struct Knapsack {
     /// Each group's choice needs, for the backtrack.
@@ -35,11 +46,51 @@ pub struct Knapsack {
     levels: usize,
     /// Whether `levels` is the saturation level (see above).
     saturated: bool,
-    /// The last layer's best values, one per level `0..=levels`.
+    /// Each layer's stored cells, in group order.
+    bands: Vec<Band>,
+    /// The last layer's best values over its band.
     best: Vec<f64>,
-    /// Group `i`'s choice at level `b`, at `i * (levels + 1) + b`
+    /// Each layer's choices over its band, layer after layer
     /// ([`NO_CHOICE`] where the cell is unreachable).
     keep: Vec<u16>,
+}
+
+/// The band before the first group: the empty choice set is worth 0 at
+/// every level.
+const EMPTY_SET: Band = Band {
+    lo: 0,
+    top: 0,
+    start: 0,
+};
+
+/// The levels one layer stores, `lo..=top`, and where they sit in
+/// [`Knapsack::keep`].
+#[derive(Debug, Clone, Copy)]
+struct Band {
+    /// `L_i`: every cell below it is unreachable. `usize::MAX` once a
+    /// group without choices has made every cell unreachable.
+    lo: usize,
+    /// `min(S_i, levels)`: every cell above it equals the cell here.
+    top: usize,
+    /// Index of the cell at `lo` in `keep`.
+    start: usize,
+}
+
+impl Band {
+    /// The stored cell that level `b` reads, or `None` below the band
+    /// (and everywhere when the band is empty).
+    fn cell(self, b: usize) -> Option<usize> {
+        (self.lo <= self.top && b >= self.lo).then(|| b.min(self.top) - self.lo)
+    }
+
+    /// How many cells the band stores.
+    fn width(self) -> usize {
+        if self.lo <= self.top {
+            self.top - self.lo + 1
+        } else {
+            0
+        }
+    }
 }
 
 impl Knapsack {
@@ -67,29 +118,70 @@ impl Knapsack {
             .fold(0usize, usize::saturating_add);
         let saturated = levels >= saturation;
         let levels = levels.min(saturation);
-        let mut best = vec![0.0f64; levels + 1];
-        let mut keep = vec![NO_CHOICE; groups.len() * (levels + 1)];
-        for (group, choice) in groups.iter().zip(keep.chunks_mut(levels + 1)) {
-            let mut next = vec![f64::NEG_INFINITY; levels + 1];
-            // Choice-major order still visits each cell's choices in
-            // order, so the first one to reach a maximum keeps the cell.
-            for (ci, &(need, value)) in group.as_ref().iter().enumerate() {
-                for b in need..=levels {
-                    if best[b - need].is_finite() {
-                        let v = best[b - need] + value;
-                        if v > next[b] {
-                            next[b] = v;
-                            choice[b] = ci as u16;
+        let mut bands = Vec::with_capacity(groups.len());
+        let mut keep = Vec::new();
+        // Before the first group, every level holds the empty choice
+        // set's value 0: one cell at level 0, clamped above.
+        let mut prev_band = EMPTY_SET;
+        let mut best = vec![0.0f64];
+        let mut reach = 0usize;
+        for (group, need) in groups.iter().zip(&needs) {
+            reach = reach.saturating_add(need.iter().copied().max().unwrap_or(0));
+            let min_need = need.iter().copied().min().unwrap_or(usize::MAX);
+            let band = Band {
+                lo: prev_band.lo.saturating_add(min_need),
+                top: reach.min(levels),
+                start: keep.len(),
+            };
+            let width = band.width();
+            keep.resize(band.start + width, NO_CHOICE);
+            let choice = &mut keep[band.start..];
+            let mut next = vec![f64::NEG_INFINITY; width];
+            if width > 0 {
+                // The previous layer's value at and above its top.
+                let ceiling = best[prev_band.top - prev_band.lo];
+                // Choice-major order still visits each cell's choices in
+                // order, so the first one to reach a maximum keeps the
+                // cell.
+                for (ci, &(need, value)) in group.as_ref().iter().enumerate() {
+                    // The choice reaches the cells from `first`: those up
+                    // to `direct` read the previous band cell by cell
+                    // (from its bottom), the ones above read its top.
+                    let first = need.saturating_add(prev_band.lo);
+                    if first > band.top {
+                        continue;
+                    }
+                    let direct = band.top.min(need.saturating_add(prev_band.top));
+                    let from = first - band.lo;
+                    let (cells, above) = next[from..].split_at_mut(direct - first + 1);
+                    let (kept, kept_above) = choice[from..].split_at_mut(direct - first + 1);
+                    let ci = ci as u16;
+                    let relax = |cell: &mut f64, kept: &mut u16, read: f64| {
+                        if read.is_finite() {
+                            let v = read + value;
+                            if v > *cell {
+                                *cell = v;
+                                *kept = ci;
+                            }
                         }
+                    };
+                    for ((cell, kept), &read) in cells.iter_mut().zip(kept).zip(&best) {
+                        relax(cell, kept, read);
+                    }
+                    for (cell, kept) in above.iter_mut().zip(kept_above) {
+                        relax(cell, kept, ceiling);
                     }
                 }
             }
+            bands.push(band);
             best = next;
+            prev_band = band;
         }
         Self {
             needs,
             levels,
             saturated,
+            bands,
             best,
             keep,
         }
@@ -108,13 +200,15 @@ impl Knapsack {
             "budget level {level} past a table built to {}",
             self.levels
         );
-        let mut b = level.min(self.levels);
-        if !self.best[b].is_finite() {
+        if !self.value(level).is_finite() {
             return None;
         }
+        let mut b = level.min(self.levels);
         let mut choices = vec![0; self.needs.len()];
-        for i in (0..self.needs.len()).rev() {
-            let ci = self.keep[i * (self.levels + 1) + b];
+        for (i, band) in self.bands.iter().enumerate().rev() {
+            let ci = band
+                .cell(b)
+                .map_or(NO_CHOICE, |c| self.keep[band.start + c]);
             // A finite root guarantees a recorded choice at every cell
             // backtracked; guard anyway (NaN values break that).
             if ci == NO_CHOICE {
@@ -124,6 +218,21 @@ impl Knapsack {
             b = b.checked_sub(self.needs[i][choices[i]])?;
         }
         Some(choices)
+    }
+
+    /// The best total value within budget level `level` (`-inf` when no
+    /// combination of choices fits).
+    fn value(&self, level: usize) -> f64 {
+        let b = level.min(self.levels);
+        self.root()
+            .cell(b)
+            .map_or(f64::NEG_INFINITY, |c| self.best[c])
+    }
+
+    /// The last layer's band, or the empty choice set's one cell when
+    /// there are no groups.
+    fn root(&self) -> Band {
+        self.bands.last().copied().unwrap_or(EMPTY_SET)
     }
 }
 
@@ -241,6 +350,77 @@ pub(crate) mod tests {
             b = b.checked_sub(groups[i][choices[i]].0)?;
         }
         Some(choices)
+    }
+
+    /// [`Knapsack`] before the band: every layer stores every level
+    /// `0..=levels`.
+    struct FullTable {
+        needs: Vec<Vec<usize>>,
+        levels: usize,
+        saturated: bool,
+        best: Vec<f64>,
+        keep: Vec<u16>,
+    }
+
+    impl FullTable {
+        fn build(groups: &[Vec<(usize, f64)>], levels: usize) -> Self {
+            let needs: Vec<Vec<usize>> = groups
+                .iter()
+                .map(|group| group.iter().map(|&(need, _)| need).collect())
+                .collect();
+            let saturation = needs
+                .iter()
+                .map(|n| n.iter().copied().max().unwrap_or(0))
+                .fold(0usize, usize::saturating_add);
+            let saturated = levels >= saturation;
+            let levels = levels.min(saturation);
+            let mut best = vec![0.0f64; levels + 1];
+            let mut keep = vec![NO_CHOICE; groups.len() * (levels + 1)];
+            for (group, choice) in groups.iter().zip(keep.chunks_mut(levels + 1)) {
+                let mut next = vec![f64::NEG_INFINITY; levels + 1];
+                for (ci, &(need, value)) in group.iter().enumerate() {
+                    for b in need..=levels {
+                        if best[b - need].is_finite() {
+                            let v = best[b - need] + value;
+                            if v > next[b] {
+                                next[b] = v;
+                                choice[b] = ci as u16;
+                            }
+                        }
+                    }
+                }
+                best = next;
+            }
+            Self {
+                needs,
+                levels,
+                saturated,
+                best,
+                keep,
+            }
+        }
+
+        fn value(&self, level: usize) -> f64 {
+            self.best[level.min(self.levels)]
+        }
+
+        fn split(&self, level: usize) -> Option<Vec<usize>> {
+            assert!(level <= self.levels || self.saturated);
+            let mut b = level.min(self.levels);
+            if !self.best[b].is_finite() {
+                return None;
+            }
+            let mut choices = vec![0; self.needs.len()];
+            for i in (0..self.needs.len()).rev() {
+                let ci = self.keep[i * (self.levels + 1) + b];
+                if ci == NO_CHOICE {
+                    return None;
+                }
+                choices[i] = usize::from(ci);
+                b = b.checked_sub(self.needs[i][choices[i]])?;
+            }
+            Some(choices)
+        }
     }
 
     #[test]
@@ -429,6 +609,57 @@ pub(crate) mod tests {
                     let reference = cluster_reference(&groups, level.min(100));
                     prop_assert_eq!(saturated.split(level), reference.clone());
                     prop_assert_eq!(Knapsack::build(&groups, level).split(level), reference);
+                }
+            }
+
+            /// The banded table answers as the full table does: the root
+            /// value's bits and the split at every level up to past
+            /// saturation, for tables built below, at and above the
+            /// saturation level, over groups that may be empty, need
+            /// zero levels, or hold NaN, ±0.0 and -inf values.
+            #[test]
+            fn prop_banded_table_matches_the_full_table(seed in 0u64..u64::MAX) {
+                const EDGE_VALUES: [f64; 8] =
+                    [0.0, -0.0, 1.0, 0.5, -1.0, f64::NAN, f64::NEG_INFINITY, f64::INFINITY];
+                let mut draws = Draws(SplitMix::new(seed));
+                let groups: Vec<Vec<(usize, f64)>> = (0..draws.below(7))
+                    .map(|_| {
+                        if draws.below(10) == 0 {
+                            return Vec::new();
+                        }
+                        let floor = draws.below(5) as usize;
+                        (0..1 + draws.below(6))
+                            .map(|_| {
+                                let need = if draws.below(6) == 0 {
+                                    0
+                                } else {
+                                    floor + draws.below(8) as usize
+                                };
+                                let value = match draws.below(3) {
+                                    0 => EDGE_VALUES[draws.below(8) as usize],
+                                    _ => draws.below(5) as f64 * 0.25,
+                                };
+                                (need, value)
+                            })
+                            .collect()
+                    })
+                    .collect();
+                let saturation: usize = groups
+                    .iter()
+                    .map(|g| g.iter().map(|&(need, _)| need).max().unwrap_or(0))
+                    .sum();
+                let levels = match draws.below(4) {
+                    0 => draws.below(saturation as u64 + 1) as usize,
+                    1 => saturation,
+                    2 => saturation + 1 + draws.below(5) as usize,
+                    _ => usize::MAX,
+                };
+                let banded = Knapsack::build(&groups, levels);
+                let full = FullTable::build(&groups, levels.min(saturation + 8));
+                let reach = if levels >= saturation { saturation + 8 } else { levels };
+                for level in 0..=reach {
+                    prop_assert_eq!(banded.value(level).to_bits(), full.value(level).to_bits());
+                    prop_assert_eq!(banded.split(level), full.split(level));
                 }
             }
         }

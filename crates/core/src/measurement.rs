@@ -12,13 +12,14 @@ use std::sync::OnceLock;
 
 use powermed_server::knobs::{KnobGrid, KnobSetting};
 use powermed_server::ServerSpec;
+use powermed_units::hash::Fnv1a;
 use powermed_units::Watts;
 use powermed_workloads::profile::AppProfile;
 
 /// An application's power and performance at every knob-grid setting.
 ///
 /// `Debug` and `PartialEq` cover the surface only: the cached power
-/// order is derived from it and never shows.
+/// order and content fingerprint are derived from it and never show.
 #[derive(Clone)]
 pub struct AppMeasurement {
     name: String,
@@ -30,6 +31,9 @@ pub struct AppMeasurement {
     /// [`AppMeasurement::power_order`], built on first use: most
     /// surfaces (one per calibration) are never planned with.
     power_order: OnceLock<Vec<u16>>,
+    /// [`AppMeasurement::fingerprint`], taken on first use: only a
+    /// fleet's plan book keys surfaces by content.
+    fingerprint: OnceLock<u64>,
 }
 
 impl fmt::Debug for AppMeasurement {
@@ -77,6 +81,7 @@ impl AppMeasurement {
             min_cores: profile.min_cores(),
             slo: profile.slo(),
             power_order: OnceLock::new(),
+            fingerprint: OnceLock::new(),
         }
     }
 
@@ -104,6 +109,7 @@ impl AppMeasurement {
             min_cores,
             slo: None,
             power_order: OnceLock::new(),
+            fingerprint: OnceLock::new(),
         }
     }
 
@@ -116,6 +122,7 @@ impl AppMeasurement {
     pub fn with_slo(mut self, slo: f64) -> Self {
         assert!(slo > 0.0 && slo <= 1.0, "slo must lie in (0, 1]");
         self.slo = Some(slo);
+        self.fingerprint = OnceLock::new();
         self
     }
 
@@ -289,6 +296,42 @@ impl AppMeasurement {
         })
     }
 
+    /// A content fingerprint of everything `PartialEq` compares — the
+    /// name, the grid, the power and performance vectors, the minimum
+    /// cores and the SLO — with every float folded by its bits, so
+    /// `-0.0` and `0.0` differ and a NaN matches its own bits. Taken on
+    /// first use, then carried by clones. The grid is folded setting by
+    /// setting: [`KnobGrid::new`] lays out the full product of its
+    /// three dimensions, so the settings determine them.
+    pub(crate) fn fingerprint(&self) -> u64 {
+        *self.fingerprint.get_or_init(|| {
+            let mut h = Fnv1a::new();
+            h.write_word(self.name.len() as u64);
+            h.write(self.name.as_bytes());
+            h.write_word(self.grid.len() as u64);
+            for knob in self.grid.iter() {
+                h.write_word(knob.dvfs().index() as u64);
+                h.write_word(knob.cores() as u64);
+                h.write_word(knob.dram_limit().value().to_bits());
+            }
+            for power in &self.power {
+                h.write_word(power.value().to_bits());
+            }
+            for perf in &self.perf {
+                h.write_word(perf.to_bits());
+            }
+            h.write_word(self.min_cores as u64);
+            match self.slo {
+                Some(slo) => {
+                    h.write_word(1);
+                    h.write_word(slo.to_bits());
+                }
+                None => h.write_word(0),
+            }
+            h.finish()
+        })
+    }
+
     /// The feasible setting that draws the least power (the first such
     /// index on ties), or `None` when no setting is feasible.
     pub(crate) fn cheapest_feasible(&self) -> Option<usize> {
@@ -381,6 +424,7 @@ impl AppMeasurement {
             min_cores,
             slo: None,
             power_order: OnceLock::new(),
+            fingerprint: OnceLock::new(),
         }
     }
 }
@@ -677,6 +721,51 @@ pub(crate) mod tests {
             "readers saw different orders"
         );
         assert_eq!(format!("{built:?}"), format!("{fresh:?}"));
+    }
+
+    /// The fingerprint follows content by bits, never shows, and is
+    /// carried by clones; re-tagging an SLO takes a new one.
+    #[test]
+    fn the_fingerprint_is_content_by_bits_and_invisible() {
+        let spec = spec();
+        let built = AppMeasurement::exhaustive(&spec, &catalog::pagerank());
+        let fresh = AppMeasurement::exhaustive(&spec, &catalog::pagerank());
+        let fingerprint = built.fingerprint();
+        assert!(fresh.fingerprint.get().is_none());
+        assert_eq!(format!("{built:#?}"), format!("{fresh:#?}"));
+        assert_eq!(built, fresh);
+        assert_eq!(fresh.fingerprint(), fingerprint, "equal content");
+        assert_eq!(built.clone().fingerprint.get(), Some(&fingerprint));
+
+        let vectors = |perf0: f64| {
+            let grid = spec.knob_grid();
+            let mut perf = vec![1.0; grid.len()];
+            perf[0] = perf0;
+            let power = vec![Watts::new(5.0); grid.len()];
+            AppMeasurement::from_vectors("app", grid, power, perf, 1)
+        };
+        let (zero, negative_zero) = (vectors(0.0), vectors(-0.0));
+        assert_eq!(zero, negative_zero, "== cannot tell them apart");
+        assert_ne!(zero.fingerprint(), negative_zero.fingerprint());
+        assert_eq!(
+            vectors(f64::NAN).fingerprint(),
+            vectors(f64::NAN).fingerprint()
+        );
+        assert_ne!(zero.fingerprint(), vectors(f64::from_bits(1)).fingerprint());
+        let renamed = AppMeasurement::from_vectors(
+            "app2",
+            zero.grid().clone(),
+            zero.power.clone(),
+            zero.perf.clone(),
+            1,
+        );
+        assert_ne!(zero.fingerprint(), renamed.fingerprint());
+        let tagged = zero.clone().with_slo(0.5);
+        assert_ne!(tagged.fingerprint(), zero.fingerprint(), "a new SLO");
+        assert_eq!(
+            tagged.fingerprint(),
+            vectors(0.0).with_slo(0.5).fingerprint()
+        );
     }
 
     #[test]

@@ -121,6 +121,28 @@ impl PowerPolicy {
         self
     }
 
+    /// Whether `other` plans exactly as this policy does: the same
+    /// scheme, spec and cycle period, which the rest of a policy derives
+    /// from. The spec is compared by `==`, and the watts a spec builder
+    /// can override by their bits as well, so a signed zero cannot pass
+    /// for its opposite.
+    pub(crate) fn plans_like(&self, other: &Self) -> bool {
+        let bits = |spec: &ServerSpec| {
+            [
+                spec.idle_power(),
+                spec.chip_maintenance_power(),
+                spec.dram_limit_min(),
+                spec.dram_limit_max(),
+            ]
+            .map(|w| w.value().to_bits())
+        };
+        self.kind == other.kind
+            && self.coordinator.cycle().value().to_bits()
+                == other.coordinator.cycle().value().to_bits()
+            && self.spec == other.spec
+            && bits(&self.spec) == bits(&other.spec)
+    }
+
     /// The scheme this policy implements.
     pub fn kind(&self) -> PolicyKind {
         self.kind

@@ -24,8 +24,8 @@
 //! field; an absent layer skips its stages, so the runtime without it is
 //! bit-identical to one that never had it.
 
-use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Arc;
+use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use powermed_disagg::estimator::{
     HB_RATIO_MAX, HB_RATIO_MIN, PRIOR_REL_SIGMA, RESIDUAL_FLOOR_W, SIGMA_FLOOR_W,
@@ -133,6 +133,91 @@ impl PlanMemo {
             }
         }
         held.next().is_none()
+    }
+}
+
+/// The plans of every mediator of one fleet run, keyed by everything a
+/// policy plan reads: the policy's configuration (its scheme, spec and
+/// cycle period), each planned app's name and surface in order, and the
+/// bits of the target and the ESD parameters. A mediator consults it
+/// when its own last plan does not match, so a server whose mix and cap
+/// repeat another's takes that plan instead of computing it again.
+/// Surfaces are keyed by their content fingerprint, so the book holds
+/// no surface alive, and one fleet run's book dies with the run. SLO
+/// plans stay private to each mediator.
+///
+/// The book keeps every plan until it holds two per handle sharing it:
+/// a fleet whose servers share mixes and caps plans each distinct input
+/// once. Past that size, before each growth of its table, it drops the
+/// plans no mediator holds any more, so a fleet whose inputs keep
+/// changing (online recalibration, ever-new caps) keeps a bounded book.
+///
+/// Clones share one book. Attach it with
+/// [`PowerMediator::with_plan_book`]; a mediator without one plans as
+/// before.
+#[derive(Debug, Clone, Default)]
+pub struct PlanBook(Arc<Mutex<Vec<Shelf>>>);
+
+/// One policy configuration's plans.
+#[derive(Debug)]
+struct Shelf {
+    policy: PowerPolicy,
+    plans: HashMap<PlanKey, Arc<Schedule>>,
+}
+
+/// How many plans a [`PlanBook`] keeps per handle sharing it before it
+/// starts to drop the plans no mediator holds.
+const PLANS_PER_SHARER: usize = 2;
+
+/// A policy plan's inputs beside the policy: each planned app's name
+/// and [`AppMeasurement::fingerprint`] in order, the target's bits and
+/// [`esd_bits`].
+#[derive(Debug, PartialEq, Eq, Hash)]
+struct PlanKey {
+    apps: Vec<(String, u64)>,
+    target: u64,
+    esd: Option<[u64; 3]>,
+}
+
+impl PlanBook {
+    /// How many distinct plan inputs the book holds a schedule for.
+    pub fn plans(&self) -> usize {
+        self.shelves().iter().map(|s| s.plans.len()).sum()
+    }
+
+    fn shelves(&self) -> MutexGuard<'_, Vec<Shelf>> {
+        self.0
+            .lock()
+            .expect("nothing panics while holding a plan book's lock")
+    }
+
+    /// The schedule `policy` planned for `key`, if any mediator has.
+    fn get(&self, policy: &PowerPolicy, key: &PlanKey) -> Option<Arc<Schedule>> {
+        let shelves = self.shelves();
+        let shelf = shelves.iter().find(|s| s.policy.plans_like(policy))?;
+        shelf.plans.get(key).map(Arc::clone)
+    }
+
+    /// Records that `policy` planned `schedule` for `key`.
+    fn insert(&self, policy: &PowerPolicy, key: PlanKey, schedule: Arc<Schedule>) {
+        // In a fleet, each agent holds a handle and so does its mediator.
+        let sharers = Arc::strong_count(&self.0);
+        let mut shelves = self.shelves();
+        let at = match shelves.iter().position(|s| s.policy.plans_like(policy)) {
+            Some(at) => at,
+            None => {
+                shelves.push(Shelf {
+                    policy: policy.clone(),
+                    plans: HashMap::new(),
+                });
+                shelves.len() - 1
+            }
+        };
+        let plans = &mut shelves[at].plans;
+        if plans.len() == plans.capacity() && plans.len() >= PLANS_PER_SHARER * sharers {
+            plans.retain(|_, s| Arc::strong_count(s) > 1);
+        }
+        plans.insert(key, schedule);
     }
 }
 
@@ -347,8 +432,12 @@ pub struct PowerMediator {
     slo_planner: Option<SloPlanner>,
     /// Count of re-planning events handled.
     replans: usize,
+    /// Count of plans computed (see [`Self::plans`]).
+    plans: usize,
     /// The last plan of the policy or the SLO planner, with its inputs.
     plan_memo: Option<PlanMemo>,
+    /// The fleet's shared plans, consulted on a memo miss.
+    plan_book: Option<PlanBook>,
     // Safe mode and fault bookkeeping are shared across layers: the
     // hardening watchdog drives them, and so do estimation (Escalate
     // forces safe mode; the fallback raises E6) and calibration (an app
@@ -394,7 +483,9 @@ impl PowerMediator {
             },
             slo_planner: None,
             replans: 0,
+            plans: 0,
             plan_memo: None,
+            plan_book: None,
             watchdog: SafeModeWatchdog::new(WATCHDOG_PATIENCE, WATCHDOG_RELEASE),
             hardening_stats: HardeningStats::default(),
             last_fault_error: None,
@@ -491,6 +582,14 @@ impl PowerMediator {
     pub fn with_cycle_period(mut self, period: Seconds) -> Self {
         self.policy = self.policy.with_cycle_period(period);
         self.plan_memo = None;
+        self
+    }
+
+    /// Shares `book` with the other mediators of a fleet: a policy plan
+    /// whose inputs another mediator has planned takes that schedule
+    /// (see [`PlanBook`]).
+    pub fn with_plan_book(mut self, book: PlanBook) -> Self {
+        self.plan_book = Some(book);
         self
     }
 
@@ -622,6 +721,12 @@ impl PowerMediator {
     /// Number of re-planning events handled so far.
     pub fn replans(&self) -> usize {
         self.replans
+    }
+
+    /// Number of plans computed so far: the replans that neither the
+    /// last plan's memo nor a plan book answered.
+    pub fn plans(&self) -> usize {
+        self.plans
     }
 
     /// Whether the safe-mode watchdog is currently engaged.
@@ -1206,9 +1311,13 @@ impl PowerMediator {
             let clamped_sum: f64 = clamped.iter().map(|(_, _, w)| w.value()).sum();
             target = (target - Watts::new(clamped_sum)).max_zero();
         }
-        let plan = |apps: &[(&str, &AppMeasurement)]| match &self.slo_planner {
-            Some(slo) if apps.iter().any(|(_, m)| m.slo().is_some()) => slo.plan(apps, target),
-            _ => self.policy.plan(apps, target, esd),
+        let slo = self
+            .slo_planner
+            .as_ref()
+            .filter(|_| planned_apps().any(|(_, m)| m.slo().is_some()));
+        let plan = |apps: &[(&str, &AppMeasurement)]| match slo {
+            Some(slo) => slo.plan(apps, target),
+            None => self.policy.plan(apps, target, esd),
         };
         let reused = self
             .plan_memo
@@ -1228,19 +1337,47 @@ impl PowerMediator {
                 schedule
             }
             None => {
-                #[cfg(test)]
-                tests::PLANS.with(|n| n.set(n.get() + 1));
                 let apps: Vec<_> = planned_apps().map(|(n, m)| (n.as_str(), &**m)).collect();
-                let schedule = Arc::new(plan(&apps));
-                let memo = PlanMemo {
+                // Only the policy's plans are shared.
+                let book = self.plan_book.as_ref().filter(|_| slo.is_none());
+                let key = book.map(|_| PlanKey {
+                    apps: planned_apps()
+                        .map(|(n, m)| (n.clone(), m.fingerprint()))
+                        .collect(),
+                    target: target.value().to_bits(),
+                    esd: esd_bits(esd),
+                });
+                let booked = book
+                    .zip(key.as_ref())
+                    .and_then(|(book, key)| book.get(&self.policy, key));
+                let schedule = match booked {
+                    Some(schedule) => {
+                        if cfg!(debug_assertions) {
+                            assert_eq!(
+                                plan(&apps),
+                                *schedule,
+                                "a booked schedule differs from a fresh plan"
+                            );
+                        }
+                        schedule
+                    }
+                    None => {
+                        self.plans += 1;
+                        let schedule = Arc::new(plan(&apps));
+                        if let Some((book, key)) = book.zip(key) {
+                            book.insert(&self.policy, key, Arc::clone(&schedule));
+                        }
+                        schedule
+                    }
+                };
+                self.plan_memo = Some(PlanMemo {
                     apps: planned_apps()
                         .map(|(n, m)| (n.clone(), Arc::clone(m)))
                         .collect(),
                     target: target.value().to_bits(),
                     esd: esd_bits(esd),
                     schedule: Arc::clone(&schedule),
-                };
-                self.plan_memo = Some(memo);
+                });
                 schedule
             }
         };
@@ -2185,11 +2322,6 @@ mod tests {
 
     const DT: Seconds = Seconds::new(0.1);
 
-    thread_local! {
-        /// Plans computed (not reused) on this thread.
-        pub(super) static PLANS: Cell<u64> = const { Cell::new(0) };
-    }
-
     fn sim_no_esd() -> ServerSim {
         ServerSim::new(ServerSpec::xeon_e5_2620(), Box::new(NoEsd))
     }
@@ -3094,10 +3226,6 @@ mod tests {
         crate::calibration::COMPLETIONS.with(Cell::get)
     }
 
-    fn plans() -> u64 {
-        PLANS.with(Cell::get)
-    }
-
     /// The address of the surface held for `name`.
     fn surface_at(med: &PowerMediator, name: &str) -> *const AppMeasurement {
         med.measurement(name).expect("held")
@@ -3184,14 +3312,14 @@ mod tests {
     }
 
     /// Plans computed over `times` replans at the mediator's cap.
-    fn replan_at_cap(med: &mut PowerMediator, sim: &mut ServerSim, times: usize) -> u64 {
-        let (before, replans) = (plans(), med.replans());
+    fn replan_at_cap(med: &mut PowerMediator, sim: &mut ServerSim, times: usize) -> usize {
+        let (before, replans) = (med.plans(), med.replans());
         let cap = med.accountant().cap();
         for _ in 0..times {
             med.set_cap(sim, cap);
         }
         assert_eq!(med.replans() - replans, times, "every replan is counted");
-        plans() - before
+        med.plans() - before
     }
 
     /// Replans with unchanged inputs plan once; a change to any input
@@ -3203,9 +3331,9 @@ mod tests {
         let mut med = planned(mediator(PolicyKind::AppResAware, 100.0), &mut sim);
         assert_eq!(replan_at_cap(&mut med, &mut sim, 5), 0, "unchanged");
 
-        let before = plans();
+        let before = med.plans();
         med.set_cap(&mut sim, Watts::new(95.0));
-        assert_eq!(plans() - before, 1, "a cap change");
+        assert_eq!(med.plans() - before, 1, "a cap change");
         assert_eq!(replan_at_cap(&mut med, &mut sim, 3), 0, "then kept");
 
         let c = med.measurements.get_mut("kmeans").unwrap();
@@ -3298,6 +3426,235 @@ mod tests {
         };
         assert_eq!(negative_zero, esd, "== cannot tell them apart");
         assert!(!memo.repeats([(&na, &a), (&nb, &b)].into_iter(), cap, Some(negative_zero)));
+    }
+
+    /// `m` with its first performance value mapped through `bend`.
+    fn bent(m: &AppMeasurement, bend: impl Fn(f64) -> f64) -> Arc<AppMeasurement> {
+        let len = m.grid().len();
+        let perf = (0..len)
+            .map(|i| if i == 0 { bend(m.perf(i)) } else { m.perf(i) })
+            .collect();
+        let power = (0..len).map(|i| m.power(i)).collect();
+        Arc::new(AppMeasurement::from_vectors(
+            m.name(),
+            m.grid().clone(),
+            power,
+            perf,
+            m.min_cores(),
+        ))
+    }
+
+    /// Mediators sharing a book plan each input once: the second
+    /// mediator on the same mix and cap plans nothing and installs the
+    /// first one's schedule. A different cycle period or policy kind,
+    /// one target bit, a quarantined ESD or a surface one bit apart plans
+    /// again, and SLO plans stay private. (A mediator plans its apps in
+    /// name order; the order is keyed all the same, see below.)
+    #[test]
+    fn mediators_sharing_a_book_plan_each_input_once() {
+        let book = PlanBook::default();
+        let booked = |med: PowerMediator| med.with_plan_book(book.clone());
+        let schedule = |med: &PowerMediator| Arc::clone(&med.plan_memo.as_ref().unwrap().schedule);
+        let mut sim = sim_no_esd();
+        let first = planned(booked(mediator(PolicyKind::AppResAware, 100.0)), &mut sim);
+        assert_eq!(first.plans(), 2, "stream alone, then with kmeans");
+        assert_eq!(book.plans(), 2);
+        let mut sim = sim_no_esd();
+        let mut second = planned(booked(mediator(PolicyKind::AppResAware, 100.0)), &mut sim);
+        assert_eq!(second.plans(), 0, "every input is booked");
+        assert!(Arc::ptr_eq(&schedule(&first), &schedule(&second)));
+
+        // An equal surface in a new `Arc` misses the memo, not the book.
+        let kmeans = Arc::clone(&second.measurements["kmeans"].surface);
+        let mut install = |med: &mut PowerMediator, surface: Arc<AppMeasurement>| {
+            med.measurements
+                .insert("kmeans".to_string(), Calibrated::unrecorded(surface));
+            replan_at_cap(med, &mut sim, 3)
+        };
+        let copy = Arc::new(kmeans.as_ref().clone());
+        assert_eq!(install(&mut second, copy), 0, "a new Arc, equal content");
+        let flipped = bent(&kmeans, |p| f64::from_bits(p.to_bits() ^ 1));
+        assert_eq!(install(&mut second, flipped), 1, "one perf bit");
+        let zero = bent(&kmeans, |_| 0.0);
+        let negative_zero = bent(&kmeans, |_| -0.0);
+        assert_eq!(*zero, *negative_zero, "== cannot tell them apart");
+        assert_eq!(install(&mut second, zero), 1, "a zero perf");
+        assert_eq!(install(&mut second, negative_zero), 1, "its sign flipped");
+        assert_eq!(install(&mut second, bent(&kmeans, |_| 0.0)), 0, "booked");
+        assert_eq!(install(&mut second, kmeans), 0, "booked");
+
+        let target = Watts::new(f64::from_bits(100f64.to_bits() + 1));
+        let before = second.plans();
+        second.set_cap(&mut sim, target);
+        assert_eq!(second.plans() - before, 1, "one target bit");
+
+        let plans = |med: PowerMediator| {
+            let mut sim = sim_no_esd();
+            planned(booked(med), &mut sim).plans()
+        };
+        let period = mediator(PolicyKind::AppResAware, 100.0).with_cycle_period(Seconds::new(5.0));
+        assert_eq!(plans(period), 2, "a new cycle period");
+        assert_eq!(
+            plans(mediator(PolicyKind::AppAware, 100.0)),
+            2,
+            "a new kind"
+        );
+
+        let mut sim = sim_with_battery();
+        let esd = planned(booked(mediator(PolicyKind::AppResEsdAware, 80.0)), &mut sim);
+        assert_eq!(esd.plans(), 2);
+        let mut sim = sim_with_battery();
+        let mut esd = planned(booked(mediator(PolicyKind::AppResEsdAware, 80.0)), &mut sim);
+        assert_eq!(esd.plans(), 0, "booked");
+        esd.esd_quarantined = true;
+        assert_eq!(
+            replan_at_cap(&mut esd, &mut sim, 3),
+            1,
+            "the ESD quarantined"
+        );
+
+        let booked_before = book.plans();
+        let slo_plans = || {
+            let mut sim = sim_no_esd();
+            let mut med = booked(mediator(PolicyKind::AppResAware, 100.0).with_slo_awareness());
+            med.admit(&mut sim, catalog::x264().with_slo(0.8)).unwrap();
+            med.admit(&mut sim, catalog::kmeans()).unwrap();
+            med.plans()
+        };
+        assert_eq!(slo_plans(), 2);
+        assert_eq!(slo_plans(), 2, "SLO plans stay private");
+        assert_eq!(book.plans(), booked_before, "and stay out of the book");
+    }
+
+    /// The book matches the planned apps in order, by name and
+    /// fingerprint, the target and ESD parameters by their bits, and
+    /// the policy by its configuration.
+    #[test]
+    fn the_plan_book_keys_order_fingerprints_bits_and_policy() {
+        let spec = ServerSpec::xeon_e5_2620();
+        let a = MeasurementCache::global().measure(&spec, &catalog::stream());
+        let b = MeasurementCache::global().measure(&spec, &catalog::kmeans());
+        let esd = EsdParams {
+            efficiency: Ratio::new(0.8),
+            max_discharge: Watts::new(30.0),
+            max_charge: Watts::new(0.0),
+        };
+        let key = |apps: &[(&str, &Arc<AppMeasurement>)], target: f64, esd| PlanKey {
+            apps: (apps.iter())
+                .map(|(n, m)| (n.to_string(), m.fingerprint()))
+                .collect(),
+            target: target.to_bits(),
+            esd: esd_bits(esd),
+        };
+        let policy = PowerPolicy::new(PolicyKind::AppResAware, spec.clone());
+        let book = PlanBook::default();
+        let ab = [("stream", &a), ("kmeans", &b)];
+        book.insert(
+            &policy,
+            key(&ab, 100.0, Some(esd)),
+            Arc::new(Schedule::Infeasible),
+        );
+        let found = |policy: &PowerPolicy, key| book.get(policy, &key).is_some();
+        assert!(found(&policy, key(&ab, 100.0, Some(esd))));
+        let copy = Arc::new(b.as_ref().clone());
+        assert!(found(
+            &policy,
+            key(&[("stream", &a), ("kmeans", &copy)], 100.0, Some(esd))
+        ));
+        assert!(!found(
+            &policy,
+            key(&[("kmeans", &b), ("stream", &a)], 100.0, Some(esd))
+        ));
+        assert!(!found(&policy, key(&ab[..1], 100.0, Some(esd))));
+        assert!(!found(
+            &policy,
+            key(&[("stream", &a), ("kmeans2", &b)], 100.0, Some(esd))
+        ));
+        assert!(!found(
+            &policy,
+            key(&[("stream", &a), ("kmeans", &a)], 100.0, Some(esd))
+        ));
+        assert!(!found(&policy, key(&ab, 99.0, Some(esd))));
+        assert!(!found(&policy, key(&ab, 100.0, None)));
+        let negative_zero = EsdParams {
+            max_charge: Watts::new(-0.0),
+            ..esd
+        };
+        assert!(!found(&policy, key(&ab, 100.0, Some(negative_zero))));
+
+        let hit = key(&ab, 100.0, Some(esd));
+        assert!(found(
+            &PowerPolicy::new(PolicyKind::AppResAware, spec.clone()),
+            hit
+        ));
+        for other in [
+            PowerPolicy::new(PolicyKind::AppResEsdAware, spec.clone()),
+            policy.clone().with_cycle_period(Seconds::new(10.5)),
+            PowerPolicy::new(
+                PolicyKind::AppResAware,
+                spec.clone().with_idle_power(Watts::new(49.0)),
+            ),
+        ] {
+            assert!(!found(&other, key(&ab, 100.0, Some(esd))), "{other:?}");
+        }
+        assert_eq!(book.plans(), 1);
+    }
+
+    /// Past its size floor, the book drops the plans no mediator holds
+    /// before it grows, and keeps the held ones.
+    #[test]
+    fn a_full_plan_book_drops_the_plans_no_mediator_holds() {
+        let spec = ServerSpec::xeon_e5_2620();
+        let policy = PowerPolicy::new(PolicyKind::AppResAware, spec.clone());
+        let stream = MeasurementCache::global().measure(&spec, &catalog::stream());
+        let book = PlanBook::default();
+        let key = |target: u64| PlanKey {
+            apps: vec![("stream".to_string(), stream.fingerprint())],
+            target,
+            esd: None,
+        };
+        let held = Arc::new(Schedule::Infeasible);
+        book.insert(&policy, key(0), Arc::clone(&held));
+        // One handle: the floor is two plans, so the table drops the
+        // unheld plans at its first growth.
+        for target in 1..100 {
+            book.insert(&policy, key(target), Arc::new(Schedule::Infeasible));
+        }
+        assert!(book.get(&policy, &key(0)).is_some(), "a held plan stays");
+        assert!(book.get(&policy, &key(1)).is_none(), "an unheld one goes");
+        assert!(book.plans() < 99);
+
+        // A hundred handles keep all of their first 200 plans.
+        let handles: Vec<PlanBook> = (0..99).map(|_| book.clone()).collect();
+        let before = book.plans();
+        for target in 100..200 {
+            book.insert(&policy, key(target), Arc::new(Schedule::Infeasible));
+        }
+        assert_eq!(book.plans(), before + 100);
+        drop(handles);
+    }
+
+    /// Debug builds re-plan every booked schedule and compare.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "a booked schedule differs from a fresh plan")]
+    fn a_stale_booked_plan_is_caught() {
+        let book = PlanBook::default();
+        let mut sim = sim_no_esd();
+        planned(
+            mediator(PolicyKind::AppResAware, 100.0).with_plan_book(book.clone()),
+            &mut sim,
+        );
+        for shelf in book.shelves().iter_mut() {
+            for schedule in shelf.plans.values_mut() {
+                *schedule = Arc::new(Schedule::Infeasible);
+            }
+        }
+        let mut sim = sim_no_esd();
+        planned(
+            mediator(PolicyKind::AppResAware, 100.0).with_plan_book(book),
+            &mut sim,
+        );
     }
 
     /// Debug builds re-plan every reused schedule and compare.

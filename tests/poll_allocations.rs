@@ -1,16 +1,20 @@
-//! Heap allocations on the mediator's steady poll path.
+//! Heap allocations on the mediator's steady poll path, on a replan at
+//! an unchanged cap, and while a fleet boots.
 //!
 //! Builds every `server_sweep` cell (each Table II mix under each
 //! policy, as `fleet::build_server` boots them), warms it for
-//! [`WARM_POLLS`] polls and counts the allocations this thread makes
+//! [`WARM_POLLS`] polls and counts the allocations its thread makes
 //! over the next [`POLLS`]. A steady poll at 95 W or 110 W must not
 //! allocate: per-app state on the step and poll path lives in buffers
 //! indexed by position that are sized at admission. At 80 W phase
 //! changes duty-cycle, which may allocate, but at most
-//! [`MAX_PER_POLL_AT_80_W`] times per poll.
+//! [`MAX_PER_POLL_AT_80_W`] times per poll. A `set_cap` at the cap in
+//! force reuses its plan and allocates nothing, and booting
+//! `fleet_scale`'s 100-server fleet stays within
+//! [`MAX_FLEET_BOOT_ALLOCATIONS`].
 //!
-//! This binary holds one test, so the counting allocator sees no other
-//! test's work; it counts only on the test's own thread.
+//! The counting allocator counts per thread, and each test counts only
+//! on its own thread, so the tests may run side by side.
 //!
 //! ```text
 //! cargo test -q --test poll_allocations
@@ -18,12 +22,14 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, Ordering};
 
+use powermed::cluster::control::{self, ControlOptions, ManagedPolicy};
 use powermed::cluster::fleet;
+use powermed::cluster::manager::ClusterManager;
+use powermed::cluster::trace::ClusterPowerTrace;
 use powermed::mediator::policy::PolicyKind;
 use powermed::server::ServerSpec;
-use powermed::units::{Seconds, Watts};
+use powermed::units::{Ratio, Seconds, Watts};
 use powermed::workloads::mixes;
 
 const DT: Seconds = Seconds::new(0.1);
@@ -40,25 +46,23 @@ const MAX_PER_POLL_AT_80_W: f64 = 0.2;
 /// calling thread has counting switched on.
 struct Counting;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
 thread_local! {
     static COUNTING: Cell<bool> = const { Cell::new(false) };
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
 }
 
 fn note_allocation() {
     // `try_with`: the allocator also runs while thread-locals are torn
     // down, when the flag is gone and nothing is being counted.
     if COUNTING.try_with(Cell::get).unwrap_or(false) {
-        // A statistic that publishes no other data.
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        ALLOCATIONS.with(|n| n.set(n.get() + 1));
     }
 }
 
 // SAFETY: every method forwards to `System` with the arguments it was
-// given, so `System` upholds the `GlobalAlloc` contract; the counter is
-// an atomic and the flag a const-initialized thread-local without a
-// destructor, so neither allocates nor re-enters the allocator.
+// given, so `System` upholds the `GlobalAlloc` contract; the counter and
+// the flag are const-initialized thread-locals without a destructor, so
+// neither allocates nor re-enters the allocator.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         note_allocation();
@@ -92,11 +96,11 @@ static GLOBAL: Counting = Counting;
 
 /// Allocations this thread makes while running `f`.
 fn allocations_during(f: impl FnOnce()) -> u64 {
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = ALLOCATIONS.with(Cell::get);
     COUNTING.with(|c| c.set(true));
     f();
     COUNTING.with(|c| c.set(false));
-    ALLOCATIONS.load(Ordering::Relaxed) - before
+    ALLOCATIONS.with(Cell::get) - before
 }
 
 /// Allocations over [`POLLS`] steady polls of every sweep cell at `cap`,
@@ -145,5 +149,62 @@ fn steady_server_sweep_polls_do_not_allocate() {
         over.is_empty(),
         "{} of 75 cells allocate {MAX_PER_POLL_AT_80_W} or more times per poll at 80 W: {over:?}",
         over.len()
+    );
+}
+
+/// A replan at the cap in force (mix 1, App+Res-Aware, 100 W) reuses the
+/// plan and installs it without allocating (the accountant once made 8
+/// allocations per `set_cap` there, re-keying its maps). Debug builds re-plan every
+/// reused schedule to check it, which allocates.
+#[test]
+#[cfg_attr(debug_assertions, ignore = "debug builds re-plan every reuse")]
+fn set_cap_at_the_cap_in_force_does_not_allocate() {
+    let spec = ServerSpec::xeon_e5_2620();
+    let mix = mixes::mix(1).expect("Table II mix 1");
+    let cap = Watts::new(100.0);
+    let (mut sim, mut med) = fleet::build_server(&spec, &mix, PolicyKind::AppResAware, false, cap);
+    for _ in 0..WARM_POLLS {
+        med.step(&mut sim, DT);
+    }
+    med.set_cap(&mut sim, cap);
+    let count = allocations_during(|| {
+        for _ in 0..100 {
+            med.set_cap(&mut sim, cap);
+        }
+    });
+    assert_eq!(count, 0, "100 set_caps at the cap in force allocated");
+}
+
+/// Allocations `fleet_scale`'s fleet (100 servers, `Unequal(Ours)`,
+/// perfect control, seed 42, a warm measurement cache) may make to boot
+/// and run two control steps. Each mediator planning alone made 35,014;
+/// one plan per distinct input across the fleet makes 23,525.
+const MAX_FLEET_BOOT_ALLOCATIONS: u64 = 23_525;
+
+/// Booting the 100-server fleet and running two steps stays within
+/// [`MAX_FLEET_BOOT_ALLOCATIONS`]. Debug builds re-plan every booked
+/// schedule to check it, which allocates.
+#[test]
+#[cfg_attr(debug_assertions, ignore = "debug builds re-plan every reuse")]
+fn a_fleet_boots_within_its_allocation_bound() {
+    let mixes = ClusterManager::new(100, 42).workload();
+    let trace = ClusterPowerTrace::synthetic_diurnal(100, Seconds::new(1.0), 42)
+        .peak_shaved(Ratio::new(0.15));
+    let boot = || {
+        let report = control::run_cluster(
+            &mixes,
+            ManagedPolicy::unequal_ours(),
+            &trace,
+            Seconds::new(0.5),
+            &ControlOptions::perfect(42),
+        );
+        std::hint::black_box(report);
+    };
+    // The first run fills the shared measurement cache.
+    boot();
+    let count = allocations_during(boot);
+    assert!(
+        count <= MAX_FLEET_BOOT_ALLOCATIONS,
+        "the fleet's boot and two steps made {count} allocations"
     );
 }
