@@ -65,8 +65,9 @@ pub fn build_server_with(
     build_booked(spec, mix, kind, with_battery, cap, warm, None)
 }
 
-/// [`build_server_with`], with the mediator sharing a fleet's plan
-/// `book` from its admission on.
+/// [`build_server_with`], with the mediator planning through a fleet's
+/// shared plan `book` from its admission on; with `None`, through a book
+/// of its own.
 pub(crate) fn build_booked(
     spec: &ServerSpec,
     mix: &Mix,

@@ -320,6 +320,7 @@ impl Calibrator {
     /// than two applications (nothing to collaborate with).
     ///
     /// Returns the surface plus the number of settings actually probed.
+    #[cfg(test)]
     pub fn calibrate_online(
         &self,
         name: &str,
@@ -333,6 +334,7 @@ impl Calibrator {
     /// Fallible online calibration: like [`Self::calibrate_online`] but
     /// returns `None` as soon as one probe fails (the application
     /// departed mid-calibration). No partial surface is produced.
+    #[cfg(test)]
     pub fn try_calibrate_online(
         &self,
         name: &str,
@@ -349,8 +351,10 @@ impl Calibrator {
     /// admission executes a strict subset of the cold probe schedule
     /// (possibly the empty subset); every prior sample also feeds the
     /// fold-in, tightening the completion beyond what the sparse
-    /// schedule alone would see. With `prior = None` this is
-    /// bit-identical to [`Self::try_calibrate_online`].
+    /// schedule alone would see. With `prior = None` it probes the whole
+    /// sparse schedule, the cold online calibration. It returns `None`
+    /// as soon as one probe fails (the application departed
+    /// mid-calibration); no partial surface is produced.
     ///
     /// `held` is the surface on record for `name`. When the completion
     /// would read exactly the inputs of its record, the held surface and

@@ -122,25 +122,13 @@ impl PowerPolicy {
     }
 
     /// Whether `other` plans exactly as this policy does: the same
-    /// scheme, spec and cycle period, which the rest of a policy derives
-    /// from. The spec is compared by `==`, and the watts a spec builder
-    /// can override by their bits as well, so a signed zero cannot pass
-    /// for its opposite.
+    /// scheme, spec (see [`same_spec`]) and cycle period, which the rest
+    /// of a policy derives from.
     pub(crate) fn plans_like(&self, other: &Self) -> bool {
-        let bits = |spec: &ServerSpec| {
-            [
-                spec.idle_power(),
-                spec.chip_maintenance_power(),
-                spec.dram_limit_min(),
-                spec.dram_limit_max(),
-            ]
-            .map(|w| w.value().to_bits())
-        };
         self.kind == other.kind
             && self.coordinator.cycle().value().to_bits()
                 == other.coordinator.cycle().value().to_bits()
-            && self.spec == other.spec
-            && bits(&self.spec) == bits(&other.spec)
+            && same_spec(&self.spec, &other.spec)
     }
 
     /// The scheme this policy implements.
@@ -263,6 +251,22 @@ fn average_family(avg: &AppMeasurement, spec: &ServerSpec) -> Vec<usize> {
     chain.sort_unstable();
     chain.dedup();
     chain
+}
+
+/// Whether two specs plan alike: equal by `==`, and the watts a spec
+/// builder can override equal by their bits as well, so a signed zero
+/// cannot pass for its opposite.
+pub(crate) fn same_spec(a: &ServerSpec, b: &ServerSpec) -> bool {
+    let bits = |spec: &ServerSpec| {
+        [
+            spec.idle_power(),
+            spec.chip_maintenance_power(),
+            spec.dram_limit_min(),
+            spec.dram_limit_max(),
+        ]
+        .map(|w| w.value().to_bits())
+    };
+    a == b && bits(a) == bits(b)
 }
 
 #[cfg(test)]

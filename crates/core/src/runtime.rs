@@ -24,7 +24,7 @@
 //! field; an absent layer skips its stages, so the runtime without it is
 //! bit-identical to one that never had it.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use powermed_disagg::estimator::{
@@ -97,86 +97,95 @@ struct Actuator {
     actuated_at: Seconds,
 }
 
-/// The last plan of the policy or the SLO planner, with the inputs it
-/// read: each planned app's name and surface, the planning target and
-/// the ESD parameters. Holding an `Arc` clone of each surface means a
-/// pointer match can never be an address reused after a free. A replan
-/// whose inputs match hands the schedule back; the quarantine clamps,
-/// the audit and the actuation around the plan still run.
-#[derive(Debug)]
-struct PlanMemo {
-    apps: Vec<(String, Arc<AppMeasurement>)>,
-    /// The target's bits.
-    target: u64,
-    /// [`esd_bits`] of the ESD parameters.
-    esd: Option<[u64; 3]>,
-    schedule: Arc<Schedule>,
-}
-
-impl PlanMemo {
-    /// Whether a plan of `apps` (in order) under `target` and `esd`
-    /// repeats this one. Allocates nothing.
-    fn repeats<'a>(
-        &self,
-        apps: impl Iterator<Item = (&'a String, &'a Arc<AppMeasurement>)>,
-        target: Watts,
-        esd: Option<EsdParams>,
-    ) -> bool {
-        if self.target != target.value().to_bits() || self.esd != esd_bits(esd) {
-            return false;
-        }
-        let mut held = self.apps.iter();
-        for (name, surface) in apps {
-            match held.next() {
-                Some((n, s)) if n == name && Arc::ptr_eq(s, surface) => {}
-                _ => return false,
-            }
-        }
-        held.next().is_none()
-    }
-}
-
-/// The plans of every mediator of one fleet run, keyed by everything a
-/// policy plan reads: the policy's configuration (its scheme, spec and
-/// cycle period), each planned app's name and surface in order, and the
-/// bits of the target and the ESD parameters. A mediator consults it
-/// when its own last plan does not match, so a server whose mix and cap
-/// repeat another's takes that plan instead of computing it again.
-/// Surfaces are keyed by their content fingerprint, so the book holds
-/// no surface alive, and one fleet run's book dies with the run. SLO
-/// plans stay private to each mediator.
+/// The plans a mediator has made, keyed by everything a plan reads: the
+/// planners' configuration (the policy's scheme, spec and cycle period,
+/// and the SLO planner's when it made the plan), each planned app's name
+/// and surface in order, and the bits of the target and the ESD
+/// parameters. A replan whose inputs repeat a booked plan's takes that
+/// schedule; the quarantine clamps, the audit and the actuation around
+/// the plan still run. Surfaces are keyed by their content fingerprint,
+/// so the book holds no surface alive, and a surface recalibrated into a
+/// new `Arc` with equal content still finds its plan.
+///
+/// Every mediator starts with a book of its own.
+/// [`PowerMediator::with_plan_book`] replaces it with one shared across a
+/// fleet run, so a server whose mix and cap repeat another's takes that
+/// plan instead of computing it again; the shared book dies with the run.
+/// Clones share one book.
 ///
 /// The book keeps every plan until it holds two per handle sharing it:
 /// a fleet whose servers share mixes and caps plans each distinct input
 /// once. Past that size, before each growth of its table, it drops the
-/// plans no mediator holds any more, so a fleet whose inputs keep
-/// changing (online recalibration, ever-new caps) keeps a bounded book.
-///
-/// Clones share one book. Attach it with
-/// [`PowerMediator::with_plan_book`]; a mediator without one plans as
-/// before.
+/// plans no mediator holds any more, so a book whose inputs keep changing
+/// (online recalibration, ever-new caps) stays bounded. Each mediator
+/// holds the last plan it used, so that plan stays booked even while a
+/// quarantine clamp installs a merged copy of it.
 #[derive(Debug, Clone, Default)]
 pub struct PlanBook(Arc<Mutex<Vec<Shelf>>>);
 
-/// One policy configuration's plans.
+/// One planner configuration's plans: the policy's, with the SLO
+/// planner's beside it when that planner made them.
 #[derive(Debug)]
 struct Shelf {
     policy: PowerPolicy,
-    plans: HashMap<PlanKey, Arc<Schedule>>,
+    slo: Option<SloPlanner>,
+    plans: Vec<(PlanKey, Arc<Schedule>)>,
+}
+
+impl Shelf {
+    /// Whether `policy` and `slo` plan exactly as this shelf's planners
+    /// did (see [`PowerPolicy::plans_like`] and
+    /// [`SloPlanner::plans_like`]).
+    fn holds(&self, policy: &PowerPolicy, slo: Option<&SloPlanner>) -> bool {
+        self.policy.plans_like(policy)
+            && match (&self.slo, slo) {
+                (Some(a), Some(b)) => a.plans_like(b),
+                (a, b) => a.is_none() && b.is_none(),
+            }
+    }
 }
 
 /// How many plans a [`PlanBook`] keeps per handle sharing it before it
 /// starts to drop the plans no mediator holds.
 const PLANS_PER_SHARER: usize = 2;
 
-/// A policy plan's inputs beside the policy: each planned app's name
+/// A booked plan's inputs beside its planners: each planned app's name
 /// and [`AppMeasurement::fingerprint`] in order, the target's bits and
-/// [`esd_bits`].
-#[derive(Debug, PartialEq, Eq, Hash)]
+/// [`esd_bits`]. Built only when a plan is booked.
+#[derive(Debug)]
 struct PlanKey {
     apps: Vec<(String, u64)>,
     target: u64,
     esd: Option<[u64; 3]>,
+}
+
+/// A replan's inputs as it streams them: a [`PlanKey`] with the apps
+/// borrowed, so a lookup allocates nothing.
+struct PlanInputs<I> {
+    apps: I,
+    target: u64,
+    esd: Option<[u64; 3]>,
+}
+
+impl<'a, I: Iterator<Item = (&'a str, u64)> + Clone> PlanInputs<I> {
+    /// Whether `key` holds exactly these inputs.
+    fn matches(&self, key: &PlanKey) -> bool {
+        let mut held = key.apps.iter().map(|(n, f)| (n.as_str(), *f));
+        key.target == self.target
+            && key.esd == self.esd
+            && self.apps.clone().all(|app| held.next() == Some(app))
+            && held.next().is_none()
+    }
+
+    fn key(&self) -> PlanKey {
+        PlanKey {
+            apps: (self.apps.clone())
+                .map(|(name, fingerprint)| (name.to_string(), fingerprint))
+                .collect(),
+            target: self.target,
+            esd: self.esd,
+        }
+    }
 }
 
 impl PlanBook {
@@ -191,33 +200,54 @@ impl PlanBook {
             .expect("nothing panics while holding a plan book's lock")
     }
 
-    /// The schedule `policy` planned for `key`, if any mediator has.
-    fn get(&self, policy: &PowerPolicy, key: &PlanKey) -> Option<Arc<Schedule>> {
+    /// The schedule `policy`, or `slo` beside it, planned for `inputs`,
+    /// if any mediator has.
+    fn get<'a, I>(
+        &self,
+        policy: &PowerPolicy,
+        slo: Option<&SloPlanner>,
+        inputs: &PlanInputs<I>,
+    ) -> Option<Arc<Schedule>>
+    where
+        I: Iterator<Item = (&'a str, u64)> + Clone,
+    {
         let shelves = self.shelves();
-        let shelf = shelves.iter().find(|s| s.policy.plans_like(policy))?;
-        shelf.plans.get(key).map(Arc::clone)
+        let shelf = shelves.iter().find(|s| s.holds(policy, slo))?;
+        let mut plans = shelf.plans.iter().rev();
+        let (_, schedule) = plans.find(|(key, _)| inputs.matches(key))?;
+        Some(Arc::clone(schedule))
     }
 
-    /// Records that `policy` planned `schedule` for `key`.
-    fn insert(&self, policy: &PowerPolicy, key: PlanKey, schedule: Arc<Schedule>) {
+    /// Records that `policy`, or `slo` beside it, planned `schedule` for
+    /// `inputs`.
+    fn insert<'a, I>(
+        &self,
+        policy: &PowerPolicy,
+        slo: Option<&SloPlanner>,
+        inputs: &PlanInputs<I>,
+        schedule: Arc<Schedule>,
+    ) where
+        I: Iterator<Item = (&'a str, u64)> + Clone,
+    {
         // In a fleet, each agent holds a handle and so does its mediator.
         let sharers = Arc::strong_count(&self.0);
         let mut shelves = self.shelves();
-        let at = match shelves.iter().position(|s| s.policy.plans_like(policy)) {
+        let at = match shelves.iter().position(|s| s.holds(policy, slo)) {
             Some(at) => at,
             None => {
                 shelves.push(Shelf {
                     policy: policy.clone(),
-                    plans: HashMap::new(),
+                    slo: slo.cloned(),
+                    plans: Vec::new(),
                 });
                 shelves.len() - 1
             }
         };
         let plans = &mut shelves[at].plans;
         if plans.len() == plans.capacity() && plans.len() >= PLANS_PER_SHARER * sharers {
-            plans.retain(|_, s| Arc::strong_count(s) > 1);
+            plans.retain(|(_, s)| Arc::strong_count(s) > 1);
         }
-        plans.insert(key, schedule);
+        plans.push((inputs.key(), schedule));
     }
 }
 
@@ -434,10 +464,11 @@ pub struct PowerMediator {
     replans: usize,
     /// Count of plans computed (see [`Self::plans`]).
     plans: usize,
-    /// The last plan of the policy or the SLO planner, with its inputs.
-    plan_memo: Option<PlanMemo>,
-    /// The fleet's shared plans, consulted on a memo miss.
-    plan_book: Option<PlanBook>,
+    /// The plans this mediator, or its fleet, has made.
+    plan_book: PlanBook,
+    /// The last plan the book answered or took, held so that the book
+    /// keeps it (see [`PlanBook`]).
+    last_plan: Option<Arc<Schedule>>,
     // Safe mode and fault bookkeeping are shared across layers: the
     // hardening watchdog drives them, and so do estimation (Escalate
     // forces safe mode; the fallback raises E6) and calibration (an app
@@ -484,8 +515,8 @@ impl PowerMediator {
             slo_planner: None,
             replans: 0,
             plans: 0,
-            plan_memo: None,
-            plan_book: None,
+            plan_book: PlanBook::default(),
+            last_plan: None,
             watchdog: SafeModeWatchdog::new(WATCHDOG_PATIENCE, WATCHDOG_RELEASE),
             hardening_stats: HardeningStats::default(),
             last_fault_error: None,
@@ -569,7 +600,6 @@ impl PowerMediator {
     /// never duty-cycled; batch applications absorb the shortfall.
     pub fn with_slo_awareness(mut self) -> Self {
         self.slo_planner = Some(SloPlanner::new(self.spec.clone()));
-        self.plan_memo = None;
         self
     }
 
@@ -581,15 +611,14 @@ impl PowerMediator {
     /// Panics if `period` is not positive.
     pub fn with_cycle_period(mut self, period: Seconds) -> Self {
         self.policy = self.policy.with_cycle_period(period);
-        self.plan_memo = None;
         self
     }
 
-    /// Shares `book` with the other mediators of a fleet: a policy plan
-    /// whose inputs another mediator has planned takes that schedule
-    /// (see [`PlanBook`]).
+    /// Shares `book` with the other mediators of a fleet, in place of the
+    /// mediator's own: a plan whose inputs another mediator has planned
+    /// takes that schedule (see [`PlanBook`]).
     pub fn with_plan_book(mut self, book: PlanBook) -> Self {
-        self.plan_book = Some(book);
+        self.plan_book = book;
         self
     }
 
@@ -723,8 +752,8 @@ impl PowerMediator {
         self.replans
     }
 
-    /// Number of plans computed so far: the replans that neither the
-    /// last plan's memo nor a plan book answered.
+    /// Number of plans computed so far: the replans that the plan book
+    /// did not answer.
     pub fn plans(&self) -> usize {
         self.plans
     }
@@ -1226,8 +1255,8 @@ impl PowerMediator {
 
     /// Plan stage: quarantine clamps, then the audit schedule or the
     /// policy's plan for everyone else, handed to the actuator. A plan
-    /// whose inputs repeat those of the last one hands that schedule
-    /// back (see [`PlanMemo`]).
+    /// whose inputs the book holds takes the booked schedule (see
+    /// [`PlanBook`]).
     fn replan(&mut self, sim: &ServerSim) {
         // Wall-clock span around the planning pass (the DP allocator is
         // the paper's dominant decision cost).
@@ -1315,72 +1344,38 @@ impl PowerMediator {
             .slo_planner
             .as_ref()
             .filter(|_| planned_apps().any(|(_, m)| m.slo().is_some()));
-        let plan = |apps: &[(&str, &AppMeasurement)]| match slo {
-            Some(slo) => slo.plan(apps, target),
-            None => self.policy.plan(apps, target, esd),
+        let inputs = PlanInputs {
+            apps: planned_apps().map(|(n, m)| (n.as_str(), m.fingerprint())),
+            target: target.value().to_bits(),
+            esd: esd_bits(esd),
         };
-        let reused = self
-            .plan_memo
-            .as_ref()
-            .filter(|memo| memo.repeats(planned_apps(), target, esd))
-            .map(|memo| Arc::clone(&memo.schedule));
-        let schedule = match reused {
+        let plan = || {
+            let apps: Vec<_> = planned_apps().map(|(n, m)| (n.as_str(), &**m)).collect();
+            match slo {
+                Some(slo) => slo.plan(&apps, target),
+                None => self.policy.plan(&apps, target, esd),
+            }
+        };
+        let schedule = match self.plan_book.get(&self.policy, slo, &inputs) {
             Some(schedule) => {
                 if cfg!(debug_assertions) {
-                    let apps: Vec<_> = planned_apps().map(|(n, m)| (n.as_str(), &**m)).collect();
                     assert_eq!(
-                        plan(&apps),
+                        plan(),
                         *schedule,
-                        "a reused schedule differs from a fresh plan"
+                        "a booked schedule differs from a fresh plan"
                     );
                 }
                 schedule
             }
             None => {
-                let apps: Vec<_> = planned_apps().map(|(n, m)| (n.as_str(), &**m)).collect();
-                // Only the policy's plans are shared.
-                let book = self.plan_book.as_ref().filter(|_| slo.is_none());
-                let key = book.map(|_| PlanKey {
-                    apps: planned_apps()
-                        .map(|(n, m)| (n.clone(), m.fingerprint()))
-                        .collect(),
-                    target: target.value().to_bits(),
-                    esd: esd_bits(esd),
-                });
-                let booked = book
-                    .zip(key.as_ref())
-                    .and_then(|(book, key)| book.get(&self.policy, key));
-                let schedule = match booked {
-                    Some(schedule) => {
-                        if cfg!(debug_assertions) {
-                            assert_eq!(
-                                plan(&apps),
-                                *schedule,
-                                "a booked schedule differs from a fresh plan"
-                            );
-                        }
-                        schedule
-                    }
-                    None => {
-                        self.plans += 1;
-                        let schedule = Arc::new(plan(&apps));
-                        if let Some((book, key)) = book.zip(key) {
-                            book.insert(&self.policy, key, Arc::clone(&schedule));
-                        }
-                        schedule
-                    }
-                };
-                self.plan_memo = Some(PlanMemo {
-                    apps: planned_apps()
-                        .map(|(n, m)| (n.clone(), Arc::clone(m)))
-                        .collect(),
-                    target: target.value().to_bits(),
-                    esd: esd_bits(esd),
-                    schedule: Arc::clone(&schedule),
-                });
+                self.plans += 1;
+                let schedule = Arc::new(plan());
+                self.plan_book
+                    .insert(&self.policy, slo, &inputs, Arc::clone(&schedule));
                 schedule
             }
         };
+        self.last_plan = Some(Arc::clone(&schedule));
         let planned = if clamped.is_empty() {
             schedule
         } else {
@@ -3303,7 +3298,7 @@ mod tests {
         assert_eq!(recalibrate(&mut med, &mut sim, "stream", 4), 0, "then kept");
     }
 
-    /// `med` with two apps admitted: its memo holds the plan every
+    /// `med` with two apps admitted: its book holds the plan every
     /// check below starts from.
     fn planned(mut med: PowerMediator, sim: &mut ServerSim) -> PowerMediator {
         med.admit(sim, catalog::stream()).unwrap();
@@ -3323,8 +3318,9 @@ mod tests {
     }
 
     /// Replans with unchanged inputs plan once; a change to any input
-    /// (the target, the ESD, a surface's `Arc`, the set of planned apps)
-    /// plans again.
+    /// (the target, the ESD, a surface's content, the set of planned
+    /// apps, the policy's configuration) plans again, unless the book
+    /// already holds a plan for the new inputs.
     #[test]
     fn replans_plan_once_per_plan_input() {
         let mut sim = sim_no_esd();
@@ -3340,7 +3336,7 @@ mod tests {
         *c = Calibrated::unrecorded(Arc::new(c.surface.as_ref().clone()));
         assert_eq!(
             replan_at_cap(&mut med, &mut sim, 3),
-            1,
+            0,
             "a new Arc, equal content"
         );
         let mut med = med.with_cycle_period(Seconds::new(5.0));
@@ -3350,7 +3346,11 @@ mod tests {
             "a new cycle period"
         );
         let mut med = med.with_slo_awareness();
-        assert_eq!(replan_at_cap(&mut med, &mut sim, 3), 1, "a new SLO planner");
+        assert_eq!(
+            replan_at_cap(&mut med, &mut sim, 3),
+            0,
+            "an SLO planner, but no SLO to plan"
+        );
 
         let mut sim = sim_with_battery();
         let mut med = planned(mediator(PolicyKind::AppResEsdAware, 80.0), &mut sim);
@@ -3368,64 +3368,27 @@ mod tests {
             .with_integrity_defense(TrustConfig::default());
         let mut med = planned(defended, &mut sim);
         assert_eq!(replan_at_cap(&mut med, &mut sim, 3), 0, "unchanged");
-        let d = med.defense.as_mut().unwrap();
-        let trust = d.trust.entry("kmeans".to_string()).or_default();
-        while !trust.quarantined() {
-            trust.note_evidence(Evidence::Strong);
-        }
+        quarantine(&mut med, "kmeans");
         assert_eq!(replan_at_cap(&mut med, &mut sim, 3), 1, "a clamped app");
         med.defense
             .as_mut()
             .unwrap()
             .contained
             .insert("kmeans".to_string());
-        assert_eq!(replan_at_cap(&mut med, &mut sim, 3), 1, "a contained app");
+        assert_eq!(
+            replan_at_cap(&mut med, &mut sim, 3),
+            0,
+            "a contained app: stream alone at the cap, booked at its admission"
+        );
     }
 
-    /// The memo matches the planned apps in order, by `Arc`, and the
-    /// target and ESD parameters by their bits.
-    #[test]
-    fn the_plan_memo_matches_order_arcs_and_bits() {
-        let spec = ServerSpec::xeon_e5_2620();
-        let a = MeasurementCache::global().measure(&spec, &catalog::stream());
-        let b = MeasurementCache::global().measure(&spec, &catalog::kmeans());
-        let (na, nb) = ("stream".to_string(), "kmeans".to_string());
-        let esd = EsdParams {
-            efficiency: Ratio::new(0.8),
-            max_discharge: Watts::new(30.0),
-            max_charge: Watts::new(0.0),
-        };
-        let memo = PlanMemo {
-            apps: vec![(na.clone(), Arc::clone(&a)), (nb.clone(), Arc::clone(&b))],
-            target: 100f64.to_bits(),
-            esd: esd_bits(Some(esd)),
-            schedule: Arc::new(Schedule::Infeasible),
-        };
-        let cap = Watts::new(100.0);
-        assert!(memo.repeats([(&na, &a), (&nb, &b)].into_iter(), cap, Some(esd)));
-        assert!(!memo.repeats([(&nb, &b), (&na, &a)].into_iter(), cap, Some(esd)));
-        assert!(!memo.repeats([(&na, &a)].into_iter(), cap, Some(esd)));
-        assert!(!memo.repeats(
-            [(&na, &a), (&nb, &b), (&nb, &b)].into_iter(),
-            cap,
-            Some(esd)
-        ));
-        let copy = Arc::new(b.as_ref().clone());
-        assert!(!memo.repeats([(&na, &a), (&nb, &copy)].into_iter(), cap, Some(esd)));
-        let renamed = "kmeans2".to_string();
-        assert!(!memo.repeats([(&na, &a), (&renamed, &b)].into_iter(), cap, Some(esd)));
-        assert!(!memo.repeats(
-            [(&na, &a), (&nb, &b)].into_iter(),
-            Watts::new(99.0),
-            Some(esd)
-        ));
-        assert!(!memo.repeats([(&na, &a), (&nb, &b)].into_iter(), cap, None));
-        let negative_zero = EsdParams {
-            max_charge: Watts::new(-0.0),
-            ..esd
-        };
-        assert_eq!(negative_zero, esd, "== cannot tell them apart");
-        assert!(!memo.repeats([(&na, &a), (&nb, &b)].into_iter(), cap, Some(negative_zero)));
+    /// Walks `name` down the trust ladder until it is quarantined.
+    fn quarantine(med: &mut PowerMediator, name: &str) {
+        let d = med.defense.as_mut().unwrap();
+        let trust = d.trust.entry(name.to_string()).or_default();
+        while !trust.quarantined() {
+            trust.note_evidence(Evidence::Strong);
+        }
     }
 
     /// `m` with its first performance value mapped through `bend`.
@@ -3448,13 +3411,14 @@ mod tests {
     /// mediator on the same mix and cap plans nothing and installs the
     /// first one's schedule. A different cycle period or policy kind,
     /// one target bit, a quarantined ESD or a surface one bit apart plans
-    /// again, and SLO plans stay private. (A mediator plans its apps in
-    /// name order; the order is keyed all the same, see below.)
+    /// again. SLO plans are booked on a shelf of their own. (A mediator
+    /// plans its apps in name order; the order is keyed all the same,
+    /// see below.)
     #[test]
     fn mediators_sharing_a_book_plan_each_input_once() {
         let book = PlanBook::default();
         let booked = |med: PowerMediator| med.with_plan_book(book.clone());
-        let schedule = |med: &PowerMediator| Arc::clone(&med.plan_memo.as_ref().unwrap().schedule);
+        let schedule = |med: &PowerMediator| Arc::clone(med.last_plan.as_ref().unwrap());
         let mut sim = sim_no_esd();
         let first = planned(booked(mediator(PolicyKind::AppResAware, 100.0)), &mut sim);
         assert_eq!(first.plans(), 2, "stream alone, then with kmeans");
@@ -3464,7 +3428,7 @@ mod tests {
         assert_eq!(second.plans(), 0, "every input is booked");
         assert!(Arc::ptr_eq(&schedule(&first), &schedule(&second)));
 
-        // An equal surface in a new `Arc` misses the memo, not the book.
+        // The book keys a surface by its content, not its `Arc`.
         let kmeans = Arc::clone(&second.measurements["kmeans"].surface);
         let mut install = |med: &mut PowerMediator, surface: Arc<AppMeasurement>| {
             med.measurements
@@ -3514,21 +3478,44 @@ mod tests {
         );
 
         let booked_before = book.plans();
-        let slo_plans = || {
+        let slo_plans = |med: PowerMediator| {
             let mut sim = sim_no_esd();
-            let mut med = booked(mediator(PolicyKind::AppResAware, 100.0).with_slo_awareness());
+            let mut med = booked(med);
             med.admit(&mut sim, catalog::x264().with_slo(0.8)).unwrap();
             med.admit(&mut sim, catalog::kmeans()).unwrap();
             med.plans()
         };
-        assert_eq!(slo_plans(), 2);
-        assert_eq!(slo_plans(), 2, "SLO plans stay private");
-        assert_eq!(book.plans(), booked_before, "and stay out of the book");
+        let slo_aware = || mediator(PolicyKind::AppResAware, 100.0).with_slo_awareness();
+        assert_eq!(slo_plans(slo_aware()), 2);
+        assert_eq!(slo_plans(slo_aware()), 0, "SLO plans are booked");
+        assert_eq!(book.plans(), booked_before + 2);
+        assert_eq!(
+            slo_plans(mediator(PolicyKind::AppResAware, 100.0)),
+            2,
+            "the policy's plans of the same inputs are shelved apart"
+        );
+    }
+
+    /// `apps` (name and surface, in order) at `target` watts beside
+    /// `esd`, as a replan streams them.
+    fn inputs<'a>(
+        apps: &[(&'a str, &Arc<AppMeasurement>)],
+        target: f64,
+        esd: Option<EsdParams>,
+    ) -> PlanInputs<std::vec::IntoIter<(&'a str, u64)>> {
+        PlanInputs {
+            apps: (apps.iter())
+                .map(|&(n, m)| (n, m.fingerprint()))
+                .collect::<Vec<_>>()
+                .into_iter(),
+            target: target.to_bits(),
+            esd: esd_bits(esd),
+        }
     }
 
     /// The book matches the planned apps in order, by name and
     /// fingerprint, the target and ESD parameters by their bits, and
-    /// the policy by its configuration.
+    /// the policy, or the SLO planner beside it, by its configuration.
     #[test]
     fn the_plan_book_keys_order_fingerprints_bits_and_policy() {
         let spec = ServerSpec::xeon_e5_2620();
@@ -3539,65 +3526,58 @@ mod tests {
             max_discharge: Watts::new(30.0),
             max_charge: Watts::new(0.0),
         };
-        let key = |apps: &[(&str, &Arc<AppMeasurement>)], target: f64, esd| PlanKey {
-            apps: (apps.iter())
-                .map(|(n, m)| (n.to_string(), m.fingerprint()))
-                .collect(),
-            target: target.to_bits(),
-            esd: esd_bits(esd),
-        };
         let policy = PowerPolicy::new(PolicyKind::AppResAware, spec.clone());
         let book = PlanBook::default();
         let ab = [("stream", &a), ("kmeans", &b)];
-        book.insert(
-            &policy,
-            key(&ab, 100.0, Some(esd)),
-            Arc::new(Schedule::Infeasible),
-        );
-        let found = |policy: &PowerPolicy, key| book.get(policy, &key).is_some();
-        assert!(found(&policy, key(&ab, 100.0, Some(esd))));
+        let schedule = || Arc::new(Schedule::Infeasible);
+        book.insert(&policy, None, &inputs(&ab, 100.0, Some(esd)), schedule());
+        let found_with = |policy: &PowerPolicy, slo: Option<&SloPlanner>, inputs| {
+            book.get(policy, slo, &inputs).is_some()
+        };
+        let found = |inputs| found_with(&policy, None, inputs);
+        assert!(found(inputs(&ab, 100.0, Some(esd))));
         let copy = Arc::new(b.as_ref().clone());
-        assert!(found(
-            &policy,
-            key(&[("stream", &a), ("kmeans", &copy)], 100.0, Some(esd))
-        ));
-        assert!(!found(
-            &policy,
-            key(&[("kmeans", &b), ("stream", &a)], 100.0, Some(esd))
-        ));
-        assert!(!found(&policy, key(&ab[..1], 100.0, Some(esd))));
-        assert!(!found(
-            &policy,
-            key(&[("stream", &a), ("kmeans2", &b)], 100.0, Some(esd))
-        ));
-        assert!(!found(
-            &policy,
-            key(&[("stream", &a), ("kmeans", &a)], 100.0, Some(esd))
-        ));
-        assert!(!found(&policy, key(&ab, 99.0, Some(esd))));
-        assert!(!found(&policy, key(&ab, 100.0, None)));
+        let with_copy = [("stream", &a), ("kmeans", &copy)];
+        assert!(found(inputs(&with_copy, 100.0, Some(esd))));
+        let swapped = [("kmeans", &b), ("stream", &a)];
+        assert!(!found(inputs(&swapped, 100.0, Some(esd))));
+        assert!(!found(inputs(&ab[..1], 100.0, Some(esd))));
+        let renamed = [("stream", &a), ("kmeans2", &b)];
+        assert!(!found(inputs(&renamed, 100.0, Some(esd))));
+        let other_surface = [("stream", &a), ("kmeans", &a)];
+        assert!(!found(inputs(&other_surface, 100.0, Some(esd))));
+        let longer = [("stream", &a), ("kmeans", &b), ("kmeans", &b)];
+        assert!(!found(inputs(&longer, 100.0, Some(esd))));
+        assert!(!found(inputs(&ab, 99.0, Some(esd))));
+        assert!(!found(inputs(&ab, 100.0, None)));
         let negative_zero = EsdParams {
             max_charge: Watts::new(-0.0),
             ..esd
         };
-        assert!(!found(&policy, key(&ab, 100.0, Some(negative_zero))));
+        assert_eq!(negative_zero, esd, "== cannot tell them apart");
+        assert!(!found(inputs(&ab, 100.0, Some(negative_zero))));
 
-        let hit = key(&ab, 100.0, Some(esd));
-        assert!(found(
-            &PowerPolicy::new(PolicyKind::AppResAware, spec.clone()),
-            hit
-        ));
+        let hit = || inputs(&ab, 100.0, Some(esd));
+        let same = PowerPolicy::new(PolicyKind::AppResAware, spec.clone());
+        assert!(found_with(&same, None, hit()));
+        let other_spec = spec.clone().with_idle_power(Watts::new(49.0));
         for other in [
             PowerPolicy::new(PolicyKind::AppResEsdAware, spec.clone()),
             policy.clone().with_cycle_period(Seconds::new(10.5)),
-            PowerPolicy::new(
-                PolicyKind::AppResAware,
-                spec.clone().with_idle_power(Watts::new(49.0)),
-            ),
+            PowerPolicy::new(PolicyKind::AppResAware, other_spec.clone()),
         ] {
-            assert!(!found(&other, key(&ab, 100.0, Some(esd))), "{other:?}");
+            assert!(!found_with(&other, None, hit()), "{other:?}");
         }
-        assert_eq!(book.plans(), 1);
+
+        // The SLO planner's plans sit on shelves of their own.
+        let slo = SloPlanner::new(spec.clone());
+        assert!(!found_with(&policy, Some(&slo), hit()));
+        book.insert(&policy, Some(&slo), &hit(), schedule());
+        let fresh = SloPlanner::new(spec);
+        assert!(found_with(&policy, Some(&fresh), hit()));
+        let other_slo = SloPlanner::new(other_spec);
+        assert!(!found_with(&policy, Some(&other_slo), hit()));
+        assert_eq!(book.plans(), 2);
     }
 
     /// Past its size floor, the book drops the plans no mediator holds
@@ -3608,30 +3588,60 @@ mod tests {
         let policy = PowerPolicy::new(PolicyKind::AppResAware, spec.clone());
         let stream = MeasurementCache::global().measure(&spec, &catalog::stream());
         let book = PlanBook::default();
-        let key = |target: u64| PlanKey {
-            apps: vec![("stream".to_string(), stream.fingerprint())],
-            target,
-            esd: None,
-        };
+        let key = |target: u64| inputs(&[("stream", &stream)], f64::from_bits(target), None);
+        let insert = |target, schedule| book.insert(&policy, None, &key(target), schedule);
         let held = Arc::new(Schedule::Infeasible);
-        book.insert(&policy, key(0), Arc::clone(&held));
+        insert(0, Arc::clone(&held));
         // One handle: the floor is two plans, so the table drops the
         // unheld plans at its first growth.
         for target in 1..100 {
-            book.insert(&policy, key(target), Arc::new(Schedule::Infeasible));
+            insert(target, Arc::new(Schedule::Infeasible));
         }
-        assert!(book.get(&policy, &key(0)).is_some(), "a held plan stays");
-        assert!(book.get(&policy, &key(1)).is_none(), "an unheld one goes");
+        let found = |target| book.get(&policy, None, &key(target)).is_some();
+        assert!(found(0), "a held plan stays");
+        assert!(!found(1), "an unheld one goes");
         assert!(book.plans() < 99);
 
         // A hundred handles keep all of their first 200 plans.
         let handles: Vec<PlanBook> = (0..99).map(|_| book.clone()).collect();
         let before = book.plans();
         for target in 100..200 {
-            book.insert(&policy, key(target), Arc::new(Schedule::Infeasible));
+            insert(target, Arc::new(Schedule::Infeasible));
         }
         assert_eq!(book.plans(), before + 100);
         drop(handles);
+    }
+
+    /// A quarantine clamp installs a merged copy of the honest plan, so
+    /// only the mediator's hold on its last plan keeps that plan booked:
+    /// however many plans other mediators book meanwhile, a clamped
+    /// mediator re-planning at the cap in force plans once.
+    #[test]
+    fn a_clamped_mediator_keeps_its_booked_plan() {
+        let book = PlanBook::default();
+        let mut sim = sim_no_esd();
+        let defended = mediator(PolicyKind::AppResAware, 100.0)
+            .with_estimation(EstimatorConfig::default())
+            .with_integrity_defense(TrustConfig::default())
+            .with_plan_book(book.clone());
+        let mut clamped = planned(defended, &mut sim);
+        quarantine(&mut clamped, "kmeans");
+        assert_eq!(replan_at_cap(&mut clamped, &mut sim, 1), 1, "the clamp");
+        assert!(!Arc::ptr_eq(
+            &clamped.act.schedule,
+            clamped.last_plan.as_ref().unwrap()
+        ));
+
+        let mut other_sim = sim_no_esd();
+        let mut other = planned(
+            mediator(PolicyKind::AppResAware, 100.0).with_plan_book(book.clone()),
+            &mut other_sim,
+        );
+        for step in 0..200 {
+            other.set_cap(&mut other_sim, Watts::new(60.0 + 0.25 * f64::from(step)));
+        }
+        assert!(book.plans() < 200, "the book dropped unheld plans");
+        assert_eq!(replan_at_cap(&mut clamped, &mut sim, 5), 0, "still booked");
     }
 
     /// Debug builds re-plan every booked schedule and compare.
@@ -3646,7 +3656,7 @@ mod tests {
             &mut sim,
         );
         for shelf in book.shelves().iter_mut() {
-            for schedule in shelf.plans.values_mut() {
+            for (_, schedule) in shelf.plans.iter_mut() {
                 *schedule = Arc::new(Schedule::Infeasible);
             }
         }
@@ -3655,16 +3665,5 @@ mod tests {
             mediator(PolicyKind::AppResAware, 100.0).with_plan_book(book),
             &mut sim,
         );
-    }
-
-    /// Debug builds re-plan every reused schedule and compare.
-    #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "a reused schedule differs from a fresh plan")]
-    fn a_stale_plan_memo_is_caught() {
-        let mut sim = sim_no_esd();
-        let mut med = planned(mediator(PolicyKind::AppResAware, 100.0), &mut sim);
-        med.plan_memo.as_mut().unwrap().schedule = Arc::new(Schedule::Infeasible);
-        replan_at_cap(&mut med, &mut sim, 1);
     }
 }

@@ -20,6 +20,7 @@ use powermed_units::{Seconds, Watts};
 use crate::coordinator::{Schedule, TimeSlot};
 use crate::knapsack::Knapsack;
 use crate::measurement::AppMeasurement;
+use crate::policy::same_spec;
 use crate::utility::UtilityCurve;
 
 /// Bonus added per satisfied SLO (performance terms lie in `[0, 1]`, so
@@ -135,20 +136,12 @@ impl SloPlanner {
         }
     }
 
-    /// The minimum budget (in watts) at which `m` meets its SLO, if it
-    /// has one and the SLO is achievable at all.
-    #[cfg(test)]
-    pub fn slo_floor(&self, m: &AppMeasurement) -> Option<Watts> {
-        let target = m.slo()?;
-        let family = m.feasible_indices();
-        let nocap = m.nocap_perf().max(1e-12);
-        let max_budget = self.spec.rated_power();
-        let curve = UtilityCurve::build(m, &family, max_budget, self.step);
-        curve
-            .points()
-            .iter()
-            .find(|p| p.perf / nocap + 1e-9 >= target)
-            .map(|p| p.budget)
+    /// Whether `other` plans exactly as this planner does: the same spec
+    /// (see [`crate::policy::same_spec`]), cycle and budget step.
+    pub(crate) fn plans_like(&self, other: &Self) -> bool {
+        same_spec(&self.spec, &other.spec)
+            && self.cycle.value().to_bits() == other.cycle.value().to_bits()
+            && self.step.value().to_bits() == other.step.value().to_bits()
     }
 }
 
@@ -205,19 +198,6 @@ mod tests {
             }
             other => panic!("expected Hybrid, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn slo_floor_increases_with_target() {
-        let planner = SloPlanner::new(spec());
-        let lo = planner
-            .slo_floor(&measure(catalog::x264().with_slo(0.5)))
-            .unwrap();
-        let hi = planner
-            .slo_floor(&measure(catalog::x264().with_slo(0.95)))
-            .unwrap();
-        assert!(hi > lo, "tighter SLO needs more watts: {lo:?} vs {hi:?}");
-        assert_eq!(planner.slo_floor(&measure(catalog::x264())), None);
     }
 
     #[test]

@@ -34,12 +34,6 @@ impl DvfsState {
         self.0
     }
 
-    /// The next-slower state, if any.
-    #[cfg(test)]
-    pub fn step_down(self) -> Option<Self> {
-        self.0.checked_sub(1).map(Self)
-    }
-
     /// The next-faster state within a ladder of `steps` states, if any.
     #[cfg(test)]
     pub fn step_up(self, steps: usize) -> Option<Self> {
@@ -132,33 +126,6 @@ impl FrequencyLadder {
         self.min + span * (state.index() as f64 / (self.steps - 1) as f64)
     }
 
-    /// The highest state whose frequency does not exceed `freq`, or `None`
-    /// if even the bottom state is faster than `freq`.
-    #[cfg(test)]
-    pub fn state_at_or_below(&self, freq: Gigahertz) -> Option<DvfsState> {
-        (0..self.steps)
-            .rev()
-            .map(DvfsState::new)
-            .find(|&s| self.frequency(s) <= freq + Gigahertz::new(1e-9))
-    }
-
-    /// The state whose frequency is closest to `freq`, clamping to the
-    /// ladder's ends.
-    #[cfg(test)]
-    pub fn nearest_state(&self, freq: Gigahertz) -> DvfsState {
-        let mut best = DvfsState::new(0);
-        let mut best_err = f64::INFINITY;
-        for idx in 0..self.steps {
-            let s = DvfsState::new(idx);
-            let err = (self.frequency(s) - freq).abs().value();
-            if err < best_err {
-                best_err = err;
-                best = s;
-            }
-        }
-        best
-    }
-
     /// Iterates over all states from slowest to fastest.
     pub fn states(&self) -> impl DoubleEndedIterator<Item = DvfsState> + ExactSizeIterator {
         (0..self.steps).map(DvfsState::new)
@@ -199,46 +166,11 @@ mod tests {
     #[test]
     fn step_navigation() {
         let ladder = FrequencyLadder::paper_default();
-        assert_eq!(ladder.bottom_state().step_down(), None);
         assert_eq!(
             ladder.bottom_state().step_up(ladder.steps()),
             Some(DvfsState::new(1))
         );
         assert_eq!(ladder.top_state().step_up(ladder.steps()), None);
-        assert_eq!(
-            ladder.top_state().step_down(),
-            Some(DvfsState::new(ladder.steps() - 2))
-        );
-    }
-
-    #[test]
-    fn state_at_or_below() {
-        let ladder = FrequencyLadder::paper_default();
-        // 1.55 GHz -> highest state <= 1.55 is 1.5 GHz (index 3).
-        let s = ladder.state_at_or_below(Gigahertz::new(1.55)).unwrap();
-        assert_eq!(s, DvfsState::new(3));
-        // Exactly on a rung.
-        let s = ladder.state_at_or_below(Gigahertz::new(1.5)).unwrap();
-        assert_eq!(s, DvfsState::new(3));
-        // Below the ladder.
-        assert_eq!(ladder.state_at_or_below(Gigahertz::new(1.0)), None);
-        // Above the ladder clamps to the top.
-        let s = ladder.state_at_or_below(Gigahertz::new(3.0)).unwrap();
-        assert_eq!(s, ladder.top_state());
-    }
-
-    #[test]
-    fn nearest_state_clamps() {
-        let ladder = FrequencyLadder::paper_default();
-        assert_eq!(ladder.nearest_state(Gigahertz::new(0.5)), DvfsState::new(0));
-        assert_eq!(
-            ladder.nearest_state(Gigahertz::new(5.0)),
-            ladder.top_state()
-        );
-        assert_eq!(
-            ladder.nearest_state(Gigahertz::new(1.44)),
-            DvfsState::new(2)
-        );
     }
 
     #[test]

@@ -10,8 +10,6 @@ use powermed_units::rng::SplitMix;
 use powermed_units::Seconds;
 
 use crate::catalog;
-#[cfg(test)]
-use crate::mixes::{Mix, MixId};
 use crate::profile::AppProfile;
 
 /// Deterministic workload generator.
@@ -34,21 +32,6 @@ impl WorkloadGenerator {
     pub fn new(seed: u64) -> Self {
         Self {
             rng: SplitMix::new(seed),
-        }
-    }
-
-    /// Draws a random two-application mix (distinct apps) from the
-    /// catalog.
-    #[cfg(test)]
-    pub fn random_mix(&mut self, id: usize) -> Mix {
-        let pool = catalog::all();
-        let mut picks = self.rng.choose_multiple(&pool, 2);
-        let app2 = picks.pop().expect("two picks").clone();
-        let app1 = picks.pop().expect("two picks").clone();
-        Mix {
-            id: MixId(id),
-            app1,
-            app2,
         }
     }
 
@@ -151,31 +134,21 @@ mod tests {
     fn same_seed_same_workloads() {
         let mut a = WorkloadGenerator::new(42);
         let mut b = WorkloadGenerator::new(42);
-        let ma = a.random_mix(1);
-        let mb = b.random_mix(1);
-        assert_eq!(ma.app1.name(), mb.app1.name());
-        assert_eq!(ma.app2.name(), mb.app2.name());
+        for _ in 0..3 {
+            assert_eq!(
+                a.profile_variant("stream", 0.3),
+                b.profile_variant("stream", 0.3)
+            );
+        }
     }
 
     #[test]
     fn different_seeds_differ_eventually() {
         let mut a = WorkloadGenerator::new(1);
         let mut b = WorkloadGenerator::new(2);
-        let differs = (0..10).any(|i| {
-            let ma = a.random_mix(i);
-            let mb = b.random_mix(i);
-            ma.app1.name() != mb.app1.name() || ma.app2.name() != mb.app2.name()
-        });
+        let differs =
+            (0..10).any(|_| a.profile_variant("x264", 0.3) != b.profile_variant("x264", 0.3));
         assert!(differs);
-    }
-
-    #[test]
-    fn random_mix_has_distinct_apps() {
-        let mut g = WorkloadGenerator::new(7);
-        for i in 0..50 {
-            let m = g.random_mix(i);
-            assert_ne!(m.app1.name(), m.app2.name());
-        }
     }
 
     #[test]

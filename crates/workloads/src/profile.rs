@@ -159,18 +159,6 @@ impl AppProfile {
         self.slo
     }
 
-    /// Overrides the minimum core count the app can run on.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `min_cores` is zero.
-    #[cfg(test)]
-    pub fn with_min_cores(mut self, min_cores: usize) -> Self {
-        assert!(min_cores >= 1, "min_cores must be at least 1");
-        self.min_cores = min_cores;
-        self
-    }
-
     /// The fewest cores this app can be consolidated onto.
     pub fn min_cores(&self) -> usize {
         self.min_cores
@@ -419,12 +407,6 @@ mod tests {
     }
 
     #[test]
-    fn min_cores_default_and_override() {
-        assert_eq!(compute_bound().min_cores(), 4);
-        assert_eq!(compute_bound().with_min_cores(2).min_cores(), 2);
-    }
-
-    #[test]
     fn with_name_rebadges_without_behaviour_change() {
         let spec = spec();
         let a = compute_bound();
@@ -447,12 +429,6 @@ mod tests {
     #[should_panic(expected = "slo must lie in (0, 1]")]
     fn invalid_slo_rejected() {
         let _ = compute_bound().with_slo(1.5);
-    }
-
-    #[test]
-    #[should_panic(expected = "min_cores must be at least 1")]
-    fn zero_min_cores_rejected() {
-        let _ = compute_bound().with_min_cores(0);
     }
 
     #[test]
