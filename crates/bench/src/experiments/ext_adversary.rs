@@ -50,8 +50,8 @@ use powermed_units::hash::Fnv1a;
 use powermed_units::{Seconds, Watts};
 use powermed_workloads::{catalog, AppProfile};
 
-use crate::harness::{field, GateCheck, Outcome};
-use crate::support::{heading, make_sim, par_map, pct, HarnessDoc, DT};
+use crate::harness::GateCheck;
+use crate::support::{heading, make_sim, par_map, pct, DT};
 
 /// Seed shared by the scenario grid.
 pub const SEED: u64 = 0xBADD;
@@ -426,9 +426,8 @@ fn print_row(label: &str, undef: &AdversaryOutcome, def: &AdversaryOutcome) {
     );
 }
 
-/// Prints the extension experiment and returns what it records: the
-/// gate metrics and the release checks.
-pub fn report(_: &HarnessDoc) -> Outcome {
+/// Prints the extension experiment and returns its release checks.
+pub fn report() -> Vec<GateCheck> {
     heading("Extension: adversarial apps — undefended vs integrity defense");
     println!(
         "{:<34} {:>8} {:>8} | {:>8} {:>8} {:>5} {:>5} {:>5} {:>7} {:>9}",
@@ -455,29 +454,7 @@ pub fn report(_: &HarnessDoc) -> Outcome {
     for check in &checks {
         println!("  {}", check.line(48));
     }
-    let (_, _, base_def) = &rows[0];
-    let (_, defi_undef, defi_def) = &rows[3];
-    Outcome {
-        fields: vec![
-            field("scenarios", rows.len()),
-            field("honest_false_quarantines", base_def.trust.quarantines),
-            field(
-                "defiance_attacker_undefended",
-                format!("{:.6}", defi_undef.attacker_perf),
-            ),
-            field(
-                "defiance_attacker_defended",
-                format!("{:.6}", defi_def.attacker_perf),
-            ),
-            field("defiance_quarantines", defi_def.trust.quarantines),
-            field(
-                "defiance_clawback_w",
-                format!("{:.6}", defi_def.debt_repaid_w),
-            ),
-        ],
-        sections: Vec::new(),
-        checks,
-    }
+    checks
 }
 
 #[cfg(test)]

@@ -35,8 +35,7 @@ use powermed_telemetry::faults::ClusterControlStats;
 use powermed_units::hash::Fnv1a;
 use powermed_units::{Ratio, Seconds, Watts};
 
-use crate::harness::{field, Outcome};
-use crate::support::{heading, par_map, pct, HarnessDoc};
+use crate::support::{heading, par_map, pct};
 
 /// Seed shared by the scenario grid.
 pub const SEED: u64 = 0xC1_05;
@@ -264,8 +263,8 @@ fn print_pair(label: &str, naive: &ClusterFaultOutcome, resilient: &ClusterFault
     );
 }
 
-/// Prints the extension experiment and returns what it records.
-pub fn report(_: &HarnessDoc) -> Outcome {
+/// Prints the extension experiment.
+pub fn print() {
     heading("Extension: cluster control-plane faults — naive vs resilient manager");
     println!(
         "{:<46} {:>8} {:>8} {:>5} | {:>8} {:>8} {:>5} {:>7} {:>5} {:>5} {:>5}",
@@ -288,13 +287,6 @@ pub fn report(_: &HarnessDoc) -> Outcome {
         "\n(Equal(Ours) at {:.0}% shave — a moving diurnal budget; viol s = seconds\nthe fleet's true net draw exceeded the cluster budget; trips = times\nsustained overdraw tripped the facility breaker's emergency clamp;\nboth flavors share each scenario's fault seed — common random numbers)",
         SHAVE * 100.0
     );
-    Outcome {
-        fields: vec![
-            field("scenarios", scenarios(SEED).len()),
-            field("servers", SERVERS),
-        ],
-        ..Outcome::default()
-    }
 }
 
 #[cfg(test)]

@@ -70,8 +70,8 @@ use powermed_workloads::AppProfile;
 use powermed_cf::FoldedRow;
 
 use crate::experiments::ext_faults::{self, trace_digest, SCENARIO_DURATION};
-use crate::harness::{field, GateCheck, Outcome};
-use crate::support::{heading, make_sim, par_map, pct, HarnessDoc, DT};
+use crate::harness::GateCheck;
+use crate::support::{heading, make_sim, par_map, pct, DT};
 
 /// Seed shared by the scenario grid.
 pub const SEED: u64 = 0xD15A;
@@ -479,9 +479,8 @@ fn print_pair(label: &str, oracle: &DisaggOutcome, est: &DisaggOutcome) {
     );
 }
 
-/// Prints the extension experiment and returns what it records: the
-/// gate metrics and the release checks.
-pub fn report(_: &HarnessDoc) -> Outcome {
+/// Prints the extension experiment and returns its release checks.
+pub fn report() -> Vec<GateCheck> {
     heading("Extension: estimated per-app power — oracle vs disaggregated stack");
     println!(
         "{:<42} {:>8} {:>7} {:>5} | {:>8} {:>7} {:>7} {:>5} {:>4} {:>4} {:>4} {:>6}",
@@ -510,29 +509,7 @@ pub fn report(_: &HarnessDoc) -> Outcome {
     for check in &checks {
         println!("  {}", check.line(44));
     }
-    let (_, ref_oracle, ref_est) = &rows[1];
-    let (_, _, clean_est) = &rows[0];
-    let mean_gap = (ref_est.mean_normalized - ref_oracle.mean_normalized).abs();
-    let violation_gap = ref_est.violation_seconds - ref_oracle.violation_seconds;
-    Outcome {
-        fields: vec![
-            field("scenarios", rows.len()),
-            field("ref_mean_gap", format!("{mean_gap:.6}")),
-            field("ref_violation_gap_s", format!("{violation_gap:.6}")),
-            field(
-                "ref_mean_abs_err_w",
-                format!("{:.6}", ref_est.mean_abs_err_w),
-            ),
-            field("ref_escalations", ref_est.estimation.escalations),
-            field(
-                "clean_false_engagements",
-                clean_est.estimation.fallback_engagements,
-            ),
-            field("clean_sensor_faults", clean_est.hardening.sensor_faults),
-        ],
-        sections: Vec::new(),
-        checks,
-    }
+    checks
 }
 
 #[cfg(test)]

@@ -31,8 +31,7 @@ use powermed_units::hash::Fnv1a;
 use powermed_units::{Seconds, Watts};
 use powermed_workloads::mixes::{self, Mix};
 
-use crate::harness::{field, Outcome};
-use crate::support::{heading, make_sim, par_map, pct, HarnessDoc, DT};
+use crate::support::{heading, make_sim, par_map, pct, DT};
 
 /// Seed shared by the scenario grid (the sweep offsets it per point).
 pub const SEED: u64 = 0xFA_07;
@@ -331,8 +330,8 @@ fn print_pair(label: &str, plain: &FaultOutcome, hard: &FaultOutcome) {
     );
 }
 
-/// Prints the extension experiment and returns what it records.
-pub fn report(_: &HarnessDoc) -> Outcome {
+/// Prints the extension experiment.
+pub fn print() {
     heading("Extension: fault injection — trusting vs hardened mediator");
     println!(
         "{:<46} {:>8} {:>10} {:>7} {:>6} | {:>8} {:>10} {:>5} {:>4} {:>4}",
@@ -367,13 +366,6 @@ pub fn report(_: &HarnessDoc) -> Outcome {
     );
     for (rate, plain, hard) in run_sweep() {
         print_pair(&format!("{:.0}%", rate * 100.0), &plain, &hard);
-    }
-    Outcome {
-        fields: vec![
-            field("scenarios", scenarios(SEED).len()),
-            field("sweep_points", SWEEP_RATES.len()),
-        ],
-        ..Outcome::default()
     }
 }
 

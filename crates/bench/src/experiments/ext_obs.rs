@@ -15,9 +15,9 @@
 //!    polls and sensor verdicts that armed the watchdog — the chain
 //!    `doctor --explain throttle` prints.
 //! 3. **Overhead**: [`measure_overhead`] interleaves off/on repeats of
-//!    the full scenario and reports the enabled-mode wall-clock ratio
-//!    (target < 5%, enforced by `ext_obs --gate`), merged into
-//!    `BENCH_harness.json`.
+//!    the full scenario; `all --gate` divides the recorder's extra
+//!    wall clock by its own and enforces [`OVERHEAD_GATE`]
+//!    ([`overhead_check`]).
 //!
 //! Every run is seed-deterministic; [`smoke_digest`] condenses a short
 //! observed run (journal + counters, wall-clock spans excluded) into a
@@ -49,8 +49,8 @@ use powermed_units::{Seconds, Watts};
 use crate::experiments::ext_cluster_faults;
 use crate::experiments::ext_faults::{self, Scenario, Wobble, SCENARIO_DURATION, SEED};
 use crate::explain;
-use crate::harness::{field, GateCheck, Outcome};
-use crate::support::{heading, json_object, HarnessDoc};
+use crate::harness::GateCheck;
+use crate::support::heading;
 
 /// The PR 2 reference fault scenario (1% knob failures, 2% meter noise,
 /// faded ESD) at the 80 W ESD-aware operating point — the scenario the
@@ -120,9 +120,9 @@ pub const OVERHEAD_GATE: f64 = 0.05;
 /// bare steady-state run would put a ~60 ns/step all-arithmetic loop in
 /// the denominator, and a ratio against *that* measures lock latency,
 /// not the recorder's cost relative to mediation. Best-of filters
-/// scheduler noise the same way criterion's minimum estimator does. Both
-/// flavors time the same function, and physics equality is asserted once
-/// per repeat, so they provably time the same work.
+/// scheduler noise. Both flavors time the same function, and physics
+/// equality is asserted once per repeat, so they provably time the same
+/// work.
 pub fn measure_overhead(repeats: usize) -> (f64, f64) {
     let scenario = reference_scenario(SEED);
     let mix = ext_faults::reference_mix();
@@ -153,18 +153,32 @@ pub fn measure_overhead(repeats: usize) -> (f64, f64) {
     (best_off, best_on)
 }
 
-/// Prints the extension experiment and returns what it records.
+/// The overhead gate as a release check: the recorder's extra wall
+/// clock per batch (`on - off`, from [`measure_overhead`]) over
+/// `all_seconds`, the `all` harness's wall clock, at most
+/// [`OVERHEAD_GATE`].
+pub fn overhead_check(off: f64, on: f64, all_seconds: f64) -> GateCheck {
+    let ratio = (on - off).max(0.0) / all_seconds;
+    let per_run_ratio = if off > 0.0 { on / off } else { 1.0 };
+    GateCheck {
+        name: "enabled-mode overhead".to_string(),
+        ok: ratio <= OVERHEAD_GATE,
+        detail: format!(
+            "{:.4}% of `all`'s {all_seconds:.3} s (gate {:.1}%); per {OVERHEAD_BATCH}-run \
+             batch off {off:.4} s, on {on:.4} s (ratio {per_run_ratio:.4})",
+            ratio * 100.0,
+            OVERHEAD_GATE * 100.0
+        ),
+    }
+}
+
+/// Prints the extension experiment and returns its release check.
 ///
 /// The single-server part prints the event census, headline metrics and
-/// one reconstructed causal chain, then measures the enabled-mode
-/// overhead against `all`'s `total_seconds` in `doc` (or, before `all`
-/// has run, against this experiment's own wall-clock: a far smaller,
-/// stricter denominator). The fleet part flight-records both doctor
-/// references over the control plane. The release checks bound the
-/// overhead by [`OVERHEAD_GATE`] and every uplink wave by
-/// `servers * max_digest_bytes`.
-pub fn report(doc: &HarnessDoc) -> Outcome {
-    let start = Instant::now();
+/// one reconstructed causal chain. The fleet part flight-records both
+/// doctor references over the control plane. The release check bounds
+/// every uplink wave by `servers * max_digest_bytes`.
+pub fn report() -> Vec<GateCheck> {
     heading("Extension: flight-recorder observability plane (reference fault scenario)");
     let obs = Obs::new(ObsConfig::default());
     let out = ext_faults::run_one(
@@ -203,31 +217,6 @@ pub fn report(doc: &HarnessDoc) -> Outcome {
         &explain::journal_timeline(&obs.journal_snapshot()),
     );
 
-    let (off, on) = measure_overhead(3);
-    let extra = (on - off).max(0.0);
-    let per_run_ratio = if off > 0.0 { on / off } else { 1.0 };
-    let all_seconds = doc
-        .get("total_seconds")
-        .and_then(|v| v.trim().parse::<f64>().ok())
-        .filter(|v| *v > 0.0);
-    let denom = all_seconds.unwrap_or_else(|| start.elapsed().as_secs_f64());
-    let ratio = extra / denom;
-    println!(
-        "\nflight-recorder overhead: off {off:.4} s, on {on:.4} s per {OVERHEAD_BATCH}-run batch \
-         (per-run ratio {per_run_ratio:.4})"
-    );
-    println!(
-        "enabled-mode overhead: {extra:.6} s extra vs {} wall-clock {denom:.3} s \
-         -> {:.4}% (gate {:.1}%)",
-        if all_seconds.is_some() {
-            "`all`"
-        } else {
-            "ext_obs (no `all` section)"
-        },
-        ratio * 100.0,
-        OVERHEAD_GATE * 100.0
-    );
-
     let fleet_opts = FleetObsOptions::default();
     let run_fleet = |faults, resilient| {
         run_fleet_observed(
@@ -252,59 +241,11 @@ pub fn report(doc: &HarnessDoc) -> Outcome {
         fleet_opts.max_digest_bytes
     );
 
-    let hex = |digest: u64| format!("\"{digest:#018x}\"");
-    let fleet_fields = vec![
-        field("naive_timeline_len", nf.timeline.len()),
-        field("naive_timeline_digest", hex(nf.timeline.digest())),
-        field("naive_digest_bytes_total", nf.digest_bytes_total),
-        field("naive_breaker_trips", naive.stats.breaker_trips),
-        field("resilient_timeline_len", rf.timeline.len()),
-        field("resilient_timeline_digest", hex(rf.timeline.digest())),
-        field("resilient_digest_bytes_total", rf.digest_bytes_total),
-        field(
-            "resilient_fallback_engagements",
-            resilient.stats.fallback_engagements,
-        ),
-        field("max_wave_bytes", worst_wave),
-        field("wave_bound_bytes", wave_bound),
-        field("digest_gaps", nf.digest_gaps + rf.digest_gaps),
-    ];
-    Outcome {
-        fields: vec![
-            field("overhead_off_seconds", format!("{off:.6}")),
-            field("overhead_on_seconds", format!("{on:.6}")),
-            field("overhead_batch_runs", OVERHEAD_BATCH),
-            field("overhead_extra_seconds", format!("{extra:.6}")),
-            field("overhead_per_run_ratio", format!("{per_run_ratio:.6}")),
-            field("overhead_all_seconds", format!("{denom:.6}")),
-            field("overhead_ratio", format!("{ratio:.6}")),
-            field("overhead_gate", format!("{OVERHEAD_GATE:.6}")),
-            field("journal_events", total),
-            field("journal_retained", retained),
-            field("journal_dropped", evicted),
-        ],
-        sections: vec![
-            field("ext_obs_metrics", metrics.to_json()),
-            field("ext_obs_fleet", json_object(&fleet_fields)),
-            field("ext_obs_fleet_metrics", rf.metrics.to_json()),
-        ],
-        checks: vec![
-            GateCheck {
-                name: "fleet wave within the shipping bound".to_string(),
-                ok: worst_wave <= wave_bound,
-                detail: format!("worst wave {worst_wave} B of {wave_bound} B"),
-            },
-            GateCheck {
-                name: "enabled-mode overhead".to_string(),
-                ok: ratio <= OVERHEAD_GATE,
-                detail: format!(
-                    "{:.4}% of {denom:.3} s (gate {:.1}%)",
-                    ratio * 100.0,
-                    OVERHEAD_GATE * 100.0
-                ),
-            },
-        ],
-    }
+    vec![GateCheck {
+        name: "fleet wave within the shipping bound".to_string(),
+        ok: worst_wave <= wave_bound,
+        detail: format!("worst wave {worst_wave} B of {wave_bound} B"),
+    }]
 }
 
 // ---------------------------------------------------------------------------
@@ -794,9 +735,7 @@ mod tests {
     }
 
     #[test]
-    fn fleet_metrics_round_trip_through_the_harness_doc() {
-        // Satellite contract: the manager's fleet metrics exposition
-        // survives the BENCH_harness.json save/load cycle bit-for-bit.
+    fn fleet_metrics_count_the_shipped_digests() {
         let report = run_fleet_observed(
             &fleet_scenario(5),
             true,
@@ -804,24 +743,36 @@ mod tests {
             Seconds::new(20.0),
             &FleetObsOptions::default(),
         );
-        let fleet = report.fleet.as_ref().expect("fleet recording enabled");
-        let mut doc = crate::support::HarnessDoc::load("/nonexistent/BENCH_harness.json");
-        doc.set("ext_obs_fleet_metrics", fleet.metrics.to_json());
-        let path = std::env::temp_dir().join(format!(
-            "powermed_fleet_metrics_{}.json",
-            std::process::id()
-        ));
-        let path = path.to_string_lossy().into_owned();
-        doc.save(&path).expect("temp file is writable");
-        let loaded = crate::support::HarnessDoc::load(&path);
-        std::fs::remove_file(&path).ok();
-        let text = loaded
-            .get("ext_obs_fleet_metrics")
-            .expect("section survives the save/load cycle");
-        let metrics = &fleet.metrics;
-        assert_eq!(text, metrics.to_json());
+        let metrics = &report
+            .fleet
+            .as_ref()
+            .expect("fleet recording enabled")
+            .metrics;
         assert!(metrics.counter("digest_bytes_total") > 0);
         assert!(metrics.gauge("timeline_len").is_some());
         assert!(metrics.gauge("last_acked_seq{server=\"0\"}").is_some());
+    }
+
+    #[test]
+    fn the_overhead_gate_admits_five_percent_of_all_and_no_more() {
+        // 0.5 s extra per batch over a 10 s `all`: exactly the gate.
+        let at_gate = overhead_check(1.0, 1.5, 10.0);
+        assert!(at_gate.ok, "{}", at_gate.detail);
+        let above = overhead_check(1.0, 1.5 + 1e-9, 10.0);
+        assert!(!above.ok, "{}", above.detail);
+        assert!(
+            at_gate.detail.contains("of `all`'s 10.000 s"),
+            "{}",
+            at_gate.detail
+        );
+        let other = overhead_check(1.0, 1.01, 0.25);
+        assert!(
+            other.detail.contains("of `all`'s 0.250 s"),
+            "{}",
+            other.detail
+        );
+        assert!(other.detail.starts_with("4.0000%"), "{}", other.detail);
+        // A recorder that runs faster than the unobserved batch costs 0.
+        assert!(overhead_check(1.0, 0.5, 0.25).ok);
     }
 }

@@ -51,8 +51,8 @@ use powermed_units::hash::{Fnv1a, SPLITMIX_GAMMA};
 use powermed_units::{Seconds, Watts};
 use powermed_workloads::mixes::{self, Mix};
 
-use crate::harness::{field, GateCheck, Outcome};
-use crate::support::{heading, par_map, pct, HarnessDoc, DT};
+use crate::harness::GateCheck;
+use crate::support::{heading, par_map, pct, DT};
 
 /// Seed shared by the scenario grid.
 pub const SEED: u64 = 0x70AF_F1C5;
@@ -496,11 +496,9 @@ pub fn smoke_digest(seed: u64) -> u64 {
     digest.finish()
 }
 
-/// Prints the attainment-vs-tightness table and returns what it
-/// records: one attainment and one energy curve per fleet composition
-/// and flavor (tightness loosest-first, matching [`TIGHTNESS`]), and the
-/// release checks.
-pub fn report(_: &HarnessDoc) -> Outcome {
+/// Prints the attainment-vs-tightness table and returns the release
+/// checks.
+pub fn report() -> Vec<GateCheck> {
     heading("ext_traffic: SLO attainment vs cap tightness (request-driven fleet)");
     let rows = run_grid();
     println!(
@@ -524,45 +522,7 @@ pub fn report(_: &HarnessDoc) -> Outcome {
     for check in &checks {
         println!("{}", check.line(44));
     }
-    let series = |points: Vec<String>| format!("[{}]", points.join(","));
-    let mut fields = vec![
-        field("scenarios", rows.len()),
-        field(
-            "tightness",
-            series(TIGHTNESS.iter().map(|t| format!("{t:.2}")).collect()),
-        ),
-    ];
-    for (sku, mix) in sku_mixes().iter().enumerate() {
-        let cells: Vec<_> = rows.iter().filter(|(s, _, _)| s.sku == sku).collect();
-        let curve = |value: fn(&TrafficOutcome) -> String, mediated: bool| {
-            series(
-                cells
-                    .iter()
-                    .map(|(_, st, md)| value(if mediated { md } else { st }))
-                    .collect(),
-            )
-        };
-        let tag = mix.label.replace(['+', '-'], "_");
-        type Column = fn(&TrafficOutcome) -> String;
-        let values: [(&str, Column); 2] = [
-            ("attainment", |o| format!("{:.6}", o.attainment)),
-            ("energy_kj", |o| format!("{:.3}", o.energy_kj)),
-        ];
-        for (name, value) in values {
-            for (flavor, mediated) in [("static", false), ("mediated", true)] {
-                fields.push(field(
-                    &format!("{name}_{flavor}_{tag}"),
-                    curve(value, mediated),
-                ));
-            }
-        }
-    }
-    fields.push(field("gate_passed", checks.iter().all(|c| c.ok)));
-    Outcome {
-        fields,
-        sections: Vec::new(),
-        checks,
-    }
+    checks
 }
 
 #[cfg(test)]

@@ -36,8 +36,7 @@ use powermed_units::hash::Fnv1a;
 use powermed_units::Seconds;
 
 use crate::experiments::ext_cluster_faults::cap_schedule;
-use crate::harness::{field, Outcome};
-use crate::support::{heading, par_map, pct, HarnessDoc};
+use crate::support::{heading, par_map, pct};
 
 /// Seed shared by the scenario grid.
 pub const SEED: u64 = 0x0003_A804;
@@ -269,9 +268,8 @@ fn print_pair(label: &str, cold: &WarmStartOutcome, warm: &WarmStartOutcome) {
 /// runner).
 pub const BUDGET_S: f64 = 10.0;
 
-/// Prints the extension experiment and returns what it records: the
-/// reference churn row's probe counters, its headline numbers.
-pub fn report(_: &HarnessDoc) -> Outcome {
+/// Prints the extension experiment.
+pub fn print() {
     heading("Extension: warm-start admission — cold vs fleet knowledge plane");
     println!(
         "{:<46} {:>6} {:>6} {:>7} {:>6} {:>5} | {:>8} {:>8} | {:>7} {:>7} {:>4} {:>4}",
@@ -288,29 +286,12 @@ pub fn report(_: &HarnessDoc) -> Outcome {
         "down",
         "div"
     );
-    let rows = run_grid();
-    for (s, cold, warm) in &rows {
+    for (s, cold, warm) in &run_grid() {
         print_pair(s.label, cold, warm);
     }
     println!(
         "\n(Equal(Ours), online sparse calibration in both flavors; cprobe/wprobe =\nprobe points actually measured fleet-wide; skip = points satisfied from\nthe store; cal s = implied calibration dwell at {PROBE_SECONDS} s/probe;\ndiv = store entries on which manager and agents still disagree at run\nend; both flavors share each scenario's fault seed — common random numbers)"
     );
-    let (_, cold, warm) = &rows[1];
-    Outcome {
-        fields: vec![
-            field("scenarios", rows.len()),
-            field("servers", SERVERS),
-            field("reference_cold_probes", cold.probes.measured()),
-            field("reference_warm_probes", warm.probes.measured()),
-            field("reference_warm_skipped", warm.probes.skipped),
-            field("reference_store_hits", warm.store.hits),
-            field(
-                "reference_probes_saved",
-                format!("{:.6}", warm.probes_saved_vs(cold)),
-            ),
-        ],
-        ..Outcome::default()
-    }
 }
 
 #[cfg(test)]

@@ -27,11 +27,10 @@ pub mod table2;
 
 use powermed_units::hash::Fnv1a;
 
-use crate::harness::{plain, Experiment, Gate, Outcome};
-use crate::support::HarnessDoc;
+use crate::harness::{plain, Experiment, Gate, GateCheck};
 
 /// A paper table or figure that only prints.
-const fn paper(name: &'static str, run: fn(&HarnessDoc) -> Outcome) -> Experiment {
+const fn paper(name: &'static str, run: fn() -> Vec<GateCheck>) -> Experiment {
     Experiment {
         name,
         paper: true,
@@ -43,7 +42,7 @@ const fn paper(name: &'static str, run: fn(&HarnessDoc) -> Outcome) -> Experimen
 }
 
 /// An extension experiment with neither smoke digests nor a gate.
-const fn extension(name: &'static str, run: fn(&HarnessDoc) -> Outcome) -> Experiment {
+const fn extension(name: &'static str, run: fn() -> Vec<GateCheck>) -> Experiment {
     Experiment {
         paper: false,
         ..paper(name, run)
@@ -64,34 +63,34 @@ impl Experiment {
 /// order, then the extensions, whose smoke digests come in the order of
 /// `crates/bench/golden/smoke_digests.txt`.
 pub static EXPERIMENTS: &[Experiment] = &[
-    paper("table1", |_| plain(table1::print)).pinned(|| Fnv1a::of_debug(&table1::rows())),
-    paper("table2", |_| plain(table2::print)).pinned(|| Fnv1a::of_debug(&table2::rows())),
-    paper("fig2", |_| plain(fig2::print)).pinned(|| Fnv1a::of_debug(&fig2::run())),
-    paper("fig3", |_| plain(fig3::print)).pinned(|| Fnv1a::of_debug(&fig3::run())),
-    paper("fig4", |_| plain(fig4::print)).pinned(|| Fnv1a::of_debug(&fig4::run())),
-    paper("fig5", |_| plain(fig5::print)).pinned(|| Fnv1a::of_debug(&fig5::run())),
-    paper("fig7", |_| plain(fig7::print)).pinned(|| fig7::digest(&fig7::run())),
-    paper("fig8", |_| plain(fig8::print)).pinned(|| Fnv1a::of_debug(&fig8::run())),
-    paper("fig9", |_| plain(fig9::print)).pinned(|| Fnv1a::of_debug(&fig9::run())),
-    paper("fig10", |_| plain(fig10::print)).pinned(|| Fnv1a::of_debug(&fig10::run())),
-    paper("fig11", |_| plain(fig11::print))
+    paper("table1", || plain(table1::print)).pinned(|| Fnv1a::of_debug(&table1::rows())),
+    paper("table2", || plain(table2::print)).pinned(|| Fnv1a::of_debug(&table2::rows())),
+    paper("fig2", || plain(fig2::print)).pinned(|| Fnv1a::of_debug(&fig2::run())),
+    paper("fig3", || plain(fig3::print)).pinned(|| Fnv1a::of_debug(&fig3::run())),
+    paper("fig4", || plain(fig4::print)).pinned(|| Fnv1a::of_debug(&fig4::run())),
+    paper("fig5", || plain(fig5::print)).pinned(|| Fnv1a::of_debug(&fig5::run())),
+    paper("fig7", || plain(fig7::print)).pinned(|| fig7::digest(&fig7::run())),
+    paper("fig8", || plain(fig8::print)).pinned(|| Fnv1a::of_debug(&fig8::run())),
+    paper("fig9", || plain(fig9::print)).pinned(|| Fnv1a::of_debug(&fig9::run())),
+    paper("fig10", || plain(fig10::print)).pinned(|| Fnv1a::of_debug(&fig10::run())),
+    paper("fig11", || plain(fig11::print))
         .pinned(|| Fnv1a::of_debug(&(fig11::run_arrival(), fig11::run_departure()))),
-    paper("fig12", |_| plain(fig12::print)).pinned(|| Fnv1a::of_debug(&fig12::run())),
-    extension("ablations", |_| plain(ablations::print)).pinned(|| {
+    paper("fig12", || plain(fig12::print)).pinned(|| Fnv1a::of_debug(&fig12::run())),
+    extension("ablations", || plain(ablations::print)).pinned(|| {
         Fnv1a::of_debug(&(
             ablations::esd_device_sweep(),
             ablations::dp_step_sweep(),
             ablations::cycle_period_sweep(),
         ))
     }),
-    extension("ext_napp", |_| plain(ext_napp::print)).pinned(|| Fnv1a::of_debug(&ext_napp::run())),
-    extension("ext_latency", |_| plain(ext_latency::print))
+    extension("ext_napp", || plain(ext_napp::print)).pinned(|| Fnv1a::of_debug(&ext_napp::run())),
+    extension("ext_latency", || plain(ext_latency::print))
         .pinned(|| Fnv1a::of_debug(&ext_latency::run())),
-    extension("ext_cluster", |_| plain(ext_cluster::print))
+    extension("ext_cluster", || plain(ext_cluster::print))
         .pinned(|| Fnv1a::of_debug(&ext_cluster::run())),
     Experiment {
         smoke: &[("ext_faults", ext_faults::smoke_digest, ext_faults::SEED)],
-        ..extension("ext_faults", ext_faults::report)
+        ..extension("ext_faults", || plain(ext_faults::print))
     }
     .pinned(|| Fnv1a::of_debug(&(ext_faults::run_grid(), ext_faults::run_sweep()))),
     Experiment {
@@ -100,7 +99,7 @@ pub static EXPERIMENTS: &[Experiment] = &[
             ext_cluster_faults::smoke_digest,
             ext_cluster_faults::SEED,
         )],
-        ..extension("ext_cluster_faults", ext_cluster_faults::report)
+        ..extension("ext_cluster_faults", || plain(ext_cluster_faults::print))
     }
     .pinned(|| Fnv1a::of_debug(&ext_cluster_faults::run_grid())),
     Experiment {
@@ -110,7 +109,7 @@ pub static EXPERIMENTS: &[Experiment] = &[
             ext_warmstart::SEED,
         )],
         gate: Gate::Budget(ext_warmstart::BUDGET_S),
-        ..extension("ext_warmstart", ext_warmstart::report)
+        ..extension("ext_warmstart", || plain(ext_warmstart::print))
     }
     .pinned(|| Fnv1a::of_debug(&ext_warmstart::run_grid())),
     Experiment {

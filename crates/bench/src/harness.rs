@@ -5,18 +5,18 @@
 //! Every harness binary is a one-line call to [`main`] with its own
 //! name, and the driver does the shared work:
 //!
-//! * a plain run prints the experiment, times it, and merges what it
-//!   records into `BENCH_harness.json` (one load and one save per run);
+//! * a plain run prints the experiment; `all` also prints how long
+//!   each paper entry took;
 //! * `--smoke` runs each smoke digest twice at its seed and once
 //!   reseeded, printing one golden line per digest
 //!   (`crates/bench/golden/smoke_digests.txt`);
-//! * `--gate` runs the experiment, records it, prints every release
-//!   check, and exits 1 if any failed;
+//! * `--gate` runs the experiment, prints every release check, and
+//!   exits 1 if any failed. `all --gate` bounds its own wall clock and,
+//!   after it, the flight recorder's overhead as a share of it;
 //! * `--digest` prints the experiment's bit-identity digest, a hash of
 //!   everything its run returns, pinned by
 //!   `crates/bench/golden/<name>_digest.txt`. Every entry has one but
-//!   `ext_obs`: its smoke digests pin its observed runs, and its report
-//!   is a wall-clock overhead measurement.
+//!   `ext_obs`: its smoke digests pin its observed runs.
 //!
 //! `all` runs every paper entry and `extensions` every other entry;
 //! `all --smoke` checks every smoke digest in the registry. A flag the
@@ -25,11 +25,7 @@
 use std::str::FromStr;
 use std::time::Instant;
 
-use crate::experiments::EXPERIMENTS;
-use crate::support::{json_object, HarnessDoc};
-
-/// The harness document every run merges its sections into.
-const HARNESS_JSON: &str = "BENCH_harness.json";
+use crate::experiments::{ext_obs, EXPERIMENTS};
 
 /// Wall-clock budget of `all --gate` (release build, CI runner).
 const ALL_BUDGET_S: f64 = 1.5;
@@ -54,24 +50,6 @@ impl GateCheck {
     }
 }
 
-/// What one experiment run leaves for the driver.
-#[derive(Debug, Default)]
-pub struct Outcome {
-    /// Fields of the experiment's own `BENCH_harness.json` section, after
-    /// the `seconds` field the driver measures. Empty when the
-    /// experiment records nothing.
-    pub fields: Vec<(String, String)>,
-    /// Further top-level sections, `(key, pre-rendered JSON)`.
-    pub sections: Vec<(String, String)>,
-    /// The release checks `--gate` evaluates.
-    pub checks: Vec<GateCheck>,
-}
-
-/// One `(key, value)` section field, the value rendered with `to_string`.
-pub fn field(key: &str, value: impl ToString) -> (String, String) {
-    (key.to_string(), value.to_string())
-}
-
 /// What `--gate` checks for one experiment.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Gate {
@@ -94,9 +72,9 @@ pub struct Experiment {
     /// A paper table or figure (run by `all`), not an extension (run by
     /// `extensions`).
     pub paper: bool,
-    /// Prints the experiment and returns what it records. Reads the
-    /// loaded harness document (`ext_obs` divides by `all`'s total).
-    pub run: fn(&HarnessDoc) -> Outcome,
+    /// Prints the experiment and returns the release checks `--gate`
+    /// evaluates.
+    pub run: fn() -> Vec<GateCheck>,
     /// The smoke digests `--smoke` checks, in golden-file order.
     pub smoke: &'static [Smoke],
     /// What `--gate` checks.
@@ -106,9 +84,9 @@ pub struct Experiment {
 }
 
 /// A registry `run` for an experiment that only prints.
-pub fn plain(print: fn()) -> Outcome {
+pub fn plain(print: fn()) -> Vec<GateCheck> {
     print();
-    Outcome::default()
+    Vec::new()
 }
 
 /// A harness binary's command line: at most one mode switch, plus
@@ -174,11 +152,11 @@ pub fn usage_exit(error: &str, usage: &str) -> ! {
 /// How one binary invocation runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Mode {
-    /// Print and record.
+    /// Print.
     Run,
     /// Check the smoke digests.
     Smoke,
-    /// Print, record, and enforce the release checks.
+    /// Print and enforce the release checks.
     Gate,
     /// Print the bit-identity digest.
     Digest,
@@ -293,35 +271,23 @@ fn report_gate(name: &str, checks: &[GateCheck]) -> bool {
     passed
 }
 
-/// Runs the experiments of binary `name` and records them. Returns the
-/// release checks they produced.
-fn run_and_record(name: &str) -> Vec<GateCheck> {
+/// Runs the experiments of binary `name`. Returns the release checks
+/// they produced; with `gate`, `all` adds the recorder-overhead check,
+/// measured after its paper entries and divided by their total.
+fn run(name: &str, gate: bool) -> Vec<GateCheck> {
     let selected: Vec<&Experiment> = match name {
         "all" => EXPERIMENTS.iter().filter(|e| e.paper).collect(),
         "extensions" => EXPERIMENTS.iter().filter(|e| !e.paper).collect(),
         _ => vec![find(name)],
     };
-    let mut doc = HarnessDoc::load(HARNESS_JSON);
     let mut checks = Vec::new();
-    let mut recorded = Vec::new();
     let mut timings = Vec::new();
     let total_start = Instant::now();
     for e in selected {
         let start = Instant::now();
-        let out = (e.run)(&doc);
+        checks.extend((e.run)());
         let secs = start.elapsed().as_secs_f64();
         timings.push((e.name, secs));
-        if !out.fields.is_empty() {
-            println!("\n{} wall-clock: {secs:.3} s", e.name);
-            let mut fields = vec![field("seconds", format!("{secs:.6}"))];
-            fields.extend(out.fields);
-            doc.set(e.name, json_object(&fields));
-            recorded.push(e.name);
-        }
-        for (key, value) in out.sections {
-            doc.set(&key, value);
-        }
-        checks.extend(out.checks);
         if let Gate::Budget(budget_s) = e.gate {
             checks.push(budget_check(budget_s, secs));
         }
@@ -334,25 +300,11 @@ fn run_and_record(name: &str) -> Vec<GateCheck> {
             println!("{name:<8} {secs:>8.3} s");
         }
         println!("{:<8} {total:>8.3} s", "total");
-        let experiments: Vec<_> = timings
-            .iter()
-            .map(|(name, secs)| field(name, format!("{secs:.6}")))
-            .collect();
-        doc.set("experiments", json_object(&experiments));
-        doc.set("total_seconds", format!("{total:.6}"));
-        doc.set("unit", "\"seconds\"");
         checks.push(budget_check(ALL_BUDGET_S, total));
-    } else if recorded.is_empty() {
-        return checks;
-    }
-    match doc.save(HARNESS_JSON) {
-        Ok(()) if name == "all" => println!("wrote {HARNESS_JSON}"),
-        Ok(()) => {
-            for name in recorded {
-                println!("merged {name} into {HARNESS_JSON}");
-            }
+        if gate {
+            let (off, on) = ext_obs::measure_overhead(3);
+            checks.push(ext_obs::overhead_check(off, on, total));
         }
-        Err(e) => eprintln!("could not write {HARNESS_JSON}: {e}"),
     }
     checks
 }
@@ -363,10 +315,10 @@ pub fn main(name: &str) {
     let mode = parse_mode(name, &args).unwrap_or_else(|e| usage_exit(&e, &usage(name)));
     let ok = match mode {
         Mode::Run => {
-            run_and_record(name);
+            run(name, false);
             true
         }
-        Mode::Gate => report_gate(name, &run_and_record(name)),
+        Mode::Gate => report_gate(name, &run(name, true)),
         Mode::Smoke => {
             let selected: Vec<&Smoke> = if name == "all" {
                 smokes().collect()
@@ -418,7 +370,7 @@ mod tests {
             let path = entry.expect("readable entry").path();
             let stem = path.file_stem().and_then(|s| s.to_str()).unwrap_or("");
             if path.extension().is_some_and(|x| x == "rs")
-                && !["all", "extensions", "doctor", "microbench"].contains(&stem)
+                && !["all", "extensions", "doctor"].contains(&stem)
             {
                 assert!(names.contains(&stem), "bin {stem} has no registry entry");
             }

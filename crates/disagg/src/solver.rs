@@ -16,7 +16,7 @@
 //! loop: clamp them to zero, drop them from the free set, re-solve over
 //! the remainder. Each pass permanently clamps at least one app, so the
 //! loop runs at most `n` times and the whole solve is `O(n²)` worst
-//! case — in practice one or two passes (see the `microbench` entry).
+//! case — in practice one or two passes.
 
 /// One application's prior for the solve.
 #[derive(Debug, Clone, PartialEq)]

@@ -14,8 +14,10 @@
 //!   ([`rapl::DramDomain`]);
 //! * socket deep sleep (PC6): while no running application owns a core,
 //!   the sockets sleep and the server pays no chip-maintenance power
-//!   ([`server::Server::any_socket_active`]), with a realistic wake-up
-//!   latency ([`sleep::SleepLatency`]).
+//!   ([`server::Server::any_socket_active`]). PC6 wake-up takes hundreds
+//!   of microseconds (Schöne et al. \[47\]), which is negligible at the
+//!   second-scale duty cycling of the paper's temporal coordination, so
+//!   the model charges no transition time.
 //!
 //! The model's constants default to the paper's Table I
 //! (`P_idle` = 50 W, `P_cm` = 20 W, `P_dynamic` ≤ 60 W, 12 cores, 2 NUMA
@@ -41,7 +43,6 @@ pub mod knobs;
 pub mod power;
 pub mod rapl;
 pub mod server;
-pub mod sleep;
 pub mod spec;
 pub mod topology;
 

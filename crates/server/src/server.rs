@@ -1,4 +1,4 @@
-//! The assembled server: topology + knobs + power domains + sleep states.
+//! The assembled server: topology + knobs + power domains + socket sleep.
 //!
 //! [`Server`] is the actuation surface the policies drive. It plays the
 //! role of the Linux enforcement layer of the paper (Sec. III-B):
@@ -11,7 +11,6 @@ use powermed_units::{BytesPerSec, Ratio, Seconds, Watts};
 use crate::error::ServerError;
 use crate::knobs::KnobSetting;
 use crate::rapl::DramDomain;
-use crate::sleep::SleepLatency;
 use crate::spec::ServerSpec;
 use crate::topology::{CoreAllocator, CoreId, DimmId, SocketId};
 
@@ -142,7 +141,6 @@ pub struct Server {
     /// Each hosted application's placement, at its position.
     apps: Vec<Assignment>,
     dram: Vec<DramDomain>,
-    sleep_latency: SleepLatency,
     next_slot: usize,
 }
 
@@ -159,7 +157,6 @@ impl Server {
             names: Vec::new(),
             apps: Vec::new(),
             dram,
-            sleep_latency: SleepLatency::xeon_pc6(),
             next_slot: 0,
         }
     }
@@ -202,11 +199,6 @@ impl Server {
             Some(pos) => Ok(&mut self.apps[pos]),
             None => Err(ServerError::UnknownApp(name.to_string())),
         }
-    }
-
-    /// The sleep-transition latency model.
-    pub fn sleep_latency(&self) -> &SleepLatency {
-        &self.sleep_latency
     }
 
     /// Hosts a new application with the given initial knob setting and

@@ -6,16 +6,13 @@
 //! name — monotone counters, last-value gauges and [`Histogram`]s with
 //! log-spaced buckets (cap-violation magnitude, actuation retry
 //! latency, heartbeat jitter, wall-clock self-profiling spans) — and
-//! renders them in two expositions: Prometheus text format for humans
-//! and scrapers, and a JSON object that the experiment harness merges
-//! into `BENCH_harness.json`.
+//! renders them in the Prometheus text format for humans and scrapers
+//! ([`MetricsRegistry::to_prometheus`]).
 //!
 //! Names may carry Prometheus-style labels rendered inline by
 //! [`prom_label`] (e.g. `events_total{kind="safe_mode"}`); the
 //! exposition code splits the label block back off when grouping
-//! `# TYPE` lines. The build is offline (no serialization crate), so
-//! the JSON exposition is hand-rolled: [`MetricsRegistry::to_json`]
-//! emits a stable document, written and never read back.
+//! `# TYPE` lines.
 
 use std::collections::BTreeMap;
 
@@ -113,7 +110,7 @@ impl Histogram {
 
 /// Counters, gauges and histograms keyed by (optionally labeled) name.
 ///
-/// All maps are `BTreeMap`s so both expositions are deterministically
+/// All maps are `BTreeMap`s so the exposition is deterministically
 /// ordered — the Prometheus golden test and the smoke-digest CI check
 /// rely on that.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -291,37 +288,6 @@ impl MetricsRegistry {
         }
         out
     }
-
-    /// Renders the registry as a JSON object with `counters`, `gauges`
-    /// and `histograms` sections, stable in name order. The output is
-    /// shaped for direct use as a `BENCH_harness.json` section value.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n    \"counters\": {");
-        push_json_map(
-            &mut out,
-            self.counters.iter().map(|(k, v)| (k, v.to_string())),
-        );
-        out.push_str("},\n    \"gauges\": {");
-        push_json_map(&mut out, self.gauges.iter().map(|(k, v)| (k, json_num(*v))));
-        out.push_str("},\n    \"histograms\": {");
-        push_json_map(
-            &mut out,
-            self.histograms.iter().map(|(k, h)| {
-                let bounds: Vec<String> = h.boundaries.iter().map(|b| json_num(*b)).collect();
-                let buckets: Vec<String> = h.buckets.iter().map(u64::to_string).collect();
-                let body = format!(
-                    "{{\"boundaries\": [{}], \"buckets\": [{}], \"sum\": {}, \"count\": {}}}",
-                    bounds.join(", "),
-                    buckets.join(", "),
-                    json_num(h.sum),
-                    h.count
-                );
-                (k, body)
-            }),
-        );
-        out.push_str("}\n  }");
-        out
-    }
 }
 
 /// Formats `name{k="v",…}` with Prometheus label-value escaping
@@ -384,46 +350,6 @@ fn bucket_labels(inner: &str, le: &str) -> String {
     } else {
         format!("{{{inner},le=\"{le}\"}}")
     }
-}
-
-/// Renders an f64 as a JSON-compatible number via `Display` (Rust's
-/// shortest round-tripping decimal form, never scientific notation).
-fn json_num(v: f64) -> String {
-    format!("{v}")
-}
-
-/// Appends `"key": value` pairs (values are raw JSON text) to `out`.
-fn push_json_map<'a>(out: &mut String, pairs: impl Iterator<Item = (&'a String, String)>) {
-    let mut first = true;
-    for (key, value) in pairs {
-        if first {
-            out.push('\n');
-            first = false;
-        } else {
-            out.push_str(",\n");
-        }
-        out.push_str(&format!("      \"{}\": {value}", json_escape(key)));
-    }
-    if !first {
-        out.push_str("\n    ");
-    }
-}
-
-/// Escapes a string for embedding in a JSON string literal.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for ch in s.chars() {
-        match ch {
-            '\\' => out.push_str("\\\\"),
-            '"' => out.push_str("\\\""),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -543,32 +469,6 @@ lat_seconds_count 2
         );
     }
 
-    #[test]
-    fn json_golden() {
-        let mut m = MetricsRegistry::new();
-        m.inc_by("events_total{kind=\"safe_mode\"}", 3);
-        m.inc("knob_writes_total");
-        m.set_gauge("journal_len", 128.0);
-        m.set_gauge("frac", 0.123456789);
-        m.register_histogram("lat_seconds", Histogram::log_bucketed(0.001, 10.0, 3));
-        m.observe("lat_seconds", 0.0005);
-        m.observe("lat_seconds", 0.02);
-        let want = r#"{
-    "counters": {
-      "events_total{kind=\"safe_mode\"}": 3,
-      "knob_writes_total": 1
-    },
-    "gauges": {
-      "frac": 0.123456789,
-      "journal_len": 128
-    },
-    "histograms": {
-      "lat_seconds": {"boundaries": [0.001, 0.01, 0.1], "buckets": [1, 0, 1, 0], "sum": 0.0205, "count": 2}
-    }
-  }"#;
-        assert_eq!(m.to_json(), want);
-    }
-
     proptest::proptest! {
         /// Log-bucketed boundaries are strictly increasing for any
         /// legal layout.
@@ -619,10 +519,6 @@ lat_seconds_count 2
     fn empty_registry_renders_empty_sections() {
         let m = MetricsRegistry::new();
         assert!(m.is_empty());
-        assert_eq!(
-            m.to_json(),
-            "{\n    \"counters\": {},\n    \"gauges\": {},\n    \"histograms\": {}\n  }"
-        );
         assert_eq!(m.to_prometheus(), "");
     }
 }

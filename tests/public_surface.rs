@@ -1,25 +1,31 @@
-//! Every public function has a caller outside the tests.
+//! Every public item has a user outside the tests.
 //!
 //! The scan reads every `.rs` file of the repository except those under
 //! `vendor/`, `tests/`, `benches/` and build output, so the library
 //! crates, the perf package, `src/` and `examples/` all count as
-//! callers. It drops each `#[cfg(test)]` item, then counts the
-//! whole-word mentions of each `pub fn` (or `pub const fn`) name that
-//! are not themselves a `fn` definition. A name with none fails the test unless [`ALLOWED`]
-//! keeps it, with its reason. A function only tests need belongs in
-//! `#[cfg(test)]`, or goes with its test.
+//! users. It drops each `#[cfg(test)]` item, then counts the
+//! whole-word mentions of each `pub fn`, `pub const fn`, `pub struct`,
+//! `pub enum`, `pub trait`, `pub type`, `pub const` and `pub static`
+//! name that are neither that definition nor a `fn` definition. A name
+//! with none fails the test unless [`ALLOWED`] keeps it, with its
+//! reason. An item only tests need belongs in `#[cfg(test)]`, or goes
+//! with its test.
 
 use std::collections::BTreeSet;
 use std::fs;
 use std::path::{Path, PathBuf};
 
-/// Public functions kept without a non-test caller, and why.
+/// Public items kept without a non-test user, and why.
 const ALLOWED: &[(&str, &str)] = &[
     ("as_millis", "a powermed-units conversion DESIGN names"),
     ("as_percent", "a powermed-units conversion DESIGN names"),
     ("bytes_over", "a powermed-units conversion DESIGN names"),
     ("for_duration", "a powermed-units conversion DESIGN names"),
     ("from_percent", "a powermed-units conversion DESIGN names"),
+    (
+        "from_micros",
+        "a powermed-units conversion whose one caller, SleepLatency, is gone; it goes in a units change",
+    ),
     (
         "choose_multiple",
         "a SplitMix draw DESIGN lists; tests/streams.rs pins it",
@@ -140,8 +146,11 @@ fn non_test(src: &str) -> String {
     out
 }
 
-/// The public functions of `texts` that no text mentions outside a
-/// `fn` definition.
+/// The keywords whose next word a preceding `pub` makes public.
+const ITEM_KEYWORDS: &[&str] = &["fn", "struct", "enum", "trait", "type", "const", "static"];
+
+/// The public items of `texts` that no text mentions outside their own
+/// definition or a `fn` definition.
 fn uncalled(texts: &[String]) -> BTreeSet<String> {
     let mut public = BTreeSet::new();
     let mut mentioned = BTreeSet::new();
@@ -152,11 +161,13 @@ fn uncalled(texts: &[String]) -> BTreeSet<String> {
         // The three words before `word`, oldest first.
         let mut recent = ["", "", ""];
         for word in words {
-            if recent[2] == "fn" {
-                if recent[1] == "pub" || recent[..2] == ["pub", "const"] {
-                    public.insert(word.to_string());
-                }
-            } else {
+            // `pub const fn` names its function after the `fn`.
+            let defines =
+                (recent[1] == "pub" && ITEM_KEYWORDS.contains(&recent[2]) && word != "fn")
+                    || recent == ["pub", "const", "fn"];
+            if defines {
+                public.insert(word.to_string());
+            } else if recent[2] != "fn" {
                 mentioned.insert(word);
             }
             recent = [recent[1], recent[2], word];
@@ -187,13 +198,13 @@ fn every_public_function_has_a_non_test_caller() {
     let unexplained: Vec<&String> = uncalled.difference(&allowed).collect();
     assert!(
         unexplained.is_empty(),
-        "public functions without a non-test caller (delete them, gate them \
+        "public items without a non-test user (delete them, gate them \
          with #[cfg(test)], or add them to ALLOWED with a reason): {unexplained:?}"
     );
     let stale: Vec<&String> = allowed.difference(&uncalled).collect();
     assert!(
         stale.is_empty(),
-        "ALLOWED entries that now have a caller or are gone: {stale:?}"
+        "ALLOWED entries that now have a user or are gone: {stale:?}"
     );
 }
 
@@ -217,6 +228,30 @@ pub fn after_the_tests() {}
 "#;
     let found = uncalled(&[non_test(src)]);
     let expected: BTreeSet<String> = ["after_the_tests", "const_orphan", "orphan"]
+        .map(String::from)
+        .into();
+    assert_eq!(found, expected);
+}
+
+#[test]
+fn the_scan_sees_unused_public_types_and_constants() {
+    let src = r#"
+pub struct Unused;
+pub struct Used { pub field: u8 }
+pub enum Mode { A }
+pub trait Orphaned {}
+pub type Alias = Used;
+pub const UNUSED_LIMIT: u32 = 1;
+pub const USED_LIMIT: u32 = 2;
+pub static TABLE: &'static [u8] = &[];
+pub(crate) struct Private;
+pub const fn const_helper() -> u8 { 0 }
+fn main() { let _ = (Alias { field: 0 }, Mode::A, USED_LIMIT, const_helper()); }
+#[cfg(test)]
+fn t() { let _ = (Unused, UNUSED_LIMIT, TABLE); }
+"#;
+    let found = uncalled(&[non_test(src)]);
+    let expected: BTreeSet<String> = ["Orphaned", "TABLE", "UNUSED_LIMIT", "Unused"]
         .map(String::from)
         .into();
     assert_eq!(found, expected);
