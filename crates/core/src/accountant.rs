@@ -27,8 +27,6 @@
 //!   once per quarantine episode (cleared when the app is re-admitted
 //!   after probation, so a relapse fires a fresh E7).
 
-use std::collections::BTreeMap;
-
 use powermed_units::{Ratio, Watts};
 
 /// A re-planning trigger.
@@ -70,24 +68,37 @@ pub struct Observation {
     pub suspended: bool,
 }
 
-/// Tracks allocations and emits events E1–E4.
+/// Tracks allocations and emits events E1–E7.
+///
+/// Each application's books are one row, found by one binary search of
+/// a name-sorted vector: a poll makes one lookup per app, and an app's
+/// name is stored once.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Accountant {
     cap: Watts,
-    /// Per-app allocated budgets.
-    allocations: BTreeMap<String, Watts>,
-    /// Per-app expected performance at the actuated setting.
-    expected_perf: BTreeMap<String, f64>,
+    /// Each application's books, sorted by name.
+    books: Vec<(String, Book)>,
     /// Relative drift beyond which E4 fires.
     drift_threshold: Ratio,
     /// Consecutive drifting polls required before E4 fires (debounce).
     drift_patience: u32,
-    drift_counts: BTreeMap<String, u32>,
-    /// Apps already reported as departed (E3 fires once).
-    departed: BTreeMap<String, bool>,
-    /// Apps inside a quarantine episode (E7 fires once per episode;
+}
+
+/// One application's books. A default row is the same as no row.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+struct Book {
+    /// The allocated budget; an app without one is not tracked.
+    allocation: Option<Watts>,
+    /// Expected performance at the actuated setting.
+    expected_perf: Option<f64>,
+    /// Consecutive drifting polls.
+    drift_count: u32,
+    /// Whether E3 fired; `None` until the app arrives or completes
+    /// ([`Accountant::force_departure`] ignores an app without one).
+    departed: Option<bool>,
+    /// Inside a quarantine episode (E7 fires once per episode;
     /// [`Accountant::clear_integrity`] re-arms it on re-admission).
-    integrity_latched: BTreeMap<String, bool>,
+    integrity_latched: bool,
 }
 
 impl Accountant {
@@ -99,14 +110,30 @@ impl Accountant {
         assert!(drift_patience >= 1, "patience must be at least one poll");
         Self {
             cap,
-            allocations: BTreeMap::new(),
-            expected_perf: BTreeMap::new(),
+            books: Vec::new(),
             drift_threshold,
             drift_patience,
-            drift_counts: BTreeMap::new(),
-            departed: BTreeMap::new(),
-            integrity_latched: BTreeMap::new(),
         }
+    }
+
+    /// Where `name`'s row is, or where it would be inserted.
+    fn find(&self, name: &str) -> Result<usize, usize> {
+        self.books.binary_search_by(|(n, _)| n.as_str().cmp(name))
+    }
+
+    /// `name`'s books, if it has a row.
+    fn book(&self, name: &str) -> Option<&Book> {
+        self.find(name).ok().map(|i| &self.books[i].1)
+    }
+
+    /// `name`'s books, with an empty row inserted the first time `name`
+    /// is seen; a name already there is not cloned.
+    fn book_mut(&mut self, name: &str) -> &mut Book {
+        let i = self.find(name).unwrap_or_else(|i| {
+            self.books.insert(i, (name.to_string(), Book::default()));
+            i
+        });
+        &mut self.books[i].1
     }
 
     /// The current cap.
@@ -122,53 +149,58 @@ impl Accountant {
 
     /// E2: a new application was scheduled onto the server.
     pub fn arrival(&mut self, name: &str) -> Event {
-        self.allocations.insert(name.to_string(), Watts::ZERO);
-        self.drift_counts.insert(name.to_string(), 0);
-        self.departed.insert(name.to_string(), false);
+        let book = self.book_mut(name);
+        book.allocation = Some(Watts::ZERO);
+        book.drift_count = 0;
+        book.departed = Some(false);
         Event::Arrival(name.to_string())
     }
 
     /// Records the budget the allocator granted to `name` (drift is
     /// measured against this).
     pub fn note_allocation(&mut self, name: &str, budget: Watts) {
-        *first_sight(&mut self.allocations, name) = budget;
-        *first_sight(&mut self.drift_counts, name) = 0;
+        let book = self.book_mut(name);
+        book.allocation = Some(budget);
+        book.drift_count = 0;
     }
 
     /// Records the performance expected of `name` at its actuated
     /// setting (heartbeat drift is measured against this — the second
     /// telemetry channel of Fig. 6).
     pub fn note_expected_perf(&mut self, name: &str, perf: f64) {
-        *first_sight(&mut self.expected_perf, name) = perf;
-        *first_sight(&mut self.drift_counts, name) = 0;
+        let book = self.book_mut(name);
+        book.expected_perf = Some(perf);
+        book.drift_count = 0;
     }
 
     /// The budget currently on record for `name`.
     pub fn allocation(&self, name: &str) -> Option<Watts> {
-        self.allocations.get(name).copied()
+        self.book(name)?.allocation
     }
 
     /// Sum of every budget currently on record — the "allocation out"
     /// half of a poll's ledger, as journalled by the flight recorder.
     pub fn total_allocation(&self) -> Watts {
-        self.allocations
-            .values()
-            .fold(Watts::ZERO, |acc, w| acc + *w)
+        self.books
+            .iter()
+            .filter_map(|(_, book)| book.allocation)
+            .fold(Watts::ZERO, |acc, w| acc + w)
     }
 
     /// E5: a knob write for `name` failed and exhausted its retries.
-    /// Clears the allocation on record (the substrate is not running it)
-    /// so stale drift evidence cannot accumulate against it.
+    /// Resets the app's drift count (the substrate is not running the
+    /// allocation on record), so stale drift evidence cannot accumulate
+    /// against it.
     pub fn actuation_fault(&mut self, name: &str) -> Event {
-        self.drift_counts.insert(name.to_string(), 0);
+        self.book_mut(name).drift_count = 0;
         Event::ActuationFault(name.to_string())
     }
 
     /// E6: the observed power telemetry degraded. All drift counters are
     /// reset — polls taken through a bad meter are not drift evidence.
     pub fn sensor_fault(&mut self, what: &str) -> Event {
-        for count in self.drift_counts.values_mut() {
-            *count = 0;
+        for (_, book) in &mut self.books {
+            book.drift_count = 0;
         }
         Event::SensorFault(what.to_string())
     }
@@ -178,34 +210,32 @@ impl Accountant {
     /// distrusted telemetry are not drift evidence (mirroring how E5
     /// and E6 discard their channels).
     pub fn integrity_fault(&mut self, name: &str) -> Option<Event> {
-        let fired = self
-            .integrity_latched
-            .entry(name.to_string())
-            .or_insert(false);
-        if *fired {
+        let book = self.book_mut(name);
+        if book.integrity_latched {
             return None;
         }
-        *fired = true;
-        self.drift_counts.insert(name.to_string(), 0);
+        book.integrity_latched = true;
+        book.drift_count = 0;
         Some(Event::IntegrityFault(name.to_string()))
     }
 
     /// Whether `name` is inside an E7 quarantine episode.
     pub fn integrity_latched(&self, name: &str) -> bool {
-        self.integrity_latched.get(name).copied().unwrap_or(false)
+        self.book(name).is_some_and(|book| book.integrity_latched)
     }
 
     /// Re-arms E7 for `name` (quarantine ended; a relapse is a new
     /// episode and must fire a fresh event).
     pub fn clear_integrity(&mut self, name: &str) {
-        self.integrity_latched.insert(name.to_string(), false);
+        self.book_mut(name).integrity_latched = false;
     }
 
     /// Marks `name` as departed out-of-band (e.g. it vanished while the
     /// runtime was mid-calibration), returning the E3 event if it had
     /// not already fired.
     pub fn force_departure(&mut self, name: &str) -> Option<Event> {
-        let fired = self.departed.get_mut(name)?;
+        let i = self.find(name).ok()?;
+        let fired = self.books[i].1.departed.as_mut()?;
         if *fired {
             return None;
         }
@@ -215,23 +245,25 @@ impl Accountant {
 
     /// Forgets a departed application.
     pub fn remove(&mut self, name: &str) {
-        self.allocations.remove(name);
-        self.expected_perf.remove(name);
-        self.drift_counts.remove(name);
-        self.departed.remove(name);
-        self.integrity_latched.remove(name);
+        if let Ok(i) = self.find(name) {
+            self.books.remove(i);
+        }
     }
 
     /// Applications currently on the books.
     #[cfg(test)]
     pub fn tracked(&self) -> Vec<&str> {
-        self.allocations.keys().map(String::as_str).collect()
+        self.books
+            .iter()
+            .filter(|(_, book)| book.allocation.is_some())
+            .map(|(name, _)| name.as_str())
+            .collect()
     }
 
     /// Polls application status and power draw, emitting E3/E4 events,
     /// from each application's name and observation (the mediator
-    /// passes them in name order). Names are borrowed: a poll clones one
-    /// only for an event it emits or an app it has not seen before.
+    /// passes them in name order). Names are borrowed: a poll looks each
+    /// app's row up once and clones a name only for an event it emits.
     /// (The paper's accountant polls at microsecond granularity; the
     /// simulation polls once per step.)
     pub fn poll<'a, N: AsRef<str>>(
@@ -241,67 +273,56 @@ impl Accountant {
         let mut events = Vec::new();
         for (name, obs) in observations {
             let name = name.as_ref();
-            if !self.allocations.contains_key(name) {
+            let Ok(i) = self.find(name) else {
                 continue;
-            }
+            };
+            let book = &mut self.books[i].1;
+            let Some(allocated) = book.allocation else {
+                continue;
+            };
             if obs.completed {
-                let fired = first_sight(&mut self.departed, name);
-                if !*fired {
-                    *fired = true;
+                if book.departed != Some(true) {
+                    book.departed = Some(true);
                     events.push(Event::Departure(name.to_string()));
                 }
                 continue;
             }
             if obs.suspended {
                 // OFF periods draw no power by design, not by drift.
-                *first_sight(&mut self.drift_counts, name) = 0;
+                book.drift_count = 0;
                 continue;
             }
-            let allocated = self.allocations[name];
             if allocated.value() <= 0.0 {
                 continue;
             }
             let power_rel = (obs.power - allocated).abs() / allocated;
             // Heartbeat channel: relative deviation of the measured
             // rate from the model's expectation at the setting.
-            let perf_rel = match (obs.heartbeat, self.expected_perf.get(name)) {
-                (Some(rate), Some(expected)) if *expected > 0.0 => {
+            let perf_rel = match (obs.heartbeat, book.expected_perf) {
+                (Some(rate), Some(expected)) if expected > 0.0 => {
                     (rate - expected).abs() / expected
                 }
                 _ => 0.0,
             };
             let rel = power_rel.max(perf_rel);
-            let patience = self.drift_patience;
-            let drifting = rel > self.drift_threshold.value();
-            let count = first_sight(&mut self.drift_counts, name);
-            if drifting {
-                *count += 1;
-                if *count >= patience {
-                    *count = 0;
+            if rel > self.drift_threshold.value() {
+                book.drift_count += 1;
+                if book.drift_count >= self.drift_patience {
+                    book.drift_count = 0;
                     events.push(Event::Drift(name.to_string()));
                 }
             } else {
-                *count = 0;
+                book.drift_count = 0;
             }
         }
         events
     }
 }
 
-/// `map[name]`, inserted as the default value the first time `name` is
-/// seen; a name already there is not cloned.
-pub(crate) fn first_sight<'m, V: Default>(
-    map: &'m mut BTreeMap<String, V>,
-    name: &str,
-) -> &'m mut V {
-    if !map.contains_key(name) {
-        map.insert(name.to_string(), V::default());
-    }
-    map.get_mut(name).expect("inserted above")
-}
-
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeMap;
+
     use super::*;
 
     fn accountant() -> Accountant {
@@ -626,78 +647,253 @@ mod tests {
         use powermed_workloads::profile::AppProfile;
         use proptest::prelude::*;
 
-        /// The [`Accountant::poll`] the borrowed-name one replaced: it
-        /// reads a map keyed by owned names and clones a name into
-        /// `drift_counts` on every poll.
-        pub(crate) fn poll_reference(
-            a: &mut Accountant,
-            observations: &BTreeMap<String, Observation>,
-        ) -> Vec<Event> {
-            let mut events = Vec::new();
-            for (name, obs) in observations {
-                if !a.allocations.contains_key(name) {
-                    continue;
-                }
-                if obs.completed {
-                    let fired = a.departed.entry(name.clone()).or_insert(false);
-                    if !*fired {
-                        *fired = true;
-                        events.push(Event::Departure(name.clone()));
-                    }
-                    continue;
-                }
-                if obs.suspended {
-                    a.drift_counts.insert(name.clone(), 0);
-                    continue;
-                }
-                let allocated = a.allocations[name];
-                if allocated.value() <= 0.0 {
-                    continue;
-                }
-                let power_rel = (obs.power - allocated).abs() / allocated;
-                let perf_rel = match (obs.heartbeat, a.expected_perf.get(name)) {
-                    (Some(rate), Some(expected)) if *expected > 0.0 => {
-                        (rate - expected).abs() / expected
-                    }
-                    _ => 0.0,
-                };
-                let rel = power_rel.max(perf_rel);
-                let count = a.drift_counts.entry(name.clone()).or_insert(0);
-                if rel > a.drift_threshold.value() {
-                    *count += 1;
-                    if *count >= a.drift_patience {
-                        *count = 0;
-                        events.push(Event::Drift(name.clone()));
-                    }
-                } else {
-                    *count = 0;
+        /// `map[name]`, inserted as the default value the first time
+        /// `name` is seen.
+        fn first_sight<'m, V: Default>(map: &'m mut BTreeMap<String, V>, name: &str) -> &'m mut V {
+            if !map.contains_key(name) {
+                map.insert(name.to_string(), V::default());
+            }
+            map.get_mut(name).expect("inserted above")
+        }
+
+        /// The accountant the row-keyed one replaced: five maps keyed by
+        /// owned names, each method the body it had.
+        #[derive(Debug, Clone)]
+        struct FiveMaps {
+            cap: Watts,
+            allocations: BTreeMap<String, Watts>,
+            expected_perf: BTreeMap<String, f64>,
+            drift_threshold: Ratio,
+            drift_patience: u32,
+            drift_counts: BTreeMap<String, u32>,
+            departed: BTreeMap<String, bool>,
+            integrity_latched: BTreeMap<String, bool>,
+        }
+
+        impl FiveMaps {
+            fn new(cap: Watts, drift_threshold: Ratio, drift_patience: u32) -> Self {
+                Self {
+                    cap,
+                    allocations: BTreeMap::new(),
+                    expected_perf: BTreeMap::new(),
+                    drift_threshold,
+                    drift_patience,
+                    drift_counts: BTreeMap::new(),
+                    departed: BTreeMap::new(),
+                    integrity_latched: BTreeMap::new(),
                 }
             }
-            events
+
+            fn cap_changed(&mut self, cap: Watts) -> Event {
+                self.cap = cap;
+                Event::CapChanged(cap)
+            }
+
+            fn arrival(&mut self, name: &str) -> Event {
+                self.allocations.insert(name.to_string(), Watts::ZERO);
+                self.drift_counts.insert(name.to_string(), 0);
+                self.departed.insert(name.to_string(), false);
+                Event::Arrival(name.to_string())
+            }
+
+            fn note_allocation(&mut self, name: &str, budget: Watts) {
+                *first_sight(&mut self.allocations, name) = budget;
+                *first_sight(&mut self.drift_counts, name) = 0;
+            }
+
+            fn note_expected_perf(&mut self, name: &str, perf: f64) {
+                *first_sight(&mut self.expected_perf, name) = perf;
+                *first_sight(&mut self.drift_counts, name) = 0;
+            }
+
+            fn allocation(&self, name: &str) -> Option<Watts> {
+                self.allocations.get(name).copied()
+            }
+
+            fn total_allocation(&self) -> Watts {
+                self.allocations
+                    .values()
+                    .fold(Watts::ZERO, |acc, w| acc + *w)
+            }
+
+            fn actuation_fault(&mut self, name: &str) -> Event {
+                self.drift_counts.insert(name.to_string(), 0);
+                Event::ActuationFault(name.to_string())
+            }
+
+            fn sensor_fault(&mut self, what: &str) -> Event {
+                for count in self.drift_counts.values_mut() {
+                    *count = 0;
+                }
+                Event::SensorFault(what.to_string())
+            }
+
+            fn integrity_fault(&mut self, name: &str) -> Option<Event> {
+                let fired = self
+                    .integrity_latched
+                    .entry(name.to_string())
+                    .or_insert(false);
+                if *fired {
+                    return None;
+                }
+                *fired = true;
+                self.drift_counts.insert(name.to_string(), 0);
+                Some(Event::IntegrityFault(name.to_string()))
+            }
+
+            fn integrity_latched(&self, name: &str) -> bool {
+                self.integrity_latched.get(name).copied().unwrap_or(false)
+            }
+
+            fn clear_integrity(&mut self, name: &str) {
+                self.integrity_latched.insert(name.to_string(), false);
+            }
+
+            fn force_departure(&mut self, name: &str) -> Option<Event> {
+                let fired = self.departed.get_mut(name)?;
+                if *fired {
+                    return None;
+                }
+                *fired = true;
+                Some(Event::Departure(name.to_string()))
+            }
+
+            fn remove(&mut self, name: &str) {
+                self.allocations.remove(name);
+                self.expected_perf.remove(name);
+                self.drift_counts.remove(name);
+                self.departed.remove(name);
+                self.integrity_latched.remove(name);
+            }
+
+            fn tracked(&self) -> Vec<&str> {
+                self.allocations.keys().map(String::as_str).collect()
+            }
+
+            fn poll<'a, N: AsRef<str>>(
+                &mut self,
+                observations: impl IntoIterator<Item = (N, &'a Observation)>,
+            ) -> Vec<Event> {
+                let mut events = Vec::new();
+                for (name, obs) in observations {
+                    let name = name.as_ref();
+                    if !self.allocations.contains_key(name) {
+                        continue;
+                    }
+                    if obs.completed {
+                        let fired = first_sight(&mut self.departed, name);
+                        if !*fired {
+                            *fired = true;
+                            events.push(Event::Departure(name.to_string()));
+                        }
+                        continue;
+                    }
+                    if obs.suspended {
+                        *first_sight(&mut self.drift_counts, name) = 0;
+                        continue;
+                    }
+                    let allocated = self.allocations[name];
+                    if allocated.value() <= 0.0 {
+                        continue;
+                    }
+                    let power_rel = (obs.power - allocated).abs() / allocated;
+                    let perf_rel = match (obs.heartbeat, self.expected_perf.get(name)) {
+                        (Some(rate), Some(expected)) if *expected > 0.0 => {
+                            (rate - expected).abs() / expected
+                        }
+                        _ => 0.0,
+                    };
+                    let rel = power_rel.max(perf_rel);
+                    let patience = self.drift_patience;
+                    let drifting = rel > self.drift_threshold.value();
+                    let count = first_sight(&mut self.drift_counts, name);
+                    if drifting {
+                        *count += 1;
+                        if *count >= patience {
+                            *count = 0;
+                            events.push(Event::Drift(name.to_string()));
+                        }
+                    } else {
+                        *count = 0;
+                    }
+                }
+                events
+            }
+
+            /// Everything kept on `name`, a missing drift count read as
+            /// zero (the first poll that needs one inserts a zero).
+            fn state(&self, name: &str) -> (Option<Watts>, Option<f64>, u32, Option<bool>, bool) {
+                (
+                    self.allocation(name),
+                    self.expected_perf.get(name).copied(),
+                    self.drift_counts.get(name).copied().unwrap_or(0),
+                    self.departed.get(name).copied(),
+                    self.integrity_latched(name),
+                )
+            }
+        }
+
+        impl Accountant {
+            /// Everything kept on `name`, as [`FiveMaps::state`] reads it.
+            fn state(&self, name: &str) -> (Option<Watts>, Option<f64>, u32, Option<bool>, bool) {
+                let book = self.book(name).copied().unwrap_or_default();
+                (
+                    book.allocation,
+                    book.expected_perf,
+                    book.drift_count,
+                    book.departed,
+                    book.integrity_latched,
+                )
+            }
+        }
+
+        /// Every accessor, and everything either keeps on each of
+        /// `names`, agree.
+        fn agree(
+            a: &Accountant,
+            reference: &FiveMaps,
+            names: &[&str],
+        ) -> Result<(), TestCaseError> {
+            prop_assert_eq!(a.cap(), reference.cap);
+            prop_assert_eq!(a.tracked(), reference.tracked());
+            prop_assert_eq!(
+                a.total_allocation().value().to_bits(),
+                reference.total_allocation().value().to_bits()
+            );
+            for name in names {
+                prop_assert_eq!(
+                    format!("{:?}", a.state(name)),
+                    format!("{:?}", reference.state(name))
+                );
+                prop_assert_eq!(a.allocation(name), reference.allocation(name));
+                prop_assert_eq!(a.integrity_latched(name), reference.integrity_latched(name));
+            }
+            Ok(())
         }
 
         #[test]
         fn a_missing_drift_count_is_inserted_on_first_sight() {
             // Every app `arrival` or `note_allocation` tracks gets a drift
             // count, so through the public API a poll always finds one;
-            // clearing the map reaches the first-sight path directly.
+            // clearing the reference's map reaches its first-sight path,
+            // which must read as the row's zero count.
             let mut a = accountant();
-            a.arrival("kmeans");
-            a.note_allocation("kmeans", Watts::new(10.0));
-            a.arrival("stream");
-            a.note_allocation("stream", Watts::new(10.0));
-            a.drift_counts.clear();
+            let mut reference = FiveMaps::new(Watts::new(100.0), Ratio::new(0.25), 3);
+            for name in ["kmeans", "stream"] {
+                a.arrival(name);
+                a.note_allocation(name, Watts::new(10.0));
+                reference.arrival(name);
+                reference.note_allocation(name, Watts::new(10.0));
+            }
+            reference.drift_counts.clear();
             let sensed = [obs(16.0, false, false), obs(0.0, false, true)];
             let names = ["kmeans", "stream"];
-            let map: BTreeMap<String, Observation> =
-                names.map(String::from).into_iter().zip(sensed).collect();
-            let mut reference = a.clone();
             for _ in 0..4 {
                 let got = a.poll(names.iter().zip(&sensed));
-                assert_eq!(got, poll_reference(&mut reference, &map));
-                assert_eq!(a, reference);
+                assert_eq!(got, reference.poll(names.iter().zip(&sensed)));
+                agree(&a, &reference, &names).expect("the books agree");
             }
-            assert_eq!(a.drift_counts.len(), 2);
+            assert_eq!(reference.drift_counts.len(), 2);
         }
 
         const POOL_NAMES: [&str; 4] = ["x264", "kmeans", "stream", "bfs"];
@@ -737,8 +933,11 @@ mod tests {
             /// Over random host, depart, suspend, resume, knob, cap and
             /// ESD operations on a simulated server (with and without
             /// faults, a defiant adversary and traffic), interleaved with
-            /// the accountant's own E1-E7 bookkeeping, every poll emits
-            /// the reference's events and leaves the reference's state.
+            /// the accountant's own arrival, allocation, expected-perf,
+            /// E1 and E5-E7, clear, force-departure and remove
+            /// bookkeeping, the row-keyed accountant returns what the
+            /// five-map one returns, every poll emits its events, and
+            /// every accessor and every app's state agree.
             #[test]
             fn prop_poll_matches_the_reference(
                 layers in 0u8..8,
@@ -749,18 +948,21 @@ mod tests {
                 let grid = spec.knob_grid();
                 let mut sim = build(layers, &spec);
                 let mut a = Accountant::new(Watts::new(100.0), Ratio::new(0.2), patience);
+                let mut reference = FiveMaps::new(Watts::new(100.0), Ratio::new(0.2), patience);
                 let dt = Seconds::new(0.1);
                 let profiles = pool(&spec);
                 for (kind, which, idx) in ops {
                     let name = POOL_NAMES[which];
                     let knob = grid.get(idx).expect("on the grid");
                     let watts = Watts::new((idx % 40) as f64 * 0.5);
-                    match kind {
+                    let (got, want) = match kind {
                         0 => {
                             let profile = profiles[which].clone();
                             let hosted = sim.host(profile, knob.with_cores(1 + idx % 3)).is_ok();
                             if hosted {
-                                a.arrival(name);
+                                (Some(a.arrival(name)), Some(reference.arrival(name)))
+                            } else {
+                                (None, None)
                             }
                         }
                         1 => {
@@ -769,36 +971,58 @@ mod tests {
                             let departed = sim.remove(name).is_ok();
                             if departed && idx % 4 > 0 {
                                 a.remove(name);
+                                reference.remove(name);
                             }
+                            (None, None)
                         }
-                        2 => { let _ = sim.suspend_app(name); }
-                        3 => { let _ = sim.resume_app(name); }
-                        4 => { let _ = sim.set_knobs(name, knob); }
+                        2 => { let _ = sim.suspend_app(name); (None, None) }
+                        3 => { let _ = sim.resume_app(name); (None, None) }
+                        4 => { let _ = sim.set_knobs(name, knob); (None, None) }
                         5 => {
                             let cap = Watts::new(60.0 + (idx % 70) as f64);
                             sim.set_cap(Some(cap));
-                            a.cap_changed(cap);
+                            (Some(a.cap_changed(cap)), Some(reference.cap_changed(cap)))
                         }
-                        6 => sim.set_esd_command(match idx % 4 {
-                            0 => EsdCommand::Idle,
-                            1 => EsdCommand::Charge(watts),
-                            2 => EsdCommand::Discharge(watts),
-                            _ => EsdCommand::DischargeToCap,
-                        }),
-                        7 | 8 => a.note_allocation(name, watts),
-                        9 => a.note_expected_perf(name, (idx * 3) as f64),
-                        10 => { a.sensor_fault("meter"); }
-                        11 => { a.actuation_fault(name); }
+                        6 => {
+                            sim.set_esd_command(match idx % 4 {
+                                0 => EsdCommand::Idle,
+                                1 => EsdCommand::Charge(watts),
+                                2 => EsdCommand::Discharge(watts),
+                                _ => EsdCommand::DischargeToCap,
+                            });
+                            (None, None)
+                        }
+                        7 | 8 => {
+                            a.note_allocation(name, watts);
+                            reference.note_allocation(name, watts);
+                            (None, None)
+                        }
+                        9 => {
+                            a.note_expected_perf(name, (idx * 3) as f64);
+                            reference.note_expected_perf(name, (idx * 3) as f64);
+                            (None, None)
+                        }
+                        10 => (Some(a.sensor_fault("meter")), Some(reference.sensor_fault("meter"))),
+                        11 => (Some(a.actuation_fault(name)), Some(reference.actuation_fault(name))),
                         12 => match idx % 3 {
-                            0 => { a.integrity_fault(name); }
-                            1 => a.clear_integrity(name),
-                            _ => { a.force_departure(name); }
+                            0 => (a.integrity_fault(name), reference.integrity_fault(name)),
+                            1 => {
+                                a.clear_integrity(name);
+                                reference.clear_integrity(name);
+                                (None, None)
+                            }
+                            _ => (a.force_departure(name), reference.force_departure(name)),
                         },
                         // Forgotten while still hosted: a later
                         // allocation tracks it again without an arrival.
-                        13 => a.remove(name),
-                        _ => {}
-                    }
+                        13 => {
+                            a.remove(name);
+                            reference.remove(name);
+                            (None, None)
+                        }
+                        _ => (None, None),
+                    };
+                    prop_assert_eq!(got, want);
                     if layers & 4 != 0 && sim.traffic().is_none() && !sim.app_names().is_empty() {
                         sim.attach_traffic(TrafficConfig::default());
                     }
@@ -820,13 +1044,10 @@ mod tests {
                                 .is_none_or(|x| x.run_state() == AppRunState::Suspended),
                         })
                         .collect();
-                    let map: BTreeMap<String, Observation> =
-                        names.iter().cloned().zip(sensed.iter().copied()).collect();
-                    let mut reference = a.clone();
                     let got = a.poll(names.iter().zip(&sensed));
-                    let want = poll_reference(&mut reference, &map);
+                    let want = reference.poll(names.iter().zip(&sensed));
                     prop_assert_eq!(format!("{got:?}"), format!("{want:?}"));
-                    prop_assert_eq!(format!("{a:?}"), format!("{reference:?}"));
+                    agree(&a, &reference, &POOL_NAMES)?;
                 }
             }
         }

@@ -167,12 +167,16 @@ impl AppMeasurement {
     /// Grid indices the app can actually run at (core count at or above
     /// its minimum).
     pub fn feasible_indices(&self) -> Vec<usize> {
+        self.feasible().collect()
+    }
+
+    /// [`AppMeasurement::feasible_indices`], in order, uncollected.
+    fn feasible(&self) -> impl Iterator<Item = usize> + '_ {
         self.grid
             .iter()
             .enumerate()
             .filter(|(_, k)| k.cores() >= self.min_cores)
             .map(|(i, _)| i)
-            .collect()
     }
 
     /// Grid indices of the frequency-only knob family: all cores, max
@@ -335,7 +339,7 @@ impl AppMeasurement {
     /// The feasible setting that draws the least power (the first such
     /// index on ties), or `None` when no setting is feasible.
     pub(crate) fn cheapest_feasible(&self) -> Option<usize> {
-        self.feasible_indices().into_iter().min_by(|&a, &b| {
+        self.feasible().min_by(|&a, &b| {
             self.power[a]
                 .partial_cmp(&self.power[b])
                 .expect("finite powers")
@@ -357,9 +361,18 @@ impl AppMeasurement {
     /// `(grid index, perf)` — or `None` when the budget is below the
     /// app's floor.
     pub fn best_within(&self, budget: Watts, family: &[usize]) -> Option<(usize, f64)> {
+        self.best_of(budget, family.iter().copied())
+    }
+
+    /// [`AppMeasurement::best_within`] over the feasible indices, without
+    /// collecting them.
+    pub(crate) fn best_feasible_within(&self, budget: Watts) -> Option<(usize, f64)> {
+        self.best_of(budget, self.feasible())
+    }
+
+    /// [`AppMeasurement::best_within`] over the indices `family` yields.
+    fn best_of(&self, budget: Watts, family: impl Iterator<Item = usize>) -> Option<(usize, f64)> {
         family
-            .iter()
-            .copied()
             .filter(|&i| {
                 self.power[i] <= budget + Watts::new(1e-9)
                     && self.grid.get(i).map(|k| k.cores() >= self.min_cores) == Some(true)

@@ -24,7 +24,7 @@
 //! field; an absent layer skips its stages, so the runtime without it is
 //! bit-identical to one that never had it.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use powermed_disagg::estimator::{
@@ -48,7 +48,7 @@ use powermed_telemetry::ProfileStoreStats;
 use powermed_units::{Ratio, Seconds, Watts};
 use powermed_workloads::profile::AppProfile;
 
-use crate::accountant::{first_sight, Accountant, Event, Observation};
+use crate::accountant::{Accountant, Event, Observation};
 use crate::cache::MeasurementCache;
 use crate::calibration::{Calibrated, Calibrator};
 use crate::coordinator::{EsdParams, Schedule, TimeSlot};
@@ -317,8 +317,12 @@ struct Estimation {
     /// the simulator never changes — only how aggressively the planner
     /// fills it.
     fallback_shave: Watts,
-    /// The most recent reconstructed breakdown.
+    /// The most recent reconstructed breakdown, updated in place each
+    /// poll.
     last: Option<EstimatedBreakdown>,
+    /// Each hosted app's prior this poll, by server position; reused
+    /// from poll to poll.
+    priors: Vec<AppPrior>,
     /// Confidence of the profile each app's prior rides on (1.0 for a
     /// freshly measured surface; the store's confidence for a
     /// warm-started one).
@@ -335,67 +339,135 @@ impl Estimation {
 /// watt-debt clawback.
 #[derive(Debug, Default)]
 struct Defense {
-    trust: BTreeMap<String, TrustScore>,
+    /// Each app's defense state, one row per app: the stages that read
+    /// it look an app up once.
+    apps: BTreeMap<String, DefenseRow>,
     /// Overdrawn watts awaiting clawback.
     debts: WattDebtLedger,
-    /// Quarantined apps that kept overdrawing with the clamp in force
-    /// — the signature of knob non-compliance, which no commanded
-    /// setting can curb. A contained app is planned with *no* setting
-    /// (the actuator suspends it) until its watt debt is repaid in
-    /// idle time; run-state is the one lever a defiant app cannot
-    /// fake.
-    contained: BTreeSet<String>,
     /// Deadline of the running integrity audit, if one is active: the
     /// planner pins a minimum-power Space schedule until then so
     /// heartbeat claims can mature and assign blame for an unexplained
     /// residual.
     audit_until: Option<Seconds>,
     stats: TrustStats,
-    /// Self-reports recorded by the latest estimate pass, keyed by app.
-    claims: BTreeMap<String, ClaimRecord>,
     /// Apps whose E4 churn crossed the threshold since the last
     /// integrity pass (strong evidence queued to avoid re-entrant
     /// event handling).
     drift_strikes: Vec<String>,
-    /// When each app's knob last actually changed, stamped by
+    /// The last replan's quarantine clamps, by server position: the
+    /// clamped app, its setting and that setting's power. Reused from
+    /// replan to replan.
+    clamps: Vec<(usize, usize, Watts)>,
+    /// The last clamped schedule installed, and what it was merged
+    /// from.
+    merged: Option<MergedPlan>,
+}
+
+/// One app's defense state. A default row is the same as no row.
+#[derive(Debug, Default)]
+struct DefenseRow {
+    /// The app's trust score, from its first trust pass or E4 on.
+    trust: Option<TrustScore>,
+    /// The self-report the latest estimate pass recorded, if any.
+    claim: Option<ClaimRecord>,
+    /// When the app's knob last actually changed, stamped by
     /// `apply_setting`. Replans that re-install the same setting do
     /// not reset an app's heartbeat window — under an E4 storm the
     /// global actuation clock never settles, and the defense still
     /// needs clean claims from the apps whose settings are stable.
-    knob_stable_since: BTreeMap<String, Seconds>,
+    knob_stable_since: Option<Seconds>,
+    /// A quarantined app that kept overdrawing with the clamp in force
+    /// — the signature of knob non-compliance, which no commanded
+    /// setting can curb. A contained app is planned with *no* setting
+    /// (the actuator suspends it) until its watt debt is repaid in
+    /// idle time; run-state is the one lever a defiant app cannot
+    /// fake.
+    contained: bool,
+}
+
+/// A clamped schedule and its inputs: the booked honest plan and the
+/// clamps (app, setting) grafted onto it. A replan whose booked plan and
+/// clamps repeat installs the held schedule again.
+#[derive(Debug)]
+struct MergedPlan {
+    honest: Arc<Schedule>,
+    clamps: Vec<(String, usize)>,
+    schedule: Arc<Schedule>,
 }
 
 impl Defense {
     fn forget(&mut self, name: &str) {
-        self.trust.remove(name);
+        self.apps.remove(name);
         self.debts.remove(name);
-        self.contained.remove(name);
-        self.claims.remove(name);
         self.drift_strikes.retain(|n| n != name);
-        self.knob_stable_since.remove(name);
+    }
+
+    /// `honest` with this replan's clamps grafted on: the held merge
+    /// when the plan and the clamps repeat, a new one otherwise.
+    fn graft(&mut self, names: &[String], honest: Arc<Schedule>) -> Arc<Schedule> {
+        if self.clamps.is_empty() {
+            self.merged = None;
+            return honest;
+        }
+        let clamps = self.clamps.iter().map(|&(pos, idx, _)| (&names[pos], idx));
+        let held = self.merged.as_ref().filter(|m| {
+            Arc::ptr_eq(&m.honest, &honest)
+                && m.clamps.iter().map(|(n, i)| (n, *i)).eq(clamps.clone())
+        });
+        if let Some(m) = held {
+            return Arc::clone(&m.schedule);
+        }
+        let clamps: Vec<(String, usize)> = clamps.map(|(n, i)| (n.clone(), i)).collect();
+        let schedule = Arc::new(PowerMediator::merge_quarantined(
+            Schedule::clone(&honest),
+            &clamps,
+        ));
+        self.merged = Some(MergedPlan {
+            honest,
+            clamps,
+            schedule: Arc::clone(&schedule),
+        });
+        schedule
     }
 
     /// Opens an integrity audit unless one is running or some app is
     /// already distrusted: trouble with nobody implicated is what
     /// undetected collusion, or a watchdog-blinded defector, looks like.
     fn audit_if_unexplained(&mut self, now: Seconds) {
-        if self.audit_until.is_none() && self.trust.values().all(|t| !t.distrusted()) {
+        let distrusted = |row: &DefenseRow| row.trust.as_ref().is_some_and(TrustScore::distrusted);
+        if self.audit_until.is_none() && !self.apps.values().any(distrusted) {
             self.audit_until = Some(now + Seconds::new(AUDIT_SECS));
         }
     }
+}
 
-    /// Repays up to `w` of `app`'s watt debt, counting and journalling
-    /// any repayment.
-    fn claw_back(&mut self, obs: &ObsHandle, at: Seconds, app: &str, w: f64) {
-        let repaid = self.debts.repay(app, w);
-        if repaid > 0.0 {
-            self.stats.clawback_polls += 1;
-            obs.emit(at, || ObsEvent::Clawback {
-                app: app.to_string(),
-                w: repaid,
-            });
-        }
+/// Repays up to `w` of `app`'s watt debt from `debts`, counting any
+/// repayment in `stats` and journalling it.
+fn claw_back(
+    debts: &mut WattDebtLedger,
+    stats: &mut TrustStats,
+    obs: &ObsHandle,
+    at: Seconds,
+    app: &str,
+    w: f64,
+) {
+    let repaid = debts.repay(app, w);
+    if repaid > 0.0 {
+        stats.clawback_polls += 1;
+        obs.emit(at, || ObsEvent::Clawback {
+            app: app.to_string(),
+            w: repaid,
+        });
     }
+}
+
+/// `map[name]`, inserted as the default value the first time `name` is
+/// seen; a name already there is not cloned.
+fn first_sight<'m, V: Default>(map: &'m mut BTreeMap<String, V>, name: &str) -> &'m mut V {
+    if !map.contains_key(name) {
+        map.insert(name.to_string(), V::default());
+    }
+    map.get_mut(name).expect("inserted above")
 }
 
 /// Profile knowledge-plane layer (effective only with online
@@ -803,7 +875,7 @@ impl PowerMediator {
 
     /// `name`'s trust state, if the defense has seen it.
     pub fn trust_score(&self, name: &str) -> Option<&TrustScore> {
-        self.defense.as_ref()?.trust.get(name)
+        self.defense.as_ref()?.apps.get(name)?.trust.as_ref()
     }
 
     /// The watt-debt ledger (empty when defense is off).
@@ -817,7 +889,8 @@ impl PowerMediator {
     pub fn is_contained(&self, name: &str) -> bool {
         self.defense
             .as_ref()
-            .is_some_and(|d| d.contained.contains(name))
+            .and_then(|d| d.apps.get(name))
+            .is_some_and(|row| row.contained)
     }
 
     /// The utility surface on record for `name`.
@@ -921,13 +994,11 @@ impl PowerMediator {
         let now = sim.now();
         let mut observations = std::mem::take(&mut self.sensed);
         self.sense(sim, &mut observations);
-        let estimate = self.estimate_breakdown(sim, &report, &observations);
-        for (name, o) in sim.app_names().iter().zip(&mut observations) {
-            let power = match &estimate {
-                Some(eb) => eb.apps.get(name).map(|s| Watts::new(s.watts)),
-                None => sim.app_power(name),
-            };
-            o.power = power.unwrap_or(Watts::ZERO);
+        let estimated = self.estimate_breakdown(sim, &report, &mut observations);
+        if !estimated {
+            for (o, power) in observations.iter_mut().zip(&sim.breakdown().apps) {
+                o.power = *power;
+            }
         }
         self.obs.emit(now, || {
             let observed = report.observed_net_power;
@@ -946,8 +1017,8 @@ impl PowerMediator {
         if !events.is_empty() {
             self.handle_events(sim, events);
         }
-        if let Some(eb) = estimate {
-            self.observe_estimated(sim, eb);
+        if estimated {
+            self.observe_estimated(sim);
         }
         self.observe_integrity(sim);
         if let Some(d) = self.defense.as_mut() {
@@ -986,11 +1057,8 @@ impl PowerMediator {
         sensed.clear();
         for pos in 0..sim.app_names().len() {
             let name = sim.app_names()[pos].as_str();
-            let completed = sim.app(name).is_some_and(|a| a.completed());
-            let suspended = sim
-                .server()
-                .assignment(name)
-                .is_none_or(|a| a.run_state() == AppRunState::Suspended);
+            let completed = sim.apps()[pos].completed();
+            let suspended = sim.server().assignments()[pos].run_state() == AppRunState::Suspended;
             // Defense mode refines the cleanliness gate per app: a knob
             // that has not actually changed keeps its window even when
             // churn elsewhere resets the global actuation clock. The
@@ -1004,8 +1072,8 @@ impl PowerMediator {
             let stamp = self
                 .defense
                 .as_ref()
-                .and_then(|d| d.knob_stable_since.get(name));
-            let clean = stamp.map_or(heartbeat_clean, |t| settled(*t));
+                .and_then(|d| d.apps.get(name)?.knob_stable_since);
+            let clean = stamp.map_or(heartbeat_clean, settled);
             // Read through the adversary layer: what the app *claims*,
             // which is the truth unless an injector is misreporting.
             let heartbeat = if clean && !suspended && !completed {
@@ -1057,7 +1125,8 @@ impl PowerMediator {
                     // detectors already distrust — a noisy neighbour
                     // can force legitimate E4s onto an honest victim.
                     if let Some(d) = self.defense.as_mut() {
-                        let trust = d.trust.entry(name.clone()).or_default();
+                        let row = first_sight(&mut d.apps, &name);
+                        let trust = row.trust.get_or_insert_with(TrustScore::default);
                         if trust.note_drift() && trust.distrusted() {
                             d.drift_strikes.push(name.clone());
                         }
@@ -1267,18 +1336,19 @@ impl PowerMediator {
         // Quarantined apps are planned by fiat, not by the policy:
         // clamped to their fair share of the dynamic budget minus
         // whatever the watt-debt ledger claws back this plan.
-        let mut clamped: Vec<(String, usize, Watts)> = Vec::new();
         if let Some(d) = self.defense.as_mut() {
+            d.clamps.clear();
             let static_floor = self.spec.idle_power() + self.spec.chip_maintenance_power();
             let dynamic = (self.accountant.cap() - static_floor).max_zero();
             let fair = dynamic.value() / names.len().max(1) as f64;
-            for name in names {
+            for (pos, name) in names.iter().enumerate() {
                 // A contained app gets no setting at all: the actuator
                 // suspends it, and its fair share flows back to the
                 // honest apps.
-                if !d.trust.get(name).is_some_and(TrustScore::quarantined)
-                    || d.contained.contains(name)
-                {
+                let quarantined = d.apps.get(name).is_some_and(|row| {
+                    row.trust.as_ref().is_some_and(TrustScore::quarantined) && !row.contained
+                });
+                if !quarantined {
                     continue;
                 }
                 let Some(m) = self.measurements.get(name).map(|c| &c.surface) else {
@@ -1288,12 +1358,12 @@ impl PowerMediator {
                 // Clamp to the best setting under the docked budget;
                 // below the app's floor, park it at the cheapest
                 // feasible setting (the clamp never evicts).
-                let idx = match m.best_within(Watts::new(budget), &m.feasible_indices()) {
+                let idx = match m.best_feasible_within(Watts::new(budget)) {
                     Some((i, _)) => i,
                     None => m.cheapest_feasible().unwrap_or(0),
                 };
-                d.claw_back(&self.obs, now, name, clawback);
-                clamped.push((name.clone(), idx, m.power(idx)));
+                claw_back(&mut d.debts, &mut d.stats, &self.obs, now, name, clawback);
+                d.clamps.push((pos, idx, m.power(idx)));
             }
             // An active integrity audit overrides the policy wholesale:
             // every (non-contained) app is pinned at its minimum-power
@@ -1305,7 +1375,7 @@ impl PowerMediator {
             if d.audit_until.is_some_and(|t| now < t) {
                 let settings = names
                     .iter()
-                    .filter(|n| !d.contained.contains(*n))
+                    .filter(|n| !d.apps.get(*n).is_some_and(|row| row.contained))
                     .filter_map(|n| {
                         let m = &self.measurements.get(n)?.surface;
                         Some((n.clone(), m.cheapest_feasible()?))
@@ -1315,14 +1385,20 @@ impl PowerMediator {
                 return;
             }
         }
-        let contained = self.defense.as_ref().map(|d| &d.contained);
+        let defense = self.defense.as_ref();
+        let clamped: &[(usize, usize, Watts)] = defense.map_or(&[], |d| &d.clamps);
         let measurements = &self.measurements;
         let planned_apps = || {
             names
                 .iter()
-                .filter(|n| !clamped.iter().any(|(c, _, _)| c == *n))
-                .filter(|n| !contained.is_some_and(|c| c.contains(*n)))
-                .filter_map(|n| measurements.get(n).map(|c| (n, &c.surface)))
+                .enumerate()
+                .filter(|(pos, _)| !clamped.iter().any(|(c, _, _)| c == pos))
+                .filter(|(_, n)| {
+                    !defense
+                        .and_then(|d| d.apps.get(*n))
+                        .is_some_and(|row| row.contained)
+                })
+                .filter_map(|(_, n)| measurements.get(n).map(|c| (n, &c.surface)))
         };
         let esd = self.esd_params(sim);
         // The estimation fallback shaves headroom off the *planning*
@@ -1376,11 +1452,9 @@ impl PowerMediator {
             }
         };
         self.last_plan = Some(Arc::clone(&schedule));
-        let planned = if clamped.is_empty() {
-            schedule
-        } else {
-            let honest = Arc::unwrap_or_clone(schedule);
-            Arc::new(Self::merge_quarantined(honest, &clamped))
+        let planned = match self.defense.as_mut() {
+            Some(d) => d.graft(names, schedule),
+            None => schedule,
         };
         self.submit(planned, now);
     }
@@ -1399,8 +1473,8 @@ impl PowerMediator {
     /// Grafts the quarantine clamps onto a freshly planned schedule:
     /// clamped apps run always-on at their docked setting regardless of
     /// what shape the policy chose for the honest ones.
-    fn merge_quarantined(mut planned: Schedule, clamped: &[(String, usize, Watts)]) -> Schedule {
-        let clamps = clamped.iter().map(|(name, idx, _)| (name.clone(), *idx));
+    fn merge_quarantined(mut planned: Schedule, clamped: &[(String, usize)]) -> Schedule {
+        let clamps = clamped.iter().cloned();
         match &mut planned {
             Schedule::Space { settings }
             | Schedule::EsdCycle { settings, .. }
@@ -1450,8 +1524,9 @@ impl PowerMediator {
         let mut readmitted = false;
         let mut charged = false;
         for name in names {
+            let row = first_sight(&mut d.apps, name);
             // Evidence for this poll, strongest stream wins.
-            let claim = d.claims.get(name).copied();
+            let claim = row.claim;
             let mut mild = claim.is_some_and(|c| c.clamped);
             let mut strong: Option<&'static str> = None;
             if let Some(c) = claim.filter(|c| c.clamped && fresh && residual.abs() > band) {
@@ -1474,7 +1549,7 @@ impl PowerMediator {
             if drift_strikes.contains(name) {
                 strong = Some("profile churn");
             }
-            if d.contained.contains(name) {
+            if row.contained {
                 // Containment repays watt debt in idle time: the app is
                 // suspended (drawing nothing), so each poll returns a
                 // slice of its outstanding overdraw to the honest pool.
@@ -1485,9 +1560,10 @@ impl PowerMediator {
                 // probes, a resume, and the clamp).
                 let due = (d.debts.outstanding(name) * CLAWBACK_RATE)
                     .max(OVERDRAW_MARGIN_W * CLAWBACK_RATE);
-                d.claw_back(&self.obs, now, name, due);
+                claw_back(&mut d.debts, &mut d.stats, &self.obs, now, name, due);
             }
-            let trust = first_sight(&mut d.trust, name);
+            let contained = row.contained;
+            let trust = row.trust.get_or_insert_with(TrustScore::default);
             // Persistent overdraw: the estimated share stays above the
             // allocation. Only charged against apps already below the
             // trusted tier — their σ is inflated, so the solver routes
@@ -1519,7 +1595,7 @@ impl PowerMediator {
                     // non-compliance: no commanded setting can curb it,
                     // so the ladder escalates to containment —
                     // suspension until the debt is idle-time repaid.
-                    if trust.quarantined() && !d.contained.contains(name) {
+                    if trust.quarantined() && !contained {
                         containments.push(name.clone());
                     }
                 }
@@ -1581,7 +1657,9 @@ impl PowerMediator {
         }
         let d = self.defense.as_mut().expect("checked above");
         for name in containments {
-            if d.contained.insert(name.clone()) {
+            let row = first_sight(&mut d.apps, &name);
+            if !row.contained {
+                row.contained = true;
                 d.stats.containments += 1;
                 self.obs.emit(now, || ObsEvent::Quarantine {
                     app: name,
@@ -1595,8 +1673,8 @@ impl PowerMediator {
             // trusting anything again. `recalibrate` replans, lifting
             // the fair-share clamp. A contained app is released first —
             // probes need it running.
-            if let Some(d) = self.defense.as_mut() {
-                d.contained.remove(&name);
+            if let Some(row) = self.defense.as_mut().and_then(|d| d.apps.get_mut(&name)) {
+                row.contained = false;
             }
             let _ = sim.resume_app(&name);
             self.recalibrate(sim, &name);
@@ -1818,7 +1896,7 @@ impl PowerMediator {
                 .assignment(name)
                 .is_some_and(|a| a.knob() == knob && a.run_state() == AppRunState::Running);
             if !unchanged {
-                d.knob_stable_since.insert(name.to_string(), now);
+                first_sight(&mut d.apps, name).knob_stable_since = Some(now);
             }
         }
         let mut ok = sim.set_knobs(name, knob).is_ok();
@@ -1931,22 +2009,32 @@ impl PowerMediator {
 
     /// Estimate stage (estimation mode only): reconstruct the per-app
     /// breakdown from the aggregate meter sample, the knob settings on
-    /// record, the heartbeats just sensed, and the calibrated profiles.
-    /// Returns `None` when estimation is off.
+    /// record, the heartbeats just sensed, and the calibrated profiles,
+    /// into the held breakdown, and give each observation its app's
+    /// estimated power. Returns `false` when estimation is off.
     fn estimate_breakdown(
         &mut self,
         sim: &ServerSim,
         report: &StepReport,
-        sensed: &[Observation],
-    ) -> Option<EstimatedBreakdown> {
-        let est = self.estimation.as_mut()?;
-        let mut priors = Vec::with_capacity(sensed.len());
-        let mut claims: BTreeMap<String, ClaimRecord> = BTreeMap::new();
-        for (name, o) in sim.app_names().iter().zip(sensed) {
-            let idx = sim
-                .server()
-                .assignment(name)
-                .and_then(|a| self.grid.index_of(a.knob()));
+        sensed: &mut [Observation],
+    ) -> bool {
+        let Some(est) = self.estimation.as_mut() else {
+            return false;
+        };
+        let mut defense = self.defense.as_mut();
+        if let Some(d) = defense.as_deref_mut() {
+            for row in d.apps.values_mut() {
+                row.claim = None;
+            }
+        }
+        let names = sim.app_names();
+        est.priors.resize_with(names.len(), || AppPrior {
+            name: String::new(),
+            predicted_w: 0.0,
+            sigma_w: 0.0,
+        });
+        for (pos, (name, o)) in names.iter().zip(sensed.iter()).enumerate() {
+            let idx = self.grid.index_of(sim.server().assignments()[pos].knob());
             let surface = self.measurements.get(name).map(|c| &c.surface);
             let (predicted_w, sigma_w) = match (surface, idx) {
                 // A suspended or finished app draws no dynamic power,
@@ -1954,7 +2042,12 @@ impl PowerMediator {
                 // command): a tight prior at zero.
                 _ if o.completed || o.suspended => (0.0, SIGMA_FLOOR_W),
                 (Some(m), Some(idx)) => {
-                    let trust = self.defense.as_ref().and_then(|d| d.trust.get(name));
+                    let mut row = defense
+                        .as_deref_mut()
+                        .map(|d| first_sight(&mut d.apps, name));
+                    let trust = row.as_ref().and_then(|r| r.trust.as_ref());
+                    let distrusted = trust.is_some_and(TrustScore::distrusted);
+                    let trust_weight = trust.map_or(1.0, TrustScore::score);
                     let unscaled_w = m.power(idx).value();
                     let mut predicted = unscaled_w;
                     let expected = m.perf(idx);
@@ -1979,19 +2072,17 @@ impl PowerMediator {
                         // A distrusted app's self-report is ignored
                         // outright: the prior rides on the profile
                         // alone.
-                        if !trust.is_some_and(TrustScore::distrusted) {
+                        if !distrusted {
                             predicted *= bounded;
                         }
-                        if self.defense.is_some() {
-                            let claim = ClaimRecord {
+                        if let Some(row) = row.as_mut() {
+                            row.claim = Some(ClaimRecord {
                                 ratio,
                                 unscaled_w,
                                 clamped,
-                            };
-                            claims.insert(name.clone(), claim);
+                            });
                         }
                     }
-                    let trust_weight = trust.map_or(1.0, TrustScore::score);
                     let confidence = (est.prior_confidence.get(name).copied().unwrap_or(1.0)
                         * trust_weight)
                         .clamp(0.05, 1.0);
@@ -2011,26 +2102,24 @@ impl PowerMediator {
                 // wide prior lets the meter place it.
                 _ => (0.0, 20.0 * SIGMA_FLOOR_W),
             };
-            priors.push(AppPrior {
-                name: name.clone(),
-                predicted_w,
-                sigma_w,
-            });
-        }
-        if let Some(d) = self.defense.as_mut() {
-            d.claims = claims;
+            let prior = &mut est.priors[pos];
+            prior.name.clone_from(name);
+            prior.predicted_w = predicted_w;
+            prior.sigma_w = sigma_w;
         }
         // Idle + chip-maintenance power is deterministic in the knob
         // assignments (spec constants per awake socket), not sensed per
         // app, so subtracting it does not consult the oracle. ESD flows
         // are separately metered by the BMS on a real server.
         let static_floor = (sim.breakdown().idle + sim.breakdown().uncore).value();
-        let eb = est.estimator.estimate(
+        let eb = est.last.get_or_insert_with(EstimatedBreakdown::default);
+        est.estimator.estimate(
             report.observed_net_power.map(Watts::value),
             static_floor,
             report.esd_charge.value(),
             report.esd_discharge.value(),
-            &priors,
+            &est.priors,
+            eb,
         );
         est.stats.estimates += 1;
         match eb.sample {
@@ -2038,21 +2127,26 @@ impl PowerMediator {
             SampleSource::Held => est.stats.held_samples += 1,
             SampleSource::Blind => est.stats.blind_samples += 1,
         }
-        Some(eb)
+        // The breakdown holds exactly this poll's apps, in name order,
+        // which is position order.
+        for (o, share) in sensed.iter_mut().zip(eb.apps.values()) {
+            o.power = Watts::new(share.watts);
+        }
+        true
     }
 
     /// Post-poll estimation bookkeeping: journal this poll's residual
     /// verdict, advance the degradation ladder, and act on whatever it
     /// returns (engage / escalate / release).
-    fn observe_estimated(&mut self, sim: &mut ServerSim, eb: EstimatedBreakdown) {
+    fn observe_estimated(&mut self, sim: &mut ServerSim) {
         let now = sim.now();
         let est = self
             .estimation
             .as_mut()
             .expect("only called in estimation mode");
+        let eb = est.last.as_ref().expect("estimated this poll");
         let (residual_w, band_w) = (eb.residual_w, eb.band_w);
-        let ResidualVerdict { spike, action } = est.estimator.note_residual(&eb);
-        est.last = Some(eb);
+        let ResidualVerdict { spike, action } = est.estimator.note_residual(eb);
         if let Some(streak) = spike {
             est.stats.residual_spikes += 1;
             self.obs.emit(now, || ObsEvent::ResidualSpike {
@@ -3370,11 +3464,7 @@ mod tests {
         assert_eq!(replan_at_cap(&mut med, &mut sim, 3), 0, "unchanged");
         quarantine(&mut med, "kmeans");
         assert_eq!(replan_at_cap(&mut med, &mut sim, 3), 1, "a clamped app");
-        med.defense
-            .as_mut()
-            .unwrap()
-            .contained
-            .insert("kmeans".to_string());
+        first_sight(&mut med.defense.as_mut().unwrap().apps, "kmeans").contained = true;
         assert_eq!(
             replan_at_cap(&mut med, &mut sim, 3),
             0,
@@ -3385,7 +3475,9 @@ mod tests {
     /// Walks `name` down the trust ladder until it is quarantined.
     fn quarantine(med: &mut PowerMediator, name: &str) {
         let d = med.defense.as_mut().unwrap();
-        let trust = d.trust.entry(name.to_string()).or_default();
+        let trust = first_sight(&mut d.apps, name)
+            .trust
+            .get_or_insert_with(TrustScore::default);
         while !trust.quarantined() {
             trust.note_evidence(Evidence::Strong);
         }
@@ -3642,6 +3734,60 @@ mod tests {
         }
         assert!(book.plans() < 200, "the book dropped unheld plans");
         assert_eq!(replan_at_cap(&mut clamped, &mut sim, 5), 0, "still booked");
+    }
+
+    /// A clamped replan reinstalls the merged schedule it holds only
+    /// while the booked plan and the clamps repeat: every installed
+    /// schedule is the merge of the last plan and the last clamps.
+    #[test]
+    fn a_held_merged_schedule_follows_its_plan_and_clamps() {
+        let mut sim = sim_no_esd();
+        let defended = mediator(PolicyKind::AppResAware, 100.0)
+            .with_estimation(EstimatorConfig::default())
+            .with_integrity_defense(TrustConfig::default());
+        let mut med = planned(defended, &mut sim);
+        quarantine(&mut med, "kmeans");
+        let fresh_merge = |med: &PowerMediator, sim: &ServerSim| {
+            let d = med.defense.as_ref().unwrap();
+            let clamps: Vec<(String, usize)> = d
+                .clamps
+                .iter()
+                .map(|&(pos, idx, _)| (sim.app_names()[pos].clone(), idx))
+                .collect();
+            let honest = Schedule::clone(med.last_plan.as_ref().unwrap());
+            PowerMediator::merge_quarantined(honest, &clamps)
+        };
+        replan_at_cap(&mut med, &mut sim, 1);
+        assert_eq!(*med.act.schedule, fresh_merge(&med, &sim));
+        let merged = Arc::clone(&med.act.schedule);
+        replan_at_cap(&mut med, &mut sim, 3);
+        assert!(
+            Arc::ptr_eq(&med.act.schedule, &merged),
+            "held and reinstalled"
+        );
+
+        // A held merge of other clamps onto the same plan is not reused.
+        let held = med.defense.as_mut().unwrap().merged.as_mut().unwrap();
+        held.clamps[0].1 += 1;
+        held.schedule = Arc::new(Schedule::Infeasible);
+        replan_at_cap(&mut med, &mut sim, 1);
+        assert_eq!(*med.act.schedule, *merged);
+        let merged = Arc::clone(&med.act.schedule);
+
+        // A debt docks the clamp's budget: the clamp changes, the plan
+        // does not, and the merge is made again.
+        let before = med.defense.as_ref().unwrap().clamps.clone();
+        let d = med.defense.as_mut().unwrap();
+        d.debts.charge("kmeans", 1_000.0);
+        replan_at_cap(&mut med, &mut sim, 1);
+        assert_ne!(
+            med.defense.as_ref().unwrap().clamps,
+            before,
+            "the clamp moved"
+        );
+        assert!(!Arc::ptr_eq(&med.act.schedule, &merged));
+        assert_eq!(*med.act.schedule, fresh_merge(&med, &sim));
+        assert_ne!(*med.act.schedule, *merged);
     }
 
     /// Debug builds re-plan every booked schedule and compare.

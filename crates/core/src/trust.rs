@@ -292,7 +292,7 @@ impl WattDebtLedger {
     /// charges are ignored.
     pub fn charge(&mut self, app: &str, w: f64) {
         if w > 0.0 {
-            *self.charged.entry(app.to_string()).or_insert(0.0) += w;
+            accrue(&mut self.charged, app, w);
         }
     }
 
@@ -301,7 +301,7 @@ impl WattDebtLedger {
     pub fn repay(&mut self, app: &str, w: f64) -> f64 {
         let paid = w.max(0.0).min(self.outstanding(app));
         if paid > 0.0 {
-            *self.repaid.entry(app.to_string()).or_insert(0.0) += paid;
+            accrue(&mut self.repaid, app, paid);
         }
         paid
     }
@@ -327,6 +327,17 @@ impl WattDebtLedger {
     pub fn remove(&mut self, app: &str) {
         self.charged.remove(app);
         self.repaid.remove(app);
+    }
+}
+
+/// Adds `w` to `app`'s total in `totals`; the name is cloned only for an
+/// app with no total yet.
+fn accrue(totals: &mut BTreeMap<String, f64>, app: &str, w: f64) {
+    match totals.get_mut(app) {
+        Some(total) => *total += w,
+        None => {
+            totals.insert(app.to_string(), w);
+        }
     }
 }
 

@@ -1,9 +1,9 @@
 //! Integration tests for the shared [`MeasurementCache`].
 //!
-//! These live in their own test binary so the process-wide
-//! [`evaluation_count`] counter only sees this file's activity; within
-//! the file a serializing mutex keeps the counting test from racing
-//! the concurrent-reader test.
+//! The [`evaluation_count`] counter counts the calling thread's
+//! evaluations, so the counting test sees only its own; the cache is
+//! process-wide, and a serializing mutex keeps the tests that share it
+//! from interleaving.
 
 use std::sync::{Arc, Mutex};
 

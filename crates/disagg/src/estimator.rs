@@ -28,7 +28,7 @@
 
 use std::collections::BTreeMap;
 
-use crate::solver::{solve_shares, AppPrior};
+use crate::solver::{solve_shares, AppPrior, SolvedShare};
 
 /// Floor on any per-app prior sigma, in watts.
 pub const SIGMA_FLOOR_W: f64 = 0.5;
@@ -86,8 +86,10 @@ pub struct ShareEstimate {
     pub sigma_w: f64,
 }
 
-/// The reconstructed per-app breakdown for one poll.
-#[derive(Debug, Clone, PartialEq)]
+/// The reconstructed per-app breakdown for one poll. The default is the
+/// breakdown of no apps and no sample, for
+/// [`PowerEstimator::estimate`] to fill in.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct EstimatedBreakdown {
     /// Per-app share estimates (suspended apps appear with 0 W).
     pub apps: BTreeMap<String, ShareEstimate>,
@@ -109,7 +111,7 @@ pub struct EstimatedBreakdown {
 
 /// Where the aggregate sample behind an [`EstimatedBreakdown`] came
 /// from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SampleSource {
     /// The meter reported this poll.
     Fresh,
@@ -118,6 +120,7 @@ pub enum SampleSource {
     /// No usable reading — the dropout outlasted [`HOLD_MAX_POLLS`], or
     /// the meter never reported at all: the prior-sum pseudo-meter
     /// stood in.
+    #[default]
     Blind,
 }
 
@@ -154,6 +157,12 @@ pub struct PowerEstimator {
     clean_polls: u32,
     fallback_engaged: bool,
     escalated: bool,
+    /// This poll's priors with their bands widened for staleness, by
+    /// prior position. They carry no names: the solve reads none.
+    widened: Vec<AppPrior>,
+    /// The solve's shares and its active set.
+    shares: Vec<SolvedShare>,
+    free: Vec<usize>,
 }
 
 impl PowerEstimator {
@@ -162,7 +171,7 @@ impl PowerEstimator {
         self.fallback_engaged
     }
 
-    /// Reconstructs the per-app breakdown for one poll.
+    /// Reconstructs the per-app breakdown for one poll into `out`.
     ///
     /// `observed_net_w` is the aggregate meter sample (`None` on a
     /// dropout); `static_floor_w` is the known idle + uncore draw;
@@ -170,6 +179,12 @@ impl PowerEstimator {
     /// (separately metered on a real server); `priors` carries one
     /// entry per hosted app, already sigma-widened by the caller for
     /// stale knob acks and low-confidence profiles.
+    ///
+    /// Every field of `out` is overwritten. Its per-app entries are
+    /// updated in place when `out` already holds exactly the priors'
+    /// names in the priors' order (strictly ascending, as a server's
+    /// apps are), so a steady poll over the same apps allocates nothing;
+    /// otherwise they are rebuilt.
     pub fn estimate(
         &mut self,
         observed_net_w: Option<f64>,
@@ -177,7 +192,8 @@ impl PowerEstimator {
         esd_charge_w: f64,
         esd_discharge_w: f64,
         priors: &[AppPrior],
-    ) -> EstimatedBreakdown {
+        out: &mut EstimatedBreakdown,
+    ) {
         let prior_sum: f64 = priors.iter().map(|p| p.predicted_w).sum();
         let predicted_net = static_floor_w + prior_sum + esd_charge_w - esd_discharge_w;
         let (sample_w, source) = match observed_net_w {
@@ -202,40 +218,42 @@ impl PowerEstimator {
         };
         // Staleness widens every band geometrically per held poll.
         let growth = STALE_SIGMA_GROWTH.powi(self.held_polls.min(16) as i32);
-        let widened: Vec<AppPrior> = priors
-            .iter()
-            .map(|p| AppPrior {
-                name: p.name.clone(),
-                predicted_w: p.predicted_w,
-                sigma_w: (p.sigma_w * growth).max(SIGMA_FLOOR_W),
-            })
-            .collect();
+        self.widened.clear();
+        self.widened.extend(priors.iter().map(|p| AppPrior {
+            name: String::new(),
+            predicted_w: p.predicted_w,
+            sigma_w: (p.sigma_w * growth).max(SIGMA_FLOOR_W),
+        }));
         let dynamic_total = sample_w - static_floor_w - esd_charge_w + esd_discharge_w;
-        let shares = solve_shares(dynamic_total, &widened);
-        let prior_var: f64 = widened.iter().map(|p| p.sigma_w.powi(2)).sum();
+        solve_shares(
+            dynamic_total,
+            &self.widened,
+            &mut self.shares,
+            &mut self.free,
+        );
+        let prior_var: f64 = self.widened.iter().map(|p| p.sigma_w.powi(2)).sum();
         let meter_sigma = METER_REL_SIGMA * sample_w.abs() * growth;
         let band = (prior_var + meter_sigma.powi(2)).sqrt();
-        let apps: BTreeMap<String, ShareEstimate> = widened
-            .iter()
-            .zip(&shares)
-            .map(|(p, s)| {
-                (
-                    p.name.clone(),
-                    ShareEstimate {
-                        watts: s.watts,
-                        sigma_w: s.sigma_w,
-                    },
-                )
-            })
-            .collect();
-        EstimatedBreakdown {
-            apps,
-            observed_net_w: sample_w,
-            dynamic_total_w: dynamic_total.max(0.0),
-            residual_w: sample_w - predicted_net,
-            band_w: band,
-            sample: source,
+        let estimates = self.shares.iter().map(|s| ShareEstimate {
+            watts: s.watts,
+            sigma_w: s.sigma_w,
+        });
+        let same_apps = out.apps.len() == priors.len()
+            && out.apps.keys().zip(priors).all(|(name, p)| *name == p.name);
+        if same_apps {
+            for (share, estimate) in out.apps.values_mut().zip(estimates) {
+                *share = estimate;
+            }
+        } else {
+            out.apps.clear();
+            out.apps
+                .extend(priors.iter().map(|p| p.name.clone()).zip(estimates));
         }
+        out.observed_net_w = sample_w;
+        out.dynamic_total_w = dynamic_total.max(0.0);
+        out.residual_w = sample_w - predicted_net;
+        out.band_w = band;
+        out.sample = source;
     }
 
     /// Feeds one poll's residual into the degradation ladder and
@@ -300,6 +318,27 @@ mod tests {
         }
     }
 
+    /// One poll's breakdown, into a fresh one.
+    fn estimate(
+        e: &mut PowerEstimator,
+        observed_net_w: Option<f64>,
+        static_floor_w: f64,
+        esd_charge_w: f64,
+        esd_discharge_w: f64,
+        priors: &[AppPrior],
+    ) -> EstimatedBreakdown {
+        let mut out = EstimatedBreakdown::default();
+        e.estimate(
+            observed_net_w,
+            static_floor_w,
+            esd_charge_w,
+            esd_discharge_w,
+            priors,
+            &mut out,
+        );
+        out
+    }
+
     fn reference_priors() -> Vec<AppPrior> {
         vec![prior("stream", 20.0, 1.0), prior("kmeans", 15.0, 1.0)]
     }
@@ -308,7 +347,7 @@ mod tests {
     fn fresh_sample_disaggregates_to_the_meter() {
         let mut e = PowerEstimator::default();
         // floor 70, priors 35 ⇒ predicted net 105; meter says 107.
-        let eb = e.estimate(Some(107.0), 70.0, 0.0, 0.0, &reference_priors());
+        let eb = estimate(&mut e, Some(107.0), 70.0, 0.0, 0.0, &reference_priors());
         assert_eq!(eb.sample, SampleSource::Fresh);
         assert!((eb.dynamic_total_w - 37.0).abs() < 1e-9);
         let total: f64 = eb.apps.values().map(|s| s.watts).sum();
@@ -321,31 +360,31 @@ mod tests {
         let mut e = PowerEstimator::default();
         // net = gross + charge − discharge; discharge of 10 W hides
         // 10 W of dynamic draw from the net meter.
-        let eb = e.estimate(Some(95.0), 70.0, 0.0, 10.0, &reference_priors());
+        let eb = estimate(&mut e, Some(95.0), 70.0, 0.0, 10.0, &reference_priors());
         assert!((eb.dynamic_total_w - 35.0).abs() < 1e-9);
     }
 
     #[test]
     fn dropouts_hold_the_last_good_sample_with_widening_bands() {
         let mut e = PowerEstimator::default();
-        let fresh = e.estimate(Some(105.0), 70.0, 0.0, 0.0, &reference_priors());
-        let held1 = e.estimate(None, 70.0, 0.0, 0.0, &reference_priors());
+        let fresh = estimate(&mut e, Some(105.0), 70.0, 0.0, 0.0, &reference_priors());
+        let held1 = estimate(&mut e, None, 70.0, 0.0, 0.0, &reference_priors());
         assert_eq!(held1.sample, SampleSource::Held);
         assert_eq!(held1.observed_net_w, 105.0, "last good value held");
         assert!(held1.band_w > fresh.band_w, "staleness widens the band");
-        let held2 = e.estimate(None, 70.0, 0.0, 0.0, &reference_priors());
+        let held2 = estimate(&mut e, None, 70.0, 0.0, 0.0, &reference_priors());
         assert!(held2.band_w > held1.band_w);
     }
 
     #[test]
     fn past_the_hold_window_the_prior_sum_takes_over() {
         let mut e = PowerEstimator::default();
-        e.estimate(Some(200.0), 70.0, 0.0, 0.0, &reference_priors());
+        estimate(&mut e, Some(200.0), 70.0, 0.0, 0.0, &reference_priors());
         for _ in 0..HOLD_MAX_POLLS {
-            let held = e.estimate(None, 70.0, 0.0, 0.0, &reference_priors());
+            let held = estimate(&mut e, None, 70.0, 0.0, 0.0, &reference_priors());
             assert_eq!(held.sample, SampleSource::Held);
         }
-        let blind = e.estimate(None, 70.0, 0.0, 0.0, &reference_priors());
+        let blind = estimate(&mut e, None, 70.0, 0.0, 0.0, &reference_priors());
         assert_eq!(blind.sample, SampleSource::Blind);
         assert!(
             (blind.observed_net_w - 105.0).abs() < 1e-9,
@@ -357,7 +396,7 @@ mod tests {
     #[test]
     fn no_sample_ever_means_prior_sum_from_the_start() {
         let mut e = PowerEstimator::default();
-        let eb = e.estimate(None, 70.0, 0.0, 0.0, &reference_priors());
+        let eb = estimate(&mut e, None, 70.0, 0.0, 0.0, &reference_priors());
         assert_eq!(eb.sample, SampleSource::Blind, "nothing to hold yet");
         assert!((eb.dynamic_total_w - 35.0).abs() < 1e-9);
     }
@@ -436,11 +475,225 @@ mod tests {
         // 2% meter noise at ~105 W is ~2 W one-sigma; the default band
         // (k=3 over priors + meter term) must not read it as a spike.
         let mut e = PowerEstimator::default();
-        let eb = e.estimate(Some(109.0), 70.0, 0.0, 0.0, &reference_priors());
+        let eb = estimate(&mut e, Some(109.0), 70.0, 0.0, 0.0, &reference_priors());
         assert_eq!(
             e.note_residual(&eb).spike,
             None,
             "4 W off at a ~5 W threshold"
         );
+    }
+
+    mod matches_reference {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// The solve the buffered [`solve_shares`] replaced: it collects
+        /// a new share vector and a new active set on every call.
+        fn solve_shares_reference(total_dynamic_w: f64, priors: &[AppPrior]) -> Vec<SolvedShare> {
+            let budget = total_dynamic_w.max(0.0);
+            let n = priors.len();
+            let mut shares: Vec<SolvedShare> = priors
+                .iter()
+                .map(|p| SolvedShare {
+                    watts: 0.0,
+                    sigma_w: p.sigma_w.max(crate::solver::SIGMA_FLOOR_W),
+                })
+                .collect();
+            if n == 0 {
+                return shares;
+            }
+            let mut free: Vec<usize> = (0..n).collect();
+            loop {
+                if free.is_empty() {
+                    break;
+                }
+                let prior_sum: f64 = free.iter().map(|&i| priors[i].predicted_w).sum();
+                let var_sum: f64 = free.iter().map(|&i| shares[i].sigma_w.powi(2)).sum();
+                let mismatch = budget - prior_sum;
+                let mut clamped_any = false;
+                for &i in &free {
+                    let w = priors[i].predicted_w + shares[i].sigma_w.powi(2) / var_sum * mismatch;
+                    shares[i].watts = w;
+                }
+                free.retain(|&i| {
+                    if shares[i].watts < 0.0 {
+                        shares[i].watts = 0.0;
+                        clamped_any = true;
+                        false
+                    } else {
+                        true
+                    }
+                });
+                if !clamped_any {
+                    break;
+                }
+            }
+            shares
+        }
+
+        /// The [`PowerEstimator::estimate`] the in-place one replaced: it
+        /// collects the widened priors, the shares and a new breakdown,
+        /// names cloned, on every poll.
+        fn estimate_reference(
+            e: &mut PowerEstimator,
+            observed_net_w: Option<f64>,
+            static_floor_w: f64,
+            esd_charge_w: f64,
+            esd_discharge_w: f64,
+            priors: &[AppPrior],
+        ) -> EstimatedBreakdown {
+            let prior_sum: f64 = priors.iter().map(|p| p.predicted_w).sum();
+            let predicted_net = static_floor_w + prior_sum + esd_charge_w - esd_discharge_w;
+            let (sample_w, source) = match observed_net_w {
+                Some(v) => {
+                    e.last_good_w = Some(v);
+                    e.held_polls = 0;
+                    (v, SampleSource::Fresh)
+                }
+                None => {
+                    e.held_polls += 1;
+                    match e.last_good_w {
+                        Some(v) if e.held_polls <= HOLD_MAX_POLLS => (v, SampleSource::Held),
+                        _ => (predicted_net, SampleSource::Blind),
+                    }
+                }
+            };
+            let growth = STALE_SIGMA_GROWTH.powi(e.held_polls.min(16) as i32);
+            let widened: Vec<AppPrior> = priors
+                .iter()
+                .map(|p| AppPrior {
+                    name: p.name.clone(),
+                    predicted_w: p.predicted_w,
+                    sigma_w: (p.sigma_w * growth).max(SIGMA_FLOOR_W),
+                })
+                .collect();
+            let dynamic_total = sample_w - static_floor_w - esd_charge_w + esd_discharge_w;
+            let shares = solve_shares_reference(dynamic_total, &widened);
+            let prior_var: f64 = widened.iter().map(|p| p.sigma_w.powi(2)).sum();
+            let meter_sigma = METER_REL_SIGMA * sample_w.abs() * growth;
+            let band = (prior_var + meter_sigma.powi(2)).sqrt();
+            let apps: BTreeMap<String, ShareEstimate> = widened
+                .iter()
+                .zip(&shares)
+                .map(|(p, s)| {
+                    (
+                        p.name.clone(),
+                        ShareEstimate {
+                            watts: s.watts,
+                            sigma_w: s.sigma_w,
+                        },
+                    )
+                })
+                .collect();
+            EstimatedBreakdown {
+                apps,
+                observed_net_w: sample_w,
+                dynamic_total_w: dynamic_total.max(0.0),
+                residual_w: sample_w - predicted_net,
+                band_w: band,
+                sample: source,
+            }
+        }
+
+        const POOL: [&str; 5] = ["bfs", "kmeans", "pagerank", "stream", "x264"];
+
+        /// One poll's priors: the pool apps in `members` (a bit set),
+        /// in name order rotated left by `rotate`, each with its drawn
+        /// prior.
+        fn priors(members: u8, rotate: usize, draws: &[(f64, f64)]) -> Vec<AppPrior> {
+            let mut priors: Vec<AppPrior> = POOL
+                .iter()
+                .enumerate()
+                .filter(|(i, _)| members & (1 << i) != 0)
+                .map(|(i, name)| AppPrior {
+                    name: name.to_string(),
+                    predicted_w: draws[i].0,
+                    sigma_w: draws[i].1,
+                })
+                .collect();
+            let len = priors.len().max(1);
+            priors.rotate_left(rotate % len);
+            priors
+        }
+
+        proptest! {
+            // Release builds run 1024 cases; debug builds 64.
+            #![proptest_config(ProptestConfig::with_cases(if cfg!(debug_assertions) { 64 } else { 1024 }))]
+            /// Over random priors (zero, -0.0 and zero-sigma ones among
+            /// them), fresh, held and blind samples, ESD flows and app
+            /// sets, the in-place estimate into one held breakdown agrees
+            /// bit for bit with the reference's fresh one each poll, and
+            /// leaves the same hold state. Most polls keep the member set
+            /// in name order; some rotate it, and some swap one member
+            /// for a non-member, so the app count stays and the names
+            /// change.
+            #[test]
+            fn prop_estimate_matches_the_reference(
+                polls in proptest::collection::vec(
+                    (
+                        (0u8..32, 0usize..16, (0u8..4, 0usize..5, 0usize..5)),
+                        proptest::collection::vec((-5.0f64..60.0, 0.0f64..10.0, 0u8..10), 5),
+                        (40.0f64..200.0, 0u8..4, 50.0f64..90.0),
+                        (0.0f64..20.0, 0.0f64..20.0, 0u8..4),
+                    ),
+                    1..40,
+                ),
+            ) {
+                let mut e = PowerEstimator::default();
+                let mut reference = PowerEstimator::default();
+                let mut held = EstimatedBreakdown::default();
+                let mut set = 0u8;
+                for ((drawn, rotate, (swap, out, into)), draws, (meter, dropout, floor), (charge, discharge, esd)) in polls {
+                    let (out, into) = (1u8 << out, 1u8 << into);
+                    if swap == 0 && set & out != 0 && set & into == 0 {
+                        set = (set & !out) | into;
+                    } else if swap != 1 {
+                        set = drawn;
+                    }
+                    let draws: Vec<(f64, f64)> = draws
+                        .into_iter()
+                        .map(|(p, s, k)| match k {
+                            0 => (0.0, s),
+                            1 => (-0.0, s),
+                            2 => (p, 0.0),
+                            _ => (p, s),
+                        })
+                        .collect();
+                    let priors = priors(set, rotate.saturating_sub(12), &draws);
+                    let observed = (dropout > 0).then_some(meter);
+                    let (charge, discharge) = match esd {
+                        0 => (charge, discharge),
+                        1 => (charge, 0.0),
+                        _ => (0.0, 0.0),
+                    };
+                    e.estimate(observed, floor, charge, discharge, &priors, &mut held);
+                    let want =
+                        estimate_reference(&mut reference, observed, floor, charge, discharge, &priors);
+                    prop_assert_eq!(format!("{held:?}"), format!("{want:?}"));
+                    prop_assert_eq!(e.last_good_w.map(f64::to_bits), reference.last_good_w.map(f64::to_bits));
+                    prop_assert_eq!(e.held_polls, reference.held_polls);
+                }
+            }
+        }
+
+        /// The in-place path runs: polls over the same apps reuse the
+        /// held breakdown's entries, and a same-size swap of one app
+        /// for another rebuilds them.
+        #[test]
+        fn same_apps_update_in_place_and_a_swap_rebuilds() {
+            let mut e = PowerEstimator::default();
+            let mut held = EstimatedBreakdown::default();
+            let draws = [(10.0, 1.0); 5];
+            let first = priors(0b00011, 0, &draws);
+            e.estimate(Some(100.0), 70.0, 0.0, 0.0, &first, &mut held);
+            let at = |eb: &EstimatedBreakdown| eb.apps.keys().next().map(|k| k.as_ptr());
+            let key = at(&held);
+            e.estimate(Some(101.0), 70.0, 0.0, 0.0, &first, &mut held);
+            assert_eq!(at(&held), key, "the same apps keep their entries");
+            let swapped = priors(0b00101, 0, &draws);
+            e.estimate(Some(101.0), 70.0, 0.0, 0.0, &swapped, &mut held);
+            let names: Vec<&str> = held.apps.keys().map(String::as_str).collect();
+            assert_eq!(names, ["bfs", "pagerank"]);
+        }
     }
 }

@@ -41,7 +41,11 @@ pub struct SolvedShare {
 }
 
 /// Solves the constrained disaggregation for `total_dynamic_w` over
-/// `priors`, returning one [`SolvedShare`] per prior in input order.
+/// `priors`, writing one [`SolvedShare`] per prior into `shares`, in
+/// input order. `free` is the active set's workspace; on return it holds
+/// the apps the solve left unclamped. Both buffers are cleared first and
+/// keep their capacity, so a caller that reuses them solves without
+/// allocating.
 ///
 /// Guarantees (the proptest contract):
 /// * every share is non-negative and finite;
@@ -51,30 +55,27 @@ pub struct SolvedShare {
 /// * the result is invariant under reordering of the priors (up to
 ///   round-off), because each share depends only on its own prior and
 ///   order-independent sums.
-pub fn solve_shares(total_dynamic_w: f64, priors: &[AppPrior]) -> Vec<SolvedShare> {
+pub fn solve_shares(
+    total_dynamic_w: f64,
+    priors: &[AppPrior],
+    shares: &mut Vec<SolvedShare>,
+    free: &mut Vec<usize>,
+) {
     let budget = total_dynamic_w.max(0.0);
-    let n = priors.len();
-    let mut shares: Vec<SolvedShare> = priors
-        .iter()
-        .map(|p| SolvedShare {
-            watts: 0.0,
-            sigma_w: p.sigma_w.max(SIGMA_FLOOR_W),
-        })
-        .collect();
-    if n == 0 {
-        return shares;
-    }
+    shares.clear();
+    shares.extend(priors.iter().map(|p| SolvedShare {
+        watts: 0.0,
+        sigma_w: p.sigma_w.max(SIGMA_FLOOR_W),
+    }));
     // Active-set loop over the free (unclamped) applications.
-    let mut free: Vec<usize> = (0..n).collect();
-    loop {
-        if free.is_empty() {
-            break;
-        }
+    free.clear();
+    free.extend(0..priors.len());
+    while !free.is_empty() {
         let prior_sum: f64 = free.iter().map(|&i| priors[i].predicted_w).sum();
         let var_sum: f64 = free.iter().map(|&i| shares[i].sigma_w.powi(2)).sum();
         let mismatch = budget - prior_sum;
         let mut clamped_any = false;
-        for &i in &free {
+        for &i in free.iter() {
             let w = priors[i].predicted_w + shares[i].sigma_w.powi(2) / var_sum * mismatch;
             shares[i].watts = w;
         }
@@ -94,7 +95,6 @@ pub fn solve_shares(total_dynamic_w: f64, priors: &[AppPrior]) -> Vec<SolvedShar
             break;
         }
     }
-    shares
 }
 
 /// Hard floor on a prior sigma so the weight `1/σ²` stays finite; the
@@ -113,6 +113,13 @@ mod tests {
         }
     }
 
+    /// The solve into fresh buffers.
+    fn solve(total_dynamic_w: f64, priors: &[AppPrior]) -> Vec<SolvedShare> {
+        let mut shares = Vec::new();
+        solve_shares(total_dynamic_w, priors, &mut shares, &mut Vec::new());
+        shares
+    }
+
     fn total(shares: &[SolvedShare]) -> f64 {
         shares.iter().map(|s| s.watts).sum()
     }
@@ -120,7 +127,7 @@ mod tests {
     #[test]
     fn exact_priors_pass_through() {
         let priors = vec![prior("a", 10.0, 1.0), prior("b", 20.0, 1.0)];
-        let shares = solve_shares(30.0, &priors);
+        let shares = solve(30.0, &priors);
         assert!((shares[0].watts - 10.0).abs() < 1e-9);
         assert!((shares[1].watts - 20.0).abs() < 1e-9);
     }
@@ -129,7 +136,7 @@ mod tests {
     fn mismatch_lands_on_the_least_trusted_prior() {
         // b's sigma is 3× a's, so b absorbs 9/10 of the 10 W surplus.
         let priors = vec![prior("a", 10.0, 1.0), prior("b", 20.0, 3.0)];
-        let shares = solve_shares(40.0, &priors);
+        let shares = solve(40.0, &priors);
         assert!((shares[0].watts - 11.0).abs() < 1e-9, "{:?}", shares);
         assert!((shares[1].watts - 29.0).abs() < 1e-9, "{:?}", shares);
     }
@@ -140,7 +147,7 @@ mod tests {
         // unconstrained solve and must clamp to zero, with the rest on
         // the big one.
         let priors = vec![prior("small", 2.0, 5.0), prior("big", 30.0, 5.0)];
-        let shares = solve_shares(5.0, &priors);
+        let shares = solve(5.0, &priors);
         assert_eq!(shares[0].watts, 0.0);
         assert!((shares[1].watts - 5.0).abs() < 1e-9);
     }
@@ -148,26 +155,26 @@ mod tests {
     #[test]
     fn zero_budget_zeroes_everything() {
         let priors = vec![prior("a", 10.0, 1.0), prior("b", 0.0, 1.0)];
-        let shares = solve_shares(0.0, &priors);
+        let shares = solve(0.0, &priors);
         assert!(shares.iter().all(|s| s.watts == 0.0));
     }
 
     #[test]
     fn negative_budget_is_clamped_to_zero() {
         let priors = vec![prior("a", 10.0, 1.0)];
-        let shares = solve_shares(-5.0, &priors);
+        let shares = solve(-5.0, &priors);
         assert_eq!(total(&shares), 0.0);
     }
 
     #[test]
     fn empty_priors_return_empty() {
-        assert!(solve_shares(50.0, &[]).is_empty());
+        assert!(solve(50.0, &[]).is_empty());
     }
 
     #[test]
     fn zero_sigma_priors_are_floored_not_divided_by_zero() {
         let priors = vec![prior("a", 10.0, 0.0), prior("b", 10.0, 0.0)];
-        let shares = solve_shares(30.0, &priors);
+        let shares = solve(30.0, &priors);
         assert!((total(&shares) - 30.0).abs() < 1e-6);
         assert!(shares.iter().all(|s| s.watts.is_finite()));
     }
@@ -178,7 +185,7 @@ mod tests {
             prior("running", 40.0, 4.0),
             prior("suspended", 0.0, SIGMA_FLOOR_W),
         ];
-        let shares = solve_shares(50.0, &priors);
+        let shares = solve(50.0, &priors);
         assert!(shares[1].watts < 1e-6, "{:?}", shares);
         assert!((shares[0].watts - 50.0).abs() < 1e-3);
     }

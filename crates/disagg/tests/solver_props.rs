@@ -10,6 +10,7 @@
 
 use proptest::prelude::*;
 
+use powermed_disagg::solver::SolvedShare;
 use powermed_disagg::{solve_shares, AppPrior};
 use powermed_units::hash::SPLITMIX_GAMMA;
 
@@ -25,6 +26,13 @@ fn priors_from(draws: &[(f64, f64)]) -> Vec<AppPrior> {
             sigma_w: sigma,
         })
         .collect()
+}
+
+/// The solve into fresh buffers.
+fn solve(total_dynamic_w: f64, priors: &[AppPrior]) -> Vec<SolvedShare> {
+    let mut shares = Vec::new();
+    solve_shares(total_dynamic_w, priors, &mut shares, &mut Vec::new());
+    shares
 }
 
 /// Deterministic in-place permutation driven by a drawn seed
@@ -51,7 +59,7 @@ proptest! {
         total in -50.0f64..400.0,
         draws in collection::vec((0.0f64..120.0, 0.0f64..30.0), 0usize..12),
     ) {
-        let shares = solve_shares(total, &priors_from(&draws));
+        let shares = solve(total, &priors_from(&draws));
         for s in &shares {
             prop_assert!(s.watts.is_finite());
             prop_assert!(s.watts >= 0.0, "share {} is negative", s.watts);
@@ -64,7 +72,7 @@ proptest! {
         total in 0.0f64..400.0,
         draws in collection::vec((0.0f64..120.0, 0.0f64..30.0), 1usize..12),
     ) {
-        let shares = solve_shares(total, &priors_from(&draws));
+        let shares = solve(total, &priors_from(&draws));
         let sum: f64 = shares.iter().map(|s| s.watts).sum();
         prop_assert!(
             (sum - total).abs() <= SUM_TOL * total.max(1.0),
@@ -77,7 +85,7 @@ proptest! {
         total in -400.0f64..0.0,
         draws in collection::vec((0.0f64..120.0, 0.0f64..30.0), 1usize..12),
     ) {
-        let shares = solve_shares(total, &priors_from(&draws));
+        let shares = solve(total, &priors_from(&draws));
         let sum: f64 = shares.iter().map(|s| s.watts).sum();
         prop_assert!(sum.abs() <= SUM_TOL, "negative budget must zero out, got {sum}");
     }
@@ -90,8 +98,8 @@ proptest! {
     ) {
         let priors = priors_from(&draws);
         let shuffled = permuted(&priors, seed);
-        let direct = solve_shares(total, &priors);
-        let reordered = solve_shares(total, &shuffled);
+        let direct = solve(total, &priors);
+        let reordered = solve(total, &shuffled);
         // Match shares back up by app name.
         for (p, s) in priors.iter().zip(&direct) {
             let (q_idx, _) = shuffled

@@ -359,6 +359,11 @@ impl ServerSim {
         self.server.app_names()
     }
 
+    /// Each hosted app's runtime state, by position.
+    pub fn apps(&self) -> &[RunningApp] {
+        &self.apps
+    }
+
     /// The runtime state of `name`.
     pub fn app(&self, name: &str) -> Option<&RunningApp> {
         self.server.position(name).map(|pos| &self.apps[pos])

@@ -24,12 +24,6 @@ impl Seconds {
         Self::new(ms / 1e3)
     }
 
-    /// Creates a duration from microseconds.
-    #[inline]
-    pub fn from_micros(us: f64) -> Self {
-        Self::new(us / 1e6)
-    }
-
     /// Returns the duration in milliseconds.
     #[inline]
     pub fn as_millis(self) -> f64 {
@@ -50,9 +44,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn millis_and_micros() {
+    fn millis_convert_both_ways() {
         assert_eq!(Seconds::from_millis(250.0), Seconds::new(0.25));
-        assert_eq!(Seconds::from_micros(800.0), Seconds::new(0.0008));
         assert_eq!(Seconds::new(1.5).as_millis(), 1500.0);
     }
 

@@ -1,20 +1,24 @@
 //! The roofline application model.
 
+use std::cell::Cell;
+
 use powermed_server::server::AppDemand;
 use powermed_server::{KnobSetting, ServerSpec};
 use powermed_units::{BytesPerSec, Ratio, Seconds, Watts};
 
 use crate::phases::PhaseTrack;
 
-/// Process-wide count of [`AppProfile::evaluate`] calls. Performance
-/// surfaces are expensive to build (hundreds of evaluations per app),
-/// so callers that memoize them can use this counter to verify a cache
-/// hit skipped the work entirely.
-static EVALUATION_COUNT: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+thread_local! {
+    /// This thread's count of [`AppProfile::evaluate`] calls.
+    /// Performance surfaces are expensive to build (hundreds of
+    /// evaluations per app), so callers that memoize them can use this
+    /// counter to verify a cache hit skipped the work entirely.
+    static EVALUATIONS: Cell<u64> = const { Cell::new(0) };
+}
 
-/// Total number of [`AppProfile::evaluate`] calls made by this process.
+/// Number of [`AppProfile::evaluate`] calls this thread has made.
 pub fn evaluation_count() -> u64 {
-    EVALUATION_COUNT.load(std::sync::atomic::Ordering::Relaxed)
+    EVALUATIONS.with(Cell::get)
 }
 
 /// Broad workload class, as in the paper's Sec. IV application list.
@@ -206,7 +210,7 @@ impl AppProfile {
     /// Evaluates performance, demand and dynamic power at `knob` on
     /// `spec`, at the profile's nominal (phase-free) intensity.
     pub fn evaluate(&self, spec: &ServerSpec, knob: KnobSetting) -> OperatingPoint {
-        EVALUATION_COUNT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        EVALUATIONS.with(|n| n.set(n.get() + 1));
         self.evaluate_with_intensity(spec, knob, 1.0, 1.0)
     }
 

@@ -23,10 +23,6 @@ const ALLOWED: &[(&str, &str)] = &[
     ("for_duration", "a powermed-units conversion DESIGN names"),
     ("from_percent", "a powermed-units conversion DESIGN names"),
     (
-        "from_micros",
-        "a powermed-units conversion whose one caller, SleepLatency, is gone; it goes in a units change",
-    ),
-    (
         "choose_multiple",
         "a SplitMix draw DESIGN lists; tests/streams.rs pins it",
     ),
